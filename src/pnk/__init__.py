@@ -40,8 +40,7 @@ from .flow import (FlowResult, ReturnSolve, VariationalResult, integrate_flow,
                    integrate_variational, solve_return_times)
 from .section import (BasePointCheck, MonodromyReport, SectionFrame,
                       TransversalMapResult, basepoint_spectrum_check,
-                      build_section, evaluate_pn_map, monodromy_report,
-                      total_monodromy, transversal_linearization,
-                      transversal_map)
+                      build_section, monodromy_report, total_monodromy,
+                      transversal_linearization, transversal_map)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,8 @@ from .errors import (MatchingAmbiguityWarning, NoConvergence, NothingFound,
                      SingularJacobian)
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map
-from .continuation import ContinuationBranch, newton_fixed_point
+from .continuation import (ContinuationBranch, _newton_solve,
+                           newton_fixed_point)
 
 CASE_A = "CaseA"
 CASE_B = "CaseB"
@@ -344,48 +345,12 @@ def _probe_directions(r: int, count: int) -> list[np.ndarray]:
     return dirs[:count] if len(dirs) >= count else dirs
 
 
-def _map_eval(family, frame, alpha, u, eps, tol, trust, with_jacobian=True):
-    return transversal_map(family, frame, alpha, u, eps, tol,
-                           with_jacobian=with_jacobian, trust_radius=trust)
-
-
-def _newton_on_map(family, frame, alpha, eps, guess, tol, max_iter, trust,
-                   double: bool = False):
-    """Newton for fixed points of P (or of P o P when double=True).
-
-    Returns (u, derivative, residual) or None when the start fails.
-    """
-    u = np.asarray(guess, dtype=float)
-    eye = np.eye(frame.r)
-    try:
-        for it in range(max_iter + 1):
-            r1 = _map_eval(family, frame, alpha, u, eps, tol, trust)
-            if double:
-                r2 = _map_eval(family, frame, alpha, r1.u, eps, tol, trust)
-                image, deriv = r2.u, r2.jacobian @ r1.jacobian
-            else:
-                image, deriv = r1.u, r1.jacobian
-            f = u - image
-            rnorm = float(np.max(np.abs(f), initial=0.0))
-            if rnorm <= tol:
-                return u, deriv, rnorm
-            if it == max_iter:
-                return None
-            jac = eye - deriv
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-                return None
-            u = u - np.linalg.solve(jac, f)
-    except (NoConvergence, SingularJacobian, np.linalg.LinAlgError):
-        return None
-
-
 def _cycle_key(a, b) -> np.ndarray:
     """Order-independent representative of a 2-cycle for deduplication."""
     return np.asarray(min((tuple(a), tuple(b))))
 
 
-def _fit_circle(family, frame, alpha, eps, u_star, spectrum_vecs, opts, trust):
+def _fit_circle(image, u_star, spectrum_vecs, opts):
     """Iterate the map near u_star and fit radius(theta) with a Fourier series."""
     vals, vecs = spectrum_vecs
     order = np.argsort(-np.abs(vals))
@@ -398,8 +363,7 @@ def _fit_circle(family, frame, alpha, eps, u_star, spectrum_vecs, opts, trust):
     limit = 5.0 * opts.search_radius
     collected = []
     for step in range(opts.transient + opts.n_samples):
-        u = _map_eval(family, frame, alpha, u, eps, opts.tol, trust,
-                      with_jacobian=False).u
+        u = image(u).u
         if float(np.linalg.norm(u - u_star)) > limit:
             raise NothingFound("probe orbit escaped the search region")
         if step >= opts.transient:
@@ -439,11 +403,30 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     eps_post = as_params(eps_post, family.p)
     trust = max(frame.trust_radius, 4.0 * opts.search_radius)
 
-    base = _newton_on_map(family, frame, alpha, eps_post, np.zeros(frame.r),
-                          opts.tol, opts.max_iter, trust)
+    def image(u, with_jacobian=False):
+        return transversal_map(family, frame, alpha, u, eps_post, opts.tol,
+                               with_jacobian=with_jacobian, trust_radius=trust)
+
+    def map_once(u):
+        r1 = image(u, with_jacobian=True)
+        return r1.u, r1.jacobian
+
+    def map_twice(u):
+        r1 = image(u, with_jacobian=True)
+        r2 = image(r1.u, with_jacobian=True)
+        return r2.u, r2.jacobian @ r1.jacobian
+
+    def solve(step, guess):
+        """(u, derivative, residual, iterations), or None for a failed start."""
+        try:
+            return _newton_solve(step, guess, opts.tol, opts.max_iter)
+        except (NoConvergence, SingularJacobian, np.linalg.LinAlgError):
+            return None
+
+    base = solve(map_once, np.zeros(frame.r))
     if base is None:
         raise NothingFound("could not locate the continued fixed point")
-    u0, ell0, _ = base
+    u0, ell0, _, _ = base
     base_spec = spectra.sorted_complex(np.linalg.eigvals(ell0))
 
     dedupe = max(opts.exclude_tol, 100.0 * opts.tol)
@@ -458,11 +441,10 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                                           opts.n_radii)
                   for d in _probe_directions(frame.r, opts.n_directions)]
         for guess in starts:
-            got = _newton_on_map(family, frame, alpha, eps_post, guess,
-                                 opts.tol, opts.max_iter, trust)
+            got = solve(map_once, guess)
             if got is None:
                 continue
-            u, deriv, res = got
+            u, deriv, res, _ = got
             if float(np.linalg.norm(u - u0)) <= opts.exclude_tol:
                 continue
             if any(float(np.linalg.norm(u - f.u)) <= dedupe for f in fixed):
@@ -470,13 +452,11 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
             fixed.append(FixedPointFinding(
                 u, spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
         for guess in starts:
-            got = _newton_on_map(family, frame, alpha, eps_post, guess,
-                                 opts.tol, opts.max_iter, trust, double=True)
+            got = solve(map_twice, guess)
             if got is None:
                 continue
-            u, deriv, res = got
-            partner = _map_eval(family, frame, alpha, u, eps_post, opts.tol,
-                                trust, with_jacobian=False).u
+            u, deriv, res, _ = got
+            partner = image(u).u
             if float(np.linalg.norm(partner - u)) <= opts.exclude_tol:
                 continue  # a fixed point of P, not a genuine 2-cycle
             key = _cycle_key(u, partner)
@@ -495,8 +475,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
     if kind in (CASE_C, DEGENERATE):
         vals, vecs = np.linalg.eig(ell0)
-        circle = _fit_circle(family, frame, alpha, eps_post, u0,
-                             (vals, vecs), opts, trust)
+        circle = _fit_circle(image, u0, (vals, vecs), opts)
         notes.append(f"invariant circle of mean radius {circle.mean_radius:.6g} "
                      f"(fit residual {circle.fit_residual:.2g}); corresponds "
                      "to an invariant torus of one more dimension for the flow")

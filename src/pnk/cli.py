@@ -3,16 +3,13 @@
 One run per process. Exit codes: 0 success, 2 validation error, 3
 numerical failure (no convergence, open loop/torus, resonance, ...), 4
 detected non-commutation. Numerical failures still write a report
-carrying the originating error verbatim. The PNK_THREADS environment
-variable caps the worker count for parallel parameter sweeps (opt-in via
-the config's ``parallel`` flag).
+carrying the originating error verbatim.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,16 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCOMMUTING = 4
-
-
-def _thread_count() -> int | None:
-    raw = os.environ.get("PNK_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +141,7 @@ def _continuation_options(options: dict) -> ContinuationOptions:
     return ContinuationOptions(
         tol=options["tol"], max_iter=options["max_iter"],
         delta_min=options["delta_min"],
-        trust_radius=options["trust_radius"],
-        parallel=options["parallel"], n_threads=_thread_count())
+        trust_radius=options["trust_radius"])
 
 
 def _run_continue(setup: RunSetup, options: dict):

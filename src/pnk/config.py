@@ -41,11 +41,11 @@ _OPTION_DEFAULTS = {
     },
     "continue": {
         "alpha": None, "tol": 1e-10, "max_iter": 20, "delta_min": 1e-6,
-        "eps_grid": None, "parallel": False, "trust_radius": None,
+        "eps_grid": None, "trust_radius": None,
     },
     "bifurcate": {
         "alpha": None, "tol": 1e-10, "max_iter": 20, "delta_min": 1e-6,
-        "eps_grid": None, "parallel": False, "trust_radius": None,
+        "eps_grid": None, "trust_radius": None,
         "circle_tol": 1e-9, "eps_tol": 1e-6, "angle_tol": 1e-3,
         "probe_offsets": [], "search_radius": 0.5, "probe_tol": 1e-9,
     },
@@ -333,10 +333,6 @@ def _normalize_options(analysis: str, options: dict) -> dict:
         elif key in ("samples", "seed", "grid", "max_iter", "n_samples",
                      "n_out", "grid_per_angle"):
             out[key] = _as_int(value, path, minimum=0)
-        elif key == "parallel":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}: expected true/false")
-            out[key] = value
         elif key == "trust_radius":
             out[key] = None if value is None else _as_number(value, path)
         else:

@@ -12,18 +12,18 @@ no pseudo-arclength reparametrization is used.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import spectra
 from .core import TorusSeed, VectorFieldFamily, as_params, loop_field, wrap_angles
-from .errors import (NoConvergence, OpenTorus, SingularJacobian)
+from .errors import NoConvergence, OpenTorus, SingularJacobian
 from .flow import DEFAULT_TOL, integrate_flow
 from .section import SectionFrame, build_section, transversal_map
 
 DELTA_MIN_DEFAULT = 1e-6
+SINGULAR_TOL = 1e-13  # relative smallest singular value of I - L
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,35 @@ def _effective_trust(frame: SectionFrame, u) -> float:
     return max(frame.trust_radius, 4.0 * reach + frame.trust_radius)
 
 
+def _newton_solve(step, u, tol: float, max_iter: int):
+    """Full Newton on u - image(u) = 0 for a map step(u) -> (image, derivative).
+
+    Returns (u, derivative, residual, iterations) at the first iterate
+    whose residual max|u - image| is within tol; the iteration count
+    excludes that final evaluation. Raises :class:`SingularJacobian` when
+    I - derivative degenerates and :class:`NoConvergence` on budget
+    exhaustion.
+    """
+    eye = np.eye(u.size)
+    for it in range(max_iter + 1):
+        image, deriv = step(u)
+        f = u - image
+        rnorm = float(np.max(np.abs(f), initial=0.0))
+        if rnorm <= tol:
+            return u, deriv, rnorm, it
+        if it == max_iter:
+            raise NoConvergence(
+                f"fixed-point Newton stalled after {max_iter} iterations "
+                f"(residual {rnorm:.3g})")
+        jac = eye - deriv
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
+            raise SingularJacobian(
+                "corrector jacobian I - L is singular; a transversal "
+                "multiplier sits at 1")
+        u = u - np.linalg.solve(jac, f)
+
+
 def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
                        frame: SectionFrame, eps, u_guess,
                        tol: float = DEFAULT_TOL,
@@ -100,31 +129,19 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
     u = np.asarray(u_guess, dtype=float).reshape(-1)
     if u.size != frame.r:
         raise ValueError(f"guess has length {u.size}, expected {frame.r}")
-    eye = np.eye(frame.r)
-    for it in range(max_iter + 1):
-        res = transversal_map(family, frame, alpha, u, eps, tol,
+
+    def step(v):
+        res = transversal_map(family, frame, alpha, v, eps, tol,
                               with_jacobian=True,
-                              trust_radius=_effective_trust(frame, u))
-        f = u - res.u
-        rnorm = float(np.max(np.abs(f), initial=0.0))
-        if rnorm <= tol:
-            ell = res.jacobian
-            return NewtonResult(
-                u, ell,
-                spectra.sorted_complex(np.linalg.eigvals(ell)),
-                spectra.sorted_complex(np.linalg.eigvals(eye - ell)),
-                it, rnorm)
-        if it == max_iter:
-            raise NoConvergence(
-                f"fixed-point Newton stalled after {max_iter} iterations "
-                f"(residual {rnorm:.3g})")
-        jac = eye - res.jacobian
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-13 * max(1.0, sv[0]):
-            raise SingularJacobian(
-                "corrector jacobian I - L is singular; a transversal "
-                "multiplier sits at 1")
-        u = u - np.linalg.solve(jac, f)
+                              trust_radius=_effective_trust(frame, v))
+        return res.u, res.jacobian
+
+    u, ell, rnorm, iters = _newton_solve(step, u, tol, max_iter)
+    return NewtonResult(
+        u, ell,
+        spectra.sorted_complex(np.linalg.eigvals(ell)),
+        spectra.sorted_complex(np.linalg.eigvals(np.eye(frame.r) - ell)),
+        iters, rnorm)
 
 
 @dataclass(frozen=True)
@@ -156,8 +173,6 @@ class ContinuationOptions:
     max_iter: int = 20
     delta_min: float = DELTA_MIN_DEFAULT
     trust_radius: float | None = None
-    parallel: bool = False
-    n_threads: int | None = None
 
 
 def _branch_point(nr: NewtonResult, eps, delta_min) -> BranchPoint:
@@ -195,9 +210,6 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
         frame = replace(frame, trust_radius=opts.trust_radius)
     alpha = np.asarray(alpha).reshape(-1)
 
-    if opts.parallel and len(path) > 2:
-        return _continue_parallel(family, seed, alpha, path, opts, frame)
-
     points: list[BranchPoint] = []
     status, message = "completed", ""
     for idx, eps in enumerate(path):
@@ -222,54 +234,6 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
             status = "stopped_at_critical"
             message = (f"margin {pt.dist_from_one:.3g} below delta_min "
                        f"{opts.delta_min:.3g} at eps={eps}")
-            break
-    return ContinuationBranch(points, status, message, alpha, frame)
-
-
-def _continue_parallel(family, seed, alpha, path, opts, frame):
-    """Wave-parallel corrector: each slice is seeded from the nearest
-    already completed point, waves are deterministic partitions of the
-    path, so results do not depend on thread timing."""
-    n_threads = opts.n_threads or 4
-    results: dict[int, BranchPoint | Exception] = {}
-
-    def solve(idx, guess):
-        try:
-            nr = newton_fixed_point(family, seed, alpha, frame, path[idx],
-                                    guess, opts.tol, opts.max_iter)
-            return _branch_point(nr, path[idx], opts.delta_min)
-        except (NoConvergence, SingularJacobian) as exc:
-            return exc
-
-    results[0] = solve(0, np.zeros(frame.r))
-    pending = list(range(1, len(path)))
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        while pending:
-            wave, pending = pending[:n_threads], pending[n_threads:]
-            done = {i: results[i] for i in results
-                    if isinstance(results[i], BranchPoint)}
-            guesses = {}
-            for idx in wave:
-                nearest = min(done, key=lambda j: np.linalg.norm(path[idx] - path[j]),
-                              default=0)
-                guesses[idx] = (done[nearest].u if nearest in done
-                                else np.zeros(frame.r))
-            futs = {idx: pool.submit(solve, idx, guesses[idx]) for idx in wave}
-            for idx, fut in futs.items():
-                results[idx] = fut.result()
-
-    points: list[BranchPoint] = []
-    status, message = "completed", ""
-    for idx in range(len(path)):
-        res = results[idx]
-        if isinstance(res, Exception):
-            status, message = "diverged", f"slice {idx} at eps={path[idx]}: {res}"
-            break
-        points.append(res)
-        if res.dist_from_one < opts.delta_min:
-            status = "stopped_at_critical"
-            message = (f"margin {res.dist_from_one:.3g} below delta_min "
-                       f"{opts.delta_min:.3g} at eps={path[idx]}")
             break
     return ContinuationBranch(points, status, message, alpha, frame)
 

@@ -32,16 +32,10 @@ TINY_TIME = 1e-14
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Endpoint of an adaptive flow integration.
-
-    ``est_error`` is the local error budget the controller enforced at the
-    endpoint (atol + rtol * |endpoint|_inf); the global error is not
-    observable from a single run.
-    """
+    """Endpoint of an adaptive flow integration."""
 
     endpoint: np.ndarray
     steps_taken: int
-    est_error: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,6 @@ class VariationalResult:
     endpoint: np.ndarray
     tangent: np.ndarray
     steps_taken: int
-    est_error: float
 
 
 def _check_state(x, chart_radius):
@@ -80,9 +73,8 @@ def integrate_flow(field: Field, x0, eps, t: float,
         raise ValueError("tol must be positive")
     if not np.isfinite(t):
         raise ValueError("flow time must be finite")
-    atol = tol * ATOL_FACTOR
     if abs(t) < TINY_TIME:
-        return FlowResult(x0.copy(), 0, atol + tol * float(np.max(np.abs(x0), initial=0.0)))
+        return FlowResult(x0.copy(), 0)
 
     value = field.value
     radius = field.chart_radius
@@ -91,11 +83,10 @@ def integrate_flow(field: Field, x0, eps, t: float,
         _check_state(y, radius)
         return value(y, eps)
 
-    sol = _run(rhs, x0, t, tol, atol)
+    sol = _run(rhs, x0, t, tol, tol * ATOL_FACTOR)
     end = sol.y[:, -1].copy()
     _check_state(end, radius)
-    return FlowResult(end, len(sol.t) - 1,
-                      atol + tol * float(np.max(np.abs(end))))
+    return FlowResult(end, len(sol.t) - 1)
 
 
 def integrate_variational(field: Field, x0, eps, t: float,
@@ -110,10 +101,8 @@ def integrate_variational(field: Field, x0, eps, t: float,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = field.n
-    atol = tol * ATOL_FACTOR
     if abs(t) < TINY_TIME:
-        return VariationalResult(x0.copy(), np.eye(n), 0,
-                                 atol + tol * float(np.max(np.abs(x0), initial=0.0)))
+        return VariationalResult(x0.copy(), np.eye(n), 0)
 
     value = field.value
     jac = field.jacobian
@@ -128,12 +117,11 @@ def integrate_variational(field: Field, x0, eps, t: float,
         return np.concatenate([np.asarray(dx, dtype=float).ravel(), dm.ravel()])
 
     y0 = np.concatenate([x0, np.eye(n).ravel()])
-    sol = _run(rhs, y0, t, tol, atol)
+    sol = _run(rhs, y0, t, tol, tol * ATOL_FACTOR)
     end = sol.y[:n, -1].copy()
     _check_state(end, radius)
     tangent = sol.y[n:, -1].reshape(n, n).copy()
-    return VariationalResult(end, tangent, len(sol.t) - 1,
-                             atol + tol * float(np.max(np.abs(end))))
+    return VariationalResult(end, tangent, len(sol.t) - 1)
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,23 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
     )
 
 
-def _loop_variational(family, seed, alpha, m, eps, tol):
-    """Time-one variational flow of the loop field; returns (A, defect)."""
+def _loop_variational(family, seed, alpha, m, eps, tol, closure_tol):
+    """Time-one variational flow of the loop field; returns (A, defect).
+
+    Raises :class:`OpenLoop` when the closure defect exceeds
+    ``closure_tol`` (default 10 * tol).
+    """
     m = seed.base_point if m is None else as_point(m, family.n)
     eps = seed.eps0 if eps is None else as_params(eps, family.p)
+    closure_tol = 10.0 * tol if closure_tol is None else closure_tol
     field = loop_field(family, alpha)
     res = integrate_variational(field, m, eps, 1.0, tol)
     end = wrap_angles(res.endpoint, m, seed.angle_coords)
     defect = float(np.max(np.abs(end - m)))
+    if defect > closure_tol:
+        raise OpenLoop(
+            f"loop closure defect {defect:.3g} exceeds {closure_tol:.3g}; "
+            "base point is not on an invariant torus")
     return res.tangent, defect
 
 
@@ -134,13 +143,7 @@ def total_monodromy(family: VectorFieldFamily, seed: TorusSeed, alpha,
     does not sit on an invariant torus and raises :class:`OpenLoop`. The
     bound separates genuine drift from integrator noise.
     """
-    closure_tol = 10.0 * tol if closure_tol is None else closure_tol
-    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol)
-    if defect > closure_tol:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3g} exceeds {closure_tol:.3g}; "
-            "base point is not on an invariant torus")
-    return matrix
+    return _loop_variational(family, seed, alpha, m, eps, tol, closure_tol)[0]
 
 
 def transversal_linearization(A, frame: SectionFrame) -> np.ndarray:
@@ -177,11 +180,8 @@ def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
     ``trivial_unit_count`` counts full eigenvalues that landed on the unit
     block within ``unit_tol``.
     """
-    closure_tol = 10.0 * tol if closure_tol is None else closure_tol
-    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol)
-    if defect > closure_tol:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3g} exceeds {closure_tol:.3g}")
+    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol,
+                                       closure_tol)
     frame = build_section(family, seed, m, eps)
     trans = transversal_linearization(matrix, frame)
     full = spectra.sorted_complex(np.linalg.eigvals(matrix))
@@ -252,31 +252,6 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
         d_chart = proj @ ret.variational @ flow_res.tangent
         jac = frame.transversal_basis.T @ d_chart @ frame.transversal_basis
     return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)
-
-
-def evaluate_pn_map(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                    frame: SectionFrame, x, eps=None,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Section image of a section point x under the return map.
-
-    x must satisfy the section constraints and lie within the frame's
-    trust radius of the base point; the result satisfies the constraints
-    within tol.
-    """
-    eps = frame.eps if eps is None else as_params(eps, family.p)
-    x = wrap_angles(as_point(x, family.n), frame.base, frame.angle_coords)
-    cres = float(np.max(np.abs(frame.constraints @ (x - frame.base))))
-    if cres > 1e-8 * max(1.0, float(np.linalg.norm(x - frame.base))):
-        raise ValueError(
-            f"point violates the section constraints (residual {cres:.3g})")
-    dist = float(np.linalg.norm(x - frame.base))
-    if dist > frame.trust_radius:
-        raise ValueError(
-            f"point at distance {dist:.3g} exceeds the section trust radius "
-            f"{frame.trust_radius:.3g}")
-    u = frame.transversal_basis.T @ (x - frame.base)
-    res = transversal_map(family, frame, alpha, u, eps, tol)
-    return res.endpoint
 
 
 @dataclass(frozen=True)

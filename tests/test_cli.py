@@ -43,6 +43,12 @@ class TestParseConfig:
         doc["options"]["typo"] = 1
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
+        # continuation runs have no thread switch
+        doc = _hopf_config(analysis="continue", options={
+            "alpha": [1], "parallel": True,
+            "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}})
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(doc)
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ConfigError, match="zero"):
@@ -228,47 +234,6 @@ class TestDeterminism:
         from pnk.report import canonical_json
         assert canonical_json(strip_volatile(rep1)) == \
             canonical_json(strip_volatile(rep2))
-
-
-class TestThreadEnvironment:
-    def test_thread_count_parsing(self, monkeypatch):
-        from pnk.cli import _thread_count
-        monkeypatch.delenv("PNK_THREADS", raising=False)
-        assert _thread_count() is None
-        monkeypatch.setenv("PNK_THREADS", "3")
-        assert _thread_count() == 3
-        monkeypatch.setenv("PNK_THREADS", "junk")
-        assert _thread_count() is None
-
-    def test_parallel_run_matches_sequential_report(self, tmp_path,
-                                                    monkeypatch):
-        doc = {
-            "system": {"name": "straightened", "params": {
-                "A": [[[-0.3, 0.0], [0.0, 0.2]], [[0.1, 0.0], [0.0, -0.4]]],
-                "C": [[0.5], [0.25]]}},
-            "torus": {"kind": "catalog"},
-            "analysis": "continue",
-            "options": {"alpha": [1, 0],
-                        "eps_grid": {"start": [0.0], "stop": [0.06],
-                                     "num": 5}},
-        }
-        cfg_seq = parse_config(doc)
-        doc["options"]["parallel"] = True
-        cfg_par = parse_config(doc)
-        monkeypatch.setenv("PNK_THREADS", "2")
-        rep_seq, _ = run_config(cfg_seq, tmp_path / "seq")
-        rep_par1, _ = run_config(cfg_par, tmp_path / "par1")
-        rep_par2, _ = run_config(cfg_par, tmp_path / "par2")
-        from pnk.report import canonical_json
-        # parallel scheduling must not introduce nondeterminism
-        assert canonical_json(strip_volatile(rep_par1)) == \
-            canonical_json(strip_volatile(rep_par2))
-        # and the computed branch agrees with the sequential one (iteration
-        # counts may differ because the predictors differ)
-        seq_pts = rep_seq["results"]["branch"]["points"]
-        par_pts = rep_par1["results"]["branch"]["points"]
-        for a, b in zip(seq_pts, par_pts):
-            np.testing.assert_allclose(a["u"], b["u"], atol=1e-10)
 
 
 class TestStoppedBranchArtifacts:

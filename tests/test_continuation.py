@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from pnk import (ContinuationOptions, OpenTorus, build_section,
-                 continue_branch, evaluate_pn_map, hyperbolicity_report,
-                 isolation_check, newton_fixed_point, reconstruct_torus)
+from pnk import (ContinuationOptions, NoConvergence, NothingFound, OpenTorus,
+                 SingularJacobian, build_section, continue_branch,
+                 hyperbolicity_report, isolation_check, newton_fixed_point,
+                 postcritical_probe, reconstruct_torus, transversal_map)
 from pnk.catalog import StraightenedSpec, make_straightened
 
 TWO_PI = 2.0 * math.pi
@@ -97,6 +98,13 @@ class TestNewtonFixedPoint:
                                np.array([-0.03, 0.01]))
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
 
+    def test_exhausted_budget_raises(self, straight_sys):
+        frame = build_section(straight_sys.family, straight_sys.seed)
+        with pytest.raises(NoConvergence):
+            newton_fixed_point(straight_sys.family, straight_sys.seed,
+                               [1, 0], frame, [0.08], np.zeros(2),
+                               max_iter=0)
+
     def test_jacobian_spectrum_relation(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
         nr = newton_fixed_point(straight_sys.family, straight_sys.seed,
@@ -122,13 +130,10 @@ class TestContinueBranch:
         path = [np.array([e]) for e in np.linspace(0.0, 0.08, 5)]
         branch = continue_branch(straight_cubic_sys.family,
                                  straight_cubic_sys.seed, [1, 0], path)
-        frame = branch.frame
         for pt in branch.points:
-            x = frame.chart_point(pt.u)
-            out = evaluate_pn_map(straight_cubic_sys.family,
-                                  straight_cubic_sys.seed, [1, 0], frame, x,
-                                  eps=pt.eps)
-            assert np.max(np.abs(frame.coordinates(out) - pt.u)) <= 1e-9
+            out = transversal_map(straight_cubic_sys.family, branch.frame,
+                                  [1, 0], pt.u, pt.eps)
+            assert np.max(np.abs(out.u - pt.u)) <= 1e-9
 
     def test_stop_at_critical_margin(self):
         # an eigenvalue of exp(2 pi a(eps)) driven through 1 at eps = 0.05
@@ -161,17 +166,6 @@ class TestContinueBranch:
         with pytest.raises(ValueError):
             continue_branch(straight_sys.family, straight_sys.seed, [1, 0],
                             [np.array([0.01])])
-
-    def test_parallel_mode_matches_sequential(self, straight_cubic_sys):
-        path = [np.array([e]) for e in np.linspace(0.0, 0.08, 7)]
-        seq = continue_branch(straight_cubic_sys.family,
-                              straight_cubic_sys.seed, [1, 0], path)
-        par = continue_branch(straight_cubic_sys.family,
-                              straight_cubic_sys.seed, [1, 0], path,
-                              ContinuationOptions(parallel=True, n_threads=3))
-        assert par.status == seq.status
-        for a, b in zip(seq.points, par.points):
-            np.testing.assert_allclose(a.u, b.u, atol=1e-12)
 
     def test_neighboring_tori_are_close(self, straight_sys):
         path = [np.array([e]) for e in np.linspace(0.0, 0.06, 4)]
@@ -230,10 +224,20 @@ class TestReconstructTorus:
 
 
 class TestSingularJacobian:
-    def test_forced_drift_with_unit_multiplier(self):
+    # the corrector raises; the probe, which shares its Newton solver,
+    # counts the singular start as failed and finds nothing
+    @pytest.mark.parametrize("solve, error, message", [
+        (lambda fam, seed, frame: newton_fixed_point(
+            fam, seed, [1], frame, [0.01], np.zeros(1)),
+         SingularJacobian, "I - L is singular"),
+        (lambda fam, seed, frame: postcritical_probe(
+            fam, seed, [1], frame, [0.01], "CaseB"),
+         NothingFound, "could not locate the continued fixed point"),
+    ], ids=["corrector", "probe"])
+    def test_forced_drift_with_unit_multiplier(self, solve, error, message):
         # phi' = 1, u' = eps: the map shifts u by 2 pi eps with derivative 1,
         # so I - L vanishes while the residual does not
-        from pnk import SingularJacobian, TorusSeed, VectorFieldFamily
+        from pnk import TorusSeed, VectorFieldFamily
 
         fam = VectorFieldFamily(
             2, 1, 1,
@@ -243,8 +247,8 @@ class TestSingularJacobian:
         seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0]),
                          np.zeros(1), angle_coords=(0,))
         frame = build_section(fam, seed)
-        with pytest.raises(SingularJacobian):
-            newton_fixed_point(fam, seed, [1], frame, [0.01], np.zeros(1))
+        with pytest.raises(error, match=message):
+            solve(fam, seed, frame)
 
 
 class TestHopfBranchOracle:

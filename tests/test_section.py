@@ -7,9 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from pnk import (DegenerateTangent, OpenLoop, VectorFieldFamily,
-                 basepoint_spectrum_check, build_section, evaluate_pn_map,
-                 monodromy_report, total_monodromy,
-                 transversal_linearization, transversal_map)
+                 basepoint_spectrum_check, build_section, monodromy_report,
+                 total_monodromy, transversal_linearization, transversal_map)
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -79,8 +78,9 @@ class TestTotalMonodromy:
 
     def test_open_loop_off_torus(self, hopf_sys):
         m = np.array([0.5, 0.0])  # not on the r = sqrt(0.1) cycle
-        with pytest.raises(OpenLoop):
-            total_monodromy(hopf_sys.family, hopf_sys.seed, [1], m=m)
+        for compute in (total_monodromy, monodromy_report):
+            with pytest.raises(OpenLoop, match="not on an invariant torus"):
+                compute(hopf_sys.family, hopf_sys.seed, [1], m=m)
 
 
 class TestTransversalLinearization:
@@ -112,25 +112,16 @@ class TestTransversalLinearization:
 class TestEvaluatePnMap:
     def test_base_point_is_fixed(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
-        out = evaluate_pn_map(straight_sys.family, straight_sys.seed, [1, 0],
-                              frame, frame.base)
-        np.testing.assert_allclose(out, frame.base, atol=1e-9)
+        res = transversal_map(straight_sys.family, frame, [1, 0], np.zeros(2))
+        np.testing.assert_allclose(res.u, 0.0, atol=1e-9)
+        np.testing.assert_allclose(res.endpoint, frame.base, atol=1e-9)
 
     def test_linear_image_on_straightened(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
         u = np.array([0.02, -0.03])
-        x = frame.chart_point(u)
-        out = evaluate_pn_map(straight_sys.family, straight_sys.seed, [1, 0],
-                              frame, x)
+        res = transversal_map(straight_sys.family, frame, [1, 0], u)
         want_u = expm(TWO_PI * A1) @ u
-        np.testing.assert_allclose(frame.coordinates(out), want_u, atol=1e-9)
-
-    def test_off_section_point_rejected(self, straight_sys):
-        frame = build_section(straight_sys.family, straight_sys.seed)
-        x = frame.base + np.array([0.05, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            evaluate_pn_map(straight_sys.family, straight_sys.seed, [1, 0],
-                            frame, x)
+        np.testing.assert_allclose(res.u, want_u, atol=1e-9)
 
     def test_jacobian_matches_map_differences(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
