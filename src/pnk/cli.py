@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, flow
 from .bifurcation import ProbeOptions, analyze_branch
 from .config import RunConfig, RunSetup, build_run, eps_grid_values, load_config
 from .continuation import (ContinuationOptions, continue_branch,
@@ -226,7 +226,7 @@ def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
         "analysis": config.analysis,
         "tool_version": __version__,
         "integrator": {
-            "method": "explicit embedded Runge-Kutta 5(4), PI step control",
+            "method": flow.METHOD,
             "rtol": config.options.get("tol", 1e-10),
             "atol": config.options.get("tol", 1e-10) * 1e-2,
         },

@@ -91,8 +91,8 @@ def _newton_solve(step, u, tol: float, max_iter: int):
     Returns (u, derivative, residual, iterations) at the first iterate
     whose residual max|u - image| is within tol; the iteration count
     excludes that final evaluation. Raises :class:`SingularJacobian` when
-    I - derivative degenerates and :class:`NoConvergence` on budget
-    exhaustion.
+    I - derivative degenerates and :class:`NoConvergence`, carrying the
+    iteration count and the last residual, on budget exhaustion.
     """
     eye = np.eye(u.size)
     for it in range(max_iter + 1):
@@ -102,9 +102,12 @@ def _newton_solve(step, u, tol: float, max_iter: int):
         if rnorm <= tol:
             return u, deriv, rnorm, it
         if it == max_iter:
-            raise NoConvergence(
+            exc = NoConvergence(
                 f"fixed-point Newton stalled after {max_iter} iterations "
                 f"(residual {rnorm:.3g})")
+            exc.iterations = it
+            exc.residual = rnorm
+            raise exc
         jac = eye - deriv
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):

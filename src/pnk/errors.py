@@ -34,7 +34,15 @@ class Escape(PnkError):
 
 
 class NoConvergence(PnkError):
-    """An iterative solve exhausted its iteration budget."""
+    """An iterative solve exhausted its iteration budget.
+
+    The fixed-point Newton corrector sets ``iterations`` (Newton updates
+    taken) and ``residual`` (max |u - P(u)| at the last iterate); both
+    stay ``None`` where another solver raises.
+    """
+
+    iterations = None
+    residual = None
 
 
 class SingularGeometry(PnkError):

@@ -29,7 +29,7 @@ from scipy.linalg import expm, logm
 from . import spectra
 from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
-from .flow import ATOL_FACTOR, DEFAULT_TOL
+from .flow import ATOL_FACTOR, DEFAULT_TOL, METHOD
 from .section import build_section
 
 FRAME_FD_STEP = 1e-3
@@ -102,7 +102,7 @@ def _transport_gauge(family, seed, eps0, a, phi_start, period):
         return ((pdot @ p - p @ pdot) @ s).ravel()
 
     sol = solve_ivp(rhs, (0.0, period), base.transversal_basis.ravel(),
-                    method="RK45", rtol=1e-11, atol=1e-13, dense_output=True)
+                    method=METHOD, rtol=1e-11, atol=1e-13, dense_output=True)
     if sol.status != 0:
         raise NoConvergence(f"frame transport failed: {sol.message}")
     holonomy = float(np.max(np.abs(
@@ -221,7 +221,7 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     def rhs(t, y):
         return (func(t) @ y.reshape(r, r)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, T), np.eye(r).ravel(), method="RK45",
+    sol = solve_ivp(rhs, (0.0, T), np.eye(r).ravel(), method=METHOD,
                     rtol=tol, atol=tol * ATOL_FACTOR, dense_output=True)
     if sol.status != 0:
         raise NoConvergence(f"fundamental matrix integration failed: {sol.message}")
@@ -330,12 +330,12 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
         return func(t) @ y + forcing(t)
 
     atol = tol * ATOL_FACTOR
-    part = solve_ivp(rhs, (0.0, T), np.zeros(r), method="RK45",
+    part = solve_ivp(rhs, (0.0, T), np.zeros(r), method=METHOD,
                      rtol=tol, atol=atol)
     if part.status != 0:
         raise NoConvergence(f"particular solution failed: {part.message}")
     u0 = np.linalg.solve(np.eye(r) - fm.Q, part.y[:, -1])
-    sol = solve_ivp(rhs, (0.0, T), u0, method="RK45", rtol=tol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, T), u0, method=METHOD, rtol=tol, atol=atol,
                     dense_output=True)
     if sol.status != 0:
         raise NoConvergence(f"periodic solution failed: {sol.message}")

@@ -1,10 +1,11 @@
 """Adaptive integration of flows and variational (tangent) flows.
 
-The stepper is an embedded explicit Runge-Kutta 5(4) pair with PI step
-control (scipy's RK45), run at rtol = tol and atol = tol / 100 so the
-default tol = 1e-10 lands at the (1e-10, 1e-12) pair. Monodromy spectra
-downstream feed eigenvalue gaps, so integration error has to sit well
-below them; tolerances are per-call arguments everywhere.
+The stepper is scipy's DOP853, the explicit Dormand-Prince Runge-Kutta
+8(5,3) pair with scipy's elementary step-size control (no PI term), run
+at rtol = tol and atol = tol / 100 so the default tol = 1e-10 lands at
+the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
+gaps, so integration error has to sit well below them; tolerances are
+per-call arguments everywhere.
 
 Variational matrices are integrated jointly with the state (dimension
 n + n^2) rather than by differencing repeated flows: differencing a
@@ -22,6 +23,8 @@ from scipy.integrate import solve_ivp
 from .core import Field, VectorFieldFamily, as_params, as_point, wrap_angles
 from .errors import Escape, NoConvergence, NonFinite, SingularGeometry, StepFailure
 
+# The solve_ivp method of every integration in pnk (flow and floquet).
+METHOD = "DOP853"
 DEFAULT_TOL = 1e-10
 ATOL_FACTOR = 1e-2
 RETURN_MAX_ITER = 25
@@ -55,7 +58,11 @@ def _check_state(x, chart_radius):
 
 
 def _run(rhs, y0, t, rtol, atol):
-    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=rtol, atol=atol)
+    # A blow-up overflows inside the stepper before the state check sees
+    # it; NonFinite below reports it, so numpy's warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, t), y0, method=METHOD, rtol=rtol,
+                        atol=atol)
     if sol.status != 0:
         last = sol.y[:, -1] if sol.y.size else y0
         if not np.all(np.isfinite(last)):

@@ -100,10 +100,18 @@ class TestNewtonFixedPoint:
 
     def test_exhausted_budget_raises(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence) as info:
             newton_fixed_point(straight_sys.family, straight_sys.seed,
                                [1, 0], frame, [0.08], np.zeros(2),
                                max_iter=0)
+        image = transversal_map(straight_sys.family, frame, [1, 0],
+                                np.zeros(2), [0.08]).u
+        assert info.value.iterations == 0
+        assert info.value.residual == pytest.approx(np.max(np.abs(image)),
+                                                    rel=1e-9)
+        assert info.value.residual > 1e-10
+        assert NoConvergence("elsewhere").iterations is None
+        assert NoConvergence("elsewhere").residual is None
 
     def test_jacobian_spectrum_relation(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)

@@ -1,6 +1,7 @@
 """Flow integration, variational flows, and section return solves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 from pnk import (Field, NoConvergence, NonFinite, SingularGeometry,
                  StepFailure, build_section, integrate_flow,
                  integrate_variational, loop_field, solve_return_times)
+from pnk.catalog import make_flip, make_hopf
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,16 +63,19 @@ class TestIntegrateFlow:
             np.testing.assert_allclose(ab, ba, atol=10 * tol)
 
     def test_blowup_failure_modes(self):
-        # finite-time singularity drives the step below resolution
-        square = _field(1, lambda x, e: x * x * 1e8,
-                        lambda x, e: 2e8 * x.reshape(1, 1))
-        with pytest.raises(StepFailure):
-            integrate_flow(square, [1.0], [], 10.0)
-        # plain exponential overflow reaches inf in the state
-        grow = _field(1, lambda x, e: 100.0 * x,
-                      lambda x, e: np.full((1, 1), 100.0))
-        with pytest.raises(NonFinite):
-            integrate_flow(grow, [1.0], [], 10.0)
+        # the typed errors report a blow-up; no numpy warning leaks past them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # finite-time singularity drives the step below resolution
+            square = _field(1, lambda x, e: x * x * 1e8,
+                            lambda x, e: 2e8 * x.reshape(1, 1))
+            with pytest.raises(StepFailure):
+                integrate_flow(square, [1.0], [], 10.0)
+            # plain exponential overflow reaches inf in the state
+            grow = _field(1, lambda x, e: 100.0 * x,
+                          lambda x, e: np.full((1, 1), 100.0))
+            with pytest.raises(NonFinite):
+                integrate_flow(grow, [1.0], [], 10.0)
 
     def test_zero_time_shortcut(self):
         res = integrate_flow(EXP1, [2.0], [], 0.0)
@@ -134,6 +139,50 @@ class TestIntegrateVariational:
         a1 = integrate_variational(base, m, [0.1], 1.0).tangent
         a2 = integrate_variational(scaled, m, [0.1], 1.0 / c).tangent
         np.testing.assert_allclose(a1, a2, atol=1e-9)
+
+
+class TestLoopFlowWork:
+    """Field evaluations of one time-one variational loop flow at the
+    default tolerance. The bounds sit well above the current counts
+    (Hopf 278, flip 158) and well below the 5(4) pair's (1,262 and 470),
+    so a regression in the stepper's efficiency fails here."""
+
+    @staticmethod
+    def _counted_loop_flow(system):
+        loop = loop_field(system.family, [1])
+        calls = [0]
+
+        def value(x, eps):
+            calls[0] += 1
+            return loop.value(x, eps)
+
+        field = Field(loop.n, loop.p, value, loop.jacobian,
+                      loop.eps_jacobian)
+        eps = system.seed.eps0
+        res = integrate_variational(field, system.seed.base_point, eps, 1.0)
+        want = system.oracle.transversal_multipliers([1], eps)
+        return res, want, calls[0]
+
+    @staticmethod
+    def _transversal(tangent, count):
+        # the loop direction carries the trivial unit multiplier
+        eig = np.linalg.eigvals(tangent)
+        eig = eig[np.argsort(np.abs(eig - 1.0))]
+        return np.sort_complex(eig[-count:])
+
+    def test_hopf_loop_flow(self):
+        res, want, rhs_evals = self._counted_loop_flow(make_hopf(1.0, 0.1))
+        assert rhs_evals <= 400
+        assert want[0] == pytest.approx(math.exp(-0.4 * math.pi), rel=1e-15)
+        got = self._transversal(res.tangent, 1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_flip_loop_flow(self):
+        res, want, rhs_evals = self._counted_loop_flow(make_flip())
+        assert rhs_evals <= 250
+        got = self._transversal(res.tangent, 2)
+        np.testing.assert_allclose(got, np.sort_complex(want), rtol=0,
+                                   atol=1e-10)
 
 
 class TestSolveReturnTimes:
