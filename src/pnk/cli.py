@@ -221,14 +221,15 @@ def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
     """Execute one parsed configuration; returns (report, exit_code)."""
     started = time.perf_counter()
     setup = build_run(config)
+    tol = config.options.get("tol", flow.DEFAULT_TOL)
     report = {
         "config": config.normalized,
         "analysis": config.analysis,
         "tool_version": __version__,
         "integrator": {
             "method": flow.METHOD,
-            "rtol": config.options.get("tol", 1e-10),
-            "atol": config.options.get("tol", 1e-10) * 1e-2,
+            "rtol": tol,
+            "atol": tol * flow.ATOL_FACTOR,
         },
     }
     artifacts: dict = {}

@@ -330,8 +330,10 @@ def _normalize_options(analysis: str, options: dict) -> dict:
             out[key] = _as_vector(value, path)
         elif key == "probe_offsets":
             out[key] = _as_vector(value, path)
+        elif key == "grid_per_angle":
+            out[key] = _as_int(value, path, minimum=2)
         elif key in ("samples", "seed", "grid", "max_iter", "n_samples",
-                     "n_out", "grid_per_angle"):
+                     "n_out"):
             out[key] = _as_int(value, path, minimum=0)
         elif key == "trust_radius":
             out[key] = None if value is None else _as_number(value, path)

@@ -7,6 +7,12 @@ the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
 gaps, so integration error has to sit well below them; tolerances are
 per-call arguments everywhere.
 
+:func:`integrate_orbit` samples one orbit at many times from a single
+run: the samples come from DOP853's dense output (its continuous
+extension, 7th order), which costs three extra field evaluations on each
+step that holds a sample, and the state check still sees every field
+evaluation and every sample.
+
 Variational matrices are integrated jointly with the state (dimension
 n + n^2) rather than by differencing repeated flows: differencing a
 tolerance-controlled integrator is noise limited, while the joint system
@@ -15,6 +21,7 @@ inherits the step control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +58,36 @@ class VariationalResult:
 
 
 def _check_state(x, chart_radius):
-    if not np.all(np.isfinite(x)):
+    # One reduction: NaN and inf propagate through max.
+    m = float(np.abs(x).max())
+    if not math.isfinite(m):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
-    if chart_radius is not None and np.max(np.abs(x)) > chart_radius:
+    if chart_radius is not None and m > chart_radius:
         raise Escape(f"trajectory exceeded chart radius {chart_radius}")
 
 
-def _run(rhs, y0, t, rtol, atol):
+def _checked_rhs(field: Field, eps):
+    """The field as a solve_ivp right-hand side that checks each state."""
+    value = field.value
+    radius = field.chart_radius
+
+    def rhs(_t, y):
+        _check_state(y, radius)
+        return value(y, eps)
+
+    return rhs
+
+
+def _run(rhs, y0, t, rtol, atol, t_eval=None):
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (0.0, t), y0, method=METHOD, rtol=rtol,
-                        atol=atol)
+                        atol=atol, t_eval=t_eval)
     if sol.status != 0:
-        last = sol.y[:, -1] if sol.y.size else y0
+        # with t_eval, sol.y holds the samples reached so far (maybe none)
+        reached = np.asarray(sol.y)
+        last = reached[:, -1] if reached.size else y0
         if not np.all(np.isfinite(last)):
             raise NonFinite(f"integration blew up: {sol.message}")
         raise StepFailure(f"integration failed: {sol.message}")
@@ -83,17 +106,36 @@ def integrate_flow(field: Field, x0, eps, t: float,
     if abs(t) < TINY_TIME:
         return FlowResult(x0.copy(), 0)
 
-    value = field.value
-    radius = field.chart_radius
-
-    def rhs(_t, y):
-        _check_state(y, radius)
-        return value(y, eps)
-
-    sol = _run(rhs, x0, t, tol, tol * ATOL_FACTOR)
+    sol = _run(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
     end = sol.y[:, -1].copy()
-    _check_state(end, radius)
+    _check_state(end, field.chart_radius)
     return FlowResult(end, len(sol.t) - 1)
+
+
+def integrate_orbit(field: Field, x0, eps, times,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Sample the orbit of x0 at increasing positive times in one run.
+
+    One adaptive integration to ``times[-1]``; the intermediate samples
+    come from the stepper's dense output (the continuous extension of
+    DOP853), so they cost no steps of their own. Returns an array of
+    shape ``(len(times), n)``; its last row is the endpoint of the same
+    run that :func:`integrate_flow` makes for time ``times[-1]``.
+    """
+    x0 = as_point(x0, field.n)
+    eps = as_params(eps, field.p)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if (times.size == 0 or not np.all(np.isfinite(times)) or times[0] <= 0
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("sample times must be finite, positive and "
+                         "strictly increasing")
+
+    sol = _run(_checked_rhs(field, eps), x0, times[-1], tol,
+               tol * ATOL_FACTOR, t_eval=times)
+    _check_state(sol.y, field.chart_radius)
+    return sol.y.T.copy()
 
 
 def integrate_variational(field: Field, x0, eps, t: float,

@@ -191,6 +191,14 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert not rep["results"]["commutation"]["passed"]
 
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_torus_grid_below_two_is_2(self, tmp_path, grid):
+        doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15],
+                                     "grid_per_angle": grid})
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_validate_subcommand(self, tmp_path):
         path = _write(tmp_path, _hopf_config())
         assert main(["validate", str(path)]) == 0

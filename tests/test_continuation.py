@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pnk import (ContinuationOptions, NoConvergence, NothingFound, OpenTorus,
-                 SingularJacobian, build_section, continue_branch,
-                 hyperbolicity_report, isolation_check, newton_fixed_point,
-                 postcritical_probe, reconstruct_torus, transversal_map)
-from pnk.catalog import StraightenedSpec, make_straightened
+                 SingularJacobian, VectorFieldFamily, build_section,
+                 continue_branch, hyperbolicity_report, isolation_check,
+                 newton_fixed_point, postcritical_probe, reconstruct_torus,
+                 transversal_map)
+from pnk.catalog import StraightenedSpec, make_hopf, make_straightened
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,6 +230,52 @@ class TestReconstructTorus:
                                 grid_per_angle=16, frame=frame)
         radii = np.linalg.norm(rec.samples, axis=-1)
         np.testing.assert_allclose(radii, math.sqrt(0.15), atol=1e-8)
+
+
+class TestReconstructionWork:
+    """Field evaluations of a whole torus reconstruction at the default
+    tolerance. The bounds sit well above the one-run-per-row counts
+    (straightened 1,052, Hopf 340) and well below those of one flow per
+    grid point (2,294 and 832), so a return to per-point transport or a
+    regression in the row runs fails here."""
+
+    @staticmethod
+    def _counted(family):
+        calls = [0]
+
+        def counted(value):
+            def wrapped(x, eps):
+                calls[0] += 1
+                return value(x, eps)
+            return wrapped
+
+        members = [family.member(i) for i in range(family.k)]
+        fam = VectorFieldFamily(
+            family.n, family.k, family.p,
+            [counted(m.value) for m in members],
+            [m.jacobian for m in members], [m.eps_jacobian for m in members],
+            chart_radius=family.chart_radius)
+        return fam, calls
+
+    def test_straightened_flat_torus(self, straight_sys):
+        frame = build_section(straight_sys.family, straight_sys.seed)
+        fam, calls = self._counted(straight_sys.family)
+        rec = reconstruct_torus(fam, straight_sys.seed, [0.0], np.zeros(2),
+                                grid_per_angle=8, frame=frame)
+        assert calls[0] <= 1400
+        assert rec.closure_defect <= 1e-8
+
+    def test_hopf_circle(self):
+        system = make_hopf(1.0, 0.1)
+        frame = build_section(system.family, system.seed)
+        eps = np.array([0.15])
+        nr = newton_fixed_point(system.family, system.seed, [1], frame, eps,
+                                np.zeros(1))
+        fam, calls = self._counted(system.family)
+        rec = reconstruct_torus(fam, system.seed, eps, nr.u,
+                                grid_per_angle=32, frame=frame)
+        assert calls[0] <= 500
+        assert rec.closure_defect <= 1e-8
 
 
 class TestSingularJacobian:

@@ -11,6 +11,7 @@ from pnk import (Field, NoConvergence, NonFinite, SingularGeometry,
                  StepFailure, build_section, integrate_flow,
                  integrate_variational, loop_field, solve_return_times)
 from pnk.catalog import make_flip, make_hopf
+from pnk.flow import integrate_orbit
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,6 +82,53 @@ class TestIntegrateFlow:
         res = integrate_flow(EXP1, [2.0], [], 0.0)
         assert res.steps_taken == 0
         assert res.endpoint[0] == 2.0
+
+
+A_LIN = np.array([[0.2, -1.1], [0.4, -0.5]])
+LIN2 = _field(2, lambda x, e: A_LIN @ x, lambda x, e: A_LIN)
+
+
+class TestIntegrateOrbit:
+    X0 = np.array([0.3, 0.4])
+    TIMES = np.arange(1, 32) / 16.0
+
+    def test_samples_match_matrix_exponential(self):
+        got = integrate_orbit(LIN2, self.X0, [], self.TIMES)
+        assert got.shape == (self.TIMES.size, 2)
+        want = np.array([expm(A_LIN * t) @ self.X0 for t in self.TIMES])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_last_sample_is_the_flow_endpoint(self):
+        got = integrate_orbit(LIN2, self.X0, [], self.TIMES)
+        end = integrate_flow(LIN2, self.X0, [], self.TIMES[-1]).endpoint
+        np.testing.assert_allclose(got[-1], end, rtol=0, atol=1e-10)
+
+    def test_escape_mid_orbit(self):
+        from pnk import Escape
+        grow = Field(1, 0, lambda x, e: x.copy(), lambda x, e: np.ones((1, 1)),
+                     lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
+        # exp(t) crosses the radius at t = log 5, between the samples
+        with pytest.raises(Escape):
+            integrate_orbit(grow, [1.0], [], [0.5, 1.0, 2.0, 3.0])
+
+    def test_blowup_failure_modes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # the step size collapses before the first sample is reached
+            square = _field(1, lambda x, e: x * x * 1e8,
+                            lambda x, e: 2e8 * x.reshape(1, 1))
+            with pytest.raises(StepFailure):
+                integrate_orbit(square, [1.0], [], [0.5, 10.0])
+            grow = _field(1, lambda x, e: 100.0 * x,
+                          lambda x, e: np.full((1, 1), 100.0))
+            with pytest.raises(NonFinite):
+                integrate_orbit(grow, [1.0], [], [1.0, 10.0])
+
+    @pytest.mark.parametrize("times", [[], [0.0, 1.0], [0.5, 0.5],
+                                       [1.0, 0.5], [0.5, np.inf]])
+    def test_bad_sample_times_rejected(self, times):
+        with pytest.raises(ValueError):
+            integrate_orbit(LIN2, self.X0, [], times)
 
 
 class TestIntegrateVariational:
@@ -248,3 +296,14 @@ class TestChartEscape:
                      lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
         with pytest.raises(Escape):
             integrate_flow(grow, [1.0], [], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_is_not_an_escape(self, bad):
+        # from the origin the first trial step carries the bad value into
+        # the state; inf exceeds any radius and NaN compares false, but
+        # both are NonFinite
+        broken = Field(1, 0, lambda x, e: np.full(1, bad),
+                       lambda x, e: np.zeros((1, 1)),
+                       lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
+        with pytest.raises(NonFinite):
+            integrate_flow(broken, [0.0], [], 1.0)
