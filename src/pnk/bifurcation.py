@@ -12,9 +12,12 @@ Classification keys on the critical multiplier value only:
 * ``Degenerate``: more than one independent critical multiplier.
 
 Conventions in the literature differ on which of the two real cases
-carries the twin fixed-point branches and which the period-two points, so
-probes at a real crossing always search for both object types and the
-report states what was found.
+carries the twin fixed-point branches and which the period-two points.
+Probes at a real crossing therefore let the sign of the critical
+multiplier choose: Newton starts from normal-form seeds on the critical
+eigenvector, on P for a positive and on P o P for a negative multiplier.
+Only when the seeds find nothing does a star of starts search for both
+object types; the report states which search ran and what was found.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ DEGENERATE = "Degenerate"
 KIND_LABELS = {
     CASE_A: ("real multiplier -1: conventionally a period-doubling (a "
              "2-cycle of the map); this label is also associated with twin "
-             "fixed-point branches in part of the literature, so the probe "
-             "searches for both"),
+             "fixed-point branches in part of the literature; the probe solves "
+             "from normal-form seeds on the critical eigenvector and, when "
+             "they find nothing, searches for both with a star of starts"),
     CASE_B: ("real multiplier +1: conventionally twin fixed-point branches "
              "(pitchfork-type); this label is also associated with "
-             "period-two points in part of the literature, so the probe "
-             "searches for both"),
+             "period-two points in part of the literature; the probe solves "
+             "from normal-form seeds on the critical eigenvector and, when "
+             "they find nothing, searches for both with a star of starts"),
     CASE_C: ("complex pair on the unit circle: an invariant circle of the "
              "map, i.e. an invariant torus of one more dimension for the "
              "flow"),
@@ -279,7 +284,8 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3,
 
 @dataclass(frozen=True)
 class ProbeOptions:
-    """Deterministic search star and orbit-sampling controls."""
+    """Search radius (also the step of the normal-form seed fit), the
+    deterministic fallback star, and orbit-sampling controls."""
 
     search_radius: float = 0.5
     tol: float = 1e-9
@@ -384,22 +390,67 @@ def _fit_circle(image, u_star, spectrum_vecs, opts):
     return CircleFinding(u_star, float(coef[0]), resid, radii, angles, pts)
 
 
+def _critical_direction(ell):
+    """Real multiplier of ``ell`` nearest the unit circle, with its
+    eigenvectors: (mu, v, w) with |v| = 1, the largest entry of v
+    positive, and w a left eigenvector scaled to w.v = 1; None when no
+    multiplier is real or the pair is defective.
+    """
+    vals = np.linalg.eigvals(ell)
+    real = vals[vals.imag == 0].real
+    if real.size == 0:
+        return None
+    mu = float(real[np.argmin(np.abs(np.abs(real) - 1.0))])
+    left, _, right = np.linalg.svd(ell - mu * np.eye(len(ell)))
+    v, w = right[-1], left[:, -1]
+    v = v * math.copysign(1.0, v[np.argmax(np.abs(v))])
+    overlap = float(w @ v)
+    if overlap == 0.0:
+        return None
+    return mu, v, w / overlap
+
+
+def _seed_amplitudes(lam: float, g_plus: float, g_minus: float,
+                     step: float) -> list[float]:
+    """Nonzero real roots within ``step`` of (lam - 1) + q s + c s^2 = 0,
+    positive first, where g(s) ~ (lam - 1) s + q s^2 + c s^3 is the
+    reduced map fitted through g(+step) and g(-step).
+    """
+    q = (g_plus + g_minus) / (2.0 * step ** 2)
+    c = (0.5 * (g_plus - g_minus) - (lam - 1.0) * step) / step ** 3
+    roots = np.roots([c, q, lam - 1.0])
+    return sorted((float(s.real) for s in roots
+                   if s.imag == 0 and s.real != 0 and abs(s.real) <= step),
+                  reverse=True)
+
+
 def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                        frame: SectionFrame, eps_post, kind: str,
                        opts: ProbeOptions | None = None) -> ProbeReport:
     """Search for the post-critical objects of the map just past a crossing.
 
-    Real crossings (CaseA/CaseB) are probed for both non-trivial fixed
-    points and genuine 2-cycles from a deterministic star of starts
-    (n_directions x n_radii, radii geometric between 10*tol and the search
-    radius). CaseC samples an orbit and fits an invariant circle by a
-    radial Fourier series around the continued fixed point. Every find is
-    re-verified under the map before being reported; finds correspond to
-    new invariant tori of the flow (twin tori, a doubled torus, or a torus
-    of one more dimension). Raises :class:`NothingFound` when the search
-    comes up empty, which may indicate a subcritical scenario.
+    Real crossings (CaseA/CaseB) first solve from normal-form seeds on
+    the critical eigenvector v of L = DP(u0): the target is P for a
+    positive critical multiplier mu and P o P for a negative one, the
+    reduced map g(s) = w.(F(u0 + s v) - u0) - s is fitted as a cubic
+    through F(u0 +- search_radius v) (w the left eigenvector, w.v = 1),
+    and its nonzero real branch amplitudes within the search radius seed
+    Newton (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4).
+    When the seeds find nothing (no real amplitude before or in a
+    subcritical crossing, or Newton falls back onto u0), and always for
+    Degenerate, a deterministic star of starts (n_directions x n_radii,
+    radii geometric between 10*tol and the search radius) is probed for
+    both non-trivial fixed points and genuine 2-cycles. CaseC samples an
+    orbit and fits an invariant circle by a radial Fourier series around
+    the continued fixed point. Every find is re-verified under the map
+    before being reported; finds correspond to new invariant tori of the
+    flow (twin tori, a doubled torus, or a torus of one more dimension).
+    Raises :class:`NothingFound` when the search comes up empty, which
+    may indicate a subcritical scenario.
     """
     opts = opts or ProbeOptions()
+    if not opts.search_radius > 0:
+        raise ValueError("search_radius must be positive")
     eps_post = as_params(eps_post, family.p)
     trust = max(frame.trust_radius, 4.0 * opts.search_radius)
 
@@ -435,39 +486,75 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     circle = None
     notes = []
 
-    if kind in (CASE_A, CASE_B, DEGENERATE):
-        starts = [u0 + rad * d
-                  for rad in np.geomspace(10.0 * opts.tol, opts.search_radius,
-                                          opts.n_radii)
-                  for d in _probe_directions(frame.r, opts.n_directions)]
-        for guess in starts:
-            got = solve(map_once, guess)
-            if got is None:
-                continue
-            u, deriv, res, _ = got
+    def classify(twice, guess):
+        """Solve P (or P o P when ``twice``) from guess and file a new find."""
+        got = solve(map_twice if twice else map_once, guess)
+        if got is None:
+            return
+        u, deriv, res, _ = got
+        if not twice:
             if float(np.linalg.norm(u - u0)) <= opts.exclude_tol:
-                continue
+                return
             if any(float(np.linalg.norm(u - f.u)) <= dedupe for f in fixed):
-                continue
+                return
             fixed.append(FixedPointFinding(
                 u, spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
-        for guess in starts:
-            got = solve(map_twice, guess)
-            if got is None:
-                continue
-            u, deriv, res, _ = got
-            partner = image(u).u
-            if float(np.linalg.norm(partner - u)) <= opts.exclude_tol:
-                continue  # a fixed point of P, not a genuine 2-cycle
-            key = _cycle_key(u, partner)
-            if any(float(np.linalg.norm(key - _cycle_key(*c.points)))
-                   <= dedupe for c in cycles):
-                continue
-            cycles.append(TwoCycleFinding(
-                (u.copy(), partner.copy()),
-                spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
+            return
+        partner = image(u).u
+        if float(np.linalg.norm(partner - u)) <= opts.exclude_tol:
+            return  # a fixed point of P, not a genuine 2-cycle
+        key = _cycle_key(u, partner)
+        if any(float(np.linalg.norm(key - _cycle_key(*c.points)))
+               <= dedupe for c in cycles):
+            return
+        cycles.append(TwoCycleFinding(
+            (u.copy(), partner.copy()),
+            spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
+
+    def seeds():
+        """(twice, guess) normal-form seeds; [] when the fit has no root."""
+        critical = _critical_direction(ell0)
+        if critical is None:
+            return []
+        mu, v, w = critical
+        twice = mu < 0
+        h = opts.search_radius
+
+        def reduced(s):
+            u = image(u0 + s * v).u
+            if twice:
+                u = image(u).u
+            return float(w @ (u - u0)) - s
+
+        try:
+            g_plus, g_minus = reduced(h), reduced(-h)
+        except NoConvergence:
+            return []
+        lam = mu * mu if twice else mu
+        return [(twice, u0 + s * v)
+                for s in _seed_amplitudes(lam, g_plus, g_minus, h)]
+
+    if kind in (CASE_A, CASE_B, DEGENERATE):
+        search = "by the star search (degenerate crossing)"
+        if kind != DEGENERATE:
+            starts = seeds()
+            for twice, guess in starts:
+                classify(twice, guess)
+            search = (f"from {len(starts)} normal-form seed(s) on the "
+                      "critical eigenvector")
+            if not fixed and not cycles:
+                search = (f"by the star search after {len(starts)} "
+                          "normal-form seed(s) found nothing")
+        if not fixed and not cycles:
+            starts = [u0 + rad * d
+                      for rad in np.geomspace(10.0 * opts.tol,
+                                              opts.search_radius, opts.n_radii)
+                      for d in _probe_directions(frame.r, opts.n_directions)]
+            for twice in (False, True):
+                for guess in starts:
+                    classify(twice, guess)
         notes.append(f"{len(fixed)} non-trivial fixed point(s), "
-                     f"{len(cycles)} two-cycle(s) found")
+                     f"{len(cycles)} two-cycle(s) found {search}")
         if not fixed and not cycles:
             raise NothingFound(
                 "no non-trivial fixed points or 2-cycles within the search "

@@ -292,6 +292,8 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.command == "validate":
+            build_run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

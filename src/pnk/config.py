@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import CATALOG, CatalogSystem, build_catalog_system
 from .core import TorusSeed, VectorFieldFamily
-from .errors import ConfigError
+from .errors import ConfigError, NonCommuting
 
 ANALYSES = ("verify", "monodromy", "floquet", "continue", "bifurcate", "torus")
 
@@ -57,6 +57,13 @@ _OPTION_DEFAULTS = {
 
 _NEEDS_ALPHA = ("monodromy", "floquet", "continue", "bifurcate", "torus")
 
+# Smallest accepted value of each integer option (the invariance check
+# needs 4 grid points per angle, a torus row 2), and the options that
+# must be strictly positive numbers.
+_INT_MINIMA = {"samples": 0, "seed": 0, "grid": 4, "max_iter": 0,
+               "n_samples": 1, "n_out": 1, "grid_per_angle": 2}
+_POSITIVE = ("tol", "search_radius", "probe_tol")
+
 
 def _require_mapping(value, path):
     if not isinstance(value, dict):
@@ -74,11 +81,13 @@ def _check_keys(doc: dict, path: str, allowed, required=()):
         raise ConfigError(f"{path}: missing required key(s) {missing}")
 
 
-def _as_number(value, path):
+def _as_number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     if not math.isfinite(float(value)):
         raise ConfigError(f"{path}: must be finite")
+    if positive and value <= 0:
+        raise ConfigError(f"{path}: must be positive")
     return float(value)
 
 
@@ -277,9 +286,7 @@ def _normalize_torus(torus, system_name: str) -> dict:
                                      "eps0"),
                     required=("center", "radius", "eps0"))
         center = _as_vector(torus["center"], "torus.center")
-        radius = _as_number(torus["radius"], "torus.radius")
-        if radius <= 0:
-            raise ConfigError("torus.radius: must be positive")
+        radius = _as_number(torus["radius"], "torus.radius", positive=True)
         plane = _as_int_vector(torus.get("plane", [0, 1]), "torus.plane",
                                length=2)
         if plane[0] == plane[1]:
@@ -330,15 +337,12 @@ def _normalize_options(analysis: str, options: dict) -> dict:
             out[key] = _as_vector(value, path)
         elif key == "probe_offsets":
             out[key] = _as_vector(value, path)
-        elif key == "grid_per_angle":
-            out[key] = _as_int(value, path, minimum=2)
-        elif key in ("samples", "seed", "grid", "max_iter", "n_samples",
-                     "n_out"):
-            out[key] = _as_int(value, path, minimum=0)
+        elif key in _INT_MINIMA:
+            out[key] = _as_int(value, path, minimum=_INT_MINIMA[key])
         elif key == "trust_radius":
             out[key] = None if value is None else _as_number(value, path)
         else:
-            out[key] = _as_number(value, path)
+            out[key] = _as_number(value, path, positive=key in _POSITIVE)
     return out
 
 
@@ -534,13 +538,21 @@ def _build_seed(torus: dict, family: VectorFieldFamily) -> TorusSeed:
 
 
 def build_run(config: RunConfig) -> RunSetup:
-    """Materialize the family and seed described by a parsed config."""
+    """Materialize the family and seed described by a parsed config.
+
+    A catalog constructor that rejects its parameters raises
+    :class:`ConfigError` naming ``system.params``.
+    """
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
         seed = _build_seed(config.torus, family)
         _validate_dimensions(config, family, seed)
         return RunSetup(family, seed, None)
-    system = build_catalog_system(config.system_name, config.system_params)
+    try:
+        system = build_catalog_system(config.system_name,
+                                      config.system_params)
+    except (ValueError, NonCommuting) as exc:
+        raise ConfigError(f"system.params: {exc}") from exc
     if config.torus["kind"] == "catalog":
         seed = system.seed
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pnk import VectorFieldFamily
 from pnk.catalog import (StraightenedSpec, make_hopf, make_straightened,
                          make_uncoupled_oscillators)
 
@@ -38,3 +39,28 @@ def osc_sys():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def _counted(family):
+    """A copy of ``family`` whose field values count their calls."""
+    calls = [0]
+
+    def counted(value):
+        def wrapped(x, eps):
+            calls[0] += 1
+            return value(x, eps)
+        return wrapped
+
+    members = [family.member(i) for i in range(family.k)]
+    fam = VectorFieldFamily(
+        family.n, family.k, family.p,
+        [counted(m.value) for m in members],
+        [m.jacobian for m in members], [m.eps_jacobian for m in members],
+        chart_radius=family.chart_radius)
+    return fam, calls
+
+
+@pytest.fixture(scope="session")
+def counted_family():
+    """``counted_family(family) -> (family copy, [field calls])``."""
+    return _counted

@@ -173,6 +173,30 @@ class TestClassifyEvent:
 
 
 class TestPostcriticalProbe:
+    # Field evaluations of one probe at eps 0.04. The normal-form seeds
+    # take 3,651 (flip) and 949 (pitchfork); the star alone took 37,537
+    # and 5,209, most of its solves finding the base point again.
+    def test_flip_probe_work(self, flip_branch, counted_family):
+        sysm, branch = flip_branch
+        fam, calls = counted_family(sysm.family)
+        probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_A)
+        assert calls[0] <= 7500
+        assert len(probe.two_cycles) == 1
+        amp = sorted(abs(pt[0]) for pt in probe.two_cycles[0].points)
+        np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
+        assert not probe.fixed_points
+
+    def test_pitchfork_probe_work(self, pitchfork_branch, counted_family):
+        sysm, branch = pitchfork_branch
+        fam, calls = counted_family(sysm.family)
+        probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_B)
+        assert calls[0] <= 2000
+        found = sorted(f.u[0] for f in probe.fixed_points)
+        np.testing.assert_allclose(found, [-0.2, 0.2], rtol=0.05)
+        assert not probe.two_cycles
+
     def test_pitchfork_pair_amplitude(self, pitchfork_branch):
         sysm, branch = pitchfork_branch
         frame = branch.frame
@@ -235,6 +259,14 @@ class TestPostcriticalProbe:
             postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
                                [-0.04], CASE_B,
                                ProbeOptions(search_radius=0.3))
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5])
+    def test_search_radius_must_be_positive(self, pitchfork_branch, radius):
+        sysm, branch = pitchfork_branch
+        with pytest.raises(ValueError, match="search_radius"):
+            postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                               [0.04], CASE_B,
+                               ProbeOptions(search_radius=radius))
 
     def test_transversality_sign_decides_probe_side(self, pitchfork_branch):
         sysm, branch = pitchfork_branch

@@ -199,6 +199,54 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("search_radius", 0), ("search_radius", -0.5), ("probe_tol", 0),
+        ("tol", -1)])
+    def test_probe_option_not_positive_is_2(self, tmp_path, key, value):
+        doc = {"system": {"name": "pitchfork", "params": {"eps0": -0.05}},
+               "analysis": "bifurcate",
+               "options": {"alpha": [1], "probe_offsets": [0.04],
+                           "eps_grid": {"start": [-0.05], "stop": [0.05],
+                                        "num": 4},
+                           key: value}}
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_monodromy_tol_not_positive_is_2(self, tmp_path):
+        path = _write(tmp_path, _hopf_config(options={"alpha": [1],
+                                                      "tol": -1}))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("analysis, key, bad, least", [
+        ("floquet", "n_samples", 0, 1), ("floquet", "n_out", 0, 1),
+        ("verify", "grid", 2, 4), ("verify", "grid", 3, 4)])
+    def test_integer_below_minimum_is_2(self, tmp_path, analysis, key, bad,
+                                        least):
+        alpha = {"alpha": [1]} if analysis == "floquet" else {}
+        path = _write(tmp_path, _hopf_config(analysis, {**alpha, key: bad}))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        path = _write(tmp_path, _hopf_config(analysis, {**alpha, key: least}),
+                      "least.json")
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("system", [
+        {"name": "hopf", "params": {"omega": 0.0, "eps0": 0.1}},
+        {"name": "straightened", "params": {
+            "A": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "C": [[0.5], [0.25]]}},
+    ], ids=["hopf-omega-0", "straightened-noncommuting"])
+    def test_catalog_parameter_rejected_is_2(self, tmp_path, capsys, system):
+        doc = _hopf_config()
+        doc["system"] = system
+        doc["options"]["alpha"] = [1] * (1 if system["name"] == "hopf" else 2)
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert "system.params" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_validate_subcommand(self, tmp_path):
         path = _write(tmp_path, _hopf_config())
         assert main(["validate", str(path)]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pnk import (ContinuationOptions, NoConvergence, NothingFound, OpenTorus,
-                 SingularJacobian, VectorFieldFamily, build_section,
+                 SingularJacobian, build_section,
                  continue_branch, hyperbolicity_report, isolation_check,
                  newton_fixed_point, postcritical_probe, reconstruct_torus,
                  transversal_map)
@@ -239,39 +239,21 @@ class TestReconstructionWork:
     grid point (2,294 and 832), so a return to per-point transport or a
     regression in the row runs fails here."""
 
-    @staticmethod
-    def _counted(family):
-        calls = [0]
-
-        def counted(value):
-            def wrapped(x, eps):
-                calls[0] += 1
-                return value(x, eps)
-            return wrapped
-
-        members = [family.member(i) for i in range(family.k)]
-        fam = VectorFieldFamily(
-            family.n, family.k, family.p,
-            [counted(m.value) for m in members],
-            [m.jacobian for m in members], [m.eps_jacobian for m in members],
-            chart_radius=family.chart_radius)
-        return fam, calls
-
-    def test_straightened_flat_torus(self, straight_sys):
+    def test_straightened_flat_torus(self, straight_sys, counted_family):
         frame = build_section(straight_sys.family, straight_sys.seed)
-        fam, calls = self._counted(straight_sys.family)
+        fam, calls = counted_family(straight_sys.family)
         rec = reconstruct_torus(fam, straight_sys.seed, [0.0], np.zeros(2),
                                 grid_per_angle=8, frame=frame)
         assert calls[0] <= 1400
         assert rec.closure_defect <= 1e-8
 
-    def test_hopf_circle(self):
+    def test_hopf_circle(self, counted_family):
         system = make_hopf(1.0, 0.1)
         frame = build_section(system.family, system.seed)
         eps = np.array([0.15])
         nr = newton_fixed_point(system.family, system.seed, [1], frame, eps,
                                 np.zeros(1))
-        fam, calls = self._counted(system.family)
+        fam, calls = counted_family(system.family)
         rec = reconstruct_torus(fam, system.seed, eps, nr.u,
                                 grid_per_angle=32, frame=frame)
         assert calls[0] <= 500
