@@ -35,7 +35,7 @@ from .errors import (MatchingAmbiguityWarning, NoConvergence, NothingFound,
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map
 from .continuation import (ContinuationBranch, _newton_solve,
-                           newton_fixed_point)
+                           newton_fixed_point, predict_fixed_point)
 
 CASE_A = "CaseA"
 CASE_B = "CaseB"
@@ -132,7 +132,10 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
     """Bracket every sign change of |mu| - 1 along the matched paths.
 
     ``refine``, when given, is a callable eps -> spectrum re-solving the
-    fixed point; brackets are then bisected to width <= eps_tol.
+    fixed point; each bracket is then narrowed to width <= eps_tol by the
+    Illinois modified regula falsi on phi = |mu| - 1 along the bracket
+    segment (Dowell-Jarratt, BIT 11, 1971), with every new point at
+    least eps_tol/2 inside the bracket and at most ``max_bisect`` refines.
     Conjugate-pair crossings in the same grid segment are merged into a
     single bracket carrying both path indices. Events are returned in
     parameter order.
@@ -175,31 +178,52 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
         merged.append(br)
 
     if refine is not None:
-        merged = [_bisect_bracket(br, refine, eps_tol, max_bisect)
+        merged = [_refine_bracket(br, refine, eps_tol, max_bisect)
                   for br in merged]
     merged.sort(key=lambda b: tuple(b.eps_mid))
     return merged
 
 
-def _bisect_bracket(br: CrossingBracket, refine, eps_tol, max_bisect):
+def _refine_bracket(br: CrossingBracket, refine, eps_tol, max_bisect):
+    """Illinois iteration on phi = |mu| - 1 along the bracket segment.
+
+    The regula falsi point is clamped eps_tol/2 inside the bracket, so a
+    point next to the root lands across it and the bracket closes. When
+    one end is kept twice in a row, its working phi is halved (the
+    Illinois step), so that end moves too. A refined phi of exactly 0
+    joins the side of positive phi, and the other side keeps a strictly
+    signed phi, so the secant denominator never vanishes.
+    """
     lo, hi = br.eps_lo.copy(), br.eps_hi.copy()
     mu_lo, mu_hi = br.mu_lo, br.mu_hi
-    sign_lo = math.copysign(1.0, abs(mu_lo) - 1.0)
+    phi_lo, phi_hi = abs(mu_lo) - 1.0, abs(mu_hi) - 1.0
+    sign_lo = math.copysign(1.0, phi_lo)
+    moved = 0  # -1 when the last step moved lo, +1 when it moved hi
     mu_mid = None
     spec_mid = None
     for _ in range(max_bisect):
-        if float(np.max(np.abs(hi - lo))) <= eps_tol:
+        width = float(np.max(np.abs(hi - lo)))
+        if width <= eps_tol:
             break
-        mid = 0.5 * (lo + hi)
+        margin = 0.5 * eps_tol / width
+        t = min(max(phi_lo / (phi_lo - phi_hi), margin), 1.0 - margin)
+        mid = lo + t * (hi - lo)
         spec = np.asarray(refine(mid), dtype=complex)
-        target = 0.5 * (mu_lo + mu_hi)
+        target = mu_lo + t * (mu_hi - mu_lo)
         jj = int(np.argmin(np.abs(spec - target)))
         mu = complex(spec[jj])
+        phi = abs(mu) - 1.0
         mu_mid, spec_mid = mu, spec
-        if math.copysign(1.0, abs(mu) - 1.0) == sign_lo:
-            lo, mu_lo = mid, mu
+        if math.copysign(1.0, phi) == sign_lo:
+            lo, mu_lo, phi_lo = mid, mu, phi
+            if moved == -1:
+                phi_hi *= 0.5
+            moved = -1
         else:
-            hi, mu_hi = mid, mu
+            hi, mu_hi, phi_hi = mid, mu, phi
+            if moved == 1:
+                phi_lo *= 0.5
+            moved = 1
     return CrossingBracket(br.path_indices, lo, hi, mu_lo, mu_hi,
                            mu_mid, spec_mid, refined=True)
 
@@ -589,11 +613,12 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
                    probe_options: ProbeOptions | None = None) -> BifurcationAnalysis:
     """Track multipliers, bracket and classify crossings, optionally probe.
 
-    The bisection refiner re-solves the fixed point at midpoint
-    parameters, seeded by linear interpolation between the bracketing
-    branch points. Probes run at eps_critical + offset on the unstable
-    side (sign taken from the transversality estimate) for each entry of
-    ``probe_offsets``.
+    The crossing refiner re-solves the fixed point at each parameter the
+    Illinois iteration of :func:`detect_crossings` asks for, seeded by
+    :func:`~pnk.continuation.predict_fixed_point` through the three
+    branch points nearest that parameter. Probes run at eps_critical +
+    offset on the unstable side (sign taken from the transversality
+    estimate) for each entry of ``probe_offsets``.
     """
     paths = track_multipliers(branch)
     frame = branch.frame
@@ -602,11 +627,8 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     def refine(eps):
         eps = np.asarray(eps, dtype=float)
         dists = [float(np.linalg.norm(eps - p.eps)) for p in pts]
-        order = np.argsort(dists)
-        i0, i1 = int(order[0]), int(order[1 % len(order)])
-        d0, d1 = dists[i0], dists[i1]
-        w = d0 / (d0 + d1) if d0 + d1 > 0 else 0.0
-        guess = (1.0 - w) * pts[i0].u + w * pts[i1].u
+        nearest = sorted(np.argsort(dists, kind="stable")[:3])
+        guess = predict_fixed_point([pts[i] for i in nearest], eps)
         nr = newton_fixed_point(family, seed, alpha, frame, eps, guess, tol)
         return nr.spectrum
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CATALOG, CatalogSystem, build_catalog_system
-from .core import TorusSeed, VectorFieldFamily
+from .continuation import _checked_path
+from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
 
 ANALYSES = ("verify", "monodromy", "floquet", "continue", "bifurcate", "torus")
@@ -541,7 +542,10 @@ def build_run(config: RunConfig) -> RunSetup:
     """Materialize the family and seed described by a parsed config.
 
     A catalog constructor that rejects its parameters raises
-    :class:`ConfigError` naming ``system.params``.
+    :class:`ConfigError` naming ``system.params``. A parameter vector of
+    the wrong length in ``options.eps`` (``torus``) or ``options.eps_grid``
+    (``continue``, ``bifurcate``), and a grid that does not start at the
+    seed parameter, raise :class:`ConfigError` naming the option.
     """
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
@@ -572,3 +576,12 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
         raise ConfigError(
             f"torus: seed parameter has length {seed.eps0.size}, the family "
             f"declares p={family.p}")
+    try:
+        if config.analysis == "torus":
+            key = "eps"
+            as_params(config.options["eps"], family.p)
+        elif config.analysis in ("continue", "bifurcate"):
+            key = "eps_grid"
+            _checked_path(eps_grid_values(config.options), seed.eps0, family.p)
+    except ValueError as exc:
+        raise ConfigError(f"options.{key}: {exc}") from exc

@@ -9,7 +9,8 @@ from pnk import (CASE_A, CASE_B, CASE_C, MatchingAmbiguityWarning,
                  NothingFound, ProbeOptions, analyze_branch, classify_event,
                  continue_branch, detect_crossings, postcritical_probe,
                  track_multipliers, transversal_map)
-from pnk.bifurcation import CrossingBracket
+from pnk import bifurcation
+from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
 
 TWO_PI = 2.0 * math.pi
@@ -125,6 +126,70 @@ class TestDetectCrossings:
                                                                    abs=1e-6)
         assert analysis.events[1].eps_critical[0] == pytest.approx(0.03,
                                                                    abs=1e-6)
+
+
+class TestIllinoisRefinement:
+    """The crossing refiner on synthetic multiplier moduli |mu(eps)|."""
+
+    @staticmethod
+    def _refine(modulus, lo=-0.05, hi=0.05, **kwargs):
+        calls = []
+
+        def refine(eps):
+            calls.append(float(eps[0]))
+            return np.array([complex(modulus(eps[0]))])
+
+        paths = MultiplierPaths(
+            [np.array([lo]), np.array([hi])],
+            np.array([[modulus(lo)], [modulus(hi)]], dtype=complex), [])
+        (bracket,) = detect_crossings(paths, refine=refine, **kwargs)
+        return bracket, calls
+
+    def test_point_exactly_on_the_circle(self):
+        # the first regula falsi point is the root itself: phi = 0 there
+        bracket, calls = self._refine(lambda e: 1.0 + e)
+        assert calls[0] == 0.0
+        assert bracket.eps_lo[0] <= 0.0 <= bracket.eps_hi[0]
+        assert bracket.eps_hi[0] - bracket.eps_lo[0] <= 1e-6
+        assert len(calls) <= 80
+
+    @pytest.mark.parametrize("rate", [200.0, -200.0])
+    def test_steep_one_sided_phi(self, rate):
+        # |mu| = exp(rate eps): phi is -1 on one side of the root and
+        # climbs to e^10 - 1 on the other, so plain regula falsi creeps in
+        # eps_tol/2 steps from the flat end and does not close the bracket
+        # within the budget
+        bracket, calls = self._refine(lambda e: math.exp(rate * e))
+        assert bracket.eps_lo[0] <= 0.0 <= bracket.eps_hi[0]
+        assert bracket.eps_hi[0] - bracket.eps_lo[0] <= 1e-6
+        assert len(calls) <= 80
+
+    def test_budget_bounds_the_refines(self):
+        bracket, calls = self._refine(lambda e: math.exp(200.0 * e),
+                                      max_bisect=5)
+        assert len(calls) == 5
+        assert bracket.eps_lo[0] <= 0.0 <= bracket.eps_hi[0]
+
+    @pytest.mark.parametrize("branch_name", [
+        "flip_branch", "pitchfork_branch", "neimark_branch"])
+    def test_refines_per_crossing(self, request, monkeypatch, branch_name):
+        # 4 refines per crossing on the 12-slice grid (bisection took 14)
+        sysm, branch = request.getfixturevalue(branch_name)
+        calls = []
+        detect = bifurcation.detect_crossings
+
+        def counting(paths, circle_tol, refine=None, **kwargs):
+            def counted(eps):
+                calls.append(eps)
+                return refine(eps)
+            return detect(paths, circle_tol, refine=counted, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "detect_crossings", counting)
+        analysis = analyze_branch(sysm.family, sysm.seed, [1], branch,
+                                  eps_tol=1e-6)
+        assert len(analysis.events) == 1
+        assert len(calls) <= 6
+        assert abs(analysis.events[0].eps_critical[0]) <= 1e-6
 
 
 class TestClassifyEvent:

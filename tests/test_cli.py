@@ -247,6 +247,42 @@ class TestExitCodes:
         assert "system.params" in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @staticmethod
+    def _pitchfork_grid(analysis, grid):
+        options = {"alpha": [1], "eps_grid": grid}
+        if analysis == "bifurcate":
+            options["probe_offsets"] = [0.04]
+        return {"system": {"name": "pitchfork", "params": {"eps0": -0.05}},
+                "analysis": analysis, "options": options}
+
+    @pytest.mark.parametrize("analysis", ["continue", "bifurcate"])
+    @pytest.mark.parametrize("grid", [
+        {"start": [0.0], "stop": [0.05], "num": 4},
+        {"values": [[-0.05, 0.0], [0.0, 0.0]]},
+    ], ids=["start-off-seed", "wrong-width"])
+    def test_eps_grid_not_from_seed_is_2(self, tmp_path, capsys, analysis,
+                                         grid):
+        path = _write(tmp_path, self._pitchfork_grid(analysis, grid))
+        assert main(["validate", str(path)]) == 2
+        assert "options.eps_grid" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_torus_eps_wrong_width_is_2(self, tmp_path, capsys):
+        doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15, 0.2]})
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert "options.eps" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_repeated_grid_parameter_runs(self, tmp_path):
+        grid = {"start": [-0.05], "stop": [-0.05], "num": 4}
+        path = _write(tmp_path, self._pitchfork_grid("continue", grid))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"]["branch"]["status"] == "completed"
+        assert len(rep["results"]["branch"]["points"]) == 4
+
     def test_validate_subcommand(self, tmp_path):
         path = _write(tmp_path, _hopf_config())
         assert main(["validate", str(path)]) == 0

@@ -12,6 +12,7 @@ from pnk import (ContinuationOptions, NoConvergence, NothingFound, OpenTorus,
                  newton_fixed_point, postcritical_probe, reconstruct_torus,
                  transversal_map)
 from pnk.catalog import StraightenedSpec, make_hopf, make_straightened
+from pnk.continuation import BranchPoint, predict_fixed_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,6 +187,68 @@ class TestContinueBranch:
                  for a, b in zip(branch.points, branch.points[1:])]
         for gap, step in zip(gaps, steps):
             assert gap <= 2.0 * step  # O(step) smoothness of the branch
+
+
+    def test_repeated_grid_parameter(self, hopf_sys):
+        # repeated values leave fewer distinct points for the predictor;
+        # a constant path must not divide by a zero arclength either
+        values = [0.1, 0.11, 0.11, 0.12, 0.12, 0.12, 0.13]
+        for path in ([np.array([e]) for e in values], [np.array([0.1])] * 4):
+            branch = continue_branch(hopf_sys.family, hopf_sys.seed, [1],
+                                     path)
+            assert branch.status == "completed"
+            assert len(branch.points) == len(path)
+            for pt in branch.points:
+                np.testing.assert_allclose(
+                    pt.u, hopf_sys.oracle.fixed_u(pt.eps), atol=1e-9)
+
+
+class TestPredictFixedPoint:
+    @staticmethod
+    def _points(eps_values, u_of):
+        return [BranchPoint(np.array([e]), np.atleast_1d(u_of(e)), None,
+                            None, 0, 0.0, 1.0, 1.0) for e in eps_values]
+
+    def test_exact_on_quadratic_branch(self):
+        # three points fit a quadratic in arclength: ahead, behind and
+        # between the points, on a path that runs toward smaller eps
+        def u_of(e):
+            return np.array([1.0 - 2.0 * e + 3.0 * e * e, 0.5 * e])
+
+        pts = self._points([0.3, 0.2, 0.05], u_of)
+        for eps in (-0.1, 0.0, 0.12, 0.25, 0.4):
+            np.testing.assert_allclose(predict_fixed_point(pts, [eps]),
+                                       u_of(eps), atol=1e-12)
+
+    def test_fewer_points_and_repeats(self):
+        def u_of(e):
+            return 2.0 + e * e
+
+        one = self._points([0.1], u_of)
+        np.testing.assert_array_equal(predict_fixed_point(one, [0.5]),
+                                      u_of(0.1))
+        # the repeated parameter counts once: linear through 0.1 and 0.2
+        two = self._points([0.1, 0.2, 0.2], u_of)
+        want = u_of(0.2) + (u_of(0.2) - u_of(0.1))
+        np.testing.assert_allclose(predict_fixed_point(two, [0.3]), want,
+                                   atol=1e-14)
+        same = self._points([0.2, 0.2, 0.2], u_of)
+        np.testing.assert_array_equal(predict_fixed_point(same, [0.2]),
+                                      u_of(0.2))
+
+
+class TestContinuationWork:
+    def test_hopf_branch_newton_iterations(self, hopf_sys):
+        # 41 slices of the Hopf branch: the quadratic predictor leaves
+        # about one Newton step per slice (44 in all; the secant needed 80)
+        path = [np.array([e]) for e in np.linspace(0.1, 0.3, 41)]
+        branch = continue_branch(hopf_sys.family, hopf_sys.seed, [1], path)
+        assert branch.status == "completed"
+        assert len(branch.points) == 41
+        assert sum(pt.newton_iters for pt in branch.points) <= 50
+        for pt in branch.points:
+            np.testing.assert_allclose(
+                pt.u, hopf_sys.oracle.fixed_u(pt.eps), atol=1e-8)
 
 
 class TestReconstructTorus:

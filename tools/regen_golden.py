@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from pnk.cli import run_config  # noqa: E402
 from pnk.config import load_config  # noqa: E402
