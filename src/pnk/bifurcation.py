@@ -438,13 +438,14 @@ def _seed_amplitudes(lam: float, g_plus: float, g_minus: float,
                      step: float) -> list[float]:
     """Nonzero real roots within ``step`` of (lam - 1) + q s + c s^2 = 0,
     positive first, where g(s) ~ (lam - 1) s + q s^2 + c s^3 is the
-    reduced map fitted through g(+step) and g(-step).
+    reduced map fitted through g(+step) and g(-step); solved for
+    t = s / step, so that no power of a tiny step underflows.
     """
-    q = (g_plus + g_minus) / (2.0 * step ** 2)
-    c = (0.5 * (g_plus - g_minus) - (lam - 1.0) * step) / step ** 3
-    roots = np.roots([c, q, lam - 1.0])
-    return sorted((float(s.real) for s in roots
-                   if s.imag == 0 and s.real != 0 and abs(s.real) <= step),
+    q_step = 0.5 * (g_plus + g_minus) / step
+    c_step2 = 0.5 * (g_plus - g_minus) / step - (lam - 1.0)
+    roots = np.roots([c_step2, q_step, lam - 1.0])
+    return sorted((float(t.real) * step for t in roots
+                   if t.imag == 0 and t.real != 0 and abs(t.real) <= 1.0),
                   reverse=True)
 
 

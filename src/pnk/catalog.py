@@ -122,9 +122,10 @@ def make_straightened(spec: StraightenedSpec, name: str = "straightened",
     """
     mats = spec.A
     r, k, p = spec.r, spec.k, spec.p
-    for a in mats:
-        if a.shape != (r, r):
-            raise ValueError("all generator matrices must share one size")
+    if any(a.shape != (r, r) for a in mats):
+        raise ValueError("generator matrices must be square, of one size")
+    if spec.C.shape[0] != r:
+        raise ValueError(f"C needs {r} rows, one per transversal coordinate")
     for i in range(k):
         for j in range(i + 1, k):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -359,9 +360,9 @@ def make_uncoupled_oscillators(radii=(1.0, 1.0),
     directions conjugate to the angles carry unit multipliers as well, so
     the full monodromy spectrum of either basis cycle is {1, 1, 1, 1}.
     """
+    if len(radii) != 2 or min(radii) <= 0:
+        raise ValueError("expected two positive radii")
     r1, r2 = float(radii[0]), float(radii[1])
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("both radii must be positive")
 
     def h1(x, eps):
         return 0.5 * (x[0] ** 2 + x[2] ** 2)
@@ -543,25 +544,19 @@ def make_neimark(rotation: float = 0.18, damping: float = 1.0,
 # registry for the CLI
 
 
-def _build_straightened(params: dict) -> CatalogSystem:
-    spec = StraightenedSpec(tuple(np.asarray(a, dtype=float) for a in params["A"]),
-                            np.asarray(params["C"], dtype=float),
-                            float(params.get("cubic", 0.0)))
-    return make_straightened(spec)
+def _build_straightened(A, C, **spec) -> CatalogSystem:
+    return make_straightened(StraightenedSpec(A, C, **spec))
 
 
+# Each constructor is called with the system's normalized config params
+# as keyword arguments.
 CATALOG = {
     "straightened": _build_straightened,
-    "hopf": lambda p: make_hopf(float(p.get("omega", 1.0)),
-                                float(p.get("eps0", 0.1))),
-    "uncoupled_oscillators": lambda p: make_uncoupled_oscillators(
-        tuple(p.get("radii", (1.0, 1.0)))),
-    "pitchfork": lambda p: make_pitchfork(float(p.get("eps0", -0.05))),
-    "flip": lambda p: make_flip(float(p.get("stable_exponent", -0.35)),
-                                float(p.get("eps0", -0.05))),
-    "neimark": lambda p: make_neimark(float(p.get("rotation", 0.18)),
-                                      float(p.get("damping", 1.0)),
-                                      float(p.get("eps0", -0.05))),
+    "hopf": make_hopf,
+    "uncoupled_oscillators": make_uncoupled_oscillators,
+    "pitchfork": make_pitchfork,
+    "flip": make_flip,
+    "neimark": make_neimark,
 }
 
 
@@ -569,4 +564,4 @@ def build_catalog_system(name: str, params: dict | None = None) -> CatalogSystem
     if name not in CATALOG:
         raise KeyError(f"unknown catalog system {name!r}; "
                        f"known: {sorted(CATALOG)}")
-    return CATALOG[name](params or {})
+    return CATALOG[name](**(params or {}))

@@ -46,7 +46,7 @@ def _run_verify(setup: RunSetup, options: dict):
     family, seed = setup.family, setup.seed
     rng = np.random.default_rng(options["seed"])
     samples = []
-    for _ in range(max(1, options["samples"])):
+    for _ in range(options["samples"]):
         phi = rng.uniform(0.0, TWO_PI, seed.k)
         x = seed.point(phi)
         x = x + options["ball_radius"] * rng.uniform(-1.0, 1.0, family.n)

@@ -6,6 +6,19 @@ run. ``parse_config`` fills every default and returns the normalized
 document; parsing the normalized echo again reproduces it bit for bit,
 which is what makes reports replayable.
 
+The tables ``_OPTIONS`` (one per analysis) and ``_CATALOG_PARAMS`` (one
+per catalog system) are the single source of every option and catalog
+parameter: each maps a key to ``(default or REQUIRED, check)``, and
+``_normalize`` checks one section against its table. So ``alpha`` is
+required by every analysis but ``verify``, ``eps_grid`` by ``continue``
+and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
+``straightened``; every tolerance (``*_tol``, ``delta_min``),
+``search_radius`` and a non-null ``trust_radius`` must be positive; the
+integers ``samples``, ``n_samples`` and ``n_out`` are >= 1, ``grid`` >= 4,
+``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0. ``build_run``
+adds the checks that need the built family: vector lengths and the grid
+start. The torus, output and polynomial sections are checked by hand.
+
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
 Arbitrary callable fields are library-API only; the CLI stays
@@ -24,46 +37,6 @@ from .catalog import CATALOG, CatalogSystem, build_catalog_system
 from .continuation import _checked_path
 from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
-
-ANALYSES = ("verify", "monodromy", "floquet", "continue", "bifurcate", "torus")
-
-_OPTION_DEFAULTS = {
-    "verify": {
-        "samples": 20, "seed": 0, "ball_radius": 0.05,
-        "commutation_tol": 1e-8, "invariance_tol": 1e-8, "grid": 8,
-    },
-    "monodromy": {
-        "alpha": None, "tol": 1e-10, "unit_tol": 1e-8,
-        "sample_angles": [], "spectrum_tol": 1e-6,
-    },
-    "floquet": {
-        "alpha": None, "tol": 1e-10, "n_samples": 256, "n_out": 129,
-        "resonance_tol": 1e-8,
-    },
-    "continue": {
-        "alpha": None, "tol": 1e-10, "max_iter": 20, "delta_min": 1e-6,
-        "eps_grid": None, "trust_radius": None,
-    },
-    "bifurcate": {
-        "alpha": None, "tol": 1e-10, "max_iter": 20, "delta_min": 1e-6,
-        "eps_grid": None, "trust_radius": None,
-        "circle_tol": 1e-9, "eps_tol": 1e-6, "angle_tol": 1e-3,
-        "probe_offsets": [], "search_radius": 0.5, "probe_tol": 1e-9,
-    },
-    "torus": {
-        "alpha": None, "tol": 1e-10, "eps": None, "grid_per_angle": 32,
-        "closure_tol": 1e-8, "max_iter": 20,
-    },
-}
-
-_NEEDS_ALPHA = ("monodromy", "floquet", "continue", "bifurcate", "torus")
-
-# Smallest accepted value of each integer option (the invariance check
-# needs 4 grid points per angle, a torus row 2), and the options that
-# must be strictly positive numbers.
-_INT_MINIMA = {"samples": 0, "seed": 0, "grid": 4, "max_iter": 0,
-               "n_samples": 1, "n_out": 1, "grid_per_angle": 2}
-_POSITIVE = ("tol", "search_radius", "probe_tol")
 
 
 def _require_mapping(value, path):
@@ -100,22 +73,134 @@ def _as_int(value, path, minimum=None):
     return int(value)
 
 
-def _as_vector(value, path, length=None):
+def _as_vector(value, path, length=None, item=_as_number):
     if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    out = [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{path}: expected a list")
+    out = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if length is not None and len(out) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(out)}")
     return out
 
 
 def _as_int_vector(value, path, length=None):
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of integers")
-    out = [_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{path}: expected {length} entries, got {len(out)}")
-    return out
+    return _as_vector(value, path, length, item=_as_int)
+
+
+def _as_vectors(value, path):
+    return _as_vector(value, path, item=_as_vector)
+
+
+def _as_matrix(value, path):
+    """A nonempty list of number lists of one length."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list of number lists")
+    rows = _as_vectors(value, path)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{path}: ragged rows")
+    return rows
+
+
+def _as_matrices(value, path):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list of matrices")
+    return [_as_matrix(m, f"{path}[{i}]") for i, m in enumerate(value)]
+
+
+def _positive(value, path):
+    return _as_number(value, path, positive=True)
+
+
+def _positive_or_none(value, path):
+    return None if value is None else _positive(value, path)
+
+
+def _at_least(minimum):
+    return lambda value, path: _as_int(value, path, minimum)
+
+
+def _winding(value, path):
+    alpha = _as_int_vector(value, path)
+    if not any(alpha):
+        raise ConfigError(f"{path}: winding numbers must not all be zero "
+                          "(no loop class)")
+    return alpha
+
+
+def _as_grid(value, path):
+    value = _require_mapping(value, path)
+    if "values" in value:
+        _check_keys(value, path, ("values",))
+        return {"values": _as_matrix(value["values"], f"{path}.values")}
+    _check_keys(value, path, ("start", "stop", "num"),
+                required=("start", "stop", "num"))
+    start = _as_vector(value["start"], f"{path}.start")
+    stop = _as_vector(value["stop"], f"{path}.stop", length=len(start))
+    num = _as_int(value["num"], f"{path}.num", minimum=1)
+    return {"start": start, "stop": stop, "num": num}
+
+
+REQUIRED = object()  # the table default of a key the config must give
+
+# Groups shared by several analyses: the loop class with its integration
+# tolerance, the Newton budget, and the branch continuation settings.
+_LOOP = {"alpha": (REQUIRED, _winding), "tol": (1e-10, _positive)}
+_NEWTON = {"max_iter": (20, _at_least(0))}
+_BRANCH = {**_LOOP, **_NEWTON, "delta_min": (1e-6, _positive),
+           "eps_grid": (REQUIRED, _as_grid),
+           "trust_radius": (None, _positive_or_none)}
+
+_OPTIONS = {
+    "verify": {
+        "samples": (20, _at_least(1)), "seed": (0, _at_least(0)),
+        "ball_radius": (0.05, _as_number),
+        "commutation_tol": (1e-8, _positive),
+        "invariance_tol": (1e-8, _positive),
+        # the invariance check needs 4 grid points per angle
+        "grid": (8, _at_least(4)),
+    },
+    "monodromy": {
+        **_LOOP, "unit_tol": (1e-8, _positive),
+        "sample_angles": ([], _as_vectors), "spectrum_tol": (1e-6, _positive),
+    },
+    "floquet": {**_LOOP, "n_samples": (256, _at_least(1)),
+                "n_out": (129, _at_least(1))},
+    "continue": _BRANCH,
+    "bifurcate": {
+        **_BRANCH, "circle_tol": (1e-9, _positive),
+        "eps_tol": (1e-6, _positive), "angle_tol": (1e-3, _positive),
+        "probe_offsets": ([], _as_vector), "search_radius": (0.5, _positive),
+        "probe_tol": (1e-9, _positive),
+    },
+    "torus": {
+        **_LOOP, **_NEWTON, "eps": (REQUIRED, _as_vector),
+        # a torus row needs 2 points per angle
+        "grid_per_angle": (32, _at_least(2)),
+        "closure_tol": (1e-8, _positive),
+    },
+}
+ANALYSES = tuple(_OPTIONS)
+
+# The keyword arguments of each catalog.CATALOG constructor.
+_CYLINDER_EPS0 = {"eps0": (-0.05, _as_number)}
+_CATALOG_PARAMS = {
+    "straightened": {"A": (REQUIRED, _as_matrices),
+                     "C": (REQUIRED, _as_matrix), "cubic": (0.0, _as_number)},
+    "hopf": {"omega": (1.0, _as_number), "eps0": (0.1, _as_number)},
+    "uncoupled_oscillators": {"radii": ([1.0, 1.0], _as_vector)},
+    "pitchfork": _CYLINDER_EPS0,
+    "flip": {"stable_exponent": (-0.35, _as_number), **_CYLINDER_EPS0},
+    "neimark": {"rotation": (0.18, _as_number), "damping": (1.0, _as_number),
+                **_CYLINDER_EPS0},
+}
+
+
+def _normalize(doc, path: str, spec: dict) -> dict:
+    """Check one config section against its table and fill the defaults."""
+    doc = _require_mapping(doc, path)
+    _check_keys(doc, path, spec, required=[
+        key for key, (default, _) in spec.items() if default is REQUIRED])
+    return {key: check(doc.get(key, default), f"{path}.{key}")
+            for key, (default, check) in spec.items()}
 
 
 @dataclass(frozen=True)
@@ -151,11 +236,12 @@ def parse_config(doc) -> RunConfig:
     name = system["name"]
     if not isinstance(name, str):
         raise ConfigError("system.name: expected a string")
-    params = _require_mapping(system.get("params", {}), "system.params")
+    params = system.get("params", {})
     if name == "polynomial":
-        params = _normalize_polynomial(params)
+        params = _normalize_polynomial(_require_mapping(params,
+                                                        "system.params"))
     elif name in CATALOG:
-        params = _normalize_catalog_params(name, params)
+        params = _normalize(params, "system.params", _CATALOG_PARAMS[name])
     else:
         raise ConfigError(
             f"system.name: unknown system {name!r}; known: "
@@ -168,9 +254,8 @@ def parse_config(doc) -> RunConfig:
         raise ConfigError(f"analysis: unknown analysis {analysis!r}; "
                           f"known: {list(ANALYSES)}")
 
-    options = _normalize_options(analysis,
-                                 _require_mapping(doc.get("options", {}),
-                                                  "options"))
+    options = _normalize(doc.get("options", {}), "options",
+                         _OPTIONS[analysis])
     output = _normalize_output(doc.get("output", {}))
 
     normalized = {
@@ -182,54 +267,6 @@ def parse_config(doc) -> RunConfig:
     }
     return RunConfig(name, params, torus, analysis, options, output,
                      normalized)
-
-
-def _normalize_catalog_params(name: str, params: dict) -> dict:
-    allowed = {
-        "straightened": {"A": None, "C": None, "cubic": 0.0},
-        "hopf": {"omega": 1.0, "eps0": 0.1},
-        "uncoupled_oscillators": {"radii": [1.0, 1.0]},
-        "pitchfork": {"eps0": -0.05},
-        "flip": {"stable_exponent": -0.35, "eps0": -0.05},
-        "neimark": {"rotation": 0.18, "damping": 1.0, "eps0": -0.05},
-    }[name]
-    _check_keys(params, "system.params", allowed,
-                required=[k for k, v in allowed.items() if v is None])
-    out = {}
-    for key, default in allowed.items():
-        value = params.get(key, default)
-        path = f"system.params.{key}"
-        if key in ("A",):
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"{path}: expected a list of matrices")
-            mats = []
-            r = None
-            for i, mat in enumerate(value):
-                if not isinstance(mat, list):
-                    raise ConfigError(f"{path}[{i}]: expected a matrix")
-                rows = [_as_vector(row, f"{path}[{i}][{j}]")
-                        for j, row in enumerate(mat)]
-                if r is None:
-                    r = len(rows)
-                if len(rows) != r or any(len(row) != r for row in rows):
-                    raise ConfigError(f"{path}[{i}]: matrices must be square "
-                                      "and share one size")
-                mats.append(rows)
-            out[key] = mats
-        elif key == "C":
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"{path}: expected a matrix")
-            rows = [_as_vector(row, f"{path}[{j}]")
-                    for j, row in enumerate(value)]
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ConfigError(f"{path}: ragged matrix")
-            out[key] = rows
-        elif key == "radii":
-            out[key] = _as_vector(value, path, length=2)
-        else:
-            out[key] = _as_number(value, path)
-    return out
 
 
 def _normalize_polynomial(params: dict) -> dict:
@@ -307,69 +344,6 @@ def _normalize_torus(torus, system_name: str) -> dict:
                       "known: catalog, circle, flat")
 
 
-def _normalize_options(analysis: str, options: dict) -> dict:
-    defaults = _OPTION_DEFAULTS[analysis]
-    _check_keys(options, "options", defaults)
-    out = {}
-    for key, default in defaults.items():
-        value = options.get(key, default)
-        path = f"options.{key}"
-        if key == "alpha":
-            if value is None:
-                if analysis in _NEEDS_ALPHA:
-                    raise ConfigError(f"{path}: required for {analysis}")
-                out[key] = None
-                continue
-            alpha = _as_int_vector(value, path)
-            if not any(alpha):
-                raise ConfigError(f"{path}: winding numbers must not all be "
-                                  "zero (no loop class)")
-            out[key] = alpha
-        elif key == "sample_angles":
-            if not isinstance(value, list):
-                raise ConfigError(f"{path}: expected a list of angle vectors")
-            out[key] = [_as_vector(v, f"{path}[{i}]")
-                        for i, v in enumerate(value)]
-        elif key == "eps_grid":
-            out[key] = _normalize_grid(value, path, analysis)
-        elif key == "eps":
-            if value is None:
-                raise ConfigError(f"{path}: required for {analysis}")
-            out[key] = _as_vector(value, path)
-        elif key == "probe_offsets":
-            out[key] = _as_vector(value, path)
-        elif key in _INT_MINIMA:
-            out[key] = _as_int(value, path, minimum=_INT_MINIMA[key])
-        elif key == "trust_radius":
-            out[key] = None if value is None else _as_number(value, path)
-        else:
-            out[key] = _as_number(value, path, positive=key in _POSITIVE)
-    return out
-
-
-def _normalize_grid(value, path, analysis):
-    if value is None:
-        raise ConfigError(f"{path}: required for {analysis}")
-    value = _require_mapping(value, path)
-    if "values" in value:
-        _check_keys(value, path, ("values",))
-        vals = value["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{path}.values: expected a nonempty list")
-        rows = [_as_vector(v, f"{path}.values[{i}]")
-                for i, v in enumerate(vals)]
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ConfigError(f"{path}.values: ragged parameter vectors")
-        return {"values": rows}
-    _check_keys(value, path, ("start", "stop", "num"),
-                required=("start", "stop", "num"))
-    start = _as_vector(value["start"], f"{path}.start")
-    stop = _as_vector(value["stop"], f"{path}.stop", length=len(start))
-    num = _as_int(value["num"], f"{path}.num", minimum=1)
-    return {"start": start, "stop": stop, "num": num}
-
-
 def _normalize_output(output) -> dict:
     output = _require_mapping(output, "output")
     _check_keys(output, "output", ("dir", "formats"))
@@ -443,9 +417,6 @@ def _polynomial_family(params: dict) -> VectorFieldFamily:
 
     def diff_terms(coeffs, powers, epows, axis):
         mask = powers[:, axis] > 0
-        if not np.any(mask):
-            return (np.zeros(0), np.zeros((0, powers.shape[1]), dtype=int),
-                    np.zeros((0, epows.shape[1]), dtype=int))
         c = coeffs[mask] * powers[mask, axis]
         pw = powers[mask].copy()
         pw[:, axis] -= 1
@@ -466,9 +437,6 @@ def _polynomial_family(params: dict) -> VectorFieldFamily:
 
     def diff_eps(coeffs, powers, epows, axis):
         mask = epows[:, axis] > 0
-        if not np.any(mask):
-            return (np.zeros(0), np.zeros((0, powers.shape[1]), dtype=int),
-                    np.zeros((0, epows.shape[1]), dtype=int))
         c = coeffs[mask] * epows[mask, axis]
         ep = epows[mask].copy()
         ep[:, axis] -= 1
@@ -544,8 +512,9 @@ def build_run(config: RunConfig) -> RunSetup:
     A catalog constructor that rejects its parameters raises
     :class:`ConfigError` naming ``system.params``. A parameter vector of
     the wrong length in ``options.eps`` (``torus``) or ``options.eps_grid``
-    (``continue``, ``bifurcate``), and a grid that does not start at the
-    seed parameter, raise :class:`ConfigError` naming the option.
+    (``continue``, ``bifurcate``), an ``options.sample_angles`` entry whose
+    length is not the torus dimension, and a grid that does not start at
+    the seed parameter raise :class:`ConfigError` naming the option.
     """
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
@@ -572,6 +541,11 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
         raise ConfigError(
             f"options.alpha: expected {family.k} winding numbers, got "
             f"{len(alpha)}")
+    for i, angles in enumerate(config.options.get("sample_angles", ())):
+        if len(angles) != family.k:
+            raise ConfigError(
+                f"options.sample_angles[{i}]: expected {family.k} angles, "
+                f"got {len(angles)}")
     if seed.eps0.size != family.p:
         raise ConfigError(
             f"torus: seed parameter has length {seed.eps0.size}, the family "

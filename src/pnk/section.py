@@ -21,7 +21,7 @@ import numpy as np
 from . import spectra
 from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
                    loop_field, wrap_angles)
-from .errors import DegenerateTangent, OpenLoop
+from .errors import DegenerateTangent, NonFinite, OpenLoop, SingularGeometry
 from .flow import (DEFAULT_TOL, integrate_flow, integrate_variational,
                    solve_return_times)
 
@@ -80,12 +80,14 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
 
     The transversal complement is chosen orthogonal in chart coordinates
     for conditioning; the map's spectrum does not depend on the choice.
-    Raises :class:`DegenerateTangent` when the generator values at m are
-    rank deficient.
+    Raises :class:`NonFinite` when the generator values at m are not
+    finite and :class:`DegenerateTangent` when they are rank deficient.
     """
     m = seed.base_point if m is None else as_point(m, family.n)
     eps = seed.eps0 if eps is None else as_params(eps, family.p)
     group = np.column_stack([family.eval(i, m, eps) for i in range(family.k)])
+    if not np.all(np.isfinite(group)):
+        raise NonFinite("generator values at the base point are not finite")
     sv = np.linalg.svd(group, compute_uv=False)
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
         raise DegenerateTangent(
@@ -248,7 +250,13 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     if with_jacobian:
         xmat = np.column_stack([family.eval(i, z, eps) for i in range(family.k)])
         pairing = frame.constraints @ xmat
-        proj = np.eye(family.n) - xmat @ np.linalg.solve(pairing, frame.constraints)
+        try:
+            proj = np.eye(family.n) - xmat @ np.linalg.solve(
+                pairing, frame.constraints)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGeometry(
+                "constraint-field pairing matrix is singular at the "
+                "landing point") from exc
         d_chart = proj @ ret.variational @ flow_res.tangent
         jac = frame.transversal_basis.T @ d_chart @ frame.transversal_basis
     return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)

@@ -333,6 +333,14 @@ class TestPostcriticalProbe:
                                [0.04], CASE_B,
                                ProbeOptions(search_radius=radius))
 
+    def test_tiny_search_radius_finds_nothing(self, pitchfork_branch):
+        # the seed fit divides by powers of the radius: none may underflow
+        sysm, branch = pitchfork_branch
+        with pytest.raises(NothingFound):
+            postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                               [0.04], CASE_B,
+                               ProbeOptions(search_radius=4e-143))
+
     def test_transversality_sign_decides_probe_side(self, pitchfork_branch):
         sysm, branch = pitchfork_branch
         analysis = analyze_branch(sysm.family, sysm.seed, [1], branch,

@@ -49,6 +49,18 @@ class TestParseConfig:
             "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
+        # no floquet pipeline reads a resonance tolerance
+        doc = _hopf_config(analysis="floquet", options={
+            "alpha": [1], "resonance_tol": 1e-8})
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("name", ["hopf", "uncoupled_oscillators",
+                                      "pitchfork", "flip", "neimark"])
+    def test_catalog_system_built_from_table_defaults(self, name):
+        cfg = parse_config({"system": {"name": name}, "analysis": "verify"})
+        setup = build_run(cfg)
+        assert setup.catalog.params == cfg.system_params
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ConfigError, match="zero"):
@@ -172,6 +184,27 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"]["type"] == "OpenLoop"
 
+    def test_torus_collapsed_to_equilibrium_is_3(self, tmp_path):
+        # at eps -7 the loop flow lands on the Hopf equilibrium, where the
+        # fields vanish and the section pairing is singular
+        doc = _hopf_config("torus", {"alpha": [1], "eps": [-7]})
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"]["type"] == "SingularGeometry"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_field_not_finite_at_base_is_3(self, tmp_path):
+        # 1 / omega overflows, so the Hopf field is nan on the seed circle
+        doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15]})
+        doc["system"]["params"]["omega"] = 5e-324
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"]["type"] == "NonFinite"
+
     def test_noncommuting_is_4(self, tmp_path):
         doc = {
             "system": {"name": "polynomial", "params": {
@@ -221,7 +254,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("analysis, key, bad, least", [
         ("floquet", "n_samples", 0, 1), ("floquet", "n_out", 0, 1),
-        ("verify", "grid", 2, 4), ("verify", "grid", 3, 4)])
+        ("verify", "grid", 2, 4), ("verify", "grid", 3, 4),
+        ("verify", "samples", 0, 1)])
     def test_integer_below_minimum_is_2(self, tmp_path, analysis, key, bad,
                                         least):
         alpha = {"alpha": [1]} if analysis == "floquet" else {}
@@ -232,12 +266,46 @@ class TestExitCodes:
                       "least.json")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("analysis, key", [
+        ("verify", "commutation_tol"), ("verify", "invariance_tol"),
+        ("monodromy", "unit_tol"), ("monodromy", "spectrum_tol"),
+        ("continue", "delta_min"), ("continue", "trust_radius"),
+        ("bifurcate", "circle_tol"), ("bifurcate", "eps_tol"),
+        ("bifurcate", "angle_tol"), ("bifurcate", "delta_min"),
+        ("bifurcate", "trust_radius"), ("torus", "closure_tol")])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_tolerance_not_positive_is_2(self, tmp_path, analysis, key,
+                                         value):
+        options = {"verify": {}, "monodromy": {"alpha": [1]},
+                   "torus": {"alpha": [1], "eps": [0.15]}}.get(
+            analysis, {"alpha": [1], "eps_grid": {"start": [0.1],
+                                                  "stop": [0.2], "num": 3}})
+        path = _write(tmp_path, _hopf_config(analysis,
+                                             {**options, key: value}))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("angles", [[[0.0, 1.0]], [[]], [[0.0], []]],
+                             ids=["two-angles", "empty", "second-empty"])
+    def test_sample_angles_wrong_length_is_2(self, tmp_path, capsys, angles):
+        path = _write(tmp_path, _hopf_config(options={
+            "alpha": [1], "sample_angles": angles}))
+        assert main(["validate", str(path)]) == 2
+        assert "options.sample_angles[" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("system", [
         {"name": "hopf", "params": {"omega": 0.0, "eps0": 0.1}},
         {"name": "straightened", "params": {
             "A": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
             "C": [[0.5], [0.25]]}},
-    ], ids=["hopf-omega-0", "straightened-noncommuting"])
+        {"name": "straightened", "params": {
+            "A": [[[-0.3, 0.0], [0.0, 0.2]], [[0.1, 0.0], [0.0, -0.4]]],
+            "C": [[0.5], [0.25], [0.0]]}},
+    ], ids=["hopf-omega-0", "straightened-noncommuting",
+            "straightened-C-rows"])
     def test_catalog_parameter_rejected_is_2(self, tmp_path, capsys, system):
         doc = _hopf_config()
         doc["system"] = system
