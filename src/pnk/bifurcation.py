@@ -18,6 +18,11 @@ multiplier choose: Newton starts from normal-form seeds on the critical
 eigenvector, on P for a positive and on P o P for a negative multiplier.
 Only when the seeds find nothing does a star of starts search for both
 object types; the report states which search ran and what was found.
+
+Iterates of P are return maps of longer loops, P^n = P_{n alpha} (see
+:mod:`pnk.section`): P o P and its jacobian come from one map at winding
+2 alpha, and the CaseC probe takes its whole orbit from one loop-flow
+run (:func:`~pnk.section.transversal_orbit`).
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params
-from .errors import (MatchingAmbiguityWarning, NoConvergence, NothingFound,
-                     SingularJacobian)
+from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
+from .errors import (Escape, MatchingAmbiguityWarning, NoConvergence,
+                     NonFinite, NothingFound, SingularJacobian, StepFailure)
 from .flow import DEFAULT_TOL
-from .section import SectionFrame, transversal_map
+from .section import SectionFrame, transversal_map, transversal_orbit
 from .continuation import (ContinuationBranch, _newton_solve,
                            newton_fixed_point, predict_fixed_point)
 
@@ -309,7 +314,14 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3,
 @dataclass(frozen=True)
 class ProbeOptions:
     """Search radius (also the step of the normal-form seed fit), the
-    deterministic fallback star, and orbit-sampling controls."""
+    deterministic fallback star, and orbit-sampling controls.
+
+    The CaseC probe drops ``transient`` iterates and fits the next
+    ``n_samples``, all from one loop-flow run, by a radial Fourier series
+    of order ``fourier_order``. :func:`postcritical_probe` requires
+    ``transient >= 0``, ``fourier_order >= 0`` and ``n_samples >=
+    2 * fourier_order + 1`` (the fit's unknowns).
+    """
 
     search_radius: float = 0.5
     tol: float = 1e-9
@@ -380,8 +392,10 @@ def _cycle_key(a, b) -> np.ndarray:
     return np.asarray(min((tuple(a), tuple(b))))
 
 
-def _fit_circle(image, u_star, spectrum_vecs, opts):
-    """Iterate the map near u_star and fit radius(theta) with a Fourier series."""
+def _fit_circle(orbit, u_star, spectrum_vecs, opts):
+    """Sample the orbit of the map near u_star and fit radius(theta) with
+    a Fourier series; ``orbit(u, count)`` returns P(u), ..., P^count(u).
+    """
     vals, vecs = spectrum_vecs
     order = np.argsort(-np.abs(vals))
     pair = [i for i in order if abs(vals[i].imag) > 1e-9]
@@ -390,15 +404,15 @@ def _fit_circle(image, u_star, spectrum_vecs, opts):
     v = vecs[:, pair[0]]
     plane, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
     u = u_star + plane[:, 0] * (0.5 * opts.search_radius)
-    limit = 5.0 * opts.search_radius
-    collected = []
-    for step in range(opts.transient + opts.n_samples):
-        u = image(u).u
-        if float(np.linalg.norm(u - u_star)) > limit:
-            raise NothingFound("probe orbit escaped the search region")
-        if step >= opts.transient:
-            collected.append(u.copy())
-    pts = np.asarray(collected)
+    try:
+        pts = orbit(u, opts.transient + opts.n_samples)
+    except (NonFinite, Escape, StepFailure) as exc:
+        raise NothingFound(
+            f"probe orbit escaped the search region ({exc})") from exc
+    if np.any(np.linalg.norm(pts - u_star, axis=1)
+              > 5.0 * opts.search_radius):
+        raise NothingFound("probe orbit escaped the search region")
+    pts = pts[opts.transient:]
     rel = pts - u_star
     radii = np.linalg.norm(rel, axis=1)
     if float(np.max(radii)) <= 100.0 * opts.tol:
@@ -460,37 +474,49 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     reduced map g(s) = w.(F(u0 + s v) - u0) - s is fitted as a cubic
     through F(u0 +- search_radius v) (w the left eigenvector, w.v = 1),
     and its nonzero real branch amplitudes within the search radius seed
-    Newton (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4).
+    Newton (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4);
+    P o P is one map at winding 2 alpha, jacobian included.
     When the seeds find nothing (no real amplitude before or in a
     subcritical crossing, or Newton falls back onto u0), and always for
     Degenerate, a deterministic star of starts (n_directions x n_radii,
     radii geometric between 10*tol and the search radius) is probed for
     both non-trivial fixed points and genuine 2-cycles. CaseC samples an
-    orbit and fits an invariant circle by a radial Fourier series around
-    the continued fixed point. Every find is re-verified under the map
+    orbit from one loop-flow run (:func:`~pnk.section.transversal_orbit`)
+    and fits an invariant circle by a radial Fourier series around the
+    continued fixed point. Every find is re-verified under the map
     before being reported; finds correspond to new invariant tori of the
     flow (twin tori, a doubled torus, or a torus of one more dimension).
     Raises :class:`NothingFound` when the search comes up empty, which
-    may indicate a subcritical scenario.
+    may indicate a subcritical scenario, or when the CaseC orbit escapes
+    (leaves five search radii, or its integration fails), and
+    ``ValueError`` for options outside the bounds :class:`ProbeOptions`
+    states.
     """
     opts = opts or ProbeOptions()
     if not opts.search_radius > 0:
         raise ValueError("search_radius must be positive")
+    if not opts.transient >= 0:
+        raise ValueError("transient must be nonnegative")
+    if not opts.fourier_order >= 0:
+        raise ValueError("fourier_order must be nonnegative")
+    if not opts.n_samples >= 2 * opts.fourier_order + 1:
+        raise ValueError("n_samples must be at least 2 * fourier_order + 1, "
+                         "the unknowns of the radial fit")
     eps_post = as_params(eps_post, family.p)
     trust = max(frame.trust_radius, 4.0 * opts.search_radius)
+    alpha_twice = 2 * as_winding(alpha, family.k)
 
-    def image(u, with_jacobian=False):
-        return transversal_map(family, frame, alpha, u, eps_post, opts.tol,
+    def image(u, winding=alpha, with_jacobian=False):
+        return transversal_map(family, frame, winding, u, eps_post, opts.tol,
                                with_jacobian=with_jacobian, trust_radius=trust)
 
-    def map_once(u):
-        r1 = image(u, with_jacobian=True)
-        return r1.u, r1.jacobian
+    def newton_map(winding):
+        def step(u):
+            res = image(u, winding, with_jacobian=True)
+            return res.u, res.jacobian
+        return step
 
-    def map_twice(u):
-        r1 = image(u, with_jacobian=True)
-        r2 = image(r1.u, with_jacobian=True)
-        return r2.u, r2.jacobian @ r1.jacobian
+    map_once, map_twice = newton_map(alpha), newton_map(alpha_twice)
 
     def solve(step, guess):
         """(u, derivative, residual, iterations), or None for a failed start."""
@@ -546,9 +572,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         h = opts.search_radius
 
         def reduced(s):
-            u = image(u0 + s * v).u
-            if twice:
-                u = image(u).u
+            u = image(u0 + s * v, alpha_twice if twice else alpha).u
             return float(w @ (u - u0)) - s
 
         try:
@@ -586,8 +610,11 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                 "radius; possibly a subcritical scenario")
 
     if kind in (CASE_C, DEGENERATE):
-        vals, vecs = np.linalg.eig(ell0)
-        circle = _fit_circle(image, u0, (vals, vecs), opts)
+        def orbit(u, count):
+            return transversal_orbit(family, frame, alpha, u, count, eps_post,
+                                     opts.tol, trust).u
+
+        circle = _fit_circle(orbit, u0, np.linalg.eig(ell0), opts)
         notes.append(f"invariant circle of mean radius {circle.mean_radius:.6g} "
                      f"(fit residual {circle.fit_residual:.2g}); corresponds "
                      "to an invariant torus of one more dimension for the flow")

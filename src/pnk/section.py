@@ -10,10 +10,23 @@ transversal block is obtained by projection rather than by deflating the
 eigenvalues of A nearest 1; near a bifurcation a transversal eigenvalue
 approaches 1 and deflation would be ambiguous, while the projection stays
 well posed. The spectrum relation then serves as a cross check.
+
+The return map is P_alpha = Pi o phi^alpha_1, with phi^alpha_t the flow
+of the loop field for the winding alpha and Pi the projection onto the
+section along the group orbits (near intersection). Iterates of P are
+return maps of longer loops: P_alpha^n = Pi o phi^alpha_n = P_{n alpha}.
+Proof: Pi(y) = g(y) for a time-s composition g of generator flows, and
+phi^alpha commutes with g, so phi^alpha(Pi y) = g(phi^alpha(y)) lies on
+the group orbit of phi^alpha(y) and Pi o phi^alpha o Pi = Pi o phi^alpha;
+induct on n, and note phi^alpha_n = phi^{n alpha}_1. So
+:func:`transversal_orbit` takes n iterates from one loop-flow run, and a
+probe gets P o P with its jacobian as one map at winding 2 alpha (source
+paper, arXiv math-ph/0207001).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +34,18 @@ import numpy as np
 from . import spectra
 from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
                    loop_field, wrap_angles)
-from .errors import DegenerateTangent, NonFinite, OpenLoop, SingularGeometry
-from .flow import (DEFAULT_TOL, integrate_flow, integrate_variational,
-                   solve_return_times)
+from .errors import (DegenerateTangent, NonFinite, OpenLoop, PnkError,
+                     SingularGeometry)
+from .flow import (DEFAULT_TOL, integrate_flow, integrate_orbit,
+                   integrate_variational, solve_return_times)
 
 DEFAULT_TRUST_RADIUS = 0.1
 UNIT_TOL = 1e-8
+
+# Largest group time max|s| that projects a later sample of one orbit run:
+# a quarter turn of a unit-speed generator, so the projection of a
+# twisting system still lands on the near intersection with the section.
+ORBIT_MAX_GROUP_TIME = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -235,15 +254,7 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     else:
         flow_res = None
         y = integrate_flow(field, x, eps, 1.0, tol).endpoint
-    y = wrap_angles(y, frame.base, frame.angle_coords)
-    # the flow image may sit farther out than the input (expanding
-    # multipliers); the return solve must accept it, wild trajectories are
-    # still caught by its own Newton and the chart escape checks
-    radius = frame.trust_radius if trust_radius is None else trust_radius
-    radius = max(radius, 1.25 * float(np.linalg.norm(y - frame.base)))
-    ret = solve_return_times(family, y, eps, frame, tol=tol,
-                             with_variational=with_jacobian,
-                             trust_radius=radius)
+    ret = _project(family, frame, y, eps, tol, trust_radius, with_jacobian)
     z = ret.endpoint
     u_out = frame.transversal_basis.T @ (z - frame.base)
     jac = None
@@ -260,6 +271,72 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
         d_chart = proj @ ret.variational @ flow_res.tangent
         jac = frame.transversal_basis.T @ d_chart @ frame.transversal_basis
     return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)
+
+
+def _project(family, frame, y, eps, tol, trust_radius, with_variational=False):
+    """Return solve taking a loop-flow image y back onto the section."""
+    y = wrap_angles(y, frame.base, frame.angle_coords)
+    # the flow image may sit farther out than the input (expanding
+    # multipliers); the return solve must accept it, wild trajectories are
+    # still caught by its own Newton and the chart escape checks
+    radius = frame.trust_radius if trust_radius is None else trust_radius
+    radius = max(radius, 1.25 * float(np.linalg.norm(y - frame.base)))
+    return solve_return_times(family, y, eps, frame, tol=tol,
+                              with_variational=with_variational,
+                              trust_radius=radius)
+
+
+@dataclass(frozen=True)
+class TransversalOrbitResult:
+    """Iterates of the section return map from chained loop-flow runs."""
+
+    u: np.ndarray  # count x r: P(u), ..., P^count(u)
+    runs: int      # loop-flow runs; more than one means a restart
+
+
+def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
+                      u, count: int, eps=None, tol: float = DEFAULT_TOL,
+                      trust_radius: float | None = None
+                      ) -> TransversalOrbitResult:
+    """Iterates P(u), ..., P^count(u) of the section return map.
+
+    Because P^n = P_{n alpha} (see the module docstring), the iterates
+    come from one :func:`~pnk.flow.integrate_orbit` run of the loop field
+    sampled at t = 1..count, each sample projected onto the section as
+    :func:`transversal_map` projects its image. When the projection of a
+    later sample fails, or needs a group time with max|s| above
+    ``ORBIT_MAX_GROUP_TIME``, the run restarts from the last projected
+    iterate; the first sample of a run is projected exactly as
+    :func:`transversal_map` does, so its failures propagate. A restarted
+    run covers at most twice the iterates its predecessor kept, so a
+    twisting system does not integrate the whole remainder per restart.
+    """
+    eps = frame.eps if eps is None else as_params(eps, family.p)
+    field = loop_field(family, alpha)
+    x = frame.chart_point(u)
+    iterates = []
+    runs = 0
+    span = count
+    while len(iterates) < count:
+        span = min(span, count - len(iterates))
+        samples = integrate_orbit(field, x, eps, np.arange(1.0, span + 1.0),
+                                  tol)
+        runs += 1
+        kept = 0
+        for y in samples:
+            try:
+                ret = _project(family, frame, y, eps, tol, trust_radius)
+            except PnkError:
+                if not kept:
+                    raise
+                break
+            if kept and np.max(np.abs(ret.times)) > ORBIT_MAX_GROUP_TIME:
+                break
+            x = ret.endpoint
+            iterates.append(frame.transversal_basis.T @ (x - frame.base))
+            kept += 1
+        span = 2 * kept
+    return TransversalOrbitResult(np.reshape(iterates, (-1, frame.r)), runs)
 
 
 @dataclass(frozen=True)

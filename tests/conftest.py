@@ -42,25 +42,28 @@ def rng():
 
 
 def _counted(family):
-    """A copy of ``family`` whose field values count their calls."""
-    calls = [0]
+    """A copy of ``family`` whose field values and jacobians count their
+    calls, in ``calls[0]`` and ``calls[1]``."""
+    calls = [0, 0]
 
-    def counted(value):
+    def counted(fn, slot):
         def wrapped(x, eps):
-            calls[0] += 1
-            return value(x, eps)
+            calls[slot] += 1
+            return fn(x, eps)
         return wrapped
 
     members = [family.member(i) for i in range(family.k)]
     fam = VectorFieldFamily(
         family.n, family.k, family.p,
-        [counted(m.value) for m in members],
-        [m.jacobian for m in members], [m.eps_jacobian for m in members],
+        [counted(m.value, 0) for m in members],
+        [counted(m.jacobian, 1) for m in members],
+        [m.eps_jacobian for m in members],
         chart_radius=family.chart_radius)
     return fam, calls
 
 
 @pytest.fixture(scope="session")
 def counted_family():
-    """``counted_family(family) -> (family copy, [field calls])``."""
+    """``counted_family(family) -> (family copy, [value calls, jacobian
+    calls])``."""
     return _counted

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from pnk import (CASE_A, CASE_B, CASE_C, MatchingAmbiguityWarning,
-                 NothingFound, ProbeOptions, analyze_branch, classify_event,
-                 continue_branch, detect_crossings, postcritical_probe,
-                 track_multipliers, transversal_map)
+                 NothingFound, ProbeOptions, analyze_branch, build_section,
+                 classify_event, continue_branch, detect_crossings,
+                 postcritical_probe, track_multipliers, transversal_map)
 from pnk import bifurcation
 from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
@@ -251,6 +251,53 @@ class TestPostcriticalProbe:
         amp = sorted(abs(pt[0]) for pt in probe.two_cycles[0].points)
         np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
         assert not probe.fixed_points
+
+    def test_flip_probe_jacobian_work(self, flip_branch, counted_family):
+        # P o P is one map at winding 2 with its own jacobian, not two
+        # chained maps: 2,826 jacobian calls when it was composed
+        sysm, branch = flip_branch
+        fam, calls = counted_family(sysm.family)
+        probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_A)
+        assert calls[1] <= 2600
+        assert len(probe.two_cycles) == 1
+
+    def test_neimark_circle_probe_work(self, neimark_branch, counted_family):
+        # the orbit comes from one loop-flow run, not one run per iterate
+        # (13,680 field calls then)
+        sysm, branch = neimark_branch
+        fam, calls = counted_family(sysm.family)
+        probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_C,
+                                   ProbeOptions(transient=120, n_samples=64))
+        assert calls[0] <= 8000
+        np.testing.assert_allclose(probe.circle.radii, 0.2, rtol=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.04, -0.04])
+    def test_escaping_circle_orbit_finds_nothing(self, eps):
+        # subcritical: past the crossing the base point repels with no
+        # circle; before it, the start lies outside the repelling circle
+        sysm = make_neimark(damping=-1.0)
+        frame = build_section(sysm.family, sysm.seed)
+        with pytest.raises(NothingFound, match="escaped"):
+            postcritical_probe(sysm.family, sysm.seed, [1], frame, [eps],
+                               CASE_C,
+                               ProbeOptions(transient=120, n_samples=64))
+
+    @pytest.mark.parametrize("option, opts", [
+        ("transient", ProbeOptions(transient=-5)),
+        ("fourier_order", ProbeOptions(fourier_order=-1)),
+        ("n_samples", ProbeOptions(n_samples=0)),
+        ("n_samples", ProbeOptions(n_samples=3, fourier_order=4)),
+        ("n_samples", ProbeOptions(n_samples=8, fourier_order=4)),
+    ], ids=["transient-negative", "order-negative", "samples-zero",
+            "samples-below-order", "samples-one-short"])
+    def test_orbit_sampling_options_checked(self, neimark_branch, option,
+                                            opts):
+        sysm, branch = neimark_branch
+        with pytest.raises(ValueError, match=option):
+            postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                               [0.04], CASE_C, opts)
 
     def test_pitchfork_probe_work(self, pitchfork_branch, counted_family):
         sysm, branch = pitchfork_branch

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pnk import (DegenerateTangent, OpenLoop, VectorFieldFamily,
+from pnk import (DegenerateTangent, OpenLoop, TorusSeed, VectorFieldFamily,
                  basepoint_spectrum_check, build_section, monodromy_report,
                  total_monodromy, transversal_linearization, transversal_map)
+from pnk.catalog import make_flip, make_neimark
+from pnk.section import transversal_orbit
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -144,6 +146,81 @@ class TestEvaluatePnMap:
         dn = transversal_map(hopf_sys.family, frame, [1], [-h]).u
         fd = (up - dn) / (2 * h)
         np.testing.assert_allclose(res.jacobian[0], fd, atol=1e-6)
+
+
+def _twisting_circle(twist, eps0):
+    """Planar k=1 family X = (eps - r^2) x + (1 + twist (r^2 - eps)) J x.
+
+    The limit cycle r^2 = eps turns at unit speed, so its loop closes at
+    time 2*pi; off the cycle the rotation speed grows with the radius, so
+    one loop-flow run drifts along the cycle away from the section.
+    """
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def value(x, eps):
+        r2 = x @ x
+        return (eps[0] - r2) * x + (1.0 + twist * (r2 - eps[0])) * (rot @ x)
+
+    def jacobian(x, eps):
+        r2 = x @ x
+        return ((eps[0] - r2) * np.eye(2) - 2.0 * np.outer(x, x)
+                + (1.0 + twist * (r2 - eps[0])) * rot
+                + 2.0 * twist * np.outer(rot @ x, x))
+
+    fam = VectorFieldFamily(2, 1, 1, [value], [jacobian])
+    root = math.sqrt(eps0)
+    seed = TorusSeed(1, lambda phi: root * np.array([math.cos(phi[0]),
+                                                     math.sin(phi[0])]),
+                     np.array([eps0]))
+    return fam, seed
+
+
+def _iterated_maps(family, frame, u, count, eps=None):
+    out = []
+    for _ in range(count):
+        u = transversal_map(family, frame, [1], u, eps).u
+        out.append(u)
+    return np.array(out)
+
+
+class TestTransversalOrbit:
+    """P^n = P_{n alpha}: iterates from one loop-flow run."""
+
+    def test_neimark_orbit_matches_repeated_maps(self):
+        sysm = make_neimark()
+        frame = build_section(sysm.family, sysm.seed)
+        u = np.array([0.1, 0.0])
+        orbit = transversal_orbit(sysm.family, frame, [1], u, 40, [0.04])
+        want = _iterated_maps(sysm.family, frame, u, 40, [0.04])
+        assert orbit.u.shape == (40, 2)
+        assert orbit.runs == 1
+        np.testing.assert_allclose(orbit.u, want, rtol=0, atol=1e-8)
+
+    def test_twisting_orbit_restarts_and_matches(self):
+        # the drift passes a quarter turn within a few loops; without the
+        # restart the projection lands on the far side of the cycle
+        fam, seed = _twisting_circle(twist=10.0, eps0=0.01)
+        frame = build_section(fam, seed)
+        u = np.array([0.05])
+        orbit = transversal_orbit(fam, frame, [1], u, 12)
+        want = _iterated_maps(fam, frame, u, 12)
+        assert orbit.runs > 1
+        np.testing.assert_allclose(orbit.u, want, rtol=0, atol=1e-8)
+
+    def test_double_winding_map_is_map_twice(self):
+        sysm = make_flip()
+        frame = build_section(sysm.family, sysm.seed)
+        u = np.array([0.15, -0.05])
+        once = transversal_map(sysm.family, frame, [1], u, [0.039],
+                               with_jacobian=True)
+        again = transversal_map(sysm.family, frame, [1], once.u, [0.039],
+                                with_jacobian=True)
+        twice = transversal_map(sysm.family, frame, [2], u, [0.039],
+                                with_jacobian=True)
+        np.testing.assert_allclose(twice.u, again.u, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(twice.jacobian,
+                                   again.jacobian @ once.jacobian,
+                                   rtol=0, atol=1e-8)
 
 
 class TestSpectralProperties:
