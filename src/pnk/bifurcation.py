@@ -47,6 +47,16 @@ CASE_B = "CaseB"
 CASE_C = "CaseC"
 DEGENERATE = "Degenerate"
 
+# Fixed settings of the multiplier matching, the classification and the
+# probes, as the docstrings of track_multipliers, classify_event and
+# postcritical_probe state them.
+TIE_TOL = 1e-9
+DEGENERATE_TOL = 1e-3
+PROBE_DIRECTIONS = 8
+PROBE_RADII = 4
+PROBE_MAX_ITER = 30
+PROBE_EXCLUDE_TOL = 1e-6
+
 KIND_LABELS = {
     CASE_A: ("real multiplier -1: conventionally a period-doubling (a "
              "2-cycle of the map); this label is also associated with twin "
@@ -74,13 +84,12 @@ class MultiplierPaths:
     ambiguous_steps: list          # indices where the matching tied
 
 
-def track_multipliers(branch: ContinuationBranch,
-                      tie_tol: float = 1e-9) -> MultiplierPaths:
+def track_multipliers(branch: ContinuationBranch) -> MultiplierPaths:
     """Match spectra between consecutive slices by minimal distance.
 
-    A tie between two assignments that swap genuinely distinct
-    multipliers is recorded and warned about; the first assignment is
-    kept.
+    A tie (a cost gap within ``TIE_TOL``, relative) between two
+    assignments that swap genuinely distinct multipliers is recorded and
+    warned about; the first assignment is kept.
     """
     pts = branch.points
     if len(pts) < 2:
@@ -98,11 +107,11 @@ def track_multipliers(branch: ContinuationBranch,
         tied = False
         for a in range(r):
             for b in range(a + 1, r):
-                if abs(cur[perm[a]] - cur[perm[b]]) <= tie_tol * scale:
+                if abs(cur[perm[a]] - cur[perm[b]]) <= TIE_TOL * scale:
                     continue  # swapping equal values is not an ambiguity
                 gain = (cost[a, perm[b]] + cost[b, perm[a]]
                         - cost[a, perm[a]] - cost[b, perm[b]])
-                if gain <= tie_tol * scale:
+                if gain <= TIE_TOL * scale:
                     tied = True
         if tied:
             ambiguous.append(i)
@@ -260,16 +269,18 @@ def _resonant_angle(angle: float, angle_tol: float = 1e-3,
     return False
 
 
-def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3,
-                   degenerate_tol: float = 1e-3) -> BifurcationEvent:
+def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
+                   ) -> BifurcationEvent:
     """Classify a refined crossing by its critical multiplier.
 
     ``transversality`` is the finite-difference slope of |mu| across the
     bracket, per unit parameter arclength and signed along the path
     direction; ``split_margin`` is the smallest distance of the remaining
-    multipliers to the unit circle at the crossing. A rotation number
-    within 1e-3 of a rational with denominator <= 6 flags the structurally
-    unstable resonant case but still classifies as CaseC.
+    multipliers to the unit circle at the crossing. More critical
+    multipliers within ``DEGENERATE_TOL`` of the circle than the kind
+    expects classify as Degenerate. A rotation number within 1e-3 of a
+    rational with denominator <= 6 flags the structurally unstable
+    resonant case but still classifies as CaseC.
     """
     mu = bracket.mu_mid if bracket.mu_mid is not None else \
         0.5 * (bracket.mu_lo + bracket.mu_hi)
@@ -287,7 +298,7 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3,
     split = math.inf
     if bracket.spectrum_mid is not None:
         spec = np.asarray(bracket.spectrum_mid, dtype=complex)
-        on_circle = np.abs(np.abs(spec) - 1.0) <= degenerate_tol
+        on_circle = np.abs(np.abs(spec) - 1.0) <= DEGENERATE_TOL
         n_crit = int(np.sum(on_circle))
         if n_crit > len(criticals):
             kind = DEGENERATE
@@ -313,8 +324,9 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3,
 
 @dataclass(frozen=True)
 class ProbeOptions:
-    """Search radius (also the step of the normal-form seed fit), the
-    deterministic fallback star, and orbit-sampling controls.
+    """Search radius (also the step of the normal-form seed fit and the
+    outer radius of the fallback star), Newton tolerance, and
+    orbit-sampling controls.
 
     The CaseC probe drops ``transient`` iterates and fits the next
     ``n_samples``, all from one loop-flow run, by a radial Fourier series
@@ -325,10 +337,6 @@ class ProbeOptions:
 
     search_radius: float = 0.5
     tol: float = 1e-9
-    n_directions: int = 8
-    n_radii: int = 4
-    max_iter: int = 30
-    exclude_tol: float = 1e-6
     transient: int = 150
     n_samples: int = 128
     fourier_order: int = 4
@@ -478,12 +486,17 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     P o P is one map at winding 2 alpha, jacobian included.
     When the seeds find nothing (no real amplitude before or in a
     subcritical crossing, or Newton falls back onto u0), and always for
-    Degenerate, a deterministic star of starts (n_directions x n_radii,
-    radii geometric between 10*tol and the search radius) is probed for
-    both non-trivial fixed points and genuine 2-cycles. CaseC samples an
-    orbit from one loop-flow run (:func:`~pnk.section.transversal_orbit`)
-    and fits an invariant circle by a radial Fourier series around the
-    continued fixed point. Every find is re-verified under the map
+    Degenerate, a deterministic star of starts (``PROBE_DIRECTIONS`` x
+    ``PROBE_RADII``, radii geometric between 10*tol and the search
+    radius) is probed for both non-trivial fixed points and genuine
+    2-cycles. Each start gets ``PROBE_MAX_ITER`` Newton iterations; a
+    fixed point within ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose
+    points are that close, is not new, and finds closer than
+    max(``PROBE_EXCLUDE_TOL``, 100*tol) to an earlier one are merged.
+    CaseC samples an orbit from one loop-flow run
+    (:func:`~pnk.section.transversal_orbit`) and fits an invariant
+    circle by a radial Fourier series around the continued fixed point.
+    Every find is re-verified under the map
     before being reported; finds correspond to new invariant tori of the
     flow (twin tori, a doubled torus, or a torus of one more dimension).
     Raises :class:`NothingFound` when the search comes up empty, which
@@ -521,7 +534,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     def solve(step, guess):
         """(u, derivative, residual, iterations), or None for a failed start."""
         try:
-            return _newton_solve(step, guess, opts.tol, opts.max_iter)
+            return _newton_solve(step, guess, opts.tol, PROBE_MAX_ITER)
         except (NoConvergence, SingularJacobian, np.linalg.LinAlgError):
             return None
 
@@ -531,7 +544,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     u0, ell0, _, _ = base
     base_spec = spectra.sorted_complex(np.linalg.eigvals(ell0))
 
-    dedupe = max(opts.exclude_tol, 100.0 * opts.tol)
+    dedupe = max(PROBE_EXCLUDE_TOL, 100.0 * opts.tol)
     fixed: list[FixedPointFinding] = []
     cycles: list[TwoCycleFinding] = []
     circle = None
@@ -544,7 +557,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
             return
         u, deriv, res, _ = got
         if not twice:
-            if float(np.linalg.norm(u - u0)) <= opts.exclude_tol:
+            if float(np.linalg.norm(u - u0)) <= PROBE_EXCLUDE_TOL:
                 return
             if any(float(np.linalg.norm(u - f.u)) <= dedupe for f in fixed):
                 return
@@ -552,7 +565,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                 u, spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
             return
         partner = image(u).u
-        if float(np.linalg.norm(partner - u)) <= opts.exclude_tol:
+        if float(np.linalg.norm(partner - u)) <= PROBE_EXCLUDE_TOL:
             return  # a fixed point of P, not a genuine 2-cycle
         key = _cycle_key(u, partner)
         if any(float(np.linalg.norm(key - _cycle_key(*c.points)))
@@ -597,8 +610,8 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         if not fixed and not cycles:
             starts = [u0 + rad * d
                       for rad in np.geomspace(10.0 * opts.tol,
-                                              opts.search_radius, opts.n_radii)
-                      for d in _probe_directions(frame.r, opts.n_directions)]
+                                              opts.search_radius, PROBE_RADII)
+                      for d in _probe_directions(frame.r, PROBE_DIRECTIONS)]
             for twice in (False, True):
                 for guess in starts:
                     classify(twice, guess)

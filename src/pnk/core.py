@@ -28,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 # Rank tolerance for "linearly independent generator directions".
 RANK_TOL = 1e-10
 
+# Angle step of the difference stencil for torus embedding tangents.
+EMBED_STEP = 1e-4
+
 
 def as_point(x, n: int | None = None) -> np.ndarray:
     """Validate and copy a chart point."""
@@ -131,62 +134,61 @@ class VectorFieldFamily:
         self.p = int(p)
         self.name = name
         self.chart_radius = chart_radius
-        self._values = tuple(values)
-        self._jacobians = tuple(jacobians) if jacobians is not None else None
-        self._eps_jacobians = (tuple(eps_jacobians)
-                               if eps_jacobians is not None else None)
+        self._fields = tuple(
+            _field(self.n, self.p, values[i],
+                   None if jacobians is None else jacobians[i],
+                   None if eps_jacobians is None else eps_jacobians[i],
+                   chart_radius)
+            for i in range(self.k))
 
     # -- validated public evaluation ------------------------------------
 
+    def _checked(self, x, eps):
+        return as_point(x, self.n), as_params(eps, self.p)
+
     def eval(self, i: int, x, eps) -> np.ndarray:
         """Value of the i-th field at (x, eps)."""
-        x = as_point(x, self.n)
-        eps = as_params(eps, self.p)
-        out = np.asarray(self._values[i](x, eps), dtype=float).reshape(-1)
+        x, eps = self._checked(x, eps)
+        out = np.asarray(self._fields[i].value(x, eps), dtype=float).reshape(-1)
         if out.size != self.n:
             raise ValueError(
                 f"field {i} returned length {out.size}, expected {self.n}")
         return out
 
+    def generators(self, x, eps) -> np.ndarray:
+        """The n x k matrix X(x) whose columns are the field values at x."""
+        return np.column_stack([self.eval(i, x, eps) for i in range(self.k)])
+
     def jacobian(self, i: int, x, eps) -> np.ndarray:
         """Spatial derivative of the i-th field, analytic or differenced."""
-        x = as_point(x, self.n)
-        eps = as_params(eps, self.p)
-        if self._jacobians is not None:
-            return np.asarray(self._jacobians[i](x, eps), dtype=float)
-        return numdiff.jacobian(lambda z: self._values[i](z, eps), x)
+        x, eps = self._checked(x, eps)
+        return np.asarray(self._fields[i].jacobian(x, eps), dtype=float)
 
     def eps_jacobian(self, i: int, x, eps) -> np.ndarray:
         """Parameter derivative of the i-th field (n x p)."""
-        x = as_point(x, self.n)
-        eps = as_params(eps, self.p)
-        if self.p == 0:
-            return np.zeros((self.n, 0))
-        if self._eps_jacobians is not None:
-            return np.asarray(self._eps_jacobians[i](x, eps), dtype=float)
-        return numdiff.jacobian(lambda e: self._values[i](x, e), eps,
-                                step=numdiff.step_for(eps))
+        x, eps = self._checked(x, eps)
+        return np.asarray(self._fields[i].eps_jacobian(x, eps), dtype=float)
 
     # -- raw field views --------------------------------------------------
 
     def member(self, i: int) -> Field:
         """The i-th field as a standalone :class:`Field`."""
-        value = self._values[i]
-        if self._jacobians is not None:
-            jac = self._jacobians[i]
-        else:
-            def jac(x, eps, _f=value):
-                return numdiff.jacobian(lambda z: _f(z, eps), x)
-        if self.p == 0:
-            def ejac(x, eps, _n=self.n):
-                return np.zeros((_n, 0))
-        elif self._eps_jacobians is not None:
-            ejac = self._eps_jacobians[i]
-        else:
-            def ejac(x, eps, _f=value):
-                return numdiff.jacobian(lambda e: _f(x, e), eps,
-                                        step=numdiff.step_for(eps))
-        return Field(self.n, self.p, value, jac, ejac, self.chart_radius)
+        return self._fields[i]
+
+
+def _field(n, p, value, jac, ejac, chart_radius) -> Field:
+    """A :class:`Field`, with difference quotients for absent derivatives."""
+    if jac is None:
+        def jac(x, eps):
+            return numdiff.jacobian(lambda z: value(z, eps), x)
+    if p == 0:
+        def ejac(x, eps):
+            return np.zeros((n, 0))
+    elif ejac is None:
+        def ejac(x, eps):
+            return numdiff.jacobian(lambda e: value(x, e), eps,
+                                    step=numdiff.step_for(eps))
+    return Field(n, p, value, jac, ejac, chart_radius)
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,6 @@ class TorusSeed:
     embed: Callable[[np.ndarray], np.ndarray]
     eps0: np.ndarray
     angle_coords: tuple[int, ...] = ()
-    embed_step: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "eps0", np.array(self.eps0, dtype=float).reshape(-1))
@@ -223,9 +224,10 @@ class TorusSeed:
         return np.asarray(self.embed(phi), dtype=float).reshape(-1)
 
     def tangent_basis(self, phi) -> np.ndarray:
-        """Columns d embed / d phi_j at phi, by 4th-order differences."""
+        """Columns d embed / d phi_j at phi, by 4th-order differences with
+        angle step ``EMBED_STEP``."""
         phi = np.asarray(phi, dtype=float).reshape(-1)
-        cols = [numdiff.directional(self.embed, phi, e, self.embed_step)
+        cols = [numdiff.directional(self.embed, phi, e, EMBED_STEP)
                 for e in np.eye(self.k)]
         return np.column_stack(cols)
 
@@ -240,35 +242,26 @@ def loop_field(family: VectorFieldFamily, alpha) -> Field:
     a = as_winding(alpha, family.k)
     if not np.any(a):
         raise ZeroClass("winding vector is identically zero")
-    terms = [(i, TWO_PI * float(c)) for i, c in enumerate(a) if c != 0]
-    members = [(family.member(i), c) for i, c in terms]
+    members = [(family.member(i), TWO_PI * float(c))
+               for i, c in enumerate(a) if c != 0]
 
-    def value(x, eps):
-        out = members[0][1] * np.asarray(members[0][0].value(x, eps), dtype=float)
-        for fld, c in members[1:]:
-            out = out + c * np.asarray(fld.value(x, eps), dtype=float)
-        return out
+    def combined(part):
+        terms = [(getattr(fld, part), c) for fld, c in members]
+        (first, c0), rest = terms[0], terms[1:]
 
-    def jacobian(x, eps):
-        out = members[0][1] * np.asarray(members[0][0].jacobian(x, eps), dtype=float)
-        for fld, c in members[1:]:
-            out = out + c * np.asarray(fld.jacobian(x, eps), dtype=float)
-        return out
+        def total(x, eps):
+            out = c0 * np.asarray(first(x, eps), dtype=float)
+            for fn, c in rest:
+                out = out + c * np.asarray(fn(x, eps), dtype=float)
+            return out
+        return total
 
-    def eps_jacobian(x, eps):
-        out = members[0][1] * np.asarray(members[0][0].eps_jacobian(x, eps), dtype=float)
-        for fld, c in members[1:]:
-            out = out + c * np.asarray(fld.eps_jacobian(x, eps), dtype=float)
-        return out
-
-    return Field(family.n, family.p, value, jacobian, eps_jacobian,
-                 family.chart_radius)
+    return Field(family.n, family.p, combined("value"), combined("jacobian"),
+                 combined("eps_jacobian"), family.chart_radius)
 
 
 def lie_bracket(family: VectorFieldFamily, i: int, j: int, x, eps) -> np.ndarray:
     """[X_i, X_j](x) = (DX_j) X_i - (DX_i) X_j, using the family jacobians."""
-    x = as_point(x, family.n)
-    eps = as_params(eps, family.p)
     vi = family.eval(i, x, eps)
     vj = family.eval(j, x, eps)
     return family.jacobian(j, x, eps) @ vi - family.jacobian(i, x, eps) @ vj

@@ -14,6 +14,11 @@ basis at t = 0 and is periodic by construction, so the monodromy matrix
 of this linear periodic system carries the transversal multipliers of the
 loop, independently computed from the coefficient route rather than from
 the full variational flow.
+
+The coefficients come from the loop field that the loop flows integrate.
+The frame transport, fundamental matrices and forced responses run
+through :func:`pnk.flow._run`, so their failures are the
+:class:`~pnk.errors.NonFinite`/:class:`~pnk.errors.StepFailure` of a flow.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, logm
 
 from . import spectra
-from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
+from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding,
+                   loop_field)
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
-from .flow import ATOL_FACTOR, DEFAULT_TOL, METHOD
+from .flow import ATOL_FACTOR, DEFAULT_TOL, _run
 from .section import build_section
 
 FRAME_FD_STEP = 1e-3
@@ -70,7 +75,7 @@ def _coordinate_gauge(family, seed):
     return (lambda t: s_const), (lambda t: np.zeros_like(s_const))
 
 
-def _transport_gauge(family, seed, eps0, a, phi_start, period):
+def _transport_gauge(family, seed, eps0, a, period):
     """Parallel transport of the initial complement along the orbit.
 
     The orthogonal projector P(t) onto the complement of the generator
@@ -80,14 +85,12 @@ def _transport_gauge(family, seed, eps0, a, phi_start, period):
     (nontrivial holonomy), in which case no periodic gauge of this kind
     exists and the chart must provide angle coordinates instead.
     """
-    base = build_section(family, seed, seed.point(phi_start), eps0)
+    base = build_section(family, seed, None, eps0)
     n, r = family.n, family.n - family.k
 
     def projector(t):
-        z = seed.point(phi_start + TWO_PI * a * t)
-        group = np.column_stack([family.eval(i, z, eps0)
-                                 for i in range(family.k)])
-        gq, _ = np.linalg.qr(group)
+        gq, _ = np.linalg.qr(
+            family.generators(seed.point(TWO_PI * a * t), eps0))
         return np.eye(n) - gq @ gq.T
 
     def projector_dot(t):
@@ -95,16 +98,16 @@ def _transport_gauge(family, seed, eps0, a, phi_start, period):
         return (projector(t - 2 * h) - 8.0 * projector(t - h)
                 + 8.0 * projector(t + h) - projector(t + 2 * h)) / (12.0 * h)
 
-    def rhs(t, svec):
+    def transport(t):
         p = projector(t)
         pdot = projector_dot(t)
-        s = svec.reshape(n, r)
-        return ((pdot @ p - p @ pdot) @ s).ravel()
+        return pdot @ p - p @ pdot
 
-    sol = solve_ivp(rhs, (0.0, period), base.transversal_basis.ravel(),
-                    method=METHOD, rtol=1e-11, atol=1e-13, dense_output=True)
-    if sol.status != 0:
-        raise NoConvergence(f"frame transport failed: {sol.message}")
+    def rhs(t, svec):
+        return (transport(t) @ svec.reshape(n, r)).ravel()
+
+    sol = _run(rhs, base.transversal_basis.ravel(), period, 1e-11, 1e-13,
+               dense_output=True)
     holonomy = float(np.max(np.abs(
         sol.y[:, -1].reshape(n, r) - base.transversal_basis)))
     if holonomy > 1e-6:
@@ -116,19 +119,17 @@ def _transport_gauge(family, seed, eps0, a, phi_start, period):
         return sol.sol(float(t)).reshape(n, r)
 
     def s_dot(t):
-        p = projector(t)
-        pdot = projector_dot(t)
-        return (pdot @ p - p @ pdot) @ s_func(t)
+        return transport(t) @ s_func(t)
 
     return s_func, s_dot
 
 
 def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                          eps0=None, n_samples: int = 256,
-                          phi_start=None) -> LinearizedCoefficients:
+                          eps0=None, n_samples: int = 256
+                          ) -> LinearizedCoefficients:
     """Sample the coefficient blocks along the loop orbit and interpolate.
 
-    The orbit is phi(t) = phi_start + 2*pi*alpha*t over t in [0, 1]; all
+    The orbit is phi(t) = 2*pi*alpha*t over t in [0, 1]; all
     derivatives are evaluated on the embedded torus. The transversal
     gauge is the constant coordinate complement when the chart carries
     angle coordinates, and the parallel-transported complement of the
@@ -136,22 +137,17 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
     """
     a = as_winding(alpha, seed.k)
     eps0 = seed.eps0 if eps0 is None else as_params(eps0, family.p)
-    phi_start = np.zeros(seed.k) if phi_start is None else \
-        np.asarray(phi_start, dtype=float).reshape(-1)
+    field = loop_field(family, a)
     period = 1.0
-    coeff = TWO_PI * a.astype(float)
     if len(seed.angle_coords) == seed.k:
         s_func, s_dot = _coordinate_gauge(family, seed)
     else:
-        s_func, s_dot = _transport_gauge(family, seed, eps0, a, phi_start,
-                                         period)
+        s_func, s_dot = _transport_gauge(family, seed, eps0, a, period)
 
     def blocks_at(t):
-        z = seed.point(phi_start + TWO_PI * a * t)
-        group = np.column_stack([family.eval(i, z, eps0)
-                                 for i in range(family.k)])
+        z = seed.point(TWO_PI * a * t)
         s_basis = s_func(t)
-        frame = np.column_stack([group, s_basis])
+        frame = np.column_stack([family.generators(z, eps0), s_basis])
         sv = np.linalg.svd(frame, compute_uv=False)
         if sv[-1] <= 1e-10 * max(1.0, sv[0]):
             raise DegenerateTangent(
@@ -160,14 +156,8 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
         inv = np.linalg.inv(frame)
         n_cov = inv[:family.k]
         w_cov = inv[family.k:]
-        jac = sum(c * family.jacobian(i, z, eps0)
-                  for i, c in enumerate(coeff) if c != 0.0)
-        core = jac @ s_basis - s_dot(t)
-        if family.p:
-            epsjac = sum(c * family.eps_jacobian(i, z, eps0)
-                         for i, c in enumerate(coeff) if c != 0.0)
-        else:
-            epsjac = np.zeros((family.n, 0))
+        core = field.jacobian(z, eps0) @ s_basis - s_dot(t)
+        epsjac = field.eps_jacobian(z, eps0)
         return w_cov @ core, w_cov @ epsjac, n_cov @ core, n_cov @ epsjac
 
     times = np.arange(n_samples) * (period / n_samples)
@@ -190,9 +180,7 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
 def _as_matrix_func(Ahat):
     """Normalize matrix input: coefficients, callable, or constant matrix."""
     if isinstance(Ahat, LinearizedCoefficients):
-        func = Ahat.Ahat
-        r = func(0.0).shape[0]
-        return func, r
+        Ahat = Ahat.Ahat
     if callable(Ahat):
         probe = np.atleast_2d(np.asarray(Ahat(0.0), dtype=float))
         r = probe.shape[0]
@@ -221,10 +209,8 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     def rhs(t, y):
         return (func(t) @ y.reshape(r, r)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, T), np.eye(r).ravel(), method=METHOD,
-                    rtol=tol, atol=tol * ATOL_FACTOR, dense_output=True)
-    if sol.status != 0:
-        raise NoConvergence(f"fundamental matrix integration failed: {sol.message}")
+    sol = _run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
+               dense_output=True)
     times = np.linspace(0.0, T, n_out)
     samples = np.stack([sol.sol(t).reshape(r, r) for t in times])
     q = sol.y[:, -1].reshape(r, r).copy()
@@ -330,15 +316,9 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
         return func(t) @ y + forcing(t)
 
     atol = tol * ATOL_FACTOR
-    part = solve_ivp(rhs, (0.0, T), np.zeros(r), method=METHOD,
-                     rtol=tol, atol=atol)
-    if part.status != 0:
-        raise NoConvergence(f"particular solution failed: {part.message}")
+    part = _run(rhs, np.zeros(r), T, tol, atol)
     u0 = np.linalg.solve(np.eye(r) - fm.Q, part.y[:, -1])
-    sol = solve_ivp(rhs, (0.0, T), u0, method=METHOD, rtol=tol, atol=atol,
-                    dense_output=True)
-    if sol.status != 0:
-        raise NoConvergence(f"periodic solution failed: {sol.message}")
+    sol = _run(rhs, u0, T, tol, atol, dense_output=True)
     times = np.linspace(0.0, T, n_out)
     samples = np.stack([sol.sol(t) for t in times])
     samples[-1] = sol.y[:, -1]

@@ -1,5 +1,13 @@
 """Adaptive integration of flows and variational (tangent) flows.
 
+:func:`_run` is the one integration routine of pnk, and the only
+``solve_ivp`` call: it serves flows, orbit samples, variational flows,
+the Floquet frame transport, fundamental matrices and forced responses.
+One run may make at most ``MAX_EVALS`` = 100,000 right-hand-side calls;
+beyond that it raises :class:`~pnk.errors.StepFailure`, so a stiff or
+non-finite field stops instead of stepping on. A run that stops short
+raises :class:`~pnk.errors.NonFinite` or :class:`~pnk.errors.StepFailure`.
+
 The stepper is scipy's DOP853, the explicit Dormand-Prince Runge-Kutta
 8(5,3) pair with scipy's elementary step-size control (no PI term), run
 at rtol = tol and atol = tol / 100 so the default tol = 1e-10 lands at
@@ -35,6 +43,9 @@ METHOD = "DOP853"
 DEFAULT_TOL = 1e-10
 ATOL_FACTOR = 1e-2
 RETURN_MAX_ITER = 25
+
+# Right-hand-side calls one integration may make before StepFailure.
+MAX_EVALS = 100_000
 
 # Below this, a requested flow time is treated as zero (no integration).
 TINY_TIME = 1e-14
@@ -78,12 +89,23 @@ def _checked_rhs(field: Field, eps):
     return rhs
 
 
-def _run(rhs, y0, t, rtol, atol, t_eval=None):
+def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False):
+    """The one integration routine, over [0, t] (see the module docstring)."""
+    calls = 0
+
+    def budgeted(s, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_EVALS:
+            raise StepFailure(
+                f"integration exceeded {MAX_EVALS} field evaluations")
+        return rhs(s, y)
+
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, t), y0, method=METHOD, rtol=rtol,
-                        atol=atol, t_eval=t_eval)
+        sol = solve_ivp(budgeted, (0.0, t), y0, method=METHOD, rtol=rtol,
+                        atol=atol, t_eval=t_eval, dense_output=dense_output)
     if sol.status != 0:
         # with t_eval, sol.y holds the samples reached so far (maybe none)
         reached = np.asarray(sol.y)
@@ -94,15 +116,21 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None):
     return sol
 
 
-def integrate_flow(field: Field, x0, eps, t: float,
-                   tol: float = DEFAULT_TOL) -> FlowResult:
-    """Flow x0 for time t under the field, with local error control."""
+def _checked_start(field: Field, x0, eps, times, tol):
+    """Validated start point and parameters of an integration of field."""
     x0 = as_point(x0, field.n)
     eps = as_params(eps, field.p)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not np.isfinite(t):
+    if not np.all(np.isfinite(times)):
         raise ValueError("flow time must be finite")
+    return x0, eps
+
+
+def integrate_flow(field: Field, x0, eps, t: float,
+                   tol: float = DEFAULT_TOL) -> FlowResult:
+    """Flow x0 for time t under the field, with local error control."""
+    x0, eps = _checked_start(field, x0, eps, t, tol)
     if abs(t) < TINY_TIME:
         return FlowResult(x0.copy(), 0)
 
@@ -122,13 +150,9 @@ def integrate_orbit(field: Field, x0, eps, times,
     shape ``(len(times), n)``; its last row is the endpoint of the same
     run that :func:`integrate_flow` makes for time ``times[-1]``.
     """
-    x0 = as_point(x0, field.n)
-    eps = as_params(eps, field.p)
     times = np.asarray(times, dtype=float).reshape(-1)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if (times.size == 0 or not np.all(np.isfinite(times)) or times[0] <= 0
-            or np.any(np.diff(times) <= 0)):
+    x0, eps = _checked_start(field, x0, eps, times, tol)
+    if times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be finite, positive and "
                          "strictly increasing")
 
@@ -145,10 +169,7 @@ def integrate_variational(field: Field, x0, eps, t: float,
     The returned ``tangent`` is the derivative of the time-t flow map at
     x0 (the total monodromy operator when the orbit is a closed loop).
     """
-    x0 = as_point(x0, field.n)
-    eps = as_params(eps, field.p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    x0, eps = _checked_start(field, x0, eps, t, tol)
     n = field.n
     if abs(t) < TINY_TIME:
         return VariationalResult(x0.copy(), np.eye(n), 0)
@@ -195,7 +216,6 @@ def _compose_legs(family, y, eps, times, tol, with_variational):
     """Flow y under the generators for the given times, composing in order."""
     z = y
     var = np.eye(family.n) if with_variational else None
-    steps = 0
     for i, s in enumerate(times):
         if abs(s) < TINY_TIME:
             continue
@@ -205,13 +225,24 @@ def _compose_legs(family, y, eps, times, tol, with_variational):
         else:
             res = integrate_flow(family.member(i), z, eps, float(s), tol)
         z = res.endpoint
-        steps += res.steps_taken
-    return z, var, steps
+    return z, var
+
+
+def section_pairing(family: VectorFieldFamily, constraints, z, eps):
+    """X(z) and the pairing ``constraints @ X(z)``; :class:`SingularGeometry`
+    when its singular values have sv_min <= 1e-12 * max(1, sv_max)."""
+    xmat = family.generators(z, eps)
+    pairing = constraints @ xmat
+    sv = np.linalg.svd(pairing, compute_uv=False)
+    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        raise SingularGeometry(
+            "constraint-field pairing matrix is singular "
+            "(fields tangent to the section)")
+    return xmat, pairing
 
 
 def solve_return_times(family: VectorFieldFamily, y, eps, section,
                        tol: float = DEFAULT_TOL,
-                       max_iter: int = RETURN_MAX_ITER,
                        with_variational: bool = False,
                        trust_radius: float | None = None) -> ReturnSolve:
     """Find flow times s under X_1..X_k taking y back onto the section.
@@ -239,30 +270,24 @@ def solve_return_times(family: VectorFieldFamily, y, eps, section,
     constraints = section.constraints
     s = np.zeros(family.k)
     z = y
-    for it in range(max_iter + 1):
+    for it in range(RETURN_MAX_ITER + 1):
         g = constraints @ (z - section.base)
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol and it > 0 and last_step <= tol:
             break
         if gnorm <= tol and it == 0:
             break
-        if it == max_iter:
+        if it == RETURN_MAX_ITER:
             raise NoConvergence(
-                f"section return did not converge in {max_iter} iterations "
-                f"(constraint residual {gnorm:.3g})")
-        xmat = np.column_stack([family.eval(i, z, eps) for i in range(family.k)])
-        pairing = constraints @ xmat
-        sv = np.linalg.svd(pairing, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise SingularGeometry(
-                "constraint-field pairing matrix is singular "
-                "(fields tangent to the section)")
+                f"section return did not converge in {RETURN_MAX_ITER} "
+                f"iterations (constraint residual {gnorm:.3g})")
+        _, pairing = section_pairing(family, constraints, z, eps)
         ds = -np.linalg.solve(pairing, g)
         last_step = float(np.max(np.abs(ds)))
-        z, _, _ = _compose_legs(family, z, eps, ds, tol, False)
+        z, _ = _compose_legs(family, z, eps, ds, tol, False)
         s = s + ds
     var = None
     if with_variational:
-        z, var, _ = _compose_legs(family, y, eps, s, tol, True)
+        z, var = _compose_legs(family, y, eps, s, tol, True)
     g = constraints @ (z - section.base)
     return ReturnSolve(s, z, it, float(np.max(np.abs(g))), var)

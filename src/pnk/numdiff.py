@@ -41,11 +41,5 @@ def jacobian(f, x, step: float | None = None) -> np.ndarray:
 
 
 def gradient(f, x, step: float | None = None) -> np.ndarray:
-    """Gradient of a scalar function, same stencil as :func:`jacobian`."""
-    x = np.asarray(x, dtype=float)
-    h = step_for(x) if step is None else step
-    out = np.empty(x.size)
-    eye = np.eye(x.size)
-    for a in range(x.size):
-        out[a] = float(directional(lambda z: np.asarray([f(z)]), x, eye[a], h)[0])
-    return out
+    """Gradient of a scalar function: the one row of its :func:`jacobian`."""
+    return jacobian(lambda z: np.asarray([f(z)], dtype=float), x, step)[0]

@@ -34,10 +34,9 @@ import numpy as np
 from . import spectra
 from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
                    loop_field, wrap_angles)
-from .errors import (DegenerateTangent, NonFinite, OpenLoop, PnkError,
-                     SingularGeometry)
+from .errors import DegenerateTangent, NonFinite, OpenLoop, PnkError
 from .flow import (DEFAULT_TOL, integrate_flow, integrate_orbit,
-                   integrate_variational, solve_return_times)
+                   integrate_variational, section_pairing, solve_return_times)
 
 DEFAULT_TRUST_RADIUS = 0.1
 UNIT_TOL = 1e-8
@@ -104,7 +103,7 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
     """
     m = seed.base_point if m is None else as_point(m, family.n)
     eps = seed.eps0 if eps is None else as_params(eps, family.p)
-    group = np.column_stack([family.eval(i, m, eps) for i in range(family.k)])
+    group = family.generators(m, eps)
     if not np.all(np.isfinite(group)):
         raise NonFinite("generator values at the base point are not finite")
     sv = np.linalg.svd(group, compute_uv=False)
@@ -242,7 +241,8 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
         D = S^T Pr(z) M_return A_flow S
 
     where Pr(z) = I - X (N X)^{-1} N projects along the group directions
-    at the landing point z.
+    at the landing point z; a singular pairing N X(z) there raises
+    :class:`~pnk.errors.SingularGeometry` by the return solve's rule.
     """
     eps = frame.eps if eps is None else as_params(eps, family.p)
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -259,15 +259,9 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     u_out = frame.transversal_basis.T @ (z - frame.base)
     jac = None
     if with_jacobian:
-        xmat = np.column_stack([family.eval(i, z, eps) for i in range(family.k)])
-        pairing = frame.constraints @ xmat
-        try:
-            proj = np.eye(family.n) - xmat @ np.linalg.solve(
-                pairing, frame.constraints)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGeometry(
-                "constraint-field pairing matrix is singular at the "
-                "landing point") from exc
+        xmat, pairing = section_pairing(family, frame.constraints, z, eps)
+        proj = np.eye(family.n) - xmat @ np.linalg.solve(
+            pairing, frame.constraints)
         d_chart = proj @ ret.variational @ flow_res.tangent
         jac = frame.transversal_basis.T @ d_chart @ frame.transversal_basis
     return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)

@@ -1,0 +1,73 @@
+"""The names and signatures that the benchmark binds in pnk.
+
+``pnkbench`` measures pnk from outside: it rebinds the public functions
+named in ``spans.SPANNED`` and ``calibration.HOOKED``, and it wraps
+``VectorFieldFamily.__init__`` to count field calls. These tests load
+those two files unchanged, so renaming a bound function or changing the
+family's constructor fails here, not only inside ``pnkbench/run.py``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pnk.cli  # noqa: F401  (imports every pnk module the bench binds)
+from pnk import VectorFieldFamily, loop_field
+from pnk.flow import integrate_flow
+
+BENCH = Path(__file__).resolve().parent.parent / "pnkbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def calibration():
+    return _load("calibration")
+
+
+def test_every_bound_name_exists(spans, calibration):
+    # bind raises RuntimeError naming any function it cannot find; the
+    # identity wrapper leaves every binding as it was
+    spans.bind(spans.SPANNED + calibration.HOOKED, lambda fn: fn)
+
+
+def test_family_hook_counts_field_calls(spans, monkeypatch):
+    # restored after the test, so the hook does not outlive it
+    monkeypatch.setattr(VectorFieldFamily, "__init__",
+                        VectorFieldFamily.__init__)
+    counter = spans.Counter()
+    spans.activate(counter)
+
+    def value(x, eps):
+        return np.array([-x[1], x[0]]) * (1.0 + eps[0])
+
+    def jacobian(x, eps):
+        return np.array([[0.0, -1.0], [1.0, 0.0]]) * (1.0 + eps[0])
+
+    def eps_jacobian(x, eps):
+        return np.array([[-x[1]], [x[0]]])
+
+    # the positional and keyword arguments the hook passes on
+    fam = VectorFieldFamily(2, 1, 1, [value], [jacobian], [eps_jacobian],
+                            name="rotation", chart_radius=10.0)
+    assert fam.name == "rotation" and fam.chart_radius == 10.0
+    x, eps = np.array([1.0, 0.0]), np.array([0.0])
+    fam.eval(0, x, eps)
+    fam.jacobian(0, x, eps)
+    assert counter.counts == {"value": 1, "jacobian": 1}
+    res = integrate_flow(loop_field(fam, [1]), x, eps, 1.0)
+    np.testing.assert_allclose(res.endpoint, x, atol=1e-8)
+    assert counter.counts["value"] > 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from pnk import ConfigError, continue_branch, parse_config
 from pnk.cli import main, run_config
 from pnk.config import build_run, eps_grid_values, load_config
 from pnk.report import emit_branch_table, strip_volatile
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "run_configs"
 
 
 def _hopf_config(analysis="monodromy", options=None, output=None):
@@ -204,6 +207,18 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(out)]) == 3
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"]["type"] == "NonFinite"
+
+    def test_stiff_hopf_stops_at_the_evaluation_budget(self, tmp_path):
+        # the Hopf field scales with 1 / omega; without a budget this run
+        # takes minutes of ever smaller steps
+        doc = json.loads((CONFIG_DIR / "hopf_monodromy.json").read_text())
+        doc["system"]["params"]["omega"] = 1e-6
+        doc["output"] = {}
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"]["type"] == "StepFailure"
 
     def test_noncommuting_is_4(self, tmp_path):
         doc = {

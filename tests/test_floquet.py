@@ -1,5 +1,6 @@
 """Coefficient extraction, fundamental matrices, Floquet decomposition,
-forced response, and the block-spectrum identity."""
+forced response, the block-spectrum identity, and the one integration
+routine that every flow and Floquet solve goes through."""
 
 import math
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pnk import (Resonance, SingularMonodromy, block_spectrum_check,
-                 extract_linearization, floquet_decompose, forced_response,
-                 fundamental_matrix, monodromy_report)
+import pnk.flow
+from pnk import (NonFinite, Resonance, SingularMonodromy, StepFailure,
+                 ZeroClass, block_spectrum_check, extract_linearization,
+                 floquet_decompose, forced_response, fundamental_matrix,
+                 integrate_flow, integrate_variational, loop_field,
+                 monodromy_report)
 from pnk.floquet import FundamentalMatrix
+from pnk.flow import integrate_orbit
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -52,6 +57,12 @@ class TestExtractLinearization:
         want = -2.0 * 0.1 * TWO_PI
         np.testing.assert_allclose(co.Ahat_samples.ravel(), want, atol=1e-8)
 
+    def test_zero_winding_is_rejected(self, hopf_sys):
+        # the coefficients come from the loop field, which has no zero class
+        with pytest.raises(ZeroClass):
+            extract_linearization(hopf_sys.family, hopf_sys.seed, [0],
+                                  n_samples=8)
+
     def test_blocks_periodic(self, hopf_sys):
         co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1],
                                    n_samples=32)
@@ -73,6 +84,58 @@ class TestFundamentalMatrix:
         a = np.array([[0.1, -0.6], [0.4, -0.2]])
         fm = fundamental_matrix(a, 1.5, tol=1e-12)
         np.testing.assert_allclose(fm.Q, expm(1.5 * a), atol=1e-10)
+
+
+class TestIntegrationFailures:
+    def test_nan_coefficient_stops_at_the_budget(self):
+        calls = [0]
+
+        def nan_coefficient(t):
+            calls[0] += 1
+            return [[float("nan")]]
+
+        with pytest.raises((NonFinite, StepFailure)):
+            fundamental_matrix(nan_coefficient, 1.0)
+        # one probe call sizes the matrix; the rest are right-hand sides
+        assert calls[0] <= pnk.flow.MAX_EVALS + 1
+
+    def test_overflow_is_an_integration_failure(self):
+        with pytest.raises((NonFinite, StepFailure)):
+            fundamental_matrix(lambda t: [[1e3]], 10.0)
+
+
+class TestOneIntegrator:
+    def test_every_integration_reaches_the_one_call(self, monkeypatch,
+                                                     hopf_sys):
+        calls = []
+        real = pnk.flow.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pnk.flow, "solve_ivp", counted)
+        fam, seed = hopf_sys.family, hopf_sys.seed
+        field = loop_field(fam, [1])
+        x0, eps = seed.base_point, seed.eps0
+        assert not seed.angle_coords  # so the frame transport runs
+        runs = {
+            "integrate_flow": lambda: integrate_flow(field, x0, eps, 0.5),
+            "integrate_orbit": lambda: integrate_orbit(field, x0, eps,
+                                                       [0.25, 0.5]),
+            "integrate_variational": lambda: integrate_variational(
+                field, x0, eps, 0.5),
+            "fundamental_matrix": lambda: fundamental_matrix(
+                lambda t: [[-1.0]], 1.0),
+            "forced_response": lambda: forced_response(
+                lambda t: [[-1.0]], lambda t: [1.0], 1.0),
+            "extract_linearization": lambda: extract_linearization(
+                fam, seed, [1], n_samples=16),
+        }
+        for name, run in runs.items():
+            before = len(calls)
+            run()
+            assert len(calls) > before, name
 
 
 class TestFloquetDecompose:
