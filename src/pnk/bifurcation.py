@@ -126,7 +126,6 @@ def track_multipliers(branch: ContinuationBranch) -> MultiplierPaths:
 class CrossingBracket:
     """A bracketed |mu| = 1 crossing of one (or a conjugate pair of) path."""
 
-    path_indices: tuple
     eps_lo: np.ndarray
     eps_hi: np.ndarray
     mu_lo: complex
@@ -151,8 +150,8 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
     segment (Dowell-Jarratt, BIT 11, 1971), with every new point at
     least eps_tol/2 inside the bracket and at most ``max_bisect`` refines.
     Conjugate-pair crossings in the same grid segment are merged into a
-    single bracket carrying both path indices. Events are returned in
-    parameter order.
+    single bracket carrying the multiplier of nonnegative imaginary part.
+    Events are returned in parameter order.
     """
     eps_vals = [np.asarray(e, dtype=float) for e in paths.eps_values]
     m, r = paths.paths.shape
@@ -164,7 +163,7 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
             if (a < -circle_tol and b > circle_tol) or \
                (a > circle_tol and b < -circle_tol):
                 raw.append(CrossingBracket(
-                    (j,), eps_vals[i], eps_vals[i + 1],
+                    eps_vals[i], eps_vals[i + 1],
                     complex(paths.paths[i, j]), complex(paths.paths[i + 1, j])))
 
     merged: list[CrossingBracket] = []
@@ -182,8 +181,7 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
                     <= 1e-8 * (1.0 + abs(br.mu_lo))
                     and abs(br.mu_lo.imag) > circle_tol)
             if same_segment and conj:
-                br = CrossingBracket(br.path_indices + other.path_indices,
-                                     br.eps_lo, br.eps_hi,
+                br = CrossingBracket(br.eps_lo, br.eps_hi,
                                      br.mu_lo if br.mu_lo.imag >= 0 else other.mu_lo,
                                      br.mu_hi if br.mu_hi.imag >= 0 else other.mu_hi)
                 used[j] = True
@@ -238,8 +236,8 @@ def _refine_bracket(br: CrossingBracket, refine, eps_tol, max_bisect):
             if moved == 1:
                 phi_lo *= 0.5
             moved = 1
-    return CrossingBracket(br.path_indices, lo, hi, mu_lo, mu_hi,
-                           mu_mid, spec_mid, refined=True)
+    return CrossingBracket(lo, hi, mu_lo, mu_hi, mu_mid, spec_mid,
+                           refined=True)
 
 
 @dataclass(frozen=True)
@@ -516,12 +514,11 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         raise ValueError("n_samples must be at least 2 * fourier_order + 1, "
                          "the unknowns of the radial fit")
     eps_post = as_params(eps_post, family.p)
-    trust = max(frame.trust_radius, 4.0 * opts.search_radius)
     alpha_twice = 2 * as_winding(alpha, family.k)
 
     def image(u, winding=alpha, with_jacobian=False):
         return transversal_map(family, frame, winding, u, eps_post, opts.tol,
-                               with_jacobian=with_jacobian, trust_radius=trust)
+                               with_jacobian=with_jacobian)
 
     def newton_map(winding):
         def step(u):
@@ -625,7 +622,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     if kind in (CASE_C, DEGENERATE):
         def orbit(u, count):
             return transversal_orbit(family, frame, alpha, u, count, eps_post,
-                                     opts.tol, trust).u
+                                     opts.tol).u
 
         circle = _fit_circle(orbit, u0, np.linalg.eig(ell0), opts)
         notes.append(f"invariant circle of mean radius {circle.mean_radius:.6g} "

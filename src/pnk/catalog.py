@@ -112,8 +112,8 @@ class StraightenedOracle:
         return np.sort_complex(np.linalg.eigvals(self.transversal_matrix(alpha, eps)))
 
 
-def make_straightened(spec: StraightenedSpec, name: str = "straightened",
-                      trust_scale: float = 1.0) -> CatalogSystem:
+def make_straightened(spec: StraightenedSpec,
+                      name: str = "straightened") -> CatalogSystem:
     """Build the flow-box family, its flat seed torus and the oracle.
 
     Raises :class:`NonCommuting` when the generator matrices do not

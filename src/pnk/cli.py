@@ -140,8 +140,7 @@ def _run_floquet(setup: RunSetup, options: dict):
 def _continuation_options(options: dict) -> ContinuationOptions:
     return ContinuationOptions(
         tol=options["tol"], max_iter=options["max_iter"],
-        delta_min=options["delta_min"],
-        trust_radius=options["trust_radius"])
+        delta_min=options["delta_min"])
 
 
 def _run_continue(setup: RunSetup, options: dict):
@@ -157,12 +156,11 @@ def _run_continue(setup: RunSetup, options: dict):
 def _run_bifurcate(setup: RunSetup, options: dict):
     family, seed = setup.family, setup.seed
     alpha = options["alpha"]
-    branch = continue_branch(family, seed, alpha, eps_grid_values(options),
-                             _continuation_options(options))
-    results = {"alpha": alpha, "branch": branch_dict(branch)}
-    if branch.status == "diverged" or len(branch.points) < 2:
+    results, code, artifacts = _run_continue(setup, options)
+    branch = artifacts["branch"]
+    if code != EXIT_OK or len(branch.points) < 2:
         results["events"] = []
-        return results, EXIT_NUMERICAL, {"branch": branch}
+        return results, EXIT_NUMERICAL, artifacts
     probe_opts = ProbeOptions(search_radius=options["search_radius"],
                               tol=options["probe_tol"])
     analysis = analyze_branch(
@@ -175,7 +173,7 @@ def _run_bifurcate(setup: RunSetup, options: dict):
     results["probes"] = [{"event": idx, **probe_dict(pr)}
                          for idx, pr in analysis.probes]
     results["ambiguous_matching_steps"] = analysis.paths.ambiguous_steps
-    return results, EXIT_OK, {"branch": branch}
+    return results, EXIT_OK, artifacts
 
 
 def _run_torus(setup: RunSetup, options: dict):
@@ -238,20 +236,13 @@ def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
                                                                config.options)
         report["results"] = results
         report["error"] = None
-    except NonCommuting as exc:
-        report["results"] = None
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_NONCOMMUTING
-    except OpenTorus as exc:
-        report["results"] = None
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        if exc.report is not None:
-            report["error"]["closure_defect"] = exc.report.closure_defect
-        code = EXIT_NUMERICAL
     except PnkError as exc:
         report["results"] = None
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_NUMERICAL
+        if isinstance(exc, OpenTorus) and exc.report is not None:
+            report["error"]["closure_defect"] = exc.report.closure_defect
+        code = (EXIT_NONCOMMUTING if isinstance(exc, NonCommuting)
+                else EXIT_NUMERICAL)
     report["timing"] = {"seconds": time.perf_counter() - started}
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,12 +12,14 @@ parameter: each maps a key to ``(default or REQUIRED, check)``, and
 ``_normalize`` checks one section against its table. So ``alpha`` is
 required by every analysis but ``verify``, ``eps_grid`` by ``continue``
 and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
-``straightened``; every tolerance (``*_tol``, ``delta_min``),
-``search_radius`` and a non-null ``trust_radius`` must be positive; the
-integers ``samples``, ``n_samples`` and ``n_out`` are >= 1, ``grid`` >= 4,
-``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0. ``build_run``
-adds the checks that need the built family: vector lengths and the grid
-start. The torus, output and polynomial sections are checked by hand.
+``straightened``; every tolerance (``*_tol``, ``delta_min``) and
+``search_radius`` must be positive, and the integration tolerances
+``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
+about 2.2e-14); the integers ``samples``, ``n_samples`` and ``n_out``
+are >= 1, ``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed`` and
+``max_iter`` >= 0. ``build_run`` adds the checks that need the built
+family: vector lengths and the grid start. The torus, output and
+polynomial sections are checked by hand.
 
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
@@ -37,6 +39,7 @@ from .catalog import CATALOG, CatalogSystem, build_catalog_system
 from .continuation import _checked_path
 from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
+from .flow import MIN_TOL
 
 
 def _require_mapping(value, path):
@@ -110,8 +113,12 @@ def _positive(value, path):
     return _as_number(value, path, positive=True)
 
 
-def _positive_or_none(value, path):
-    return None if value is None else _positive(value, path)
+def _integration_tol(value, path):
+    value = _as_number(value, path)
+    if value < MIN_TOL:
+        raise ConfigError(f"{path}: must be at least {MIN_TOL:.3g}, "
+                          "scipy's smallest rtol")
+    return value
 
 
 def _at_least(minimum):
@@ -143,11 +150,10 @@ REQUIRED = object()  # the table default of a key the config must give
 
 # Groups shared by several analyses: the loop class with its integration
 # tolerance, the Newton budget, and the branch continuation settings.
-_LOOP = {"alpha": (REQUIRED, _winding), "tol": (1e-10, _positive)}
+_LOOP = {"alpha": (REQUIRED, _winding), "tol": (1e-10, _integration_tol)}
 _NEWTON = {"max_iter": (20, _at_least(0))}
 _BRANCH = {**_LOOP, **_NEWTON, "delta_min": (1e-6, _positive),
-           "eps_grid": (REQUIRED, _as_grid),
-           "trust_radius": (None, _positive_or_none)}
+           "eps_grid": (REQUIRED, _as_grid)}
 
 _OPTIONS = {
     "verify": {
@@ -169,7 +175,7 @@ _OPTIONS = {
         **_BRANCH, "circle_tol": (1e-9, _positive),
         "eps_tol": (1e-6, _positive), "angle_tol": (1e-3, _positive),
         "probe_offsets": ([], _as_vector), "search_radius": (0.5, _positive),
-        "probe_tol": (1e-9, _positive),
+        "probe_tol": (1e-9, _integration_tol),
     },
     "torus": {
         **_LOOP, **_NEWTON, "eps": (REQUIRED, _as_vector),

@@ -16,7 +16,7 @@ hypothesis, so no pseudo-arclength reparametrization is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class NewtonResult:
     residual: float
 
 
-def _effective_trust(frame: SectionFrame, u) -> float:
-    # Newton may start outside the nominal trust radius; widen to cover it.
-    reach = float(np.linalg.norm(u))
-    return max(frame.trust_radius, 4.0 * reach + frame.trust_radius)
-
-
 def _newton_solve(step, u, tol: float, max_iter: int):
     """Full Newton on u - image(u) = 0 for a map step(u) -> (image, derivative).
 
@@ -139,8 +133,7 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
     def step(v):
         res = transversal_map(family, frame, alpha, v, eps, tol,
-                              with_jacobian=True,
-                              trust_radius=_effective_trust(frame, v))
+                              with_jacobian=True)
         return res.u, res.jacobian
 
     u, ell, rnorm, iters = _newton_solve(step, u, tol, max_iter)
@@ -179,7 +172,6 @@ class ContinuationOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = 20
     delta_min: float = DELTA_MIN_DEFAULT
-    trust_radius: float | None = None
 
 
 def _branch_point(nr: NewtonResult, eps, delta_min) -> BranchPoint:
@@ -250,11 +242,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     opts = opts or ContinuationOptions()
     path = _checked_path(eps_path, seed.eps0, family.p)
     if frame is None:
-        frame = build_section(family, seed,
-                              trust_radius=opts.trust_radius
-                              if opts.trust_radius is not None else 0.1)
-    elif opts.trust_radius is not None:
-        frame = replace(frame, trust_radius=opts.trust_radius)
+        frame = build_section(family, seed)
     alpha = np.asarray(alpha).reshape(-1)
 
     points: list[BranchPoint] = []

@@ -39,6 +39,9 @@ from .section import build_section
 
 FRAME_FD_STEP = 1e-3
 
+# A multiplier this close to 1 makes the forced response resonant.
+RESONANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LinearizedCoefficients:
@@ -291,11 +294,10 @@ class ForcedResponse:
 
 
 def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
-                    resonance_tol: float = 1e-8,
                     n_out: int = 129) -> ForcedResponse:
     """Periodic response to periodic forcing, by variation of constants.
 
-    When no multiplier sits within ``resonance_tol`` of 1, the unique
+    When no multiplier sits within ``RESONANCE_TOL`` of 1, the unique
     periodic solution starts at (I - Q)^{-1} u_p(T) with u_p the
     zero-initial particular solution; otherwise secular terms appear and
     :class:`Resonance` is raised.
@@ -304,9 +306,9 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
     fm = fundamental_matrix(Ahat, T, tol=tol, n_out=2)
     multipliers = spectra.sorted_complex(np.linalg.eigvals(fm.Q))
     gap = float(np.min(np.abs(multipliers - 1.0)))
-    if gap <= resonance_tol:
+    if gap <= RESONANCE_TOL:
         raise Resonance(
-            f"a multiplier lies within {resonance_tol:.3g} of 1 "
+            f"a multiplier lies within {RESONANCE_TOL:.3g} of 1 "
             f"(gap {gap:.3g}); no unique periodic response")
 
     def forcing(t):

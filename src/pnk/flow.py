@@ -13,7 +13,8 @@ The stepper is scipy's DOP853, the explicit Dormand-Prince Runge-Kutta
 at rtol = tol and atol = tol / 100 so the default tol = 1e-10 lands at
 the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
 gaps, so integration error has to sit well below them; tolerances are
-per-call arguments everywhere.
+per-call arguments everywhere, none below ``MIN_TOL`` (scipy's rtol floor,
+100 machine epsilons, about 2.2e-14).
 
 :func:`integrate_orbit` samples one orbit at many times from a single
 run: the samples come from DOP853's dense output (its continuous
@@ -46,6 +47,10 @@ RETURN_MAX_ITER = 25
 
 # Right-hand-side calls one integration may make before StepFailure.
 MAX_EVALS = 100_000
+
+# Smallest relative tolerance of an integration: scipy raises a smaller
+# rtol to this with a warning, so the run would not be the one requested.
+MIN_TOL = 100 * np.finfo(float).eps
 
 # Below this, a requested flow time is treated as zero (no integration).
 TINY_TIME = 1e-14
@@ -89,8 +94,17 @@ def _checked_rhs(field: Field, eps):
     return rhs
 
 
+def _check_tol(tol):
+    if not tol >= MIN_TOL:
+        raise ValueError(f"tol must be at least MIN_TOL = {MIN_TOL:.3g}")
+
+
 def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False):
-    """The one integration routine, over [0, t] (see the module docstring)."""
+    """The one integration routine, over [0, t] (see the module docstring).
+
+    Raises ValueError for an rtol below ``MIN_TOL``.
+    """
+    _check_tol(rtol)
     calls = 0
 
     def budgeted(s, y):
@@ -120,8 +134,7 @@ def _checked_start(field: Field, x0, eps, times, tol):
     """Validated start point and parameters of an integration of field."""
     x0 = as_point(x0, field.n)
     eps = as_params(eps, field.p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if not np.all(np.isfinite(times)):
         raise ValueError("flow time must be finite")
     return x0, eps
@@ -208,7 +221,6 @@ class ReturnSolve:
     times: np.ndarray
     endpoint: np.ndarray
     iterations: int
-    constraint_residual: float
     variational: np.ndarray | None = None
 
 
@@ -243,8 +255,7 @@ def section_pairing(family: VectorFieldFamily, constraints, z, eps):
 
 def solve_return_times(family: VectorFieldFamily, y, eps, section,
                        tol: float = DEFAULT_TOL,
-                       with_variational: bool = False,
-                       trust_radius: float | None = None) -> ReturnSolve:
+                       with_variational: bool = False) -> ReturnSolve:
     """Find flow times s under X_1..X_k taking y back onto the section.
 
     Newton on the k section constraints; the jacobian is the pairing of
@@ -253,19 +264,19 @@ def solve_return_times(family: VectorFieldFamily, y, eps, section,
     times by the field value. Convergence needs both the constraint norm
     and the step norm at or below tol.
 
-    Raises :class:`NoConvergence` when y starts outside the section's
-    trust radius or the iteration budget runs out, and
+    The start y may sit far from the section base, since the loop-flow
+    image of a section point lies farther out under expanding
+    multipliers. A wild start is stopped by the iteration budget, by
+    :func:`section_pairing` and by the chart escape check of each leg;
+    :func:`~pnk.section.transversal_orbit` keeps an orbit's samples on
+    the near intersection by ``ORBIT_MAX_GROUP_TIME``.
+
+    Raises :class:`NoConvergence` when the iteration budget runs out, and
     :class:`SingularGeometry` when the pairing matrix degenerates (fields
     tangent to the section).
     """
     y = wrap_angles(as_point(y, family.n), section.base, section.angle_coords)
     eps = section.eps if eps is None else as_params(eps, family.p)
-    radius = section.trust_radius if trust_radius is None else trust_radius
-    dist = float(np.linalg.norm(y - section.base))
-    if dist > radius:
-        raise NoConvergence(
-            f"start point at distance {dist:.3g} from the section base "
-            f"exceeds the trust radius {radius:.3g}")
 
     constraints = section.constraints
     s = np.zeros(family.k)
@@ -289,5 +300,4 @@ def solve_return_times(family: VectorFieldFamily, y, eps, section,
     var = None
     if with_variational:
         z, var = _compose_legs(family, y, eps, s, tol, True)
-    g = constraints @ (z - section.base)
-    return ReturnSolve(s, z, it, float(np.max(np.abs(g))), var)
+    return ReturnSolve(s, z, it, var)

@@ -38,7 +38,6 @@ from .errors import DegenerateTangent, NonFinite, OpenLoop, PnkError
 from .flow import (DEFAULT_TOL, integrate_flow, integrate_orbit,
                    integrate_variational, section_pairing, solve_return_times)
 
-DEFAULT_TRUST_RADIUS = 0.1
 UNIT_TOL = 1e-8
 
 # Largest group time max|s| that projects a later sample of one orbit run:
@@ -65,8 +64,6 @@ class SectionFrame:
     constraints: np.ndarray        # k x n
     dual_transversal: np.ndarray   # r x n
     angle_coords: tuple[int, ...]
-    trust_radius: float
-    basis_cond: float
 
     @property
     def n(self) -> int:
@@ -85,15 +82,9 @@ class SectionFrame:
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.base + self.transversal_basis @ u
 
-    def coordinates(self, x) -> np.ndarray:
-        """Transversal coordinates of a chart point on the section."""
-        x = wrap_angles(as_point(x, self.n), self.base, self.angle_coords)
-        return self.transversal_basis.T @ (x - self.base)
-
 
 def build_section(family: VectorFieldFamily, seed: TorusSeed,
-                  m=None, eps=None,
-                  trust_radius: float = DEFAULT_TRUST_RADIUS) -> SectionFrame:
+                  m=None, eps=None) -> SectionFrame:
     """Build the orthogonal transversal section at m (default: seed base).
 
     The transversal complement is chosen orthogonal in chart coordinates
@@ -128,20 +119,17 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
         constraints=inv[:family.k],
         dual_transversal=inv[family.k:],
         angle_coords=seed.angle_coords,
-        trust_radius=float(trust_radius),
-        basis_cond=float(np.linalg.cond(frame)),
     )
 
 
-def _loop_variational(family, seed, alpha, m, eps, tol, closure_tol):
+def _loop_variational(family, seed, alpha, m, eps, tol):
     """Time-one variational flow of the loop field; returns (A, defect).
 
-    Raises :class:`OpenLoop` when the closure defect exceeds
-    ``closure_tol`` (default 10 * tol).
+    Raises :class:`OpenLoop` when the closure defect exceeds 10 * tol.
     """
     m = seed.base_point if m is None else as_point(m, family.n)
     eps = seed.eps0 if eps is None else as_params(eps, family.p)
-    closure_tol = 10.0 * tol if closure_tol is None else closure_tol
+    closure_tol = 10.0 * tol
     field = loop_field(family, alpha)
     res = integrate_variational(field, m, eps, 1.0, tol)
     end = wrap_angles(res.endpoint, m, seed.angle_coords)
@@ -154,16 +142,15 @@ def _loop_variational(family, seed, alpha, m, eps, tol, closure_tol):
 
 
 def total_monodromy(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                    m=None, eps=None, tol: float = DEFAULT_TOL,
-                    closure_tol: float | None = None) -> np.ndarray:
+                    m=None, eps=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Derivative of the time-one loop flow at m on the invariant torus.
 
     The loop's closure defect |flow(m) - m| (angles reduced mod 2*pi) must
-    stay below ``closure_tol`` (default 10 * tol); a larger defect means m
-    does not sit on an invariant torus and raises :class:`OpenLoop`. The
-    bound separates genuine drift from integrator noise.
+    stay below 10 * tol; a larger defect means m does not sit on an
+    invariant torus and raises :class:`OpenLoop`. The bound separates
+    genuine drift from integrator noise.
     """
-    return _loop_variational(family, seed, alpha, m, eps, tol, closure_tol)[0]
+    return _loop_variational(family, seed, alpha, m, eps, tol)[0]
 
 
 def transversal_linearization(A, frame: SectionFrame) -> np.ndarray:
@@ -191,8 +178,7 @@ class MonodromyReport:
 
 def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
                      m=None, eps=None, tol: float = DEFAULT_TOL,
-                     unit_tol: float = UNIT_TOL,
-                     closure_tol: float | None = None) -> MonodromyReport:
+                     unit_tol: float = UNIT_TOL) -> MonodromyReport:
     """Compute A, its transversal block and the paired spectra at m.
 
     The full spectrum is matched against the transversal spectrum plus k
@@ -200,8 +186,7 @@ def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
     ``trivial_unit_count`` counts full eigenvalues that landed on the unit
     block within ``unit_tol``.
     """
-    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol,
-                                       closure_tol)
+    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol)
     frame = build_section(family, seed, m, eps)
     trans = transversal_linearization(matrix, frame)
     full = spectra.sorted_complex(np.linalg.eigvals(matrix))
@@ -229,8 +214,7 @@ class TransversalMapResult:
 
 def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
                     u, eps=None, tol: float = DEFAULT_TOL,
-                    with_jacobian: bool = False,
-                    trust_radius: float | None = None) -> TransversalMapResult:
+                    with_jacobian: bool = False) -> TransversalMapResult:
     """Apply the section return map to transversal coordinates u.
 
     Flows the section point for time one under the loop field, then
@@ -254,7 +238,7 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     else:
         flow_res = None
         y = integrate_flow(field, x, eps, 1.0, tol).endpoint
-    ret = _project(family, frame, y, eps, tol, trust_radius, with_jacobian)
+    ret = solve_return_times(family, y, eps, frame, tol, with_jacobian)
     z = ret.endpoint
     u_out = frame.transversal_basis.T @ (z - frame.base)
     jac = None
@@ -267,19 +251,6 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)
 
 
-def _project(family, frame, y, eps, tol, trust_radius, with_variational=False):
-    """Return solve taking a loop-flow image y back onto the section."""
-    y = wrap_angles(y, frame.base, frame.angle_coords)
-    # the flow image may sit farther out than the input (expanding
-    # multipliers); the return solve must accept it, wild trajectories are
-    # still caught by its own Newton and the chart escape checks
-    radius = frame.trust_radius if trust_radius is None else trust_radius
-    radius = max(radius, 1.25 * float(np.linalg.norm(y - frame.base)))
-    return solve_return_times(family, y, eps, frame, tol=tol,
-                              with_variational=with_variational,
-                              trust_radius=radius)
-
-
 @dataclass(frozen=True)
 class TransversalOrbitResult:
     """Iterates of the section return map from chained loop-flow runs."""
@@ -289,8 +260,7 @@ class TransversalOrbitResult:
 
 
 def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
-                      u, count: int, eps=None, tol: float = DEFAULT_TOL,
-                      trust_radius: float | None = None
+                      u, count: int, eps=None, tol: float = DEFAULT_TOL
                       ) -> TransversalOrbitResult:
     """Iterates P(u), ..., P^count(u) of the section return map.
 
@@ -319,7 +289,7 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
         kept = 0
         for y in samples:
             try:
-                ret = _project(family, frame, y, eps, tol, trust_radius)
+                ret = solve_return_times(family, y, eps, frame, tol)
             except PnkError:
                 if not kept:
                     raise

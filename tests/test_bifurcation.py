@@ -221,7 +221,7 @@ class TestClassifyEvent:
 
     def test_resonant_rotation_flagged(self):
         mu = complex(math.cos(TWO_PI / 5), math.sin(TWO_PI / 5))
-        br = CrossingBracket((0,), np.array([-1e-7]), np.array([1e-7]),
+        br = CrossingBracket(np.array([-1e-7]), np.array([1e-7]),
                              0.999 * mu, 1.001 * mu, mu_mid=mu)
         ev = classify_event(br)
         assert ev.kind == CASE_C
@@ -230,7 +230,7 @@ class TestClassifyEvent:
     def test_degenerate_double_crossing(self):
         # two independent real criticals at the same parameter
         spec = np.array([1.0 + 0j, -1.0 + 0j, 0.3 + 0j])
-        br = CrossingBracket((0,), np.array([-1e-7]), np.array([1e-7]),
+        br = CrossingBracket(np.array([-1e-7]), np.array([1e-7]),
                              0.9999, 1.0001, mu_mid=1.0 + 0j,
                              spectrum_mid=spec)
         ev = classify_event(br)
@@ -361,8 +361,7 @@ class TestPostcriticalProbe:
                                    [0.04], CASE_B)
         for f in probe.fixed_points:
             out = transversal_map(sysm.family, frame, [1], f.u,
-                                  eps=[0.04], tol=1e-10,
-                                  trust_radius=2.0).u
+                                  eps=[0.04], tol=1e-10).u
             assert np.max(np.abs(out - f.u)) <= 1e-8
 
     def test_nothing_found_before_crossing(self, pitchfork_branch):

@@ -10,6 +10,7 @@ import pytest
 from pnk import ConfigError, continue_branch, parse_config
 from pnk.cli import main, run_config
 from pnk.config import build_run, eps_grid_values, load_config
+from pnk.flow import MIN_TOL
 from pnk.report import emit_branch_table, strip_volatile
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "run_configs"
@@ -57,6 +58,13 @@ class TestParseConfig:
             "alpha": [1], "resonance_tol": 1e-8})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
+        # the return solve has no trust radius
+        for analysis in ("continue", "bifurcate"):
+            doc = _hopf_config(analysis=analysis, options={
+                "alpha": [1], "trust_radius": 0.5,
+                "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}})
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(doc)
 
     @pytest.mark.parametrize("name", ["hopf", "uncoupled_oscillators",
                                       "pitchfork", "flip", "neimark"])
@@ -284,10 +292,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("analysis, key", [
         ("verify", "commutation_tol"), ("verify", "invariance_tol"),
         ("monodromy", "unit_tol"), ("monodromy", "spectrum_tol"),
-        ("continue", "delta_min"), ("continue", "trust_radius"),
+        ("continue", "delta_min"),
         ("bifurcate", "circle_tol"), ("bifurcate", "eps_tol"),
         ("bifurcate", "angle_tol"), ("bifurcate", "delta_min"),
-        ("bifurcate", "trust_radius"), ("torus", "closure_tol")])
+        ("torus", "closure_tol")])
     @pytest.mark.parametrize("value", [0, -1])
     def test_tolerance_not_positive_is_2(self, tmp_path, analysis, key,
                                          value):
@@ -299,6 +307,25 @@ class TestExitCodes:
                                              {**options, key: value}))
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("analysis, key", [
+        ("monodromy", "tol"), ("floquet", "tol"), ("continue", "tol"),
+        ("bifurcate", "tol"), ("bifurcate", "probe_tol"), ("torus", "tol")])
+    def test_tolerance_below_scipy_floor_is_2(self, tmp_path, capsys,
+                                              analysis, key):
+        options = {"monodromy": {"alpha": [1]}, "floquet": {"alpha": [1]},
+                   "torus": {"alpha": [1], "eps": [0.15]}}.get(
+            analysis, {"alpha": [1], "eps_grid": {"start": [0.1],
+                                                  "stop": [0.2], "num": 3}})
+        path = _write(tmp_path, _hopf_config(analysis,
+                                             {**options, key: 1e-16}))
+        assert main(["validate", str(path)]) == 2
+        assert f"options.{key}" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        path = _write(tmp_path, _hopf_config(analysis,
+                                             {**options, key: MIN_TOL}),
+                      "floor.json")
+        assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("angles", [[[0.0, 1.0]], [[]], [[0.0], []]],
                              ids=["two-angles", "empty", "second-empty"])

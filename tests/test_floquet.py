@@ -103,6 +103,10 @@ class TestIntegrationFailures:
         with pytest.raises((NonFinite, StepFailure)):
             fundamental_matrix(lambda t: [[1e3]], 10.0)
 
+    def test_tolerance_below_scipy_floor_rejected(self):
+        with pytest.raises(ValueError, match="MIN_TOL"):
+            fundamental_matrix(np.zeros((1, 1)), 1.0, tol=1e-16)
+
 
 class TestOneIntegrator:
     def test_every_integration_reaches_the_one_call(self, monkeypatch,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pnk import (Field, NoConvergence, NonFinite, SingularGeometry,
-                 StepFailure, build_section, integrate_flow,
-                 integrate_variational, loop_field, solve_return_times)
+from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
+                 build_section, integrate_flow, integrate_variational,
+                 loop_field, solve_return_times)
 from pnk.catalog import make_flip, make_hopf
-from pnk.flow import integrate_orbit
+from pnk.flow import MIN_TOL, integrate_orbit
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +33,13 @@ class TestIntegrateFlow:
     def test_scalar_exponential(self):
         res = integrate_flow(EXP1, [1.0], [], 1.0, tol=1e-12)
         assert res.endpoint[0] == pytest.approx(math.e, abs=1e-11)
+
+    def test_tolerance_below_scipy_floor_rejected(self):
+        # scipy would raise rtol to MIN_TOL with a warning
+        with pytest.raises(ValueError, match="MIN_TOL"):
+            integrate_flow(EXP1, [1.0], [], 1.0, tol=1e-16)
+        res = integrate_flow(EXP1, [1.0], [], 1.0, tol=MIN_TOL)
+        assert res.endpoint[0] == pytest.approx(math.e, abs=1e-12)
 
     def test_unit_winding_advances_angle(self, straight_sys):
         field = loop_field(straight_sys.family, [1, 0])
@@ -250,12 +257,13 @@ class TestSolveReturnTimes:
         np.testing.assert_allclose(res.times, [-delta, 0.0], atol=1e-12)
         np.testing.assert_allclose(res.endpoint, frame.base, atol=1e-11)
 
-    def test_outside_trust_radius_rejected(self, straight_sys):
+    def test_far_start_along_generators_returns(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
-        y = frame.base + np.array([5.0, 0.0, 0.0, 0.0])
-        with pytest.raises(NoConvergence):
-            solve_return_times(straight_sys.family, y,
-                               straight_sys.seed.eps0, frame)
+        y = frame.base + np.array([1.0, -1.2, 0.0, 0.0])
+        res = solve_return_times(straight_sys.family, y,
+                                 straight_sys.seed.eps0, frame)
+        np.testing.assert_allclose(res.times, [-1.0, 1.2], atol=1e-12)
+        np.testing.assert_allclose(res.endpoint, frame.base, atol=1e-12)
 
     def test_variational_of_return_composition(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
