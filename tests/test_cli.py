@@ -292,13 +292,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("analysis, key", [
         ("verify", "commutation_tol"), ("verify", "invariance_tol"),
         ("monodromy", "unit_tol"), ("monodromy", "spectrum_tol"),
-        ("continue", "delta_min"),
+        ("continue", "delta_min"), ("continue", "trust_radius"),
         ("bifurcate", "circle_tol"), ("bifurcate", "eps_tol"),
         ("bifurcate", "angle_tol"), ("bifurcate", "delta_min"),
-        ("torus", "closure_tol")])
+        ("bifurcate", "trust_radius"), ("torus", "closure_tol")])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_tolerance_not_positive_is_2(self, tmp_path, analysis, key,
-                                         value):
+    def test_tolerance_not_positive_is_2(self, tmp_path, capsys, analysis,
+                                         key, value):
+        # trust_radius is no longer an option: a config that still sets it
+        # is refused as an unknown key, whatever its value
         options = {"verify": {}, "monodromy": {"alpha": [1]},
                    "torus": {"alpha": [1], "eps": [0.15]}}.get(
             analysis, {"alpha": [1], "eps_grid": {"start": [0.1],
@@ -306,6 +308,7 @@ class TestExitCodes:
         path = _write(tmp_path, _hopf_config(analysis,
                                              {**options, key: value}))
         assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("analysis, key", [
