@@ -16,8 +16,9 @@ carries the twin fixed-point branches and which the period-two points.
 Probes at a real crossing therefore let the sign of the critical
 multiplier choose: Newton starts from normal-form seeds on the critical
 eigenvector, on P for a positive and on P o P for a negative multiplier.
-Only when the seeds find nothing does a star of starts search for both
-object types; the report states which search ran and what was found.
+A Degenerate probe runs the searches of the cases it mixes: the seeds on
+the real multiplier nearest the unit circle, and the circle fit when the
+linearization has a complex pair. The report states what was found.
 
 Iterates of P are return maps of longer loops, P^n = P_{n alpha} (see
 :mod:`pnk.section`): P o P and its jacobian come from one map at winding
@@ -52,8 +53,6 @@ DEGENERATE = "Degenerate"
 # postcritical_probe state them.
 TIE_TOL = 1e-9
 DEGENERATE_TOL = 1e-3
-PROBE_DIRECTIONS = 8
-PROBE_RADII = 4
 PROBE_MAX_ITER = 30
 PROBE_EXCLUDE_TOL = 1e-6
 
@@ -61,13 +60,11 @@ KIND_LABELS = {
     CASE_A: ("real multiplier -1: conventionally a period-doubling (a "
              "2-cycle of the map); this label is also associated with twin "
              "fixed-point branches in part of the literature; the probe solves "
-             "from normal-form seeds on the critical eigenvector and, when "
-             "they find nothing, searches for both with a star of starts"),
+             "from normal-form seeds on the critical eigenvector"),
     CASE_B: ("real multiplier +1: conventionally twin fixed-point branches "
              "(pitchfork-type); this label is also associated with "
              "period-two points in part of the literature; the probe solves "
-             "from normal-form seeds on the critical eigenvector and, when "
-             "they find nothing, searches for both with a star of starts"),
+             "from normal-form seeds on the critical eigenvector"),
     CASE_C: ("complex pair on the unit circle: an invariant circle of the "
              "map, i.e. an invariant torus of one more dimension for the "
              "flow"),
@@ -322,9 +319,8 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
 
 @dataclass(frozen=True)
 class ProbeOptions:
-    """Search radius (also the step of the normal-form seed fit and the
-    outer radius of the fallback star), Newton tolerance, and
-    orbit-sampling controls.
+    """Search radius (also the step of the normal-form seed fit),
+    Newton tolerance, and orbit-sampling controls.
 
     The CaseC probe drops ``transient`` iterates and fits the next
     ``n_samples``, all from one loop-flow run, by a radial Fourier series
@@ -376,38 +372,24 @@ class ProbeReport:
     notes: str
 
 
-def _probe_directions(r: int, count: int) -> list[np.ndarray]:
-    eye = np.eye(r)
-    dirs: list[np.ndarray] = []
-    for i in range(r):
-        dirs.append(eye[i])
-        dirs.append(-eye[i])
-    for i in range(r):
-        for j in range(i + 1, r):
-            d = (eye[i] + eye[j]) / math.sqrt(2.0)
-            dirs.append(d)
-            dirs.append(-d)
-            d2 = (eye[i] - eye[j]) / math.sqrt(2.0)
-            dirs.append(d2)
-            dirs.append(-d2)
-    return dirs[:count] if len(dirs) >= count else dirs
-
-
 def _cycle_key(a, b) -> np.ndarray:
     """Order-independent representative of a 2-cycle for deduplication."""
     return np.asarray(min((tuple(a), tuple(b))))
 
 
-def _fit_circle(orbit, u_star, spectrum_vecs, opts):
-    """Sample the orbit of the map near u_star and fit radius(theta) with
-    a Fourier series; ``orbit(u, count)`` returns P(u), ..., P^count(u).
+def _complex_direction(ell):
+    """Eigenvector of the complex multiplier of ``ell`` of largest modulus,
+    or None when every multiplier is real."""
+    vals, vecs = np.linalg.eig(ell)
+    pair = [i for i in np.argsort(-np.abs(vals)) if abs(vals[i].imag) > 1e-9]
+    return vecs[:, pair[0]] if pair else None
+
+
+def _fit_circle(orbit, u_star, v, opts):
+    """Sample the orbit of the map near u_star, starting in the plane of
+    the complex eigenvector v, and fit radius(theta) with a Fourier
+    series; ``orbit(u, count)`` returns P(u), ..., P^count(u).
     """
-    vals, vecs = spectrum_vecs
-    order = np.argsort(-np.abs(vals))
-    pair = [i for i in order if abs(vals[i].imag) > 1e-9]
-    if not pair:
-        raise NothingFound("no complex multiplier pair at the probe parameter")
-    v = vecs[:, pair[0]]
     plane, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
     u = u_star + plane[:, 0] * (0.5 * opts.search_radius)
     try:
@@ -474,34 +456,35 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                        opts: ProbeOptions | None = None) -> ProbeReport:
     """Search for the post-critical objects of the map just past a crossing.
 
-    Real crossings (CaseA/CaseB) first solve from normal-form seeds on
-    the critical eigenvector v of L = DP(u0): the target is P for a
-    positive critical multiplier mu and P o P for a negative one, the
-    reduced map g(s) = w.(F(u0 + s v) - u0) - s is fitted as a cubic
-    through F(u0 +- search_radius v) (w the left eigenvector, w.v = 1),
-    and its nonzero real branch amplitudes within the search radius seed
-    Newton (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4);
-    P o P is one map at winding 2 alpha, jacobian included.
-    When the seeds find nothing (no real amplitude before or in a
-    subcritical crossing, or Newton falls back onto u0), and always for
-    Degenerate, a deterministic star of starts (``PROBE_DIRECTIONS`` x
-    ``PROBE_RADII``, radii geometric between 10*tol and the search
-    radius) is probed for both non-trivial fixed points and genuine
-    2-cycles. Each start gets ``PROBE_MAX_ITER`` Newton iterations; a
-    fixed point within ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose
-    points are that close, is not new, and finds closer than
-    max(``PROBE_EXCLUDE_TOL``, 100*tol) to an earlier one are merged.
+    Real crossings (CaseA/CaseB) solve from normal-form seeds on the
+    critical eigenvector v of L = DP(u0): the target is P for a positive
+    critical multiplier mu and P o P for a negative one, the reduced map
+    g(s) = w.(F(u0 + s v) - u0) - s is fitted as a cubic through
+    F(u0 +- search_radius v) (w the left eigenvector, w.v = 1), and its
+    nonzero real branch amplitudes within the search radius seed Newton
+    (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4); P o P is
+    one map at winding 2 alpha, jacobian included. Each seed gets
+    ``PROBE_MAX_ITER`` Newton iterations; a fixed point within
+    ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
+    close, is not new, and finds closer than max(``PROBE_EXCLUDE_TOL``,
+    100*tol) to an earlier one are merged.
     CaseC samples an orbit from one loop-flow run
-    (:func:`~pnk.section.transversal_orbit`) and fits an invariant
-    circle by a radial Fourier series around the continued fixed point.
+    (:func:`~pnk.section.transversal_orbit`), started in the plane of
+    the complex eigenvector of L, and fits an invariant circle by a
+    radial Fourier series around the continued fixed point.
+    Degenerate runs the searches of the cases it mixes: the seeds on the
+    real multiplier of L nearest the unit circle, when L has one, and
+    the circle fit when L has a complex pair.
     Every find is re-verified under the map
     before being reported; finds correspond to new invariant tori of the
     flow (twin tori, a doubled torus, or a torus of one more dimension).
-    Raises :class:`NothingFound` when the search comes up empty, which
-    may indicate a subcritical scenario, or when the CaseC orbit escapes
-    (leaves five search radii, or its integration fails), and
-    ``ValueError`` for options outside the bounds :class:`ProbeOptions`
-    states.
+    Raises :class:`NothingFound` when nothing is found within the search
+    radius (no real amplitude before or in a subcritical crossing, or
+    Newton falls back onto u0), which may indicate a subcritical
+    scenario, or when the circle orbit escapes (leaves five search
+    radii, or its integration fails); a Degenerate probe raises only
+    when neither search finds anything. Raises ``ValueError`` for
+    options outside the bounds :class:`ProbeOptions` states.
     """
     opts = opts or ProbeOptions()
     if not opts.search_radius > 0:
@@ -594,41 +577,40 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                 for s in _seed_amplitudes(lam, g_plus, g_minus, h)]
 
     if kind in (CASE_A, CASE_B, DEGENERATE):
-        search = "by the star search (degenerate crossing)"
-        if kind != DEGENERATE:
-            starts = seeds()
-            for twice, guess in starts:
-                classify(twice, guess)
-            search = (f"from {len(starts)} normal-form seed(s) on the "
-                      "critical eigenvector")
-            if not fixed and not cycles:
-                search = (f"by the star search after {len(starts)} "
-                          "normal-form seed(s) found nothing")
-        if not fixed and not cycles:
-            starts = [u0 + rad * d
-                      for rad in np.geomspace(10.0 * opts.tol,
-                                              opts.search_radius, PROBE_RADII)
-                      for d in _probe_directions(frame.r, PROBE_DIRECTIONS)]
-            for twice in (False, True):
-                for guess in starts:
-                    classify(twice, guess)
+        starts = seeds()
+        for twice, guess in starts:
+            classify(twice, guess)
         notes.append(f"{len(fixed)} non-trivial fixed point(s), "
-                     f"{len(cycles)} two-cycle(s) found {search}")
-        if not fixed and not cycles:
-            raise NothingFound(
-                "no non-trivial fixed points or 2-cycles within the search "
-                "radius; possibly a subcritical scenario")
+                     f"{len(cycles)} two-cycle(s) found from {len(starts)} "
+                     "normal-form seed(s) on the critical eigenvector")
 
     if kind in (CASE_C, DEGENERATE):
+        v = _complex_direction(ell0)
+        if v is None and kind == CASE_C:
+            raise NothingFound("no complex multiplier pair at the probe "
+                               "parameter")
+
         def orbit(u, count):
             return transversal_orbit(family, frame, alpha, u, count, eps_post,
                                      opts.tol).u
 
-        circle = _fit_circle(orbit, u0, np.linalg.eig(ell0), opts)
-        notes.append(f"invariant circle of mean radius {circle.mean_radius:.6g} "
-                     f"(fit residual {circle.fit_residual:.2g}); corresponds "
-                     "to an invariant torus of one more dimension for the flow")
+        if v is not None:
+            try:
+                circle = _fit_circle(orbit, u0, v, opts)
+            except NothingFound:
+                if not fixed and not cycles:
+                    raise  # a Degenerate probe keeps what the seeds found
+            else:
+                notes.append(f"invariant circle of mean radius "
+                             f"{circle.mean_radius:.6g} (fit residual "
+                             f"{circle.fit_residual:.2g}); corresponds to an "
+                             "invariant torus of one more dimension for the "
+                             "flow")
 
+    if not fixed and not cycles and circle is None:
+        raise NothingFound(
+            "no non-trivial fixed points or 2-cycles within the search "
+            "radius; possibly a subcritical scenario")
     return ProbeReport(kind, eps_post, u0, base_spec, fixed, cycles, circle,
                        "; ".join(notes))
 

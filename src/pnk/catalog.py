@@ -11,13 +11,13 @@ flows of the 2*pi-scaled loop combinations close up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .core import TWO_PI, Field, TorusSeed, VectorFieldFamily, as_params
+from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params
 from .errors import NonCommuting
 
 __all__ = [

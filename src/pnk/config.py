@@ -16,10 +16,12 @@ and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
 ``search_radius`` must be positive, and the integration tolerances
 ``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
 about 2.2e-14); the integers ``samples``, ``n_samples`` and ``n_out``
-are >= 1, ``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed`` and
-``max_iter`` >= 0. ``build_run`` adds the checks that need the built
-family: vector lengths and the grid start. The torus, output and
-polynomial sections are checked by hand.
+are >= 1 and <= ``MAX_COUNT``, ``grid`` >= 4, ``grid_per_angle`` >= 2,
+``seed`` and ``max_iter`` >= 0. ``build_run`` adds the checks that need
+the built family: vector lengths, the grid start, and the ``grid**k``
+and ``grid_per_angle**k`` points of a k-torus grid, at most
+``MAX_COUNT``. The torus, output and polynomial sections are checked by
+hand.
 
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
@@ -40,6 +42,10 @@ from .continuation import _checked_path
 from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
 from .flow import MIN_TOL
+
+# Largest sample count or torus grid size a run may ask for: more would
+# exhaust memory or run without end rather than fail cleanly.
+MAX_COUNT = 10**6
 
 
 def _require_mapping(value, path):
@@ -68,11 +74,13 @@ def _as_number(value, path, positive=False):
     return float(value)
 
 
-def _as_int(value, path, minimum=None):
+def _as_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}")
     return int(value)
 
 
@@ -121,8 +129,8 @@ def _integration_tol(value, path):
     return value
 
 
-def _at_least(minimum):
-    return lambda value, path: _as_int(value, path, minimum)
+def _int_range(minimum, maximum=None):
+    return lambda value, path: _as_int(value, path, minimum, maximum)
 
 
 def _winding(value, path):
@@ -149,27 +157,27 @@ def _as_grid(value, path):
 REQUIRED = object()  # the table default of a key the config must give
 
 # Groups shared by several analyses: the loop class with its integration
-# tolerance, the Newton budget, and the branch continuation settings.
+# tolerance, the Newton budget, a sample count, and the branch settings.
 _LOOP = {"alpha": (REQUIRED, _winding), "tol": (1e-10, _integration_tol)}
-_NEWTON = {"max_iter": (20, _at_least(0))}
+_NEWTON = {"max_iter": (20, _int_range(0))}
+_COUNT = _int_range(1, MAX_COUNT)  # a number of samples
 _BRANCH = {**_LOOP, **_NEWTON, "delta_min": (1e-6, _positive),
            "eps_grid": (REQUIRED, _as_grid)}
 
 _OPTIONS = {
     "verify": {
-        "samples": (20, _at_least(1)), "seed": (0, _at_least(0)),
+        "samples": (20, _COUNT), "seed": (0, _int_range(0)),
         "ball_radius": (0.05, _as_number),
         "commutation_tol": (1e-8, _positive),
         "invariance_tol": (1e-8, _positive),
         # the invariance check needs 4 grid points per angle
-        "grid": (8, _at_least(4)),
+        "grid": (8, _int_range(4)),
     },
     "monodromy": {
         **_LOOP, "unit_tol": (1e-8, _positive),
         "sample_angles": ([], _as_vectors), "spectrum_tol": (1e-6, _positive),
     },
-    "floquet": {**_LOOP, "n_samples": (256, _at_least(1)),
-                "n_out": (129, _at_least(1))},
+    "floquet": {**_LOOP, "n_samples": (256, _COUNT), "n_out": (129, _COUNT)},
     "continue": _BRANCH,
     "bifurcate": {
         **_BRANCH, "circle_tol": (1e-9, _positive),
@@ -180,7 +188,7 @@ _OPTIONS = {
     "torus": {
         **_LOOP, **_NEWTON, "eps": (REQUIRED, _as_vector),
         # a torus row needs 2 points per angle
-        "grid_per_angle": (32, _at_least(2)),
+        "grid_per_angle": (32, _int_range(2)),
         "closure_tol": (1e-8, _positive),
     },
 }
@@ -519,8 +527,9 @@ def build_run(config: RunConfig) -> RunSetup:
     :class:`ConfigError` naming ``system.params``. A parameter vector of
     the wrong length in ``options.eps`` (``torus``) or ``options.eps_grid``
     (``continue``, ``bifurcate``), an ``options.sample_angles`` entry whose
-    length is not the torus dimension, and a grid that does not start at
-    the seed parameter raise :class:`ConfigError` naming the option.
+    length is not the torus dimension, a grid that does not start at the
+    seed parameter, and an angle grid of more than ``MAX_COUNT`` points
+    raise :class:`ConfigError` naming the option.
     """
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
@@ -552,6 +561,12 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
             raise ConfigError(
                 f"options.sample_angles[{i}]: expected {family.k} angles, "
                 f"got {len(angles)}")
+    for key in ("grid", "grid_per_angle"):
+        per_angle = config.options.get(key)
+        if per_angle is not None and per_angle ** seed.k > MAX_COUNT:
+            raise ConfigError(
+                f"options.{key}: {per_angle}**{seed.k} grid points exceed "
+                f"{MAX_COUNT}")
     if seed.eps0.size != family.p:
         raise ConfigError(
             f"torus: seed parameter has length {seed.eps0.size}, the family "

@@ -5,7 +5,6 @@ lines as they pass. Every tolerance is pinned here; nothing is deferred to
 later calibration.
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pnk import (CASE_A, CASE_B, CASE_C, MatchingAmbiguityWarning,
-                 NothingFound, ProbeOptions, analyze_branch, build_section,
-                 classify_event, continue_branch, detect_crossings,
-                 postcritical_probe, track_multipliers, transversal_map)
+from pnk import (CASE_A, CASE_B, CASE_C, DEGENERATE,
+                 MatchingAmbiguityWarning, NothingFound, ProbeOptions,
+                 analyze_branch, build_section, classify_event,
+                 continue_branch, detect_crossings, postcritical_probe,
+                 track_multipliers, transversal_map)
 from pnk import bifurcation
 from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
@@ -238,9 +239,8 @@ class TestClassifyEvent:
 
 
 class TestPostcriticalProbe:
-    # Field evaluations of one probe at eps 0.04. The normal-form seeds
-    # take 3,651 (flip) and 949 (pitchfork); the star alone took 37,537
-    # and 5,209, most of its solves finding the base point again.
+    # Field evaluations of one probe at eps 0.04: the normal-form seeds
+    # take 3,651 (flip) and 949 (pitchfork).
     def test_flip_probe_work(self, flip_branch, counted_family):
         sysm, branch = flip_branch
         fam, calls = counted_family(sysm.family)
@@ -378,6 +378,25 @@ class TestPostcriticalProbe:
             postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
                                [0.04], CASE_B,
                                ProbeOptions(search_radius=radius))
+
+    @pytest.mark.parametrize("branch_name", ["flip_branch", "neimark_branch"])
+    def test_degenerate_probe(self, request, branch_name):
+        # a degenerate crossing runs the seeds on the real critical
+        # multiplier and the circle fit on a complex pair, whichever L has
+        sysm, branch = request.getfixturevalue(branch_name)
+        opts = (ProbeOptions(transient=120, n_samples=64)
+                if branch_name == "neimark_branch" else None)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], DEGENERATE, opts)
+        assert not probe.fixed_points
+        if branch_name == "flip_branch":
+            assert len(probe.two_cycles) == 1
+            amp = sorted(abs(pt[0]) for pt in probe.two_cycles[0].points)
+            np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
+            assert probe.circle is None
+        else:
+            assert not probe.two_cycles
+            assert probe.circle.mean_radius == pytest.approx(0.2, rel=0.05)
 
     def test_tiny_search_radius_finds_nothing(self, pitchfork_branch):
         # the seed fit divides by powers of the radius: none may underflow

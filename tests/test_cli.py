@@ -9,7 +9,7 @@ import pytest
 
 from pnk import ConfigError, continue_branch, parse_config
 from pnk.cli import main, run_config
-from pnk.config import build_run, eps_grid_values, load_config
+from pnk.config import MAX_COUNT, build_run, eps_grid_values, load_config
 from pnk.flow import MIN_TOL
 from pnk.report import emit_branch_table, strip_volatile
 
@@ -287,6 +287,25 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         path = _write(tmp_path, _hopf_config(analysis, {**alpha, key: least}),
                       "least.json")
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("analysis, key, bad", [
+        ("verify", "grid", 2**62), ("verify", "samples", 2**63),
+        ("floquet", "n_samples", 2**62), ("floquet", "n_out", 2**62),
+        ("torus", "grid_per_angle", 2**62)])
+    def test_count_above_maximum_is_2(self, tmp_path, capsys, analysis, key,
+                                      bad):
+        # too large for memory, or (samples) a run without end
+        options = {"verify": {}, "floquet": {"alpha": [1]},
+                   "torus": {"alpha": [1], "eps": [0.15]}}[analysis]
+        path = _write(tmp_path, _hopf_config(analysis, {**options, key: bad}))
+        assert main(["validate", str(path)]) == 2
+        assert f"options.{key}" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"options.{key}" in capsys.readouterr().err
+        path = _write(tmp_path, _hopf_config(analysis,
+                                             {**options, key: MAX_COUNT}),
+                      "most.json")
         assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("analysis, key", [
