@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectra
 from .core import TorusSeed, VectorFieldFamily, as_params, loop_field, wrap_angles
-from .errors import NoConvergence, OpenTorus, SingularJacobian
+from .errors import NoConvergence, OpenTorus, PnkError, SingularJacobian
 from .flow import DEFAULT_TOL, integrate_flow, integrate_orbit
 from .section import SectionFrame, build_section, transversal_map
 
@@ -237,7 +237,9 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     :func:`predict_fixed_point` through the last three accepted points;
     the branch stops with ``stopped_at_critical`` when the margin
     min |lambda - 1| falls below ``delta_min`` and with ``diverged`` when
-    a corrector fails (failures are recorded, not raised).
+    a slice raises any :class:`~pnk.errors.PnkError` (a corrector that
+    fails, or a map whose flow fails): failures are recorded, with the
+    slice and its parameter, not raised, so the report keeps the points.
     """
     opts = opts or ContinuationOptions()
     path = _checked_path(eps_path, seed.eps0, family.p)
@@ -253,8 +255,10 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
         try:
             nr = newton_fixed_point(family, seed, alpha, frame, eps, guess,
                                     opts.tol, opts.max_iter)
-        except (NoConvergence, SingularJacobian) as exc:
-            status, message = "diverged", f"slice {idx} at eps={eps}: {exc}"
+        except PnkError as exc:
+            status = "diverged"
+            message = (f"slice {idx} at eps={eps}: "
+                       f"{type(exc).__name__}: {exc}")
             break
         pt = _branch_point(nr, eps, opts.delta_min)
         points.append(pt)

@@ -30,11 +30,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, logm
 
-from . import spectra
+from . import flow, spectra
 from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding,
                    loop_field)
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
-from .flow import ATOL_FACTOR, DEFAULT_TOL, _run
+from .flow import ATOL_FACTOR, DEFAULT_TOL
 from .section import build_section
 
 FRAME_FD_STEP = 1e-3
@@ -106,11 +106,11 @@ def _transport_gauge(family, seed, eps0, a, period):
         pdot = projector_dot(t)
         return pdot @ p - p @ pdot
 
-    def rhs(t, svec):
-        return (transport(t) @ svec.reshape(n, r)).ravel()
+    def rhs(t, svec, out):
+        np.matmul(transport(t), svec.reshape(n, r), out=out.reshape(n, r))
 
-    sol = _run(rhs, base.transversal_basis.ravel(), period, 1e-11, 1e-13,
-               dense_output=True)
+    sol = flow._run(rhs, base.transversal_basis.ravel(), period, 1e-11,
+                    1e-13, dense_output=True)
     holonomy = float(np.max(np.abs(
         sol.y[:, -1].reshape(n, r) - base.transversal_basis)))
     if holonomy > 1e-6:
@@ -209,11 +209,11 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     if T <= 0:
         raise ValueError("period must be positive")
 
-    def rhs(t, y):
-        return (func(t) @ y.reshape(r, r)).ravel()
+    def rhs(t, y, out):
+        np.matmul(func(t), y.reshape(r, r), out=out.reshape(r, r))
 
-    sol = _run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
-               dense_output=True)
+    sol = flow._run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
+                    dense_output=True)
     times = np.linspace(0.0, T, n_out)
     samples = np.stack([sol.sol(t).reshape(r, r) for t in times])
     q = sol.y[:, -1].reshape(r, r).copy()
@@ -314,13 +314,14 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
     def forcing(t):
         return np.asarray(bhat(t), dtype=float).reshape(r)
 
-    def rhs(t, y):
-        return func(t) @ y + forcing(t)
+    def rhs(t, y, out):
+        np.matmul(func(t), y, out=out)
+        out += forcing(t)
 
     atol = tol * ATOL_FACTOR
-    part = _run(rhs, np.zeros(r), T, tol, atol)
+    part = flow._run(rhs, np.zeros(r), T, tol, atol)
     u0 = np.linalg.solve(np.eye(r) - fm.Q, part.y[:, -1])
-    sol = _run(rhs, u0, T, tol, atol, dense_output=True)
+    sol = flow._run(rhs, u0, T, tol, atol, dense_output=True)
     times = np.linspace(0.0, T, n_out)
     samples = np.stack([sol.sol(t) for t in times])
     samples[-1] = sol.y[:, -1]

@@ -1,20 +1,27 @@
 """Adaptive integration of flows and variational (tangent) flows.
 
-:func:`_run` is the one integration routine of pnk, and the only
-``solve_ivp`` call: it serves flows, orbit samples, variational flows,
-the Floquet frame transport, fundamental matrices and forced responses.
-One run may make at most ``MAX_EVALS`` = 100,000 right-hand-side calls;
-beyond that it raises :class:`~pnk.errors.StepFailure`, so a stiff or
-non-finite field stops instead of stepping on. A run that stops short
-raises :class:`~pnk.errors.NonFinite` or :class:`~pnk.errors.StepFailure`.
+:func:`_run` is the one integration routine of pnk: it serves flows,
+orbit samples, variational flows, the Floquet frame transport,
+fundamental matrices and forced responses. One run may make at most
+``MAX_EVALS`` = 100,000 right-hand-side calls; beyond that it raises
+:class:`~pnk.errors.StepFailure`, so a stiff or non-finite field stops
+instead of stepping on. A run that stops short raises
+:class:`~pnk.errors.NonFinite` or :class:`~pnk.errors.StepFailure`.
 
-The stepper is scipy's DOP853, the explicit Dormand-Prince Runge-Kutta
-8(5,3) pair with scipy's elementary step-size control (no PI term), run
-at rtol = tol and atol = tol / 100 so the default tol = 1e-10 lands at
-the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
-gaps, so integration error has to sit well below them; tolerances are
-per-call arguments everywhere, none below ``MIN_TOL`` (scipy's rtol floor,
-100 machine epsilons, about 2.2e-14).
+The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
+pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
+Equations I*, sec. II.10), with elementary step-size control (no PI
+term). :func:`_run` owns the step loop but does scipy's arithmetic in
+scipy's order: the tableau is scipy's ``dop853_coefficients``, and the
+initial step, the controller, the error norm, the dense output and the
+``t_eval`` sampling are those of ``solve_ivp(method="DOP853")``, whose
+results it reproduces bit for bit. What it saves is the per-call
+wrapping: a right-hand side writes each stage derivative straight into
+its row of the stage array. Runs use rtol = tol and atol = tol / 100,
+so the default tol = 1e-10 lands at the (1e-10, 1e-12) pair. Monodromy
+spectra downstream feed eigenvalue gaps, so integration error has to
+sit well below them; tolerances are per-call arguments everywhere, none
+below ``MIN_TOL`` (100 machine epsilons, about 2.2e-14).
 
 :func:`integrate_orbit` samples one orbit at many times from a single
 run: the samples come from DOP853's dense output (its continuous
@@ -34,12 +41,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, OdeSolver
+from scipy.integrate._ivp import dop853_coefficients as dop853
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.common import select_initial_step
+from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
+                                     Dop853DenseOutput)
 
 from .core import Field, VectorFieldFamily, as_params, as_point, wrap_angles
 from .errors import Escape, NoConvergence, NonFinite, SingularGeometry, StepFailure
 
-# The solve_ivp method of every integration in pnk (flow and floquet).
+# The method of every integration in pnk (flow and floquet), as reported.
 METHOD = "DOP853"
 DEFAULT_TOL = 1e-10
 ATOL_FACTOR = 1e-2
@@ -48,12 +60,19 @@ RETURN_MAX_ITER = 25
 # Right-hand-side calls one integration may make before StepFailure.
 MAX_EVALS = 100_000
 
-# Smallest relative tolerance of an integration: scipy raises a smaller
-# rtol to this with a warning, so the run would not be the one requested.
+# Smallest relative tolerance of an integration, 100 machine epsilons:
+# the floor of scipy's solvers, below which the local error test would
+# mostly measure rounding. A smaller tol is refused, not raised to it.
 MIN_TOL = 100 * np.finfo(float).eps
 
 # Below this, a requested flow time is treated as zero (no integration).
 TINY_TIME = 1e-14
+
+# DOP853 takes 12 stages per step and 3 more for its dense output; the
+# step-size controller works with its 7th-order error estimator.
+_STAGES = dop853.N_STAGES
+_ERROR_ORDER = 7
+_ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
 
 @dataclass(frozen=True)
@@ -73,9 +92,23 @@ class VariationalResult:
     steps_taken: int
 
 
+@dataclass(frozen=True)
+class Run:
+    """What :func:`_run` returns, laid out as ``solve_ivp`` lays it out.
+
+    ``t`` holds the accepted step times (the ``t_eval`` times when
+    given) and ``y`` the states there, one column each; ``sol`` is the
+    piecewise dense output when requested, else None.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: OdeSolution | None
+
+
 def _check_state(x, chart_radius):
     # One reduction: NaN and inf propagate through max.
-    m = float(np.abs(x).max())
+    m = float(np.maximum.reduce(np.abs(x), axis=None))
     if not math.isfinite(m):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
     if chart_radius is not None and m > chart_radius:
@@ -83,13 +116,13 @@ def _check_state(x, chart_radius):
 
 
 def _checked_rhs(field: Field, eps):
-    """The field as a solve_ivp right-hand side that checks each state."""
+    """The field as a :func:`_run` right-hand side that checks each state."""
     value = field.value
     radius = field.chart_radius
 
-    def rhs(_t, y):
+    def rhs(_t, y, out):
         _check_state(y, radius)
-        return value(y, eps)
+        out[:] = value(y, eps)
 
     return rhs
 
@@ -99,35 +132,198 @@ def _check_tol(tol):
         raise ValueError(f"tol must be at least MIN_TOL = {MIN_TOL:.3g}")
 
 
-def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False):
+def _stages(fun, stages, t, y, h, dy, y_stage):
+    """Evaluate ``stages`` of a DOP853 step of size h from (t, y).
+
+    Each stage (K[:s].T, a, c, K[s]) writes the derivative at time
+    t + c h and state y + h (K[:s].T @ a) into its row K[s]; dy and
+    y_stage are the buffers of the increment and of the state.
+    """
+    for kt, a, c, out in stages:
+        np.dot(kt, a, out=dy)
+        dy *= h
+        np.add(y, dy, out=y_stage)
+        fun(t + c * h, y_stage, out)
+
+
+def _error_norm(k_step, h_abs, scale, err5, err3):
+    """The DOP853 error norm of a step with stages ``k_step`` (K[:13].T),
+    from its 5th- and 3rd-order estimates (written into err5 and err3)."""
+    np.dot(k_step, dop853.E5, out=err5)
+    err5 /= scale
+    np.dot(k_step, dop853.E3, out=err3)
+    err3 /= scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return h_abs * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
     """The one integration routine, over [0, t] (see the module docstring).
 
-    Raises ValueError for an rtol below ``MIN_TOL``.
+    ``rhs(s, y, out)`` writes the derivative at time s and state y into
+    ``out``, the stage row it fills; it must keep neither array after it
+    returns, since both are buffers of the next stage. ``t_eval``, when
+    given, lies in the span and is sorted in the direction of t.
+
+    Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0.
     """
     _check_tol(rtol)
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(
+            "All components of the initial state `y0` must be finite.")
+    n = y.size
+    t0, t_bound = 0.0, float(t)
+    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
     calls = 0
 
-    def budgeted(s, y):
+    def fun(s, x, out):
         nonlocal calls
         calls += 1
         if calls > MAX_EVALS:
             raise StepFailure(
                 f"integration exceeded {MAX_EVALS} field evaluations")
-        return rhs(s, y)
+        rhs(s, x, out)
+        return out
 
+    # Row s of K is stage s; row _STAGES is the derivative at the step's
+    # end, which the next step copies to its stage 0. The stage views and
+    # the increment, state and error buffers serve every step of the run.
+    K = np.empty((dop853.N_STAGES_EXTENDED, n))
+    stages = [(K[:s].T, dop853.A[s, :s], float(dop853.C[s]), K[s])
+              for s in range(1, dop853.N_STAGES_EXTENDED)]
+    step_stages, extra_stages = stages[:_STAGES - 1], stages[_STAGES:]
+    k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
+    dy, y_stage, err5, err3 = np.empty((4, n))
+
+    def step(t_old, y_old, h_abs):
+        """Trial steps from (t_old, y_old), from size h_abs on, until one
+        passes the error test: (t_new, y_new, h, next h_abs), or None
+        once the size falls below 10 spacings of t_old."""
+        K[0] = f_new
+        min_step = 10 * abs(math.nextafter(t_old, direction * math.inf)
+                            - t_old)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            h = h_abs * direction
+            t_new = t_old + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t_old
+            h_abs = abs(h)
+            _stages(fun, step_stages, t_old, y_old, h, dy, y_stage)
+            y_new = y_old + h * np.dot(k_body, dop853.B)
+            fun(t_old + h, y_new, f_new)
+            scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
+            error_norm = _error_norm(k_step, h_abs, scale, err5, err3)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                return t_new, y_new, h, h_abs * factor
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        return None
+
+    def dense(t_old, t_new, y_old, y_new, h):
+        """The dense output over the step just accepted."""
+        if t_new == t_old:
+            return ConstantDenseOutput(t_old, t_new, y_new)
+        _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage)
+        F = np.empty((dop853.INTERPOLATOR_POWER, n))
+        f_old = K[0]
+        delta_y = y_new - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * np.dot(dop853.D, K)
+        return Dop853DenseOutput(t_old, t_new, y_old, F)
+
+    if t_eval is None:
+        ts, ys = [t0], [y]
+    else:
+        # searchsorted needs t_eval increasing; t_eval_i bounds the
+        # samples taken so far
+        t_eval = np.asarray(t_eval)
+        ts, ys, ti = [], [], [t0]
+        if direction > 0:
+            t_eval_i = 0
+        else:
+            t_eval = t_eval[::-1]
+            t_eval_i = t_eval.shape[0]
+    interpolants = []
+    t_now = t0
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(budgeted, (0.0, t), y0, method=METHOD, rtol=rtol,
-                        atol=atol, t_eval=t_eval, dense_output=dense_output)
-    if sol.status != 0:
-        # with t_eval, sol.y holds the samples reached so far (maybe none)
-        reached = np.asarray(sol.y)
-        last = reached[:, -1] if reached.size else y0
+        fun(t0, y, f_new)
+        h_abs = select_initial_step(
+            lambda s, x: fun(s, x, K[1]), t0, y, t_bound, np.inf, f_new,
+            direction, _ERROR_ORDER, rtol, atol)
+        finished = False
+        while not finished:
+            t_old, y_old = t_now, y
+            if t_now == t_bound:
+                # a zero-length run: one step that stays put
+                t_now, h, finished = t_bound, 0.0, True
+            else:
+                accepted = step(t_old, y_old, h_abs)
+                if accepted is None:
+                    break
+                t_now, y, h, h_abs = accepted
+                finished = direction * (t_now - t_bound) >= 0
+
+            interpolant = None
+            if dense_output:
+                interpolant = dense(t_old, t_now, y_old, y, h)
+                interpolants.append(interpolant)
+            if t_eval is None:
+                ts.append(t_now)
+                ys.append(y)
+                continue
+            # a t_eval value equal to t_now is sampled on this step
+            if direction > 0:
+                t_eval_i_new = np.searchsorted(t_eval, t_now, side="right")
+                t_eval_step = t_eval[t_eval_i:t_eval_i_new]
+            else:
+                t_eval_i_new = np.searchsorted(t_eval, t_now, side="left")
+                t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
+            if t_eval_step.size > 0:
+                if interpolant is None:
+                    interpolant = dense(t_old, t_now, y_old, y, h)
+                ts.append(t_eval_step)
+                ys.append(interpolant(t_eval_step))
+                t_eval_i = t_eval_i_new
+            ti.append(t_now)
+
+    if not finished:
+        # with t_eval, ys holds the samples reached so far (maybe none)
+        if t_eval is None:
+            last = y
+        else:
+            last = ys[-1][:, -1] if ys else y0
+        message = OdeSolver.TOO_SMALL_STEP
         if not np.all(np.isfinite(last)):
-            raise NonFinite(f"integration blew up: {sol.message}")
-        raise StepFailure(f"integration failed: {sol.message}")
-    return sol
+            raise NonFinite(f"integration blew up: {message}")
+        raise StepFailure(f"integration failed: {message}")
+    if t_eval is None:
+        ts, ys = np.array(ts), np.vstack(ys).T
+    elif ts:
+        ts, ys = np.hstack(ts), np.hstack(ys)
+    sol = None
+    if dense_output:
+        sol = OdeSolution(ts if t_eval is None else ti, interpolants)
+    return Run(ts, ys, sol)
 
 
 def _checked_start(field: Field, x0, eps, times, tol):
@@ -191,13 +387,12 @@ def integrate_variational(field: Field, x0, eps, t: float,
     jac = field.jacobian
     radius = field.chart_radius
 
-    def rhs(_t, y):
+    def rhs(_t, y, out):
         x = y[:n]
         _check_state(x, radius)
-        m = y[n:].reshape(n, n)
-        dx = value(x, eps)
-        dm = jac(x, eps) @ m
-        return np.concatenate([np.asarray(dx, dtype=float).ravel(), dm.ravel()])
+        out[:n] = value(x, eps)
+        np.matmul(jac(x, eps), y[n:].reshape(n, n),
+                  out=out[n:].reshape(n, n))
 
     y0 = np.concatenate([x0, np.eye(n).ravel()])
     sol = _run(rhs, y0, t, tol, tol * ATOL_FACTOR)

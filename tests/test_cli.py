@@ -228,6 +228,36 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"]["type"] == "StepFailure"
 
+    def test_slice_past_a_fold_ends_the_branch(self, tmp_path):
+        # u' = eps - u^2: the torus u = sqrt(eps) meets its twin at the
+        # fold eps = 0, and on the first slice past it the map's flow
+        # fails; the branch keeps its 21 points and names the slice
+        doc = {
+            "system": {"name": "polynomial", "params": {
+                "n": 2, "k": 1, "p": 1,
+                "fields": [[
+                    [[1.0, [0, 0], [0]]],
+                    [[1.0, [0, 0], [1]], [-1.0, [0, 2], [0]]],
+                ]]}},
+            "torus": {"kind": "flat", "angle_coords": [0],
+                      "values": [0.0, math.sqrt(0.1)], "eps0": [0.1]},
+            "analysis": "continue",
+            "options": {"alpha": [1],
+                        "eps_grid": {"start": [0.1], "stop": [-0.02],
+                                     "num": 25}},
+        }
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"] is None
+        branch = rep["results"]["branch"]
+        assert branch["status"] == "diverged"
+        assert branch["n_points"] == 21
+        assert branch["message"].startswith(
+            "slice 21 at eps=[-0.005]: StepFailure: ")
+
     def test_noncommuting_is_4(self, tmp_path):
         doc = {
             "system": {"name": "polynomial", "params": {

@@ -2,7 +2,9 @@
 forced response, the block-spectrum identity, and the one integration
 routine that every flow and Floquet solve goes through."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pnk.flow import integrate_orbit
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
+SRC = Path(__file__).resolve().parent.parent / "src" / "pnk"
 A1 = np.diag([-0.3, 0.2])
 A2 = np.diag([0.1, -0.4])
 
@@ -111,14 +114,16 @@ class TestIntegrationFailures:
 class TestOneIntegrator:
     def test_every_integration_reaches_the_one_call(self, monkeypatch,
                                                      hopf_sys):
+        # flow and floquet both look flow._run up on the module at call
+        # time, so this one patch sees every integration
         calls = []
-        real = pnk.flow.solve_ivp
+        real = pnk.flow._run
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pnk.flow, "solve_ivp", counted)
+        monkeypatch.setattr(pnk.flow, "_run", counted)
         fam, seed = hopf_sys.family, hopf_sys.seed
         field = loop_field(fam, [1])
         x0, eps = seed.base_point, seed.eps0
@@ -140,6 +145,17 @@ class TestOneIntegrator:
             before = len(calls)
             run()
             assert len(calls) > before, name
+
+    def test_no_module_calls_solve_ivp(self):
+        # flow._run owns the DOP853 step loop; no second path around it
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {alias.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     for alias in node.names}
+            names |= {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+            assert "solve_ivp" not in names, path.name
 
 
 class TestFloquetDecompose:

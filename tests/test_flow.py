@@ -1,12 +1,15 @@
 """Flow integration, variational flows, and section return solves."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import pnk.flow
 from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
                  build_section, integrate_flow, integrate_variational,
                  loop_field, solve_return_times)
@@ -35,7 +38,7 @@ class TestIntegrateFlow:
         assert res.endpoint[0] == pytest.approx(math.e, abs=1e-11)
 
     def test_tolerance_below_scipy_floor_rejected(self):
-        # scipy would raise rtol to MIN_TOL with a warning
+        # MIN_TOL is scipy's rtol floor; a smaller tol is refused
         with pytest.raises(ValueError, match="MIN_TOL"):
             integrate_flow(EXP1, [1.0], [], 1.0, tol=1e-16)
         res = integrate_flow(EXP1, [1.0], [], 1.0, tol=MIN_TOL)
@@ -315,3 +318,146 @@ class TestChartEscape:
                        lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
         with pytest.raises(NonFinite):
             integrate_flow(broken, [0.0], [], 1.0)
+
+
+def _hopf_variational():
+    """The 6-dimensional variational system of the Hopf loop field, as
+    solve_ivp takes it (returning a new array, as pnk wrote it before
+    owning the step loop) and as flow._run takes it (writing in place)."""
+    field = loop_field(make_hopf(1.0, 0.1).family, [1])
+    eps = np.array([0.12])
+
+    def returned(_t, y):
+        m = y[2:].reshape(2, 2)
+        return np.concatenate([field.value(y[:2], eps),
+                               (field.jacobian(y[:2], eps) @ m).ravel()])
+
+    def written(_t, y, out):
+        out[:2] = field.value(y[:2], eps)
+        np.matmul(field.jacobian(y[:2], eps), y[2:].reshape(2, 2),
+                  out=out[2:].reshape(2, 2))
+
+    y0 = np.concatenate([[0.33, 0.05], np.eye(2).ravel()])
+    return returned, written, y0
+
+
+def _van_der_pol(_t, y):
+    return np.array([y[1], 2.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def _square(_t, y):
+    return 1e8 * y * y
+
+
+def _overflow(t, _y):
+    # from 1e308 the state overflows to inf near t = 8 and the steps are
+    # still accepted; from t = 9 every trial step is rejected
+    return np.full(1, 1e307 if t < 9.0 else np.nan)
+
+
+def _written(returned):
+    def rhs(t, y, out):
+        out[:] = returned(t, y)
+    return rhs
+
+
+class TestOwnStepLoop:
+    """flow._run repeats solve_ivp(method="DOP853") bit for bit.
+
+    Every number pnk reports comes from flow._run, which owns the DOP853
+    step loop so that right-hand sides write their stages in place. These
+    tests run it beside scipy's solver on the same problems and demand
+    equal arrays and equal right-hand-side call counts; a scipy release
+    that changes the tableau, the controller or the dense output fails
+    here."""
+
+    RTOL, ATOL = 1e-10, 1e-12
+
+    def _both(self, written, returned, y0, t, **kwargs):
+        calls = [0]
+
+        def counted(s, y, out):
+            calls[0] += 1
+            written(s, y, out)
+
+        ours = pnk.flow._run(counted, y0, t, self.RTOL, self.ATOL, **kwargs)
+        ref = solve_ivp(returned, (0.0, t), y0, method="DOP853",
+                        rtol=self.RTOL, atol=self.ATOL, **kwargs)
+        assert ref.status == 0
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+        assert calls[0] == ref.nfev
+        return ours, ref
+
+    @pytest.mark.parametrize("t", [1.0, -0.7, 0.0])
+    def test_hopf_variational(self, t):
+        returned, written, y0 = _hopf_variational()
+        self._both(written, returned, y0, t)
+
+    def test_integrate_variational_is_the_same_run(self):
+        returned, _, y0 = _hopf_variational()
+        ref = solve_ivp(returned, (0.0, 1.0), y0, method="DOP853",
+                        rtol=self.RTOL, atol=self.ATOL)
+        res = integrate_variational(loop_field(make_hopf(1.0, 0.1).family,
+                                               [1]), y0[:2], [0.12], 1.0)
+        assert np.array_equal(res.endpoint, ref.y[:2, -1])
+        assert np.array_equal(res.tangent, ref.y[2:, -1].reshape(2, 2))
+        assert res.steps_taken == len(ref.t) - 1
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_t_eval_samples(self, t):
+        returned, written, y0 = _hopf_variational()
+        self._both(written, returned, y0, t,
+                   t_eval=np.linspace(0.0, t, 9)[1:])
+
+    def test_dense_output_at_interior_times(self):
+        returned, written, y0 = _hopf_variational()
+        ours, ref = self._both(written, returned, y0, 1.0,
+                               dense_output=True)
+        inner = np.linspace(0.0, 1.0, 23)[1:-1]
+        assert np.array_equal(ours.sol(inner), ref.sol(inner))
+        assert np.array_equal(ours.sol(0.5), ref.sol(0.5))
+
+    def test_rejected_steps(self):
+        y0 = np.array([2.0, 0.0])
+        _, ref = self._both(_written(_van_der_pol), _van_der_pol, y0, 10.0)
+        # 12 calls per trial step and 2 to start: some trials failed
+        rejected = (ref.nfev - 2) // 12 - (len(ref.t) - 1)
+        assert rejected > 0
+
+    @pytest.mark.parametrize("returned, y0, t_eval, want", [
+        (_square, 1.0, None, StepFailure),
+        (_square, 1.0, [1e-9, 5.0], StepFailure),
+        (_square, 1.0, [5.0], StepFailure),  # no sample reached
+        (_overflow, 1e308, None, NonFinite)])
+    def test_too_small_step(self, returned, y0, t_eval, want):
+        y0 = np.array([y0])
+        calls = [0]
+
+        def counted(s, y, out):
+            calls[0] += 1
+            out[:] = returned(s, y)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = solve_ivp(returned, (0.0, 10.0), y0, method="DOP853",
+                            rtol=self.RTOL, atol=self.ATOL, t_eval=t_eval)
+        assert ref.status == -1
+        # the last state scipy reached (or y0) is inf exactly for NonFinite
+        last = ref.y[:, -1] if len(ref.y) else y0
+        assert np.all(np.isfinite(last)) == (want is StepFailure)
+        with pytest.raises(want, match=re.escape(ref.message)):
+            pnk.flow._run(counted, y0, 10.0, self.RTOL, self.ATOL,
+                          t_eval=t_eval)
+        assert calls[0] == ref.nfev
+
+    def test_budget_counts_every_call(self, monkeypatch):
+        # the budget sees the start-up calls and the dense-output stages
+        returned, written, y0 = _hopf_variational()
+        _, ref = self._both(written, returned, y0, 1.0, dense_output=True)
+        monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev - 1)
+        with pytest.raises(StepFailure, match="field evaluations"):
+            pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL,
+                          dense_output=True)
+        monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev)
+        pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL,
+                      dense_output=True)

@@ -9,8 +9,16 @@ suite compares against them byte for byte.
 Before overwriting a golden it prints what moved: the largest absolute
 change of any number, with its JSON path, and every non-numeric value
 that changed (strings, nulls, booleans, added or removed entries).
+
+    python3 tools/regen_golden.py           # refreeze every golden
+    python3 tools/regen_golden.py --check   # compare only, write nothing
+
+``--check`` prints the same drift for every golden and exits 1 when any
+report differs from its golden by a single byte (or has none), 0 when
+every report matches.
 """
 
+import argparse
 import json
 import sys
 import tempfile
@@ -57,9 +65,16 @@ def report_drift(name: str, old: dict, new: dict) -> None:
     print(f"{name}: largest numeric drift {top:.2g}{where}", *other, sep="\n")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tests/golden, write nothing, "
+                             "exit 1 on any difference")
+    check = parser.parse_args(argv).check
     golden_dir = ROOT / "tests" / "golden"
-    golden_dir.mkdir(parents=True, exist_ok=True)
+    if not check:
+        golden_dir.mkdir(parents=True, exist_ok=True)
+    differ = 0
     for config_path in sorted((ROOT / "run_configs").glob("*.json")):
         config = load_config(config_path)
         with tempfile.TemporaryDirectory() as tmp:
@@ -69,13 +84,18 @@ def main() -> int:
             return 1
         out = golden_dir / config_path.name
         text = canonical_json(strip_volatile(report))
-        if out.exists():
-            report_drift(config_path.stem,
-                         json.loads(out.read_text(encoding="utf-8")),
-                         json.loads(text))
+        old = out.read_text(encoding="utf-8") if out.exists() else None
+        if old is not None:
+            report_drift(config_path.stem, json.loads(old), json.loads(text))
+        if check:
+            same = old == text
+            differ += not same
+            print(f"{out.relative_to(ROOT)}: "
+                  f"{'identical' if same else 'DIFFERS'}")
+            continue
         out.write_text(text, encoding="utf-8")
         print(f"froze {out.relative_to(ROOT)}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
