@@ -248,10 +248,6 @@ def loop_field(family: VectorFieldFamily, alpha) -> Field:
     def combined(part):
         terms = [(getattr(fld, part), c) for fld, c in members]
         (first, c0), rest = terms[0], terms[1:]
-        if not rest:  # one generator winds: no loop in the hot path
-            def single(x, eps):
-                return c0 * np.asarray(first(x, eps), dtype=float)
-            return single
 
         def total(x, eps):
             out = c0 * np.asarray(first(x, eps), dtype=float)

@@ -108,7 +108,7 @@ class Run:
 
 def _check_state(x, chart_radius):
     # One reduction: NaN and inf propagate through max.
-    m = float(np.maximum.reduce(np.abs(x), axis=None))
+    m = float(np.abs(x).max())
     if not math.isfinite(m):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
     if chart_radius is not None and m > chart_radius:
@@ -167,9 +167,10 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
     ``out``, the stage row it fills; it must keep neither array after it
     returns, since both are buffers of the next stage. ``t_eval``, when
-    given, lies in the span and is sorted in the direction of t.
+    given, is increasing and lies in (0, t], so t is positive.
 
-    Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0.
+    Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0,
+    or for a ``t_eval`` with a t that is not positive.
     """
     _check_tol(rtol)
     y = np.asarray(y0, dtype=float)
@@ -179,6 +180,8 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
     n = y.size
     t0, t_bound = 0.0, float(t)
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    if t_eval is not None and not t_bound > t0:
+        raise ValueError("t_eval needs a positive t")
     calls = 0
 
     def fun(s, x, out):
@@ -252,15 +255,9 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
     if t_eval is None:
         ts, ys = [t0], [y]
     else:
-        # searchsorted needs t_eval increasing; t_eval_i bounds the
-        # samples taken so far
+        # t_eval[:t_eval_i] are the samples taken so far
         t_eval = np.asarray(t_eval)
-        ts, ys, ti = [], [], [t0]
-        if direction > 0:
-            t_eval_i = 0
-        else:
-            t_eval = t_eval[::-1]
-            t_eval_i = t_eval.shape[0]
+        ts, ys, ti, t_eval_i = [], [], [t0], 0
     interpolants = []
     t_now = t0
     # A blow-up overflows inside the stepper before the state check sees
@@ -292,12 +289,8 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
                 ys.append(y)
                 continue
             # a t_eval value equal to t_now is sampled on this step
-            if direction > 0:
-                t_eval_i_new = np.searchsorted(t_eval, t_now, side="right")
-                t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-            else:
-                t_eval_i_new = np.searchsorted(t_eval, t_now, side="left")
-                t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
+            t_eval_i_new = np.searchsorted(t_eval, t_now, side="right")
+            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
             if t_eval_step.size > 0:
                 if interpolant is None:
                     interpolant = dense(t_old, t_now, y_old, y, h)
