@@ -36,8 +36,8 @@ import numpy as np
 
 from . import spectra
 from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
-from .errors import (Escape, MatchingAmbiguityWarning, NoConvergence,
-                     NonFinite, NothingFound, SingularJacobian, StepFailure)
+from .errors import (Escape, MatchingAmbiguityWarning, NonFinite,
+                     NothingFound, PnkError, StepFailure)
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map, transversal_orbit
 from .continuation import (ContinuationBranch, _newton_solve,
@@ -55,6 +55,10 @@ TIE_TOL = 1e-9
 DEGENERATE_TOL = 1e-3
 PROBE_MAX_ITER = 30
 PROBE_EXCLUDE_TOL = 1e-6
+
+# A probe start (a normal-form seed fit or a Newton solve) that raises one
+# of these has failed; the probe goes on with its other starts.
+FAILED_START = (PnkError, np.linalg.LinAlgError)
 
 KIND_LABELS = {
     CASE_A: ("real multiplier -1: conventionally a period-doubling (a "
@@ -467,7 +471,10 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     ``PROBE_MAX_ITER`` Newton iterations; a fixed point within
     ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
     close, is not new, and finds closer than max(``PROBE_EXCLUDE_TOL``,
-    100*tol) to an earlier one are merged.
+    100*tol) to an earlier one are merged. A fit or a Newton solve that
+    raises ``FAILED_START`` (any :class:`~pnk.errors.PnkError`, say a
+    map whose flow fails from a far seed) is a failed start: the fit
+    yields no seeds, the solve no find.
     CaseC samples an orbit from one loop-flow run
     (:func:`~pnk.section.transversal_orbit`), started in the plane of
     the complex eigenvector of L, and fits an invariant circle by a
@@ -515,7 +522,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         """(u, derivative, residual, iterations), or None for a failed start."""
         try:
             return _newton_solve(step, guess, opts.tol, PROBE_MAX_ITER)
-        except (NoConvergence, SingularJacobian, np.linalg.LinAlgError):
+        except FAILED_START:
             return None
 
     base = solve(map_once, np.zeros(frame.r))
@@ -570,7 +577,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
         try:
             g_plus, g_minus = reduced(h), reduced(-h)
-        except NoConvergence:
+        except FAILED_START:
             return []
         lam = mu * mu if twice else mu
         return [(twice, u0 + s * v)

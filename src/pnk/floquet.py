@@ -66,8 +66,9 @@ class LinearizedCoefficients:
     Qhat_samples: np.ndarray
 
 
-def _coordinate_gauge(family, seed):
-    """Constant transversal frame from the non-angle chart coordinates.
+def _coordinate_gauge(family, seed, times):
+    """Constant transversal frame from the non-angle chart coordinates,
+    and its derivative, at each of ``times``.
 
     Valid when the chart splits into k angle coordinates plus r
     transversal ones (flow-box form); then the frame never rotates and
@@ -75,10 +76,11 @@ def _coordinate_gauge(family, seed):
     """
     trans_idx = [i for i in range(family.n) if i not in seed.angle_coords]
     s_const = np.eye(family.n)[:, trans_idx]
-    return (lambda t: s_const), (lambda t: np.zeros_like(s_const))
+    frames = np.broadcast_to(s_const, (len(times),) + s_const.shape)
+    return frames, np.zeros_like(frames)
 
 
-def _transport_gauge(family, seed, eps0, a, period):
+def _transport_gauge(family, seed, eps0, a, period, times):
     """Parallel transport of the initial complement along the orbit.
 
     The orthogonal projector P(t) onto the complement of the generator
@@ -86,7 +88,9 @@ def _transport_gauge(family, seed, eps0, a, period):
     transport S' = (P' P - P P') S, which keeps them orthonormal and
     inside range P. The loop may in principle twist the normal bundle
     (nontrivial holonomy), in which case no periodic gauge of this kind
-    exists and the chart must provide angle coordinates instead.
+    exists and the chart must provide angle coordinates instead. Returns
+    the frames S and their derivatives S' at each of ``times`` in
+    [0, period], sampled from the transport run.
     """
     base = build_section(family, seed, None, eps0)
     n, r = family.n, family.n - family.k
@@ -109,22 +113,16 @@ def _transport_gauge(family, seed, eps0, a, period):
     def rhs(t, svec, out):
         np.matmul(transport(t), svec.reshape(n, r), out=out.reshape(n, r))
 
-    sol = flow._run(rhs, base.transversal_basis.ravel(), period, 1e-11,
-                    1e-13, dense_output=True)
+    run = flow._run(rhs, base.transversal_basis.ravel(), period, 1e-11,
+                    1e-13, times=times)
     holonomy = float(np.max(np.abs(
-        sol.y[:, -1].reshape(n, r) - base.transversal_basis)))
+        run.end.reshape(n, r) - base.transversal_basis)))
     if holonomy > 1e-6:
         raise DegenerateTangent(
             f"normal frame does not return after one loop (holonomy defect "
             f"{holonomy:.3g}); supply chart angle coordinates instead")
-
-    def s_func(t):
-        return sol.sol(float(t)).reshape(n, r)
-
-    def s_dot(t):
-        return transport(t) @ s_func(t)
-
-    return s_func, s_dot
+    frames = run.samples.reshape(-1, n, r)
+    return frames, [transport(t) @ s for t, s in zip(times, frames)]
 
 
 def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
@@ -142,14 +140,15 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
     eps0 = seed.eps0 if eps0 is None else as_params(eps0, family.p)
     field = loop_field(family, a)
     period = 1.0
+    times = np.arange(n_samples) * (period / n_samples)
     if len(seed.angle_coords) == seed.k:
-        s_func, s_dot = _coordinate_gauge(family, seed)
+        frames, frame_dots = _coordinate_gauge(family, seed, times)
     else:
-        s_func, s_dot = _transport_gauge(family, seed, eps0, a, period)
+        frames, frame_dots = _transport_gauge(family, seed, eps0, a, period,
+                                              times)
 
-    def blocks_at(t):
+    def blocks_at(t, s_basis, s_dot):
         z = seed.point(TWO_PI * a * t)
-        s_basis = s_func(t)
         frame = np.column_stack([family.generators(z, eps0), s_basis])
         sv = np.linalg.svd(frame, compute_uv=False)
         if sv[-1] <= 1e-10 * max(1.0, sv[0]):
@@ -159,12 +158,11 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
         inv = np.linalg.inv(frame)
         n_cov = inv[:family.k]
         w_cov = inv[family.k:]
-        core = field.jacobian(z, eps0) @ s_basis - s_dot(t)
+        core = field.jacobian(z, eps0) @ s_basis - s_dot
         epsjac = field.eps_jacobian(z, eps0)
         return w_cov @ core, w_cov @ epsjac, n_cov @ core, n_cov @ epsjac
 
-    times = np.arange(n_samples) * (period / n_samples)
-    sampled = [blocks_at(t) for t in times]
+    sampled = [blocks_at(*at) for at in zip(times, frames, frame_dots)]
     arrays = [np.stack([s[b] for s in sampled]) for b in range(4)]
 
     t_ext = np.concatenate([times, [period]])
@@ -212,11 +210,11 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     def rhs(t, y, out):
         np.matmul(func(t), y.reshape(r, r), out=out.reshape(r, r))
 
-    sol = flow._run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
-                    dense_output=True)
     times = np.linspace(0.0, T, n_out)
-    samples = np.stack([sol.sol(t).reshape(r, r) for t in times])
-    q = sol.y[:, -1].reshape(r, r).copy()
+    run = flow._run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
+                    times=times)
+    samples = run.samples.reshape(n_out, r, r)
+    q = run.end.reshape(r, r)
     samples[-1] = q
     return FundamentalMatrix(times, samples, q, float(T))
 
@@ -320,12 +318,12 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
 
     atol = tol * ATOL_FACTOR
     part = flow._run(rhs, np.zeros(r), T, tol, atol)
-    u0 = np.linalg.solve(np.eye(r) - fm.Q, part.y[:, -1])
-    sol = flow._run(rhs, u0, T, tol, atol, dense_output=True)
+    u0 = np.linalg.solve(np.eye(r) - fm.Q, part.end)
     times = np.linspace(0.0, T, n_out)
-    samples = np.stack([sol.sol(t) for t in times])
-    samples[-1] = sol.y[:, -1]
-    residual = float(np.max(np.abs(sol.y[:, -1] - u0)))
+    run = flow._run(rhs, u0, T, tol, atol, times=times)
+    samples = run.samples
+    samples[-1] = run.end
+    residual = float(np.max(np.abs(run.end - u0)))
     scale = 1.0 + float(np.max(np.abs(samples)))
     if residual > 100.0 * tol * scale:
         raise NoConvergence(

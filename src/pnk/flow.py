@@ -5,8 +5,14 @@ orbit samples, variational flows, the Floquet frame transport,
 fundamental matrices and forced responses. One run may make at most
 ``MAX_EVALS`` = 100,000 right-hand-side calls; beyond that it raises
 :class:`~pnk.errors.StepFailure`, so a stiff or non-finite field stops
-instead of stepping on. A run that stops short raises
-:class:`~pnk.errors.NonFinite` or :class:`~pnk.errors.StepFailure`.
+instead of stepping on. A run whose step size collapses raises
+:class:`~pnk.errors.NonFinite` when the last state it accepted is not
+finite, :class:`~pnk.errors.StepFailure` otherwise.
+
+A run keeps three things: the state at its end time t, the number of
+accepted steps and, for times in [0, t] given up front, one sample per
+time. Callers that need a solution at many times name them before the
+run.
 
 The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
 pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
@@ -14,14 +20,15 @@ Equations I*, sec. II.10), with elementary step-size control (no PI
 term). :func:`_run` owns the step loop but does scipy's arithmetic in
 scipy's order: the tableau is scipy's ``dop853_coefficients``, and the
 initial step, the controller, the error norm, the dense output and the
-``t_eval`` sampling are those of ``solve_ivp(method="DOP853")``, whose
-results it reproduces bit for bit. What it saves is the per-call
-wrapping: a right-hand side writes each stage derivative straight into
-its row of the stage array. Runs use rtol = tol and atol = tol / 100,
-so the default tol = 1e-10 lands at the (1e-10, 1e-12) pair. Monodromy
-spectra downstream feed eigenvalue gaps, so integration error has to
-sit well below them; tolerances are per-call arguments everywhere, none
-below ``MIN_TOL`` (100 machine epsilons, about 2.2e-14).
+sampling at given times are those of ``solve_ivp(method="DOP853")``,
+whose end state, step count and samples it reproduces bit for bit. What
+it saves is the per-call wrapping: a right-hand side writes each stage
+derivative straight into its row of the stage array. Runs use
+rtol = tol and atol = tol / 100, so the default tol = 1e-10 lands at
+the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
+gaps, so integration error has to sit well below them; tolerances are
+per-call arguments everywhere, none below ``MIN_TOL`` (100 machine
+epsilons, about 2.2e-14).
 
 :func:`integrate_orbit` samples one orbit at many times from a single
 run: the samples come from DOP853's dense output (its continuous
@@ -41,9 +48,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, OdeSolver
+from scipy.integrate import OdeSolver
 from scipy.integrate._ivp import dop853_coefficients as dop853
-from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
                                      Dop853DenseOutput)
@@ -94,16 +100,13 @@ class VariationalResult:
 
 @dataclass(frozen=True)
 class Run:
-    """What :func:`_run` returns, laid out as ``solve_ivp`` lays it out.
+    """What :func:`_run` returns: the state ``end`` at time t, the number
+    of accepted ``steps``, and ``samples``, one row per requested time
+    (None when no times were requested)."""
 
-    ``t`` holds the accepted step times (the ``t_eval`` times when
-    given) and ``y`` the states there, one column each; ``sol`` is the
-    piecewise dense output when requested, else None.
-    """
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: OdeSolution | None
+    end: np.ndarray
+    steps: int
+    samples: np.ndarray | None
 
 
 def _check_state(x, chart_radius):
@@ -161,27 +164,35 @@ def _error_norm(k_step, h_abs, scale, err5, err3):
     return h_abs * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
+def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
     """The one integration routine, over [0, t] (see the module docstring).
 
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
     ``out``, the stage row it fills; it must keep neither array after it
-    returns, since both are buffers of the next stage. ``t_eval``, when
-    given, is increasing and lies in (0, t], so t is positive.
+    returns, since both are buffers of the next stage. ``times``, when
+    given, is increasing and lies in [0, t], so t is positive; each
+    time is sampled by the dense output of the step that ends at or
+    after it.
 
     Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0,
-    or for a ``t_eval`` with a t that is not positive.
+    or for ``times`` with a t that is not positive or outside [0, t].
+    A run whose step size falls below 10 spacings of its time raises
+    :class:`~pnk.errors.NonFinite` when the last state the stepper
+    accepted is not finite, :class:`~pnk.errors.StepFailure` otherwise.
     """
     _check_tol(rtol)
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
     n = y.size
     t0, t_bound = 0.0, float(t)
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    if t_eval is not None and not t_bound > t0:
-        raise ValueError("t_eval needs a positive t")
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if not (t_bound > t0 and times[0] >= t0 and times[-1] <= t_bound):
+            raise ValueError("times need a positive t and must lie in [0, t]")
+        samples = np.empty((times.size, n))
     calls = 0
 
     def fun(s, x, out):
@@ -240,8 +251,6 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
 
     def dense(t_old, t_new, y_old, y_new, h):
         """The dense output over the step just accepted."""
-        if t_new == t_old:
-            return ConstantDenseOutput(t_old, t_new, y_new)
         _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage)
         F = np.empty((dop853.INTERPOLATOR_POWER, n))
         f_old = K[0]
@@ -252,14 +261,7 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
         F[3:] = h * np.dot(dop853.D, K)
         return Dop853DenseOutput(t_old, t_new, y_old, F)
 
-    if t_eval is None:
-        ts, ys = [t0], [y]
-    else:
-        # t_eval[:t_eval_i] are the samples taken so far
-        t_eval = np.asarray(t_eval)
-        ts, ys, ti, t_eval_i = [], [], [t0], 0
-    interpolants = []
-    t_now = t0
+    steps, sampled, t_now = 0, 0, t0
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,56 +269,26 @@ def _run(rhs, y0, t, rtol, atol, t_eval=None, dense_output=False) -> Run:
         h_abs = select_initial_step(
             lambda s, x: fun(s, x, K[1]), t0, y, t_bound, np.inf, f_new,
             direction, _ERROR_ORDER, rtol, atol)
-        finished = False
-        while not finished:
+        while t_now != t_bound:
             t_old, y_old = t_now, y
-            if t_now == t_bound:
-                # a zero-length run: one step that stays put
-                t_now, h, finished = t_bound, 0.0, True
-            else:
-                accepted = step(t_old, y_old, h_abs)
-                if accepted is None:
-                    break
-                t_now, y, h, h_abs = accepted
-                finished = direction * (t_now - t_bound) >= 0
-
-            interpolant = None
-            if dense_output:
-                interpolant = dense(t_old, t_now, y_old, y, h)
-                interpolants.append(interpolant)
-            if t_eval is None:
-                ts.append(t_now)
-                ys.append(y)
+            accepted = step(t_old, y_old, h_abs)
+            if accepted is None:
+                message = OdeSolver.TOO_SMALL_STEP
+                if not np.all(np.isfinite(y)):
+                    raise NonFinite(f"integration blew up: {message}")
+                raise StepFailure(f"integration failed: {message}")
+            t_now, y, h, h_abs = accepted
+            steps += 1
+            if times is None:
                 continue
-            # a t_eval value equal to t_now is sampled on this step
-            t_eval_i_new = np.searchsorted(t_eval, t_now, side="right")
-            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-            if t_eval_step.size > 0:
-                if interpolant is None:
-                    interpolant = dense(t_old, t_now, y_old, y, h)
-                ts.append(t_eval_step)
-                ys.append(interpolant(t_eval_step))
-                t_eval_i = t_eval_i_new
-            ti.append(t_now)
-
-    if not finished:
-        # with t_eval, ys holds the samples reached so far (maybe none)
-        if t_eval is None:
-            last = y
-        else:
-            last = ys[-1][:, -1] if ys else y0
-        message = OdeSolver.TOO_SMALL_STEP
-        if not np.all(np.isfinite(last)):
-            raise NonFinite(f"integration blew up: {message}")
-        raise StepFailure(f"integration failed: {message}")
-    if t_eval is None:
-        ts, ys = np.array(ts), np.vstack(ys).T
-    elif ts:
-        ts, ys = np.hstack(ts), np.hstack(ys)
-    sol = None
-    if dense_output:
-        sol = OdeSolution(ts if t_eval is None else ti, interpolants)
-    return Run(ts, ys, sol)
+            # a time equal to t_now is sampled on this step
+            sampled_new = np.searchsorted(times, t_now, side="right")
+            if sampled_new > sampled:
+                interpolant = dense(t_old, t_now, y_old, y, h)
+                samples[sampled:sampled_new] = interpolant(
+                    times[sampled:sampled_new]).T
+                sampled = sampled_new
+    return Run(y, steps, None if times is None else samples)
 
 
 def _checked_start(field: Field, x0, eps, times, tol):
@@ -336,10 +308,9 @@ def integrate_flow(field: Field, x0, eps, t: float,
     if abs(t) < TINY_TIME:
         return FlowResult(x0.copy(), 0)
 
-    sol = _run(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
-    end = sol.y[:, -1].copy()
-    _check_state(end, field.chart_radius)
-    return FlowResult(end, len(sol.t) - 1)
+    run = _run(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
+    _check_state(run.end, field.chart_radius)
+    return FlowResult(run.end, run.steps)
 
 
 def integrate_orbit(field: Field, x0, eps, times,
@@ -358,10 +329,10 @@ def integrate_orbit(field: Field, x0, eps, times,
         raise ValueError("sample times must be finite, positive and "
                          "strictly increasing")
 
-    sol = _run(_checked_rhs(field, eps), x0, times[-1], tol,
-               tol * ATOL_FACTOR, t_eval=times)
-    _check_state(sol.y, field.chart_radius)
-    return sol.y.T.copy()
+    samples = _run(_checked_rhs(field, eps), x0, times[-1], tol,
+                   tol * ATOL_FACTOR, times=times).samples
+    _check_state(samples, field.chart_radius)
+    return samples
 
 
 def integrate_variational(field: Field, x0, eps, t: float,
@@ -388,11 +359,10 @@ def integrate_variational(field: Field, x0, eps, t: float,
                   out=out[n:].reshape(n, n))
 
     y0 = np.concatenate([x0, np.eye(n).ravel()])
-    sol = _run(rhs, y0, t, tol, tol * ATOL_FACTOR)
-    end = sol.y[:n, -1].copy()
+    run = _run(rhs, y0, t, tol, tol * ATOL_FACTOR)
+    end = run.end[:n]
     _check_state(end, radius)
-    tangent = sol.y[n:, -1].reshape(n, n).copy()
-    return VariationalResult(end, tangent, len(sol.t) - 1)
+    return VariationalResult(end, run.end[n:].reshape(n, n), run.steps)
 
 
 @dataclass(frozen=True)
@@ -472,9 +442,7 @@ def solve_return_times(family: VectorFieldFamily, y, eps, section,
     for it in range(RETURN_MAX_ITER + 1):
         g = constraints @ (z - section.base)
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol and it > 0 and last_step <= tol:
-            break
-        if gnorm <= tol and it == 0:
+        if gnorm <= tol and (it == 0 or last_step <= tol):
             break
         if it == RETURN_MAX_ITER:
             raise NoConvergence(

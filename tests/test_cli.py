@@ -258,6 +258,32 @@ class TestExitCodes:
         assert branch["message"].startswith(
             "slice 21 at eps=[-0.005]: StepFailure: ")
 
+    def test_subcritical_probe_finds_nothing(self, tmp_path):
+        # u' = eps u + u^3: past the pitchfork at eps = 0 no small torus
+        # exists, and the seed fit's flow from u = +-search_radius blows
+        # up; that is a failed start, so the probe reports NothingFound
+        doc = {
+            "system": {"name": "polynomial", "params": {
+                "n": 2, "k": 1, "p": 1,
+                "fields": [[
+                    [[1.0, [0, 0], [0]]],
+                    [[1.0, [0, 1], [1]], [1.0, [0, 3], [0]]],
+                ]]}},
+            "torus": {"kind": "flat", "angle_coords": [0],
+                      "values": [0.0, 0.0], "eps0": [-0.05]},
+            "analysis": "bifurcate",
+            "options": {"alpha": [1],
+                        "eps_grid": {"start": [-0.05], "stop": [0.05],
+                                     "num": 10},
+                        "probe_offsets": [0.04]},
+        }
+        path = _write(tmp_path, doc)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"]["type"] == "NothingFound"
+
     def test_noncommuting_is_4(self, tmp_path):
         doc = {
             "system": {"name": "polynomial", "params": {

@@ -367,37 +367,59 @@ class TestOwnStepLoop:
     Every number pnk reports comes from flow._run, which owns the DOP853
     step loop so that right-hand sides write their stages in place. These
     tests run it beside scipy's solver on the same problems and demand
-    equal arrays and equal right-hand-side call counts; a scipy release
-    that changes the tableau, the controller or the dense output fails
-    here."""
+    equal end states, step counts, samples and right-hand-side call
+    counts; a scipy release that changes the tableau, the controller or
+    the dense output fails here."""
 
     RTOL, ATOL = 1e-10, 1e-12
 
-    def _both(self, written, returned, y0, t, **kwargs):
+    def _ours(self, written, y0, t, times=None):
+        """flow._run and the number of right-hand-side calls it made."""
         calls = [0]
 
         def counted(s, y, out):
             calls[0] += 1
             written(s, y, out)
 
-        ours = pnk.flow._run(counted, y0, t, self.RTOL, self.ATOL, **kwargs)
+        run = pnk.flow._run(counted, y0, t, self.RTOL, self.ATOL,
+                            times=times)
+        return run, calls[0]
+
+    def _scipy(self, returned, y0, t, **kwargs):
         ref = solve_ivp(returned, (0.0, t), y0, method="DOP853",
                         rtol=self.RTOL, atol=self.ATOL, **kwargs)
         assert ref.status == 0
-        assert np.array_equal(ours.t, ref.t)
-        assert np.array_equal(ours.y, ref.y)
-        assert calls[0] == ref.nfev
+        return ref
+
+    def _plain(self, written, returned, y0, t):
+        """Compare a run without samples with scipy's: end state, step
+        count and right-hand-side calls."""
+        ours, calls = self._ours(written, y0, t)
+        ref = self._scipy(returned, y0, t)
+        assert np.array_equal(ours.end, ref.y[:, -1])
+        # scipy counts a zero-length run as one step that stays put
+        assert ours.steps == (len(ref.t) - 1 if t else 0)
+        assert ours.samples is None
+        assert calls == ref.nfev
+        return ours, ref
+
+    def _sampled(self, written, returned, y0, t, times):
+        """Compare a sampled run with scipy's t_eval run: samples and
+        right-hand-side calls."""
+        ours, calls = self._ours(written, y0, t, times)
+        ref = self._scipy(returned, y0, t, t_eval=times)
+        assert np.array_equal(ours.samples, ref.y.T)
+        assert calls == ref.nfev
         return ours, ref
 
     @pytest.mark.parametrize("t", [1.0, -0.7, 0.0])
     def test_hopf_variational(self, t):
         returned, written, y0 = _hopf_variational()
-        self._both(written, returned, y0, t)
+        self._plain(written, returned, y0, t)
 
     def test_integrate_variational_is_the_same_run(self):
         returned, _, y0 = _hopf_variational()
-        ref = solve_ivp(returned, (0.0, 1.0), y0, method="DOP853",
-                        rtol=self.RTOL, atol=self.ATOL)
+        ref = self._scipy(returned, y0, 1.0)
         res = integrate_variational(loop_field(make_hopf(1.0, 0.1).family,
                                                [1]), y0[:2], [0.12], 1.0)
         assert np.array_equal(res.endpoint, ref.y[:2, -1])
@@ -406,26 +428,30 @@ class TestOwnStepLoop:
 
     def test_t_eval_samples(self):
         returned, written, y0 = _hopf_variational()
-        self._both(written, returned, y0, 1.0,
-                   t_eval=np.linspace(0.0, 1.0, 9)[1:])
+        plain, _ = self._ours(written, y0, 1.0)
+        grid = np.linspace(0.0, 1.0, 9)
+        for times in (grid[1:], grid):
+            ours, _ = self._sampled(written, returned, y0, 1.0, times)
+            # sampling adds stages but moves no step
+            assert np.array_equal(ours.end, plain.end)
+            assert ours.steps == plain.steps
 
     @pytest.mark.parametrize("t", [-1.0, 0.0])
     def test_t_eval_needs_a_positive_time(self, t):
         _, written, y0 = _hopf_variational()
         with pytest.raises(ValueError, match="positive t"):
-            pnk.flow._run(written, y0, t, self.RTOL, self.ATOL, t_eval=[0.5])
+            pnk.flow._run(written, y0, t, self.RTOL, self.ATOL, times=[0.5])
 
     def test_dense_output_at_interior_times(self):
         returned, written, y0 = _hopf_variational()
-        ours, ref = self._both(written, returned, y0, 1.0,
-                               dense_output=True)
         inner = np.linspace(0.0, 1.0, 23)[1:-1]
-        assert np.array_equal(ours.sol(inner), ref.sol(inner))
-        assert np.array_equal(ours.sol(0.5), ref.sol(0.5))
+        ours, _ = self._ours(written, y0, 1.0, inner)
+        ref = self._scipy(returned, y0, 1.0, dense_output=True)
+        assert np.array_equal(ours.samples, ref.sol(inner).T)
 
     def test_rejected_steps(self):
         y0 = np.array([2.0, 0.0])
-        _, ref = self._both(_written(_van_der_pol), _van_der_pol, y0, 10.0)
+        _, ref = self._plain(_written(_van_der_pol), _van_der_pol, y0, 10.0)
         # 12 calls per trial step and 2 to start: some trials failed
         rejected = (ref.nfev - 2) // 12 - (len(ref.t) - 1)
         assert rejected > 0
@@ -437,32 +463,33 @@ class TestOwnStepLoop:
         (_overflow, 1e308, None, NonFinite)])
     def test_too_small_step(self, returned, y0, t_eval, want):
         y0 = np.array([y0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = solve_ivp(returned, (0.0, 10.0), y0, method="DOP853",
+                              rtol=self.RTOL, atol=self.ATOL)
+            ref = solve_ivp(returned, (0.0, 10.0), y0, method="DOP853",
+                            rtol=self.RTOL, atol=self.ATOL, t_eval=t_eval)
+        assert plain.status == ref.status == -1
+        # the last state the stepper accepted is inf exactly for NonFinite
+        assert np.all(np.isfinite(plain.y[:, -1])) == (want is StepFailure)
         calls = [0]
 
         def counted(s, y, out):
             calls[0] += 1
             out[:] = returned(s, y)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = solve_ivp(returned, (0.0, 10.0), y0, method="DOP853",
-                            rtol=self.RTOL, atol=self.ATOL, t_eval=t_eval)
-        assert ref.status == -1
-        # the last state scipy reached (or y0) is inf exactly for NonFinite
-        last = ref.y[:, -1] if len(ref.y) else y0
-        assert np.all(np.isfinite(last)) == (want is StepFailure)
         with pytest.raises(want, match=re.escape(ref.message)):
             pnk.flow._run(counted, y0, 10.0, self.RTOL, self.ATOL,
-                          t_eval=t_eval)
+                          times=t_eval)
         assert calls[0] == ref.nfev
 
     def test_budget_counts_every_call(self, monkeypatch):
         # the budget sees the start-up calls and the dense-output stages
         returned, written, y0 = _hopf_variational()
-        _, ref = self._both(written, returned, y0, 1.0, dense_output=True)
+        times = np.linspace(0.0, 1.0, 9)
+        _, ref = self._sampled(written, returned, y0, 1.0, times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev - 1)
         with pytest.raises(StepFailure, match="field evaluations"):
             pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL,
-                          dense_output=True)
+                          times=times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev)
-        pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL,
-                      dense_output=True)
+        pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL, times=times)

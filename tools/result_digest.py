@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Print one sha256 per case over every array and number the case returns.
+
+    python3 tools/result_digest.py --seed 1
+
+The cases are the four benchmark workloads of ``pnkbench.workloads``
+(one ``run()`` each, built at the given seed; run reports pass through
+``report.strip_volatile``) and the flow and Floquet paths that no
+workload reaches: the parallel-transport gauge of
+``extract_linearization`` (the Hopf seed has no angle coordinates),
+``fundamental_matrix`` and ``forced_response`` on its coefficients, and
+a negative-time ``integrate_variational``.
+
+The hash covers every array (dtype, shape and bytes), number (by its
+exact bits), string, flag and container of the returned objects, with
+dataclass field names and their nesting; functions are skipped. Two
+checkouts that print the same lines at a seed return the same results
+bit for bit.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+import numpy as np  # noqa: E402
+
+from pnk import report  # noqa: E402
+from pnk.catalog import make_hopf  # noqa: E402
+from pnk.core import loop_field  # noqa: E402
+from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
+                         fundamental_matrix)
+from pnk.flow import integrate_variational  # noqa: E402
+from pnkbench.workloads import PREPARE  # noqa: E402
+
+
+def feed(h, value) -> None:
+    """Feed value into the hash h, tagged by type so that layouts differ."""
+    if value is None:
+        h.update(b"N")
+    elif isinstance(value, (bool, np.bool_)):
+        h.update(b"B1" if value else b"B0")
+    elif isinstance(value, (int, np.integer)):
+        h.update(b"I%d;" % int(value))
+    elif isinstance(value, (float, np.floating)):
+        h.update(b"F" + float(value).hex().encode())
+    elif isinstance(value, (complex, np.complexfloating)):
+        h.update(b"C" + complex(value).real.hex().encode() + b","
+                 + complex(value).imag.hex().encode())
+    elif isinstance(value, str):
+        data = value.encode()
+        h.update(b"S%d;" % len(data) + data)
+    elif isinstance(value, np.ndarray) and value.dtype != object:
+        h.update(b"A" + value.dtype.str.encode() + repr(value.shape).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (list, tuple)):
+        h.update(b"L%d;" % len(value))
+        for item in value:
+            feed(h, item)
+    elif isinstance(value, dict):
+        h.update(b"D%d;" % len(value))
+        for key in sorted(value, key=str):
+            feed(h, str(key))
+            feed(h, value[key])
+    elif dataclasses.is_dataclass(value):
+        feed(h, type(value).__name__)
+        for field in dataclasses.fields(value):
+            feed(h, field.name)
+            feed(h, getattr(value, field.name))
+    elif callable(value):
+        h.update(b"fn")
+    else:
+        raise TypeError(f"no digest rule for {type(value).__name__}")
+
+
+def digest(value) -> str:
+    h = hashlib.sha256()
+    feed(h, value)
+    return h.hexdigest()
+
+
+def workload_case(name, seed, out_dir):
+    result = PREPARE[name](seed, out_dir).run()
+    if name == "shipped_configs":
+        result = [(config, report.strip_volatile(doc), code)
+                  for config, doc, code in result]
+    return result
+
+
+def floquet_cases(seed):
+    """The flow and Floquet paths outside the workloads, on a Hopf system
+    whose parameters the seed jitters as ``hopf_branch`` does."""
+    rng = random.Random(seed)
+    system = make_hopf(0.95 + 0.1 * rng.random(), 0.099 + 0.002 * rng.random())
+    family, seed_ = system.family, system.seed
+    coefficients = extract_linearization(family, seed_, [1], n_samples=64)
+    forcing = lambda t: coefficients.Bhat(t)[:, 0]  # noqa: E731
+    field = loop_field(family, [1])
+    return {
+        "transport_gauge": lambda: coefficients,
+        "fundamental_matrix": lambda: fundamental_matrix(
+            coefficients, coefficients.T, n_out=33),
+        "forced_response": lambda: forced_response(
+            coefficients, forcing, coefficients.T, n_out=33),
+        "variational_negative_time": lambda: integrate_variational(
+            field, seed_.base_point, seed_.eps0, -0.7),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PREPARE:
+            print(name, digest(workload_case(name, args.seed, Path(tmp))))
+    for name, case in floquet_cases(args.seed).items():
+        print(name, digest(case()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
