@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params
 from .errors import NonCommuting
@@ -89,6 +87,8 @@ class StraightenedOracle:
         b = spec.C @ as_params(eps, spec.p)
         if spec.cubic == 0.0:
             return -b
+        from scipy.optimize import brentq
+
         out = np.empty(spec.r)
         for mu in range(spec.r):
             lo = -max(1.0, abs(b[mu])) - 1.0
@@ -106,6 +106,8 @@ class StraightenedOracle:
             ustar = self.fixed_u(eps)
             gain = np.diag(1.0 + 3.0 * spec.cubic * ustar ** 2)
         gen = sum(a * m for a, m in zip(alpha, spec.A)) @ gain
+        from scipy.linalg import expm
+
         return expm(TWO_PI * gen)
 
     def transversal_multipliers(self, alpha, eps=None) -> np.ndarray:

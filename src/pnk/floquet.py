@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import expm, logm
 
 from . import flow, spectra
 from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding,
@@ -165,6 +163,8 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
     sampled = [blocks_at(*at) for at in zip(times, frames, frame_dots)]
     arrays = [np.stack([s[b] for s in sampled]) for b in range(4)]
 
+    from scipy.interpolate import CubicSpline
+
     t_ext = np.concatenate([times, [period]])
 
     def periodic_spline(samples):
@@ -252,6 +252,8 @@ def floquet_decompose(theta: FundamentalMatrix, T: float | None = None,
     M(t) = Theta(t) exp(-B t). Raises :class:`SingularMonodromy` when Q is
     singular beyond tolerance.
     """
+    from scipy.linalg import expm, logm
+
     T = theta.T if T is None else float(T)
     q = theta.Q
     sv = np.linalg.svd(q, compute_uv=False)

@@ -18,11 +18,12 @@ The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
 pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
 Equations I*, sec. II.10), with elementary step-size control (no PI
 term). :func:`_run` owns the step loop but does scipy's arithmetic in
-scipy's order: the tableau is scipy's ``dop853_coefficients``, and the
-initial step, the controller, the error norm, the dense output and the
-sampling at given times are those of ``solve_ivp(method="DOP853")``,
-whose end state, step count and samples it reproduces bit for bit. What
-it saves is the per-call wrapping: a right-hand side writes each stage
+scipy's order. Its tableau, controller constants, initial-step rule and
+dense-output polynomial are pnk's own copy of scipy 1.17.1's
+(:mod:`pnk._dop853`), which the tests check equal to scipy's, so no
+scipy module is imported; its end state, step count and samples are
+those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
+saves is the per-call wrapping: a right-hand side writes each stage
 derivative straight into its row of the stage array. Runs use
 rtol = tol and atol = tol / 100, so the default tol = 1e-10 lands at
 the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
@@ -48,12 +49,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolver
-from scipy.integrate._ivp import dop853_coefficients as dop853
-from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
-                                     Dop853DenseOutput)
 
+from . import _dop853 as dop853
+from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
+                      dense_rows, select_initial_step)
 from .core import Field, VectorFieldFamily, as_params, as_point, wrap_angles
 from .errors import Escape, NoConvergence, NonFinite, SingularGeometry, StepFailure
 
@@ -249,8 +248,8 @@ def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
             rejected = True
         return None
 
-    def dense(t_old, t_new, y_old, y_new, h):
-        """The dense output over the step just accepted."""
+    def dense(t_old, y_old, y_new, h, at):
+        """The dense output over the step just accepted, at the times at."""
         _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage)
         F = np.empty((dop853.INTERPOLATOR_POWER, n))
         f_old = K[0]
@@ -259,7 +258,7 @@ def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * np.dot(dop853.D, K)
-        return Dop853DenseOutput(t_old, t_new, y_old, F)
+        return dense_rows(t_old, h, y_old, F, at)
 
     steps, sampled, t_now = 0, 0, t0
     # A blow-up overflows inside the stepper before the state check sees
@@ -273,10 +272,9 @@ def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
             t_old, y_old = t_now, y
             accepted = step(t_old, y_old, h_abs)
             if accepted is None:
-                message = OdeSolver.TOO_SMALL_STEP
                 if not np.all(np.isfinite(y)):
-                    raise NonFinite(f"integration blew up: {message}")
-                raise StepFailure(f"integration failed: {message}")
+                    raise NonFinite(f"integration blew up: {TOO_SMALL_STEP}")
+                raise StepFailure(f"integration failed: {TOO_SMALL_STEP}")
             t_now, y, h, h_abs = accepted
             steps += 1
             if times is None:
@@ -284,9 +282,8 @@ def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
             # a time equal to t_now is sampled on this step
             sampled_new = np.searchsorted(times, t_now, side="right")
             if sampled_new > sampled:
-                interpolant = dense(t_old, t_now, y_old, y, h)
-                samples[sampled:sampled_new] = interpolant(
-                    times[sampled:sampled_new]).T
+                samples[sampled:sampled_new] = dense(
+                    t_old, y_old, y, h, times[sampled:sampled_new])
                 sampled = sampled_new
     return Run(y, steps, None if times is None else samples)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def sorted_complex(values) -> np.ndarray:
@@ -22,6 +21,8 @@ def match(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
     if a.size == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(a.size, dtype=int)

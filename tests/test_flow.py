@@ -6,9 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
+from scipy.integrate._ivp import common as scipy_common
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp import rk as scipy_rk
 from scipy.linalg import expm
 
+import pnk._dop853
 import pnk.flow
 from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
                  build_section, integrate_flow, integrate_variational,
@@ -493,3 +497,38 @@ class TestOwnStepLoop:
                           times=times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev)
         pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL, times=times)
+
+
+class TestTableauCopy:
+    """pnk._dop853 copies scipy's DOP853 tableau and step rules from its
+    private ``scipy.integrate._ivp`` modules; every number in it equals
+    scipy's. This also guards the dense-output rows D, which only sampled
+    runs reach."""
+
+    @pytest.mark.parametrize("name", ["N_STAGES", "N_STAGES_EXTENDED",
+                                      "INTERPOLATOR_POWER", "C", "A", "B",
+                                      "E3", "E5", "D"])
+    def test_tableau(self, name):
+        assert np.array_equal(getattr(pnk._dop853, name),
+                              getattr(dop853_coefficients, name))
+
+    def test_controller_and_message(self):
+        assert pnk._dop853.SAFETY == scipy_rk.SAFETY
+        assert pnk._dop853.MIN_FACTOR == scipy_rk.MIN_FACTOR
+        assert pnk._dop853.MAX_FACTOR == scipy_rk.MAX_FACTOR
+        assert pnk._dop853.TOO_SMALL_STEP == OdeSolver.TOO_SMALL_STEP
+
+    @pytest.mark.parametrize("t", [1.0, -0.7])
+    @pytest.mark.parametrize("start", ["hopf", "zero"])
+    def test_initial_step(self, start, t):
+        if start == "hopf":
+            fun, _, y0 = _hopf_variational()
+        else:
+            y0 = np.array([0.3, -0.7])
+
+            def fun(_t, y):
+                return np.zeros_like(y)
+        args = (fun, 0.0, y0, t, np.inf, fun(0.0, y0), np.sign(t), 7,
+                TestOwnStepLoop.RTOL, TestOwnStepLoop.ATOL)
+        assert (pnk._dop853.select_initial_step(*args)
+                == scipy_common.select_initial_step(*args))

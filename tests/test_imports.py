@@ -1,12 +1,16 @@
-"""Every imported name in the package modules and the tests is used.
+"""Every imported name in the package modules and the tests is used, and
+importing pnk or running it imports no scipy module.
 
-The guard walks the syntax tree of ``src/pnk/*.py`` (but ``__init__.py``,
-which imports to re-export) and ``tests/*.py``. Names listed in
-``__all__``, ``from __future__ import annotations`` and imports on a line
-marked ``# noqa: F401`` are exempt.
+The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
+``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
+listed in ``__all__``, ``from __future__ import annotations`` and imports
+on a line marked ``# noqa: F401`` are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,57 @@ def _unused_imports(source: str) -> list[str]:
                          ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# scipy's subpackages take longer to import than numpy, and a run that
+# needs none of them should not pay for them: pnk imports scipy inside
+# the functions that call it, never at module level.
+PACKAGE = sorted((ROOT / "src" / "pnk").glob("*.py"))
+
+
+def _module_level_imports(source: str) -> list[str]:
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_module_level_scipy_import(path):
+    names = _module_level_imports(path.read_text(encoding="utf-8"))
+    assert [m for m in names if m.split(".")[0] == "scipy"] == []
+
+
+# Runs in a fresh interpreter, so no test that imported scipy before it
+# hides an import.
+SCIPY_FREE_RUNS = """
+import sys
+from pathlib import Path
+
+from pnk.cli import main, run_config
+from pnk.config import load_config
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for path in sorted(configs.glob("*.json")):
+    assert main(["validate", str(path)]) == 0, path
+for name in ("hopf_torus", "straightened_continue", "polynomial_verify"):
+    report, code = run_config(load_config(configs / f"{name}.json"),
+                              out / name)
+    assert code == 0, (name, report["error"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_import_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUNS, str(ROOT / "run_configs"),
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
