@@ -36,11 +36,12 @@ from .floquet import (FloquetDecomposition, ForcedResponse, FundamentalMatrix,
                       LinearizedCoefficients, block_spectrum_check,
                       extract_linearization, floquet_decompose,
                       forced_response, fundamental_matrix)
-from .flow import (FlowResult, ReturnSolve, VariationalResult, integrate_flow,
-                   integrate_variational, solve_return_times)
-from .section import (BasePointCheck, MonodromyReport, SectionFrame,
-                      TransversalMapResult, basepoint_spectrum_check,
-                      build_section, monodromy_report, total_monodromy,
+from .flow import (FlowResult, VariationalResult, integrate_flow,
+                   integrate_variational)
+from .section import (BasePointCheck, MonodromyReport, ReturnSolve,
+                      SectionFrame, TransversalMapResult,
+                      basepoint_spectrum_check, build_section,
+                      monodromy_report, solve_return_times, total_monodromy,
                       transversal_linearization, transversal_map)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

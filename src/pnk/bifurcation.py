@@ -22,8 +22,10 @@ linearization has a complex pair. The report states what was found.
 
 Iterates of P are return maps of longer loops, P^n = P_{n alpha} (see
 :mod:`pnk.section`): P o P and its jacobian come from one map at winding
-2 alpha, and the CaseC probe takes its whole orbit from one loop-flow
-run (:func:`~pnk.section.transversal_orbit`).
+2 alpha, so every Newton start of a probe, on P or on P o P, is a
+:func:`~pnk.continuation.newton_fixed_point` call. The CaseC probe takes
+its whole orbit from one loop-flow run
+(:func:`~pnk.section.transversal_orbit`).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .errors import (Escape, MatchingAmbiguityWarning, NonFinite,
                      NothingFound, PnkError, StepFailure)
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map, transversal_orbit
-from .continuation import (ContinuationBranch, _newton_solve,
-                           newton_fixed_point, predict_fixed_point)
+from .continuation import (ContinuationBranch, newton_fixed_point,
+                           predict_fixed_point)
 
 CASE_A = "CaseA"
 CASE_B = "CaseB"
@@ -468,7 +470,8 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     nonzero real branch amplitudes within the search radius seed Newton
     (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4); P o P is
     one map at winding 2 alpha, jacobian included. Each seed gets
-    ``PROBE_MAX_ITER`` Newton iterations; a fixed point within
+    ``PROBE_MAX_ITER`` iterations of
+    :func:`~pnk.continuation.newton_fixed_point`; a fixed point within
     ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
     close, is not new, and finds closer than max(``PROBE_EXCLUDE_TOL``,
     100*tol) to an earlier one are merged. A fit or a Newton solve that
@@ -506,30 +509,23 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     eps_post = as_params(eps_post, family.p)
     alpha_twice = 2 * as_winding(alpha, family.k)
 
-    def image(u, winding=alpha, with_jacobian=False):
-        return transversal_map(family, frame, winding, u, eps_post, opts.tol,
-                               with_jacobian=with_jacobian)
+    def image(u, winding=alpha):
+        return transversal_map(family, frame, winding, u, eps_post,
+                               opts.tol).u
 
-    def newton_map(winding):
-        def step(u):
-            res = image(u, winding, with_jacobian=True)
-            return res.u, res.jacobian
-        return step
-
-    map_once, map_twice = newton_map(alpha), newton_map(alpha_twice)
-
-    def solve(step, guess):
-        """(u, derivative, residual, iterations), or None for a failed start."""
+    def solve(winding, guess):
+        """The fixed point of the map at winding from guess, or None for a
+        failed start."""
         try:
-            return _newton_solve(step, guess, opts.tol, PROBE_MAX_ITER)
+            return newton_fixed_point(family, seed, winding, frame, eps_post,
+                                      guess, opts.tol, PROBE_MAX_ITER)
         except FAILED_START:
             return None
 
-    base = solve(map_once, np.zeros(frame.r))
+    base = solve(alpha, np.zeros(frame.r))
     if base is None:
         raise NothingFound("could not locate the continued fixed point")
-    u0, ell0, _, _ = base
-    base_spec = spectra.sorted_complex(np.linalg.eigvals(ell0))
+    u0, ell0 = base.u, base.transversal
 
     dedupe = max(PROBE_EXCLUDE_TOL, 100.0 * opts.tol)
     fixed: list[FixedPointFinding] = []
@@ -539,28 +535,26 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
     def classify(twice, guess):
         """Solve P (or P o P when ``twice``) from guess and file a new find."""
-        got = solve(map_twice if twice else map_once, guess)
+        got = solve(alpha_twice if twice else alpha, guess)
         if got is None:
             return
-        u, deriv, res, _ = got
+        u = got.u
         if not twice:
             if float(np.linalg.norm(u - u0)) <= PROBE_EXCLUDE_TOL:
                 return
             if any(float(np.linalg.norm(u - f.u)) <= dedupe for f in fixed):
                 return
-            fixed.append(FixedPointFinding(
-                u, spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
+            fixed.append(FixedPointFinding(u, got.spectrum, got.residual))
             return
-        partner = image(u).u
+        partner = image(u)
         if float(np.linalg.norm(partner - u)) <= PROBE_EXCLUDE_TOL:
             return  # a fixed point of P, not a genuine 2-cycle
         key = _cycle_key(u, partner)
         if any(float(np.linalg.norm(key - _cycle_key(*c.points)))
                <= dedupe for c in cycles):
             return
-        cycles.append(TwoCycleFinding(
-            (u.copy(), partner.copy()),
-            spectra.sorted_complex(np.linalg.eigvals(deriv)), res))
+        cycles.append(TwoCycleFinding((u.copy(), partner.copy()),
+                                      got.spectrum, got.residual))
 
     def seeds():
         """(twice, guess) normal-form seeds; [] when the fit has no root."""
@@ -572,7 +566,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         h = opts.search_radius
 
         def reduced(s):
-            u = image(u0 + s * v, alpha_twice if twice else alpha).u
+            u = image(u0 + s * v, alpha_twice if twice else alpha)
             return float(w @ (u - u0)) - s
 
         try:
@@ -618,7 +612,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         raise NothingFound(
             "no non-trivial fixed points or 2-cycles within the search "
             "radius; possibly a subcritical scenario")
-    return ProbeReport(kind, eps_post, u0, base_spec, fixed, cycles, circle,
+    return ProbeReport(kind, eps_post, u0, base.spectrum, fixed, cycles, circle,
                        "; ".join(notes))
 
 

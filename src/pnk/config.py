@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CATALOG, CatalogSystem, build_catalog_system
-from .continuation import _checked_path
+from .continuation import checked_path
 from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
 from .flow import MIN_TOL
@@ -577,6 +577,6 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
             as_params(config.options["eps"], family.p)
         elif config.analysis in ("continue", "bifurcate"):
             key = "eps_grid"
-            _checked_path(eps_grid_values(config.options), seed.eps0, family.p)
+            checked_path(eps_grid_values(config.options), seed.eps0, family.p)
     except ValueError as exc:
         raise ConfigError(f"options.{key}: {exc}") from exc

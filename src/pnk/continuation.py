@@ -1,10 +1,13 @@
 """Persistence of invariant tori as an algorithm.
 
 Fixed points of the section return map at parameter eps correspond to
-invariant tori of the family at eps. The corrector solves u - P(u) = 0
-per parameter slice with a full Newton iteration (the jacobian I - L is
-recomputed from variational flows every step; r is small at desk scale
-and robustness near marginal hyperbolicity matters more than cost). The
+invariant tori of the family at eps. The corrector,
+:func:`newton_fixed_point`, solves u - P(u) = 0 with a full Newton
+iteration (the jacobian I - L is recomputed from variational flows every
+step; r is small at desk scale and robustness near marginal
+hyperbolicity matters more than cost). It is pnk's one Newton solver on
+the map: branch slices, crossing refines and every start of the
+post-critical probes (at winding 2 alpha for P o P) call it. The
 branch walks a user-supplied parameter grid. Each slice starts from a
 quadratic predictor: Lagrange extrapolation through the last three
 accepted points, parametrized by cumulative parameter arclength, whose
@@ -83,22 +86,38 @@ class NewtonResult:
     residual: float
 
 
-def _newton_solve(step, u, tol: float, max_iter: int):
-    """Full Newton on u - image(u) = 0 for a map step(u) -> (image, derivative).
+def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
+                       frame: SectionFrame, eps, u_guess,
+                       tol: float = DEFAULT_TOL,
+                       max_iter: int = 20) -> NewtonResult:
+    """Solve u - P(u) = 0 by full Newton from u_guess.
 
-    Returns (u, derivative, residual, iterations) at the first iterate
-    whose residual max|u - image| is within tol; the iteration count
-    excludes that final evaluation. Raises :class:`SingularJacobian` when
-    I - derivative degenerates and :class:`NoConvergence`, carrying the
+    P is the return map at winding alpha, so a fixed point at winding
+    2 alpha is a 2-cycle of the map at alpha. Each iterate evaluates P
+    with its jacobian L; the result is the first iterate whose residual
+    max|u - P(u)| is within tol, and the iteration count excludes that
+    final evaluation, so an exact guess reports zero iterations. Raises
+    :class:`SingularJacobian` when I - L degenerates (a transversal
+    multiplier sits at 1) and :class:`NoConvergence`, carrying the
     iteration count and the last residual, on budget exhaustion.
     """
+    eps = as_params(eps, family.p)
+    u = np.asarray(u_guess, dtype=float).reshape(-1)
+    if u.size != frame.r:
+        raise ValueError(f"guess has length {u.size}, expected {frame.r}")
     eye = np.eye(u.size)
     for it in range(max_iter + 1):
-        image, deriv = step(u)
-        f = u - image
+        res = transversal_map(family, frame, alpha, u, eps, tol,
+                              with_jacobian=True)
+        ell = res.jacobian
+        f = u - res.u
         rnorm = float(np.max(np.abs(f), initial=0.0))
         if rnorm <= tol:
-            return u, deriv, rnorm, it
+            return NewtonResult(
+                u, ell,
+                spectra.sorted_complex(np.linalg.eigvals(ell)),
+                spectra.sorted_complex(np.linalg.eigvals(eye - ell)),
+                it, rnorm)
         if it == max_iter:
             exc = NoConvergence(
                 f"fixed-point Newton stalled after {max_iter} iterations "
@@ -106,42 +125,13 @@ def _newton_solve(step, u, tol: float, max_iter: int):
             exc.iterations = it
             exc.residual = rnorm
             raise exc
-        jac = eye - deriv
+        jac = eye - ell
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
             raise SingularJacobian(
                 "corrector jacobian I - L is singular; a transversal "
                 "multiplier sits at 1")
         u = u - np.linalg.solve(jac, f)
-
-
-def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                       frame: SectionFrame, eps, u_guess,
-                       tol: float = DEFAULT_TOL,
-                       max_iter: int = 20) -> NewtonResult:
-    """Solve u - P(u) = 0 by full Newton from u_guess.
-
-    The iteration count excludes the final verification, so an exact
-    guess reports zero iterations. Raises :class:`SingularJacobian` when
-    I - L degenerates (a transversal multiplier sits at 1) and
-    :class:`NoConvergence` on budget exhaustion.
-    """
-    eps = as_params(eps, family.p)
-    u = np.asarray(u_guess, dtype=float).reshape(-1)
-    if u.size != frame.r:
-        raise ValueError(f"guess has length {u.size}, expected {frame.r}")
-
-    def step(v):
-        res = transversal_map(family, frame, alpha, v, eps, tol,
-                              with_jacobian=True)
-        return res.u, res.jacobian
-
-    u, ell, rnorm, iters = _newton_solve(step, u, tol, max_iter)
-    return NewtonResult(
-        u, ell,
-        spectra.sorted_complex(np.linalg.eigvals(ell)),
-        spectra.sorted_complex(np.linalg.eigvals(np.eye(frame.r) - ell)),
-        iters, rnorm)
 
 
 @dataclass(frozen=True)
@@ -181,9 +171,11 @@ def _branch_point(nr: NewtonResult, eps, delta_min) -> BranchPoint:
                        rep.dist_from_one, rep.dist_from_unit_circle)
 
 
-def _checked_path(eps_path, eps0, p: int) -> list[np.ndarray]:
+def checked_path(eps_path, eps0, p: int) -> list[np.ndarray]:
     """The parameter vectors of a continuation path, each of length p;
-    raises ValueError unless the path is nonempty and starts at eps0."""
+    raises ValueError unless the path is nonempty and starts at eps0.
+    :func:`continue_branch` and the config check of ``pnk validate``
+    share this rule."""
     path = [as_params(e, p) for e in eps_path]
     if not path:
         raise ValueError("parameter path is empty")
@@ -242,7 +234,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     slice and its parameter, not raised, so the report keeps the points.
     """
     opts = opts or ContinuationOptions()
-    path = _checked_path(eps_path, seed.eps0, family.p)
+    path = checked_path(eps_path, seed.eps0, family.p)
     if frame is None:
         frame = build_section(family, seed)
     alpha = np.asarray(alpha).reshape(-1)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import flow, spectra
+from . import flow, numdiff, spectra
 from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding,
                    loop_field)
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
@@ -98,14 +98,9 @@ def _transport_gauge(family, seed, eps0, a, period, times):
             family.generators(seed.point(TWO_PI * a * t), eps0))
         return np.eye(n) - gq @ gq.T
 
-    def projector_dot(t):
-        h = FRAME_FD_STEP
-        return (projector(t - 2 * h) - 8.0 * projector(t - h)
-                + 8.0 * projector(t + h) - projector(t + 2 * h)) / (12.0 * h)
-
     def transport(t):
         p = projector(t)
-        pdot = projector_dot(t)
+        pdot = numdiff.directional(projector, t, 1.0, FRAME_FD_STEP)
         return pdot @ p - p @ pdot
 
     def rhs(t, svec, out):

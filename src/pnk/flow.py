@@ -1,5 +1,8 @@
 """Adaptive integration of flows and variational (tangent) flows.
 
+This module only integrates: it knows fields, start points, times and
+tolerances, and nothing of tori.
+
 :func:`_run` is the one integration routine of pnk: it serves flows,
 orbit samples, variational flows, the Floquet frame transport,
 fundamental matrices and forced responses. One run may make at most
@@ -53,14 +56,13 @@ import numpy as np
 from . import _dop853 as dop853
 from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
                       dense_rows, select_initial_step)
-from .core import Field, VectorFieldFamily, as_params, as_point, wrap_angles
-from .errors import Escape, NoConvergence, NonFinite, SingularGeometry, StepFailure
+from .core import Field, as_params, as_point
+from .errors import Escape, NonFinite, StepFailure
 
 # The method of every integration in pnk (flow and floquet), as reported.
 METHOD = "DOP853"
 DEFAULT_TOL = 1e-10
 ATOL_FACTOR = 1e-2
-RETURN_MAX_ITER = 25
 
 # Right-hand-side calls one integration may make before StepFailure.
 MAX_EVALS = 100_000
@@ -360,97 +362,3 @@ def integrate_variational(field: Field, x0, eps, t: float,
     end = run.end[:n]
     _check_state(end, radius)
     return VariationalResult(end, run.end[n:].reshape(n, n), run.steps)
-
-
-@dataclass(frozen=True)
-class ReturnSolve:
-    """Result of the section-return Newton solve.
-
-    ``times`` are the k flow times (one per generator, composed in index
-    order; the order is immaterial because the flows commute),
-    ``endpoint`` lies on the section within tolerance, ``variational`` is
-    the derivative of the composed return flow at the start point when
-    requested.
-    """
-
-    times: np.ndarray
-    endpoint: np.ndarray
-    iterations: int
-    variational: np.ndarray | None = None
-
-
-def _compose_legs(family, y, eps, times, tol, with_variational):
-    """Flow y under the generators for the given times, composing in order."""
-    z = y
-    var = np.eye(family.n) if with_variational else None
-    for i, s in enumerate(times):
-        if abs(s) < TINY_TIME:
-            continue
-        if with_variational:
-            res = integrate_variational(family.member(i), z, eps, float(s), tol)
-            var = res.tangent @ var
-        else:
-            res = integrate_flow(family.member(i), z, eps, float(s), tol)
-        z = res.endpoint
-    return z, var
-
-
-def section_pairing(family: VectorFieldFamily, constraints, z, eps):
-    """X(z) and the pairing ``constraints @ X(z)``; :class:`SingularGeometry`
-    when its singular values have sv_min <= 1e-12 * max(1, sv_max)."""
-    xmat = family.generators(z, eps)
-    pairing = constraints @ xmat
-    sv = np.linalg.svd(pairing, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-        raise SingularGeometry(
-            "constraint-field pairing matrix is singular "
-            "(fields tangent to the section)")
-    return xmat, pairing
-
-
-def solve_return_times(family: VectorFieldFamily, y, eps, section,
-                       tol: float = DEFAULT_TOL,
-                       with_variational: bool = False) -> ReturnSolve:
-    """Find flow times s under X_1..X_k taking y back onto the section.
-
-    Newton on the k section constraints; the jacobian is the pairing of
-    the constraint covectors with the field values at the current point,
-    which is exact because commuting flows differentiate in their own
-    times by the field value. Convergence needs both the constraint norm
-    and the step norm at or below tol.
-
-    The start y may sit far from the section base, since the loop-flow
-    image of a section point lies farther out under expanding
-    multipliers. A wild start is stopped by the iteration budget, by
-    :func:`section_pairing` and by the chart escape check of each leg;
-    :func:`~pnk.section.transversal_orbit` keeps an orbit's samples on
-    the near intersection by ``ORBIT_MAX_GROUP_TIME``.
-
-    Raises :class:`NoConvergence` when the iteration budget runs out, and
-    :class:`SingularGeometry` when the pairing matrix degenerates (fields
-    tangent to the section).
-    """
-    y = wrap_angles(as_point(y, family.n), section.base, section.angle_coords)
-    eps = section.eps if eps is None else as_params(eps, family.p)
-
-    constraints = section.constraints
-    s = np.zeros(family.k)
-    z = y
-    for it in range(RETURN_MAX_ITER + 1):
-        g = constraints @ (z - section.base)
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol and (it == 0 or last_step <= tol):
-            break
-        if it == RETURN_MAX_ITER:
-            raise NoConvergence(
-                f"section return did not converge in {RETURN_MAX_ITER} "
-                f"iterations (constraint residual {gnorm:.3g})")
-        _, pairing = section_pairing(family, constraints, z, eps)
-        ds = -np.linalg.solve(pairing, g)
-        last_step = float(np.max(np.abs(ds)))
-        z, _ = _compose_legs(family, z, eps, ds, tol, False)
-        s = s + ds
-    var = None
-    if with_variational:
-        z, var = _compose_legs(family, y, eps, s, tol, True)
-    return ReturnSolve(s, z, it, var)

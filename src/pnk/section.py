@@ -13,8 +13,11 @@ well posed. The spectrum relation then serves as a cross check.
 
 The return map is P_alpha = Pi o phi^alpha_1, with phi^alpha_t the flow
 of the loop field for the winding alpha and Pi the projection onto the
-section along the group orbits (near intersection). Iterates of P are
-return maps of longer loops: P_alpha^n = Pi o phi^alpha_n = P_{n alpha}.
+section along the group orbits (near intersection). Pi is
+:func:`solve_return_times`, a Newton solve for the k generator times
+that bring a point back onto the section; it lives here with the frame
+it reads, and :mod:`pnk.flow` only integrates. Iterates of P are return
+maps of longer loops: P_alpha^n = Pi o phi^alpha_n = P_{n alpha}.
 Proof: Pi(y) = g(y) for a time-s composition g of generator flows, and
 phi^alpha commutes with g, so phi^alpha(Pi y) = g(phi^alpha(y)) lies on
 the group orbit of phi^alpha(y) and Pi o phi^alpha o Pi = Pi o phi^alpha;
@@ -34,11 +37,13 @@ import numpy as np
 from . import spectra
 from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
                    loop_field, wrap_angles)
-from .errors import DegenerateTangent, NonFinite, OpenLoop, PnkError
-from .flow import (DEFAULT_TOL, integrate_flow, integrate_orbit,
-                   integrate_variational, section_pairing, solve_return_times)
+from .errors import (DegenerateTangent, NoConvergence, NonFinite, OpenLoop,
+                     PnkError, SingularGeometry)
+from .flow import (DEFAULT_TOL, TINY_TIME, integrate_flow, integrate_orbit,
+                   integrate_variational)
 
 UNIT_TOL = 1e-8
+RETURN_MAX_ITER = 25
 
 # Largest group time max|s| that projects a later sample of one orbit run:
 # a quarter turn of a unit-speed generator, so the projection of a
@@ -66,14 +71,6 @@ class SectionFrame:
     angle_coords: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return self.base.size
-
-    @property
-    def k(self) -> int:
-        return self.group_basis.shape[1]
-
-    @property
     def r(self) -> int:
         return self.transversal_basis.shape[1]
 
@@ -81,6 +78,11 @@ class SectionFrame:
         """Chart point of transversal coordinates u on the section."""
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.base + self.transversal_basis @ u
+
+    def coords(self, z) -> np.ndarray:
+        """Transversal coordinates of a point z on the section, the
+        inverse of :meth:`chart_point`."""
+        return self.transversal_basis.T @ (z - self.base)
 
 
 def build_section(family: VectorFieldFamily, seed: TorusSeed,
@@ -202,6 +204,101 @@ def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
 
 @dataclass(frozen=True)
+class ReturnSolve:
+    """Result of the section-return Newton solve.
+
+    ``times`` are the k flow times (one per generator, composed in index
+    order; the order is immaterial because the flows commute),
+    ``endpoint`` lies on the section within tolerance, ``variational`` is
+    the derivative of the composed return flow at the start point when
+    requested.
+    """
+
+    times: np.ndarray
+    endpoint: np.ndarray
+    iterations: int
+    variational: np.ndarray | None = None
+
+
+def _compose_legs(family, y, eps, times, tol, with_variational):
+    """Flow y under the generators for the given times, composing in order."""
+    z = y
+    var = np.eye(family.n) if with_variational else None
+    for i, s in enumerate(times):
+        if abs(s) < TINY_TIME:
+            continue
+        if with_variational:
+            res = integrate_variational(family.member(i), z, eps, float(s), tol)
+            var = res.tangent @ var
+        else:
+            res = integrate_flow(family.member(i), z, eps, float(s), tol)
+        z = res.endpoint
+    return z, var
+
+
+def section_pairing(family: VectorFieldFamily, frame: SectionFrame, z, eps):
+    """X(z) and the pairing ``frame.constraints @ X(z)``;
+    :class:`SingularGeometry` when its singular values have
+    sv_min <= 1e-12 * max(1, sv_max)."""
+    xmat = family.generators(z, eps)
+    pairing = frame.constraints @ xmat
+    sv = np.linalg.svd(pairing, compute_uv=False)
+    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        raise SingularGeometry(
+            "constraint-field pairing matrix is singular "
+            "(fields tangent to the section)")
+    return xmat, pairing
+
+
+def solve_return_times(family: VectorFieldFamily, y, eps, frame: SectionFrame,
+                       tol: float = DEFAULT_TOL,
+                       with_variational: bool = False) -> ReturnSolve:
+    """Find flow times s under X_1..X_k taking y back onto the section.
+
+    Newton on the k section constraints; the jacobian is the pairing of
+    the constraint covectors with the field values at the current point,
+    which is exact because commuting flows differentiate in their own
+    times by the field value. Convergence needs both the constraint norm
+    and the step norm at or below tol.
+
+    The start y may sit far from the section base, since the loop-flow
+    image of a section point lies farther out under expanding
+    multipliers. A wild start is stopped by the iteration budget, by
+    :func:`section_pairing` and by the chart escape check of each leg;
+    :func:`transversal_orbit` keeps an orbit's samples on the near
+    intersection by ``ORBIT_MAX_GROUP_TIME``.
+
+    Raises :class:`NoConvergence` when the iteration budget runs out, and
+    :class:`SingularGeometry` when the pairing matrix degenerates (fields
+    tangent to the section).
+    """
+    y = wrap_angles(as_point(y, family.n), frame.base, frame.angle_coords)
+    eps = frame.eps if eps is None else as_params(eps, family.p)
+
+    constraints = frame.constraints
+    s = np.zeros(family.k)
+    z = y
+    for it in range(RETURN_MAX_ITER + 1):
+        g = constraints @ (z - frame.base)
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm <= tol and (it == 0 or last_step <= tol):
+            break
+        if it == RETURN_MAX_ITER:
+            raise NoConvergence(
+                f"section return did not converge in {RETURN_MAX_ITER} "
+                f"iterations (constraint residual {gnorm:.3g})")
+        _, pairing = section_pairing(family, frame, z, eps)
+        ds = -np.linalg.solve(pairing, g)
+        last_step = float(np.max(np.abs(ds)))
+        z, _ = _compose_legs(family, z, eps, ds, tol, False)
+        s = s + ds
+    var = None
+    if with_variational:
+        z, var = _compose_legs(family, y, eps, s, tol, True)
+    return ReturnSolve(s, z, it, var)
+
+
+@dataclass(frozen=True)
 class TransversalMapResult:
     """One evaluation of the section return map in transversal coordinates."""
 
@@ -240,10 +337,10 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
         y = integrate_flow(field, x, eps, 1.0, tol).endpoint
     ret = solve_return_times(family, y, eps, frame, tol, with_jacobian)
     z = ret.endpoint
-    u_out = frame.transversal_basis.T @ (z - frame.base)
+    u_out = frame.coords(z)
     jac = None
     if with_jacobian:
-        xmat, pairing = section_pairing(family, frame.constraints, z, eps)
+        xmat, pairing = section_pairing(family, frame, z, eps)
         proj = np.eye(family.n) - xmat @ np.linalg.solve(
             pairing, frame.constraints)
         d_chart = proj @ ret.variational @ flow_res.tangent
@@ -297,7 +394,7 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
             if kept and np.max(np.abs(ret.times)) > ORBIT_MAX_GROUP_TIME:
                 break
             x = ret.endpoint
-            iterates.append(frame.transversal_basis.T @ (x - frame.base))
+            iterates.append(frame.coords(x))
             kept += 1
         span = 2 * kept
     return TransversalOrbitResult(np.reshape(iterates, (-1, frame.r)), runs)
@@ -327,11 +424,9 @@ def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
     angles = [np.asarray(phi, dtype=float).reshape(-1) for phi in sample_angles]
     specs = []
     for phi in angles:
-        m = seed.point(phi)
-        frame = build_section(family, seed, m, eps)
-        A = total_monodromy(family, seed, alpha, m, eps, tol=integration_tol)
-        L = transversal_linearization(A, frame)
-        specs.append(spectra.sorted_complex(np.linalg.eigvals(L)))
+        rep = monodromy_report(family, seed, alpha, seed.point(phi), eps,
+                               tol=integration_tol)
+        specs.append(rep.transversal_spectrum)
     worst = 0.0
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):

@@ -7,9 +7,9 @@ import pytest
 
 from pnk import (CASE_A, CASE_B, CASE_C, DEGENERATE,
                  MatchingAmbiguityWarning, NothingFound, ProbeOptions,
-                 analyze_branch, build_section, classify_event,
-                 continue_branch, detect_crossings, postcritical_probe,
-                 track_multipliers, transversal_map)
+                 TorusSeed, VectorFieldFamily, analyze_branch, build_section,
+                 classify_event, continue_branch, detect_crossings,
+                 postcritical_probe, track_multipliers, transversal_map)
 from pnk import bifurcation
 from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
@@ -106,8 +106,6 @@ class TestDetectCrossings:
     def test_two_crossings_in_order(self):
         # two controlled multipliers exp(2 pi (eps - c_i)) crossing at
         # distinct parameters
-        from pnk import TorusSeed, VectorFieldFamily
-
         def value(x, eps):
             return np.array([1.0, (eps[0] - 0.01) * x[1],
                              (eps[0] - 0.03) * x[2]])
@@ -283,6 +281,29 @@ class TestPostcriticalProbe:
             postcritical_probe(sysm.family, sysm.seed, [1], frame, [eps],
                                CASE_C,
                                ProbeOptions(transient=120, n_samples=64))
+
+    @pytest.mark.xfail(strict=True, raises=NothingFound, reason=(
+        "ROADMAP item 3: the cubic fit through +-search_radius puts its "
+        "one seed at s = 0.0174, Newton carries it back onto u0, and the "
+        "probe excludes that find as not new"))
+    def test_transcritical_torus_found(self):
+        # phi' = 1, u' = eps u - u^2: the flat torus u = 0 meets the torus
+        # u = eps at eps = 0, so at 0.04 there is a fixed point P(0.04) = 0.04
+        def value(x, eps):
+            return np.array([1.0, eps[0] * x[1] - x[1] ** 2])
+
+        def jacobian(x, eps):
+            return np.array([[0.0, 0.0], [0.0, eps[0] - 2.0 * x[1]]])
+
+        fam = VectorFieldFamily(2, 1, 1, [value], [jacobian])
+        seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0]), [-0.05],
+                         angle_coords=(0,))
+        frame = build_section(fam, seed)
+        probe = postcritical_probe(fam, seed, [1], frame, [0.04], CASE_B,
+                                   ProbeOptions(search_radius=0.1))
+        assert len(probe.fixed_points) == 1
+        np.testing.assert_allclose(probe.fixed_points[0].u, [0.04], rtol=0,
+                                   atol=1e-8)
 
     @pytest.mark.parametrize("option, opts", [
         ("transient", ProbeOptions(transient=-5)),

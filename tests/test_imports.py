@@ -1,5 +1,6 @@
-"""Every imported name in the package modules and the tests is used, and
-importing pnk or running it imports no scipy module.
+"""Every imported name in the package modules and the tests is used, no
+package module imports a private name of another, and importing pnk or
+running it imports no scipy module.
 
 The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
 ``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pnk").glob("*.py")
                  if p.name != "__init__.py") + sorted(
                      (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "pnk").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -52,12 +54,36 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# A module's private names are its own: a name another module needs is
+# public. ``from . import _dop853`` imports a module, which is allowed.
+def _private_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level
+                and node.module is not None):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__")):
+                found.append(f"{node.module}.{name} (line {node.lineno})")
+    return found
+
+
+def test_private_import_guard_sees_names_not_modules():
+    source = ("from . import _dop853\nfrom ._dop853 import SAFETY\n"
+              "from .flow import __doc__, _run\n")
+    assert _private_imports(source) == ["flow._run (line 3)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_private_cross_module_import(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
 # scipy's subpackages take longer to import than numpy, and a run that
 # needs none of them should not pay for them: pnk imports scipy inside
 # the functions that call it, never at module level.
-PACKAGE = sorted((ROOT / "src" / "pnk").glob("*.py"))
-
-
 def _module_level_imports(source: str) -> list[str]:
     names = []
     for node in ast.parse(source).body:

@@ -8,8 +8,12 @@ The cases are the four benchmark workloads of ``pnkbench.workloads``
 ``report.strip_volatile``) and the flow and Floquet paths that no
 workload reaches: the parallel-transport gauge of
 ``extract_linearization`` (the Hopf seed has no angle coordinates),
-``fundamental_matrix`` and ``forced_response`` on its coefficients, and
-a negative-time ``integrate_variational``.
+``fundamental_matrix`` and ``forced_response`` on its coefficients, a
+negative-time ``integrate_variational``, and a section return that
+iterates: ``transversal_map`` with its jacobian and a restarting
+``transversal_orbit`` on the twisting circle of ``tests/test_section.py``
+(there the return Newton takes 5 iterations, and the orbit takes 4
+loop-flow runs).
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
@@ -38,7 +42,10 @@ from pnk.core import loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
                          fundamental_matrix)
 from pnk.flow import integrate_variational  # noqa: E402
+from pnk.section import (build_section, transversal_map,  # noqa: E402
+                         transversal_orbit)
 from pnkbench.workloads import PREPARE  # noqa: E402
+from tests.test_section import _twisting_circle  # noqa: E402
 
 
 def feed(h, value) -> None:
@@ -114,6 +121,18 @@ def floquet_cases(seed):
     }
 
 
+def return_cases():
+    """Section returns whose Newton iterates, which no workload reaches."""
+    family, seed = _twisting_circle(twist=10.0, eps0=0.01)
+    frame = build_section(family, seed)
+    return {
+        "twisting_return_map": lambda: transversal_map(
+            family, frame, [1], [0.05], with_jacobian=True),
+        "twisting_return_orbit": lambda: transversal_orbit(
+            family, frame, [1], [0.05], 12),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -121,7 +140,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in PREPARE:
             print(name, digest(workload_case(name, args.seed, Path(tmp))))
-    for name, case in floquet_cases(args.seed).items():
+    cases = {**floquet_cases(args.seed), **return_cases()}
+    for name, case in cases.items():
         print(name, digest(case()))
     return 0
 
