@@ -18,11 +18,9 @@ from .catalog import (CatalogSystem, HamiltonianPair, StraightenedSpec,
                       make_pitchfork, make_straightened,
                       make_uncoupled_oscillators, poisson_bracket)
 from .config import RunConfig, build_run, load_config, parse_config
-from .continuation import (BranchPoint, ContinuationBranch,
-                           ContinuationOptions, HyperbolicityReport,
+from .continuation import (ContinuationBranch, ContinuationOptions,
                            NewtonResult, TorusReconstruction,
-                           continue_branch, hyperbolicity_report,
-                           isolation_check, newton_fixed_point,
+                           continue_branch, newton_fixed_point,
                            reconstruct_torus)
 from .core import (Field, TorusSeed, VectorFieldFamily, lie_bracket,
                    loop_field, verify_commuting_family,

@@ -1,4 +1,4 @@
-"""The DOP853 tableau and step rules of :func:`pnk.flow._run`.
+"""The DOP853 tableau and step rules of :func:`pnk.flow.integrate`.
 
 A copy of the parts of scipy 1.17.1's ``scipy.integrate._ivp`` that the
 step loop uses: the Dormand-Prince 8(5,3) tableau of

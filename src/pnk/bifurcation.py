@@ -42,8 +42,8 @@ from .errors import (Escape, MatchingAmbiguityWarning, NonFinite,
                      NothingFound, PnkError, StepFailure)
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map, transversal_orbit
-from .continuation import (ContinuationBranch, newton_fixed_point,
-                           predict_fixed_point)
+from .continuation import (ContinuationBranch, NewtonResult,
+                           newton_fixed_point, predict_fixed_point)
 
 CASE_A = "CaseA"
 CASE_B = "CaseB"
@@ -304,9 +304,7 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
         if n_crit > len(criticals):
             kind = DEGENERATE
             criticals = spec[on_circle]
-        rest = spec[~on_circle]
-        if rest.size:
-            split = float(np.min(np.abs(np.abs(rest) - 1.0)))
+        split = spectra.margins(spec[~on_circle])[1]
 
     d_eps = bracket.eps_hi - bracket.eps_lo
     arclen = float(np.linalg.norm(d_eps))
@@ -343,13 +341,6 @@ class ProbeOptions:
 
 
 @dataclass(frozen=True)
-class FixedPointFinding:
-    u: np.ndarray
-    spectrum: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
 class TwoCycleFinding:
     points: tuple
     multipliers: np.ndarray  # eigenvalues of the cycle derivative
@@ -372,7 +363,7 @@ class ProbeReport:
     eps_post: np.ndarray
     base_u: np.ndarray
     base_spectrum: np.ndarray
-    fixed_points: list
+    fixed_points: list  # the NewtonResult of each new fixed point of P
     two_cycles: list
     circle: CircleFinding | None
     notes: str
@@ -528,7 +519,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     u0, ell0 = base.u, base.transversal
 
     dedupe = max(PROBE_EXCLUDE_TOL, 100.0 * opts.tol)
-    fixed: list[FixedPointFinding] = []
+    fixed: list[NewtonResult] = []
     cycles: list[TwoCycleFinding] = []
     circle = None
     notes = []
@@ -544,7 +535,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
                 return
             if any(float(np.linalg.norm(u - f.u)) <= dedupe for f in fixed):
                 return
-            fixed.append(FixedPointFinding(u, got.spectrum, got.residual))
+            fixed.append(got)
             return
         partner = image(u)
         if float(np.linalg.norm(partner - u)) <= PROBE_EXCLUDE_TOL:

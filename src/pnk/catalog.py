@@ -403,10 +403,8 @@ def make_uncoupled_oscillators(radii=(1.0, 1.0),
 class CylinderOracle:
     """Closed forms shared by the cylinder test families."""
 
-    def __init__(self, multipliers_fn, transversality: float, extra: dict):
+    def __init__(self, multipliers_fn):
         self._fn = multipliers_fn
-        self.transversality = transversality
-        self.extra = extra
 
     def transversal_multipliers(self, alpha, eps) -> np.ndarray:
         a = int(np.asarray(alpha).reshape(-1)[0])
@@ -436,8 +434,7 @@ def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSyste
     family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac], name=name)
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0]),
                      np.array([eps0]), angle_coords=(0,))
-    oracle = CylinderOracle(lambda e: [math.exp(TWO_PI * e)], TWO_PI,
-                            {"pair_amplitude": "sqrt(eps)"})
+    oracle = CylinderOracle(lambda e: [math.exp(TWO_PI * e)])
     return CatalogSystem(name, family, seed, oracle, {"eps0": eps0})
 
 
@@ -495,8 +492,7 @@ def make_flip(stable_exponent: float = -0.35, eps0: float = -0.05,
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(
-        lambda e: [-math.exp(TWO_PI * e), -math.exp(TWO_PI * d2)], TWO_PI,
-        {"cycle_amplitude": "sqrt(eps)", "stable_exponent": d2})
+        lambda e: [-math.exp(TWO_PI * e), -math.exp(TWO_PI * d2)])
     return CatalogSystem(name, family, seed, oracle,
                          {"stable_exponent": d2, "eps0": eps0})
 
@@ -535,9 +531,7 @@ def make_neimark(rotation: float = 0.18, damping: float = 1.0,
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(
-        lambda e: [np.exp(TWO_PI * (e + 1j * w)), np.exp(TWO_PI * (e - 1j * w))],
-        TWO_PI, {"circle_radius": "sqrt(eps / damping)", "rotation": w,
-                 "damping": c})
+        lambda e: [np.exp(TWO_PI * (e + 1j * w)), np.exp(TWO_PI * (e - 1j * w))])
     return CatalogSystem(name, family, seed, oracle,
                          {"rotation": w, "damping": c, "eps0": eps0})
 

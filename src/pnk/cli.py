@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, flow
+from . import __version__, flow, spectra
 from .bifurcation import ProbeOptions, analyze_branch
 from .config import RunConfig, RunSetup, build_run, eps_grid_values, load_config
 from .continuation import (ContinuationOptions, continue_branch,
-                           hyperbolicity_report, isolation_check,
                            newton_fixed_point, reconstruct_torus)
 from .core import TWO_PI, verify_commuting_family, verify_torus_invariance
 from .errors import ConfigError, NonCommuting, OpenTorus, PnkError
@@ -36,6 +35,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCOMMUTING = 4
+
+# A torus is isolated (no nearby torus meets the section in a second fixed
+# point) when no transversal multiplier is this close to the unit circle.
+ISOLATION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ def _run_monodromy(setup: RunSetup, options: dict):
     alpha = options["alpha"]
     rep = monodromy_report(family, seed, alpha, tol=options["tol"],
                            unit_tol=options["unit_tol"])
-    hyp = hyperbolicity_report(rep.transversal)
+    dist_one, dist_circle = spectra.margins(rep.transversal_spectrum)
     results = {
         "alpha": alpha,
         "full_spectrum": rep.full_spectrum,
@@ -94,9 +97,9 @@ def _run_monodromy(setup: RunSetup, options: dict):
         "trivial_unit_count": rep.trivial_unit_count,
         "pairing_distance": rep.pairing_distance,
         "closure_defect": rep.closure_defect,
-        "dist_from_one": hyp.dist_from_one,
-        "dist_from_unit_circle": hyp.dist_from_unit_circle,
-        "isolated": isolation_check(hyp),
+        "dist_from_one": dist_one,
+        "dist_from_unit_circle": dist_circle,
+        "isolated": dist_circle > ISOLATION_TOL,
     }
     if options["sample_angles"]:
         check = basepoint_spectrum_check(

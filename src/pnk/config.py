@@ -15,13 +15,13 @@ and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
 ``straightened``; every tolerance (``*_tol``, ``delta_min``) and
 ``search_radius`` must be positive, and the integration tolerances
 ``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
-about 2.2e-14); the integers ``samples``, ``n_samples`` and ``n_out``
-are >= 1 and <= ``MAX_COUNT``, ``grid`` >= 4, ``grid_per_angle`` >= 2,
-``seed`` and ``max_iter`` >= 0. ``build_run`` adds the checks that need
-the built family: vector lengths, the grid start, and the ``grid**k``
-and ``grid_per_angle**k`` points of a k-torus grid, at most
-``MAX_COUNT``. The torus, output and polynomial sections are checked by
-hand.
+about 2.2e-14); the integers ``samples``, ``n_samples`` and
+``eps_grid.num`` are >= 1 and ``n_out`` >= 2, all <= ``MAX_COUNT``,
+``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0.
+``build_run`` adds the checks that need the built family: vector
+lengths, the grid start, and the ``grid**k`` and ``grid_per_angle**k``
+points of a k-torus grid, at most ``MAX_COUNT``. The torus, output and
+polynomial sections are checked by hand.
 
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
@@ -43,8 +43,8 @@ from .core import TorusSeed, VectorFieldFamily, as_params
 from .errors import ConfigError, NonCommuting
 from .flow import MIN_TOL
 
-# Largest sample count or torus grid size a run may ask for: more would
-# exhaust memory or run without end rather than fail cleanly.
+# Largest sample count, branch grid or torus grid size a run may ask for:
+# more would exhaust memory or run without end rather than fail cleanly.
 MAX_COUNT = 10**6
 
 
@@ -150,7 +150,7 @@ def _as_grid(value, path):
                 required=("start", "stop", "num"))
     start = _as_vector(value["start"], f"{path}.start")
     stop = _as_vector(value["stop"], f"{path}.stop", length=len(start))
-    num = _as_int(value["num"], f"{path}.num", minimum=1)
+    num = _as_int(value["num"], f"{path}.num", minimum=1, maximum=MAX_COUNT)
     return {"start": start, "stop": stop, "num": num}
 
 
@@ -177,7 +177,9 @@ _OPTIONS = {
         **_LOOP, "unit_tol": (1e-8, _positive),
         "sample_angles": ([], _as_vectors), "spectrum_tol": (1e-6, _positive),
     },
-    "floquet": {**_LOOP, "n_samples": (256, _COUNT), "n_out": (129, _COUNT)},
+    # the Floquet samples hold both ends of the period
+    "floquet": {**_LOOP, "n_samples": (256, _COUNT),
+                "n_out": (129, _int_range(2, MAX_COUNT))},
     "continue": _BRANCH,
     "bifurcate": {
         **_BRANCH, "circle_tol": (1e-9, _positive),

@@ -7,14 +7,16 @@ iteration (the jacobian I - L is recomputed from variational flows every
 step; r is small at desk scale and robustness near marginal
 hyperbolicity matters more than cost). It is pnk's one Newton solver on
 the map: branch slices, crossing refines and every start of the
-post-critical probes (at winding 2 alpha for P o P) call it. The
-branch walks a user-supplied parameter grid. Each slice starts from a
-quadratic predictor: Lagrange extrapolation through the last three
-accepted points, parametrized by cumulative parameter arclength, whose
-O(h^3) error leaves the corrector about one Newton step per slice
-(Allgower-Georg, Introduction to Numerical Continuation Methods, sec.
-2.3). Folds in the parameter are excluded by the hyperbolicity
-hypothesis, so no pseudo-arclength reparametrization is used.
+post-critical probes (at winding 2 alpha for P o P) call it. Its
+:class:`NewtonResult` is the one fixed-point record: branches keep one
+per slice and probes one per find. The branch walks a user-supplied
+parameter grid. Each slice starts from a quadratic predictor: Lagrange
+extrapolation through the last three accepted points, parametrized by
+cumulative parameter arclength, whose O(h^3) error leaves the corrector
+about one Newton step per slice (Allgower-Georg, Introduction to
+Numerical Continuation Methods, sec. 2.3). Folds in the parameter are
+excluded by the hyperbolicity hypothesis, so no pseudo-arclength
+reparametrization is used.
 """
 
 from __future__ import annotations
@@ -29,61 +31,30 @@ from .errors import NoConvergence, OpenTorus, PnkError, SingularJacobian
 from .flow import DEFAULT_TOL, integrate_flow, integrate_orbit
 from .section import SectionFrame, build_section, transversal_map
 
-DELTA_MIN_DEFAULT = 1e-6
 SINGULAR_TOL = 1e-13  # relative smallest singular value of I - L
 
 
 @dataclass(frozen=True)
-class HyperbolicityReport:
-    """Distances of a transversal spectrum from 1 and from the unit circle.
-
-    ``dist_from_one`` gauges invertibility of the corrector jacobian
-    (its eigenvalues are 1 - lambda_i); ``dist_from_unit_circle`` gauges
-    isolation of the torus among nearby invariant tori.
-    """
-
-    spectrum: np.ndarray
-    dist_from_one: float
-    dist_from_unit_circle: float
-    B_invertible: bool
-    B_condition: float
-    delta: float
-
-
-def hyperbolicity_report(L, delta: float = DELTA_MIN_DEFAULT) -> HyperbolicityReport:
-    """Spectral margins of a transversal linearization L."""
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    spec = spectra.sorted_complex(np.linalg.eigvals(L))
-    if spec.size == 0:
-        return HyperbolicityReport(spec, np.inf, np.inf, True, 1.0, delta)
-    dist_one = float(np.min(np.abs(spec - 1.0)))
-    dist_circle = float(np.min(np.abs(np.abs(spec) - 1.0)))
-    b = np.eye(L.shape[0]) - L
-    cond = float(np.linalg.cond(b))
-    return HyperbolicityReport(spec, dist_one, dist_circle,
-                               dist_one >= delta, cond, delta)
-
-
-def isolation_check(report: HyperbolicityReport, tol: float = 1e-9) -> bool:
-    """True when no multiplier sits on the unit circle within tol.
-
-    Then the fixed point is hyperbolic for the map, hence isolated on the
-    section: no nearby invariant torus can intersect it in a second fixed
-    point.
-    """
-    return report.dist_from_unit_circle > tol
-
-
-@dataclass(frozen=True)
 class NewtonResult:
-    """Converged fixed point of the section return map at one parameter."""
+    """Converged fixed point of the section return map at parameter eps;
+    ``spectrum`` holds the eigenvalues of L = ``transversal``, whose
+    margins from 1 and from the unit circle are :func:`spectra.margins`."""
 
+    eps: np.ndarray
     u: np.ndarray
     transversal: np.ndarray
     spectrum: np.ndarray
     jacobian_spectrum: np.ndarray  # eigenvalues of the corrector jacobian I - L
     iterations: int
     residual: float
+
+    @property
+    def dist_from_one(self) -> float:
+        return spectra.margins(self.spectrum)[0]
+
+    @property
+    def dist_from_unit_circle(self) -> float:
+        return spectra.margins(self.spectrum)[1]
 
 
 def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
@@ -114,7 +85,7 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
         rnorm = float(np.max(np.abs(f), initial=0.0))
         if rnorm <= tol:
             return NewtonResult(
-                u, ell,
+                eps, u, ell,
                 spectra.sorted_complex(np.linalg.eigvals(ell)),
                 spectra.sorted_complex(np.linalg.eigvals(eye - ell)),
                 it, rnorm)
@@ -135,22 +106,8 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
 
 @dataclass(frozen=True)
-class BranchPoint:
-    """One accepted parameter slice of a continuation branch."""
-
-    eps: np.ndarray
-    u: np.ndarray
-    spectrum: np.ndarray
-    jacobian_spectrum: np.ndarray
-    newton_iters: int
-    residual: float
-    dist_from_one: float
-    dist_from_unit_circle: float
-
-
-@dataclass(frozen=True)
 class ContinuationBranch:
-    points: list
+    points: list  # one NewtonResult per accepted slice
     status: str  # "completed" | "stopped_at_critical" | "diverged"
     message: str
     alpha: np.ndarray
@@ -161,14 +118,7 @@ class ContinuationBranch:
 class ContinuationOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = 20
-    delta_min: float = DELTA_MIN_DEFAULT
-
-
-def _branch_point(nr: NewtonResult, eps, delta_min) -> BranchPoint:
-    rep = hyperbolicity_report(nr.transversal, delta_min)
-    return BranchPoint(eps, nr.u, nr.spectrum, nr.jacobian_spectrum,
-                       nr.iterations, nr.residual,
-                       rep.dist_from_one, rep.dist_from_unit_circle)
+    delta_min: float = 1e-6
 
 
 def checked_path(eps_path, eps0, p: int) -> list[np.ndarray]:
@@ -239,7 +189,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
         frame = build_section(family, seed)
     alpha = np.asarray(alpha).reshape(-1)
 
-    points: list[BranchPoint] = []
+    points: list[NewtonResult] = []
     status, message = "completed", ""
     for idx, eps in enumerate(path):
         guess = (predict_fixed_point(points[-3:], eps) if points
@@ -252,11 +202,10 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
             message = (f"slice {idx} at eps={eps}: "
                        f"{type(exc).__name__}: {exc}")
             break
-        pt = _branch_point(nr, eps, opts.delta_min)
-        points.append(pt)
-        if pt.dist_from_one < opts.delta_min:
+        points.append(nr)
+        if nr.dist_from_one < opts.delta_min:
             status = "stopped_at_critical"
-            message = (f"margin {pt.dist_from_one:.3g} below delta_min "
+            message = (f"margin {nr.dist_from_one:.3g} below delta_min "
                        f"{opts.delta_min:.3g} at eps={eps}")
             break
     return ContinuationBranch(points, status, message, alpha, frame)

@@ -17,8 +17,9 @@ the full variational flow.
 
 The coefficients come from the loop field that the loop flows integrate.
 The frame transport, fundamental matrices and forced responses run
-through :func:`pnk.flow._run`, so their failures are the
+through :func:`pnk.flow.integrate`, so their failures are the
 :class:`~pnk.errors.NonFinite`/:class:`~pnk.errors.StepFailure` of a flow.
+Their ``n_out`` >= 2 samples hold both ends of the period, 0 and T.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def _transport_gauge(family, seed, eps0, a, period, times):
     def rhs(t, svec, out):
         np.matmul(transport(t), svec.reshape(n, r), out=out.reshape(n, r))
 
-    run = flow._run(rhs, base.transversal_basis.ravel(), period, 1e-11,
-                    1e-13, times=times)
+    run = flow.integrate(rhs, base.transversal_basis.ravel(), period, 1e-11,
+                         1e-13, times=times)
     holonomy = float(np.max(np.abs(
         run.end.reshape(n, r) - base.transversal_basis)))
     if holonomy > 1e-6:
@@ -201,13 +202,15 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     func, r = _as_matrix_func(Ahat)
     if T <= 0:
         raise ValueError("period must be positive")
+    if n_out < 2:
+        raise ValueError("n_out must be at least 2")
 
     def rhs(t, y, out):
         np.matmul(func(t), y.reshape(r, r), out=out.reshape(r, r))
 
     times = np.linspace(0.0, T, n_out)
-    run = flow._run(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
-                    times=times)
+    run = flow.integrate(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
+                         times=times)
     samples = run.samples.reshape(n_out, r, r)
     q = run.end.reshape(r, r)
     samples[-1] = q
@@ -295,12 +298,14 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
     When no multiplier sits within ``RESONANCE_TOL`` of 1, the unique
     periodic solution starts at (I - Q)^{-1} u_p(T) with u_p the
     zero-initial particular solution; otherwise secular terms appear and
-    :class:`Resonance` is raised.
+    :class:`Resonance` is raised. Raises ``ValueError`` for ``n_out`` < 2.
     """
+    if n_out < 2:
+        raise ValueError("n_out must be at least 2")
     func, r = _as_matrix_func(Ahat)
     fm = fundamental_matrix(Ahat, T, tol=tol, n_out=2)
     multipliers = spectra.sorted_complex(np.linalg.eigvals(fm.Q))
-    gap = float(np.min(np.abs(multipliers - 1.0)))
+    gap = spectra.margins(multipliers)[0]
     if gap <= RESONANCE_TOL:
         raise Resonance(
             f"a multiplier lies within {RESONANCE_TOL:.3g} of 1 "
@@ -314,10 +319,10 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
         out += forcing(t)
 
     atol = tol * ATOL_FACTOR
-    part = flow._run(rhs, np.zeros(r), T, tol, atol)
+    part = flow.integrate(rhs, np.zeros(r), T, tol, atol)
     u0 = np.linalg.solve(np.eye(r) - fm.Q, part.end)
     times = np.linspace(0.0, T, n_out)
-    run = flow._run(rhs, u0, T, tol, atol, times=times)
+    run = flow.integrate(rhs, u0, T, tol, atol, times=times)
     samples = run.samples
     samples[-1] = run.end
     residual = float(np.max(np.abs(run.end - u0)))

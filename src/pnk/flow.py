@@ -3,8 +3,8 @@
 This module only integrates: it knows fields, start points, times and
 tolerances, and nothing of tori.
 
-:func:`_run` is the one integration routine of pnk: it serves flows,
-orbit samples, variational flows, the Floquet frame transport,
+:func:`integrate` is the one integration routine of pnk: it serves
+flows, orbit samples, variational flows, the Floquet frame transport,
 fundamental matrices and forced responses. One run may make at most
 ``MAX_EVALS`` = 100,000 right-hand-side calls; beyond that it raises
 :class:`~pnk.errors.StepFailure`, so a stiff or non-finite field stops
@@ -20,8 +20,8 @@ run.
 The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
 pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
 Equations I*, sec. II.10), with elementary step-size control (no PI
-term). :func:`_run` owns the step loop but does scipy's arithmetic in
-scipy's order. Its tableau, controller constants, initial-step rule and
+term). :func:`integrate` owns the step loop but does scipy's arithmetic
+in scipy's order. Its tableau, controller constants, initial-step rule and
 dense-output polynomial are pnk's own copy of scipy 1.17.1's
 (:mod:`pnk._dop853`), which the tests check equal to scipy's, so no
 scipy module is imported; its end state, step count and samples are
@@ -101,9 +101,9 @@ class VariationalResult:
 
 @dataclass(frozen=True)
 class Run:
-    """What :func:`_run` returns: the state ``end`` at time t, the number
-    of accepted ``steps``, and ``samples``, one row per requested time
-    (None when no times were requested)."""
+    """What :func:`integrate` returns: the state ``end`` at time t, the
+    number of accepted ``steps``, and ``samples``, one row per requested
+    time (None when no times were requested)."""
 
     end: np.ndarray
     steps: int
@@ -120,7 +120,8 @@ def _check_state(x, chart_radius):
 
 
 def _checked_rhs(field: Field, eps):
-    """The field as a :func:`_run` right-hand side that checks each state."""
+    """The field as an :func:`integrate` right-hand side that checks each
+    state."""
     value = field.value
     radius = field.chart_radius
 
@@ -165,7 +166,7 @@ def _error_norm(k_step, h_abs, scale, err5, err3):
     return h_abs * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _run(rhs, y0, t, rtol, atol, times=None) -> Run:
+def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
     """The one integration routine, over [0, t] (see the module docstring).
 
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
@@ -307,7 +308,7 @@ def integrate_flow(field: Field, x0, eps, t: float,
     if abs(t) < TINY_TIME:
         return FlowResult(x0.copy(), 0)
 
-    run = _run(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
+    run = integrate(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
     _check_state(run.end, field.chart_radius)
     return FlowResult(run.end, run.steps)
 
@@ -328,8 +329,8 @@ def integrate_orbit(field: Field, x0, eps, times,
         raise ValueError("sample times must be finite, positive and "
                          "strictly increasing")
 
-    samples = _run(_checked_rhs(field, eps), x0, times[-1], tol,
-                   tol * ATOL_FACTOR, times=times).samples
+    samples = integrate(_checked_rhs(field, eps), x0, times[-1], tol,
+                        tol * ATOL_FACTOR, times=times).samples
     _check_state(samples, field.chart_radius)
     return samples
 
@@ -358,7 +359,7 @@ def integrate_variational(field: Field, x0, eps, t: float,
                   out=out[n:].reshape(n, n))
 
     y0 = np.concatenate([x0, np.eye(n).ravel()])
-    run = _run(rhs, y0, t, tol, tol * ATOL_FACTOR)
+    run = integrate(rhs, y0, t, tol, tol * ATOL_FACTOR)
     end = run.end[:n]
     _check_state(end, radius)
     return VariationalResult(end, run.end[n:].reshape(n, n), run.steps)

@@ -83,7 +83,7 @@ def emit_branch_table(branch, path) -> None:
         cells = ([_fmt(v) for v in pt.eps]
                  + [_fmt(v) for v in pt.u]
                  + [_fmt(abs(v)) for v in pt.spectrum]
-                 + [_fmt(pt.dist_from_one), str(pt.newton_iters),
+                 + [_fmt(pt.dist_from_one), str(pt.iterations),
                     _fmt(pt.residual)])
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -114,7 +114,7 @@ def branch_dict(branch) -> dict:
             "u": pt.u,
             "spectrum": pt.spectrum,
             "jacobian_spectrum": pt.jacobian_spectrum,
-            "newton_iters": pt.newton_iters,
+            "newton_iters": pt.iterations,
             "residual": pt.residual,
             "dist_from_one": pt.dist_from_one,
             "dist_from_unit_circle": pt.dist_from_unit_circle,

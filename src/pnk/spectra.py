@@ -10,6 +10,20 @@ def sorted_complex(values) -> np.ndarray:
     return np.sort_complex(np.asarray(values, dtype=complex))
 
 
+def margins(spectrum) -> tuple[float, float]:
+    """Distances of a transversal spectrum from 1 and from the unit circle.
+
+    The first gauges invertibility of the corrector jacobian I - L (its
+    eigenvalues are 1 - lambda_i); the second gauges isolation of the
+    torus among nearby invariant tori. An empty spectrum is (inf, inf).
+    """
+    spec = np.asarray(spectrum, dtype=complex)
+    if spec.size == 0:
+        return np.inf, np.inf
+    return (float(np.min(np.abs(spec - 1.0))),
+            float(np.min(np.abs(np.abs(spec) - 1.0))))
+
+
 def match(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Minimal-distance assignment between two equal-size multisets.
 

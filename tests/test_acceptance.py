@@ -150,7 +150,7 @@ def test_criterion_05_continuation_and_reconstruction():
         cubic = make_straightened(StraightenedSpec((A1, A2), C, cubic=1.0))
         _, cubic_points = _two_sided_branch(cubic, [1, 0], -0.1, 0.1, 21)
         for pt in cubic_points:
-            assert pt.newton_iters <= 6
+            assert pt.iterations <= 6
             assert pt.residual <= 1e-10
         test_criterion_05_continuation_and_reconstruction.points = points
 

@@ -69,12 +69,12 @@ class TestTrackMultipliers:
 
     def test_tie_reported_for_crossing_real_pair(self):
         # two real multipliers that meet and swap order triggers a tie
-        from pnk.continuation import BranchPoint, ContinuationBranch
+        from pnk.continuation import ContinuationBranch, NewtonResult
         eps_vals = [np.array([e]) for e in (0.0, 0.5, 1.0)]
         spectra = [np.array([0.4 + 0j, 0.6 + 0j]),
                    np.array([0.5 + 0j, 0.5 + 1e-14j]),
                    np.array([0.4 + 0j, 0.6 + 0j])]
-        pts = [BranchPoint(e, np.zeros(2), s, 1.0 - s, 0, 0.0, 1.0, 1.0)
+        pts = [NewtonResult(e, np.zeros(2), None, s, 1.0 - s, 0, 0.0)
                for e, s in zip(eps_vals, spectra)]
         branch = ContinuationBranch(pts, "completed", "", np.array([1]), None)
         with pytest.warns(MatchingAmbiguityWarning):

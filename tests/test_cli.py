@@ -332,7 +332,8 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("analysis, key, bad, least", [
-        ("floquet", "n_samples", 0, 1), ("floquet", "n_out", 0, 1),
+        ("floquet", "n_samples", 0, 1), ("floquet", "n_out", 0, 2),
+        ("floquet", "n_out", 1, 2),
         ("verify", "grid", 2, 4), ("verify", "grid", 3, 4),
         ("verify", "samples", 0, 1)])
     def test_integer_below_minimum_is_2(self, tmp_path, analysis, key, bad,
@@ -348,21 +349,34 @@ class TestExitCodes:
     @pytest.mark.parametrize("analysis, key, bad", [
         ("verify", "grid", 2**62), ("verify", "samples", 2**63),
         ("floquet", "n_samples", 2**62), ("floquet", "n_out", 2**62),
-        ("torus", "grid_per_angle", 2**62)])
+        ("torus", "grid_per_angle", 2**62),
+        ("continue", "eps_grid.num", 2 * 10**6),
+        ("bifurcate", "eps_grid.num", 2 * 10**6)])
     def test_count_above_maximum_is_2(self, tmp_path, capsys, analysis, key,
                                       bad):
-        # too large for memory, or (samples) a run without end
-        options = {"verify": {}, "floquet": {"alpha": [1]},
-                   "torus": {"alpha": [1], "eps": [0.15]}}[analysis]
-        path = _write(tmp_path, _hopf_config(analysis, {**options, key: bad}))
+        # too large for memory, or (samples, branch slices) a run without end
+        def options(value):
+            if key == "eps_grid.num":
+                return {"alpha": [1], "eps_grid": {"start": [0.1],
+                                                   "stop": [0.3],
+                                                   "num": value}}
+            return {**{"verify": {}, "floquet": {"alpha": [1]},
+                       "torus": {"alpha": [1], "eps": [0.15]}}[analysis],
+                    key: value}
+
+        path = _write(tmp_path, _hopf_config(analysis, options(bad)))
         assert main(["validate", str(path)]) == 2
         assert f"options.{key}" in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"options.{key}" in capsys.readouterr().err
-        path = _write(tmp_path, _hopf_config(analysis,
-                                             {**options, key: MAX_COUNT}),
-                      "most.json")
-        assert main(["validate", str(path)]) == 0
+        most = _hopf_config(analysis, options(MAX_COUNT))
+        if key == "eps_grid.num":
+            # validating builds every slice's parameter vector (seconds
+            # for 10**6 slices), so the largest grid is only parsed
+            parse_config(most)
+        else:
+            assert main(["validate", str(_write(tmp_path, most,
+                                                "most.json"))]) == 0
 
     @pytest.mark.parametrize("analysis, key", [
         ("verify", "commutation_tol"), ("verify", "invariance_tol"),

@@ -7,57 +7,63 @@ import numpy as np
 import pytest
 
 from pnk import (ContinuationOptions, NoConvergence, NothingFound, OpenTorus,
-                 SingularJacobian, build_section,
-                 continue_branch, hyperbolicity_report, isolation_check,
-                 newton_fixed_point, postcritical_probe, reconstruct_torus,
-                 transversal_map)
+                 NewtonResult, SingularJacobian, build_section,
+                 continue_branch, newton_fixed_point, postcritical_probe,
+                 reconstruct_torus, transversal_map)
 from pnk.catalog import StraightenedSpec, make_hopf, make_straightened
-from pnk.continuation import BranchPoint, predict_fixed_point
+from pnk.cli import ISOLATION_TOL
+from pnk.continuation import predict_fixed_point
+from pnk.spectra import margins
 
 TWO_PI = 2.0 * math.pi
 
 
+def _margins(ell):
+    """The margins of the spectrum of the matrix ell."""
+    return margins(np.linalg.eigvals(np.asarray(ell, dtype=float)))
+
+
 class TestHyperbolicityReport:
+    # spectra.margins: the distances of a transversal spectrum from 1 and
+    # from the unit circle
     def test_zero_matrix(self):
-        rep = hyperbolicity_report(np.zeros((3, 3)))
-        assert rep.dist_from_one == pytest.approx(1.0)
-        assert rep.dist_from_unit_circle == pytest.approx(1.0)
-        assert rep.B_invertible
+        assert _margins(np.zeros((3, 3))) == pytest.approx((1.0, 1.0))
 
     def test_unit_eigenvalue_not_invertible(self):
-        rep = hyperbolicity_report(np.diag([1.0, 0.3]))
-        assert rep.dist_from_one == pytest.approx(0.0, abs=1e-14)
-        assert not rep.B_invertible
-        assert rep.B_condition > 1e12
+        dist_one, _ = _margins(np.diag([1.0, 0.3]))
+        assert dist_one == pytest.approx(0.0, abs=1e-14)
 
     def test_hopf_margin(self):
         lam = math.exp(-0.4 * math.pi)
-        rep = hyperbolicity_report(np.array([[lam]]))
-        assert rep.dist_from_one == pytest.approx(1.0 - lam, rel=1e-12)
-        assert rep.B_invertible
+        assert _margins([[lam]]) == pytest.approx((1.0 - lam, 1.0 - lam),
+                                                  rel=1e-12)
 
     def test_corrector_eigenvalues_are_one_minus_lambda(self, rng):
+        # the distance from 1 is the smallest eigenvalue modulus of I - L
         ell = rng.normal(size=(4, 4))
-        rep = hyperbolicity_report(ell)
-        beta = np.sort_complex(np.linalg.eigvals(np.eye(4) - ell))
-        want = np.sort_complex(1.0 - rep.spectrum)
-        from pnk.spectra import match_distance
-        assert match_distance(beta, want) <= 1e-10
+        beta = np.linalg.eigvals(np.eye(4) - ell)
+        assert _margins(ell)[0] == pytest.approx(float(np.min(np.abs(beta))),
+                                                 rel=1e-10)
+
+    def test_empty_spectrum(self):
+        assert margins(np.zeros(0, dtype=complex)) == (math.inf, math.inf)
 
 
 class TestIsolationCheck:
+    # a torus is isolated when no multiplier is within ISOLATION_TOL of
+    # the unit circle
     def test_hyperbolic_isolated(self):
-        assert isolation_check(hyperbolicity_report(np.diag([0.5, 2.0])))
+        assert _margins(np.diag([0.5, 2.0]))[1] > ISOLATION_TOL
 
     def test_rotation_not_isolated(self):
         th = math.pi / 4
         rot = np.array([[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]])
-        assert not isolation_check(hyperbolicity_report(rot))
+        assert _margins(rot)[1] <= ISOLATION_TOL
 
     def test_hopf_isolated(self):
         lam = math.exp(-0.4 * math.pi)
-        assert isolation_check(hyperbolicity_report(np.array([[lam]])))
+        assert _margins([[lam]])[1] > ISOLATION_TOL
 
 
 class TestNewtonFixedPoint:
@@ -206,8 +212,8 @@ class TestContinueBranch:
 class TestPredictFixedPoint:
     @staticmethod
     def _points(eps_values, u_of):
-        return [BranchPoint(np.array([e]), np.atleast_1d(u_of(e)), None,
-                            None, 0, 0.0, 1.0, 1.0) for e in eps_values]
+        return [NewtonResult(np.array([e]), np.atleast_1d(u_of(e)), None,
+                             None, None, 0, 0.0) for e in eps_values]
 
     def test_exact_on_quadratic_branch(self):
         # three points fit a quadratic in arclength: ahead, behind and
@@ -245,7 +251,7 @@ class TestContinuationWork:
         branch = continue_branch(hopf_sys.family, hopf_sys.seed, [1], path)
         assert branch.status == "completed"
         assert len(branch.points) == 41
-        assert sum(pt.newton_iters for pt in branch.points) <= 50
+        assert sum(pt.iterations for pt in branch.points) <= 50
         for pt in branch.points:
             np.testing.assert_allclose(
                 pt.u, hopf_sys.oracle.fixed_u(pt.eps), atol=1e-8)
@@ -367,3 +373,12 @@ class TestHopfBranchOracle:
         branch = continue_branch(hopf_sys.family, hopf_sys.seed, [1], path)
         assert branch.status == "stopped_at_critical"
         assert branch.points[-1].eps[0] == pytest.approx(0.0, abs=1e-12)
+        # each point is the corrector's record at its slice; its margins
+        # are those of its spectrum, and the stop message quotes them
+        for pt, eps in zip(branch.points, path):
+            np.testing.assert_array_equal(pt.eps, eps)
+            assert (pt.dist_from_one, pt.dist_from_unit_circle) == \
+                margins(pt.spectrum)
+        last = branch.points[-1]
+        assert branch.message.startswith(
+            f"margin {last.dist_from_one:.3g} below delta_min")

@@ -88,6 +88,18 @@ class TestFundamentalMatrix:
         fm = fundamental_matrix(a, 1.5, tol=1e-12)
         np.testing.assert_allclose(fm.Q, expm(1.5 * a), atol=1e-10)
 
+    @pytest.mark.parametrize("solve", [
+        lambda n_out: fundamental_matrix(np.zeros((1, 1)), 1.0, n_out=n_out),
+        lambda n_out: forced_response(lambda t: [[-1.0]], lambda t: [1.0],
+                                      1.0, n_out=n_out),
+    ], ids=["fundamental_matrix", "forced_response"])
+    def test_samples_hold_both_ends(self, solve):
+        # one sample would be overwritten by the end of the period, and a
+        # periodicity defect would compare that sample with itself
+        with pytest.raises(ValueError, match="n_out must be at least 2"):
+            solve(1)
+        np.testing.assert_array_equal(solve(2).times, [0.0, 1.0])
+
 
 class TestIntegrationFailures:
     def test_nan_coefficient_stops_at_the_budget(self):
@@ -114,16 +126,16 @@ class TestIntegrationFailures:
 class TestOneIntegrator:
     def test_every_integration_reaches_the_one_call(self, monkeypatch,
                                                      hopf_sys):
-        # flow and floquet both look flow._run up on the module at call
-        # time, so this one patch sees every integration
+        # flow and floquet both look flow.integrate up on the module at
+        # call time, so this one patch sees every integration
         calls = []
-        real = pnk.flow._run
+        real = pnk.flow.integrate
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pnk.flow, "_run", counted)
+        monkeypatch.setattr(pnk.flow, "integrate", counted)
         fam, seed = hopf_sys.family, hopf_sys.seed
         field = loop_field(fam, [1])
         x0, eps = seed.base_point, seed.eps0
@@ -147,7 +159,7 @@ class TestOneIntegrator:
             assert len(calls) > before, name
 
     def test_no_module_calls_solve_ivp(self):
-        # flow._run owns the DOP853 step loop; no second path around it
+        # flow.integrate owns the DOP853 step loop; no second path around it
         for path in sorted(SRC.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             names = {alias.name for node in ast.walk(tree)

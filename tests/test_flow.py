@@ -327,7 +327,7 @@ class TestChartEscape:
 def _hopf_variational():
     """The 6-dimensional variational system of the Hopf loop field, as
     solve_ivp takes it (returning a new array, as pnk wrote it before
-    owning the step loop) and as flow._run takes it (writing in place)."""
+    owning the step loop) and as flow.integrate takes it (writing in place)."""
     field = loop_field(make_hopf(1.0, 0.1).family, [1])
     eps = np.array([0.12])
 
@@ -366,10 +366,10 @@ def _written(returned):
 
 
 class TestOwnStepLoop:
-    """flow._run repeats solve_ivp(method="DOP853") bit for bit.
+    """flow.integrate repeats solve_ivp(method="DOP853") bit for bit.
 
-    Every number pnk reports comes from flow._run, which owns the DOP853
-    step loop so that right-hand sides write their stages in place. These
+    Every number pnk reports comes from flow.integrate, which owns the
+    DOP853 step loop so that right-hand sides write their stages in place. These
     tests run it beside scipy's solver on the same problems and demand
     equal end states, step counts, samples and right-hand-side call
     counts; a scipy release that changes the tableau, the controller or
@@ -378,15 +378,15 @@ class TestOwnStepLoop:
     RTOL, ATOL = 1e-10, 1e-12
 
     def _ours(self, written, y0, t, times=None):
-        """flow._run and the number of right-hand-side calls it made."""
+        """flow.integrate and the number of right-hand-side calls it made."""
         calls = [0]
 
         def counted(s, y, out):
             calls[0] += 1
             written(s, y, out)
 
-        run = pnk.flow._run(counted, y0, t, self.RTOL, self.ATOL,
-                            times=times)
+        run = pnk.flow.integrate(counted, y0, t, self.RTOL, self.ATOL,
+                                 times=times)
         return run, calls[0]
 
     def _scipy(self, returned, y0, t, **kwargs):
@@ -444,7 +444,8 @@ class TestOwnStepLoop:
     def test_t_eval_needs_a_positive_time(self, t):
         _, written, y0 = _hopf_variational()
         with pytest.raises(ValueError, match="positive t"):
-            pnk.flow._run(written, y0, t, self.RTOL, self.ATOL, times=[0.5])
+            pnk.flow.integrate(written, y0, t, self.RTOL, self.ATOL,
+                               times=[0.5])
 
     def test_dense_output_at_interior_times(self):
         returned, written, y0 = _hopf_variational()
@@ -482,8 +483,8 @@ class TestOwnStepLoop:
             out[:] = returned(s, y)
 
         with pytest.raises(want, match=re.escape(ref.message)):
-            pnk.flow._run(counted, y0, 10.0, self.RTOL, self.ATOL,
-                          times=t_eval)
+            pnk.flow.integrate(counted, y0, 10.0, self.RTOL, self.ATOL,
+                               times=t_eval)
         assert calls[0] == ref.nfev
 
     def test_budget_counts_every_call(self, monkeypatch):
@@ -493,10 +494,11 @@ class TestOwnStepLoop:
         _, ref = self._sampled(written, returned, y0, 1.0, times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev - 1)
         with pytest.raises(StepFailure, match="field evaluations"):
-            pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL,
-                          times=times)
+            pnk.flow.integrate(written, y0, 1.0, self.RTOL, self.ATOL,
+                               times=times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev)
-        pnk.flow._run(written, y0, 1.0, self.RTOL, self.ATOL, times=times)
+        pnk.flow.integrate(written, y0, 1.0, self.RTOL, self.ATOL,
+                           times=times)
 
 
 class TestTableauCopy:

@@ -1,6 +1,6 @@
 """Every imported name in the package modules and the tests is used, no
-package module imports a private name of another, and importing pnk or
-running it imports no scipy module.
+package module imports or reads a private name of another, and importing
+pnk or running it imports no scipy module.
 
 The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
 ``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
@@ -55,18 +55,33 @@ def test_no_unused_imports(path):
 
 
 # A module's private names are its own: a name another module needs is
-# public. ``from . import _dop853`` imports a module, which is allowed.
+# public. ``from . import _dop853`` imports a module, which is allowed;
+# so is ``flow.__doc__``, but not ``flow._name`` on a sibling module
+# that ``from . import flow`` bound.
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
 def _private_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.ImportFrom) and node.level
-                and node.module is not None):
+    siblings = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
             continue
         for alias in node.names:
-            name = alias.name
-            if name.startswith("_") and not (name.startswith("__")
-                                             and name.endswith("__")):
-                found.append(f"{node.module}.{name} (line {node.lineno})")
+            if node.module is None:
+                siblings[alias.asname or alias.name] = alias.name
+            elif _is_private(alias.name):
+                found.append(f"{node.module}.{alias.name} "
+                             f"(line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            found.append(f"{siblings[node.value.id]}.{node.attr} "
+                         f"(line {node.lineno})")
     return found
 
 
@@ -74,6 +89,14 @@ def test_private_import_guard_sees_names_not_modules():
     source = ("from . import _dop853\nfrom ._dop853 import SAFETY\n"
               "from .flow import __doc__, _run\n")
     assert _private_imports(source) == ["flow._run (line 3)"]
+
+
+def test_private_import_guard_sees_sibling_attributes():
+    source = ("import numpy as np\nfrom . import _dop853, flow as fl\n"
+              "fl._run(_dop853.A, fl.__doc__, np._NoValue)\n"
+              "_dop853._private = fl.integrate\n")
+    assert sorted(_private_imports(source)) == [
+        "_dop853._private (line 4)", "flow._run (line 3)"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
