@@ -236,20 +236,26 @@ def make_hopf(omega: float = 1.0, eps0: float = 0.1,
         raise ValueError("seed parameter must be positive (cycle exists)")
     inv = 1.0 / omega
 
+    # The kernels sit in the integrator's stage loop, so they work on
+    # Python floats and build one array. Each entry's operations and their
+    # order are fixed: tests/test_catalog.py checks the bits against numpy.
     def value(x, eps):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        e = eps[0]
+        xx, yy = x.tolist()
+        e = float(eps[0])
+        r2 = xx * xx + yy * yy
         return np.array([
-            inv * (e * x[0] - omega * x[1] - x[0] * r2),
-            inv * (omega * x[0] + e * x[1] - x[1] * r2),
+            inv * (e * xx - omega * yy - xx * r2),
+            inv * (omega * xx + e * yy - yy * r2),
         ])
 
     def jacobian(x, eps):
-        e = eps[0]
-        xx, yy = x[0], x[1]
-        return inv * np.array([
-            [e - 3.0 * xx * xx - yy * yy, -omega - 2.0 * xx * yy],
-            [omega - 2.0 * xx * yy, e - xx * xx - 3.0 * yy * yy],
+        xx, yy = x.tolist()
+        e = float(eps[0])
+        return np.array([
+            [inv * (e - 3.0 * xx * xx - yy * yy),
+             inv * (-omega - 2.0 * xx * yy)],
+            [inv * (omega - 2.0 * xx * yy),
+             inv * (e - xx * xx - 3.0 * yy * yy)],
         ])
 
     def ejac(x, eps):
@@ -420,13 +426,14 @@ def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSyste
     exp(2 pi eps), crossing +1 at eps = 0; past the crossing the map gains
     the twin fixed points u = +-sqrt(eps) (flow equilibria).
     """
+    # Python floats in the stage loop, as in make_hopf
     def value(x, eps):
-        u = x[1]
-        return np.array([1.0, eps[0] * u - u ** 3])
+        u = x.tolist()[1]
+        return np.array([1.0, float(eps[0]) * u - u ** 3])
 
     def jacobian(x, eps):
-        u = x[1]
-        return np.array([[0.0, 0.0], [0.0, eps[0] - 3.0 * u * u]])
+        u = x.tolist()[1]
+        return np.array([[0.0, 0.0], [0.0, float(eps[0]) - 3.0 * u * u]])
 
     def ejac(x, eps):
         return np.array([[0.0], [x[1]]])
@@ -474,7 +481,7 @@ def make_flip(stable_exponent: float = -0.35, eps0: float = -0.05,
 
     def jacobian(x, eps):
         rot, v, g = pieces(x, eps)
-        dg = np.diag([eps[0] - 3.0 * v[0] ** 2, d2])
+        dg = np.array([[eps[0] - 3.0 * v[0] ** 2, 0.0], [0.0, d2]])
         du_u = 0.5 * _J2 + rot @ dg @ rot.T
         du_phi = 0.5 * (_J2 @ rot @ g - rot @ dg @ _J2 @ v)
         out = np.zeros((3, 3))

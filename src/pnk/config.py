@@ -386,6 +386,23 @@ def eps_grid_values(options: dict) -> list[np.ndarray]:
     return [start + s * (stop - start) for s in steps]
 
 
+def _bounding_slices(options: dict) -> list[np.ndarray]:
+    """The slices of ``options["eps_grid"]`` that bound all of its slices.
+
+    These are the listed values, or the first and last slice of a
+    start/stop/num grid. Slice i of that grid is start + s_i (stop - start)
+    with s_i rising from 0 to 1, so each entry of a slice lies between
+    those entries of the first and the last one; checking the two checks
+    all ``num`` without building them.
+    """
+    grid = options["eps_grid"]
+    if "values" not in grid:
+        options = {"eps_grid": {**grid, "num": min(grid["num"], 2)}}
+    # stop - start may overflow; checked_path refuses the slices it spoils
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eps_grid_values(options)
+
+
 # ---------------------------------------------------------------------------
 # system construction
 
@@ -579,6 +596,7 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
             as_params(config.options["eps"], family.p)
         elif config.analysis in ("continue", "bifurcate"):
             key = "eps_grid"
-            checked_path(eps_grid_values(config.options), seed.eps0, family.p)
+            checked_path(_bounding_slices(config.options), seed.eps0,
+                         family.p)
     except ValueError as exc:
         raise ConfigError(f"options.{key}: {exc}") from exc

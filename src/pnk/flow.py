@@ -27,7 +27,11 @@ dense-output polynomial are pnk's own copy of scipy 1.17.1's
 scipy module is imported; its end state, step count and samples are
 those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
 saves is the per-call wrapping: a right-hand side writes each stage
-derivative straight into its row of the stage array. Runs use
+derivative straight into its row of the stage array. A stage costs a
+few numpy calls on vectors of n (or n + n^2) entries; at pnk's chart
+sizes each call's fixed cost, about a microsecond, outweighs its
+arithmetic, so the state check of each stage works on Python floats,
+whose operations cost a few hundredths of a microsecond. Runs use
 rtol = tol and atol = tol / 100, so the default tol = 1e-10 lands at
 the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
 gaps, so integration error has to sit well below them; tolerances are
@@ -111,11 +115,14 @@ class Run:
 
 
 def _check_state(x, chart_radius):
-    # One reduction: NaN and inf propagate through max.
-    m = float(np.abs(x).max())
-    if not math.isfinite(m):
+    """Raise NonFinite for a NaN or inf entry of the 1-D array x, else
+    Escape for an entry beyond chart_radius (None: no chart bound)."""
+    # On Python floats: a numpy reduction costs more than the few entries
+    # of a chart state.
+    vals = x.tolist()
+    if not all(map(math.isfinite, vals)):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
-    if chart_radius is not None and m > chart_radius:
+    if chart_radius is not None and max(map(abs, vals)) > chart_radius:
         raise Escape(f"trajectory exceeded chart radius {chart_radius}")
 
 
@@ -158,8 +165,9 @@ def _error_norm(k_step, h_abs, scale, err5, err3):
     err5 /= scale
     np.dot(k_step, dop853.E3, out=err3)
     err3 /= scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    # np.linalg.norm of a 1-D float vector, without its wrapper
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -331,7 +339,7 @@ def integrate_orbit(field: Field, x0, eps, times,
 
     samples = integrate(_checked_rhs(field, eps), x0, times[-1], tol,
                         tol * ATOL_FACTOR, times=times).samples
-    _check_state(samples, field.chart_radius)
+    _check_state(samples.ravel(), field.chart_radius)
     return samples
 
 

@@ -197,3 +197,95 @@ class TestBeyondTheDiagonalCases:
         assert branch.status == "completed"
         for pt in branch.points:
             assert float(np.max(np.abs(pt.u + spec.C @ pt.eps))) <= 1e-9
+
+
+# The numpy expressions the Hopf, pitchfork and flip kernels had before
+# they moved to Python floats; the kernels must return the same bits.
+def _hopf_reference(omega):
+    inv = 1.0 / omega
+
+    def value(x, eps):
+        r2 = x[0] * x[0] + x[1] * x[1]
+        e = eps[0]
+        return np.array([
+            inv * (e * x[0] - omega * x[1] - x[0] * r2),
+            inv * (omega * x[0] + e * x[1] - x[1] * r2),
+        ])
+
+    def jacobian(x, eps):
+        e = eps[0]
+        xx, yy = x[0], x[1]
+        return inv * np.array([
+            [e - 3.0 * xx * xx - yy * yy, -omega - 2.0 * xx * yy],
+            [omega - 2.0 * xx * yy, e - xx * xx - 3.0 * yy * yy],
+        ])
+    return value, jacobian
+
+
+def _pitchfork_reference():
+    def value(x, eps):
+        u = x[1]
+        return np.array([1.0, eps[0] * u - u ** 3])
+
+    def jacobian(x, eps):
+        u = x[1]
+        return np.array([[0.0, 0.0], [0.0, eps[0] - 3.0 * u * u]])
+    return value, jacobian
+
+
+def _flip_reference(d2):
+    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def pieces(x, eps):
+        c, s = math.cos(0.5 * x[0]), math.sin(0.5 * x[0])
+        rot = np.array([[c, -s], [s, c]])
+        v = rot.T @ x[1:]
+        g = np.array([eps[0] * v[0] - v[0] ** 3, d2 * v[1]])
+        return rot, v, g
+
+    def value(x, eps):
+        rot, _, g = pieces(x, eps)
+        du = 0.5 * (j2 @ x[1:]) + rot @ g
+        return np.array([1.0, du[0], du[1]])
+
+    def jacobian(x, eps):
+        rot, v, g = pieces(x, eps)
+        dg = np.diag([eps[0] - 3.0 * v[0] ** 2, d2])
+        out = np.zeros((3, 3))
+        out[1:, 0] = 0.5 * (j2 @ rot @ g - rot @ dg @ j2 @ v)
+        out[1:, 1:] = 0.5 * j2 + rot @ dg @ rot.T
+        return out
+    return value, jacobian
+
+
+def _kernel_points(n):
+    """(x, eps) pairs: seeded random points at three scales, of either
+    sign, plus zeros and all-negative points."""
+    rng = np.random.default_rng(20)
+    pairs = [(np.zeros(n), np.zeros(1)), (np.zeros(n), np.array([-0.3])),
+             (-np.full(n, 0.7), np.array([-0.05])),
+             (-np.arange(1.0, n + 1.0), np.array([0.2]))]
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(40):
+            pairs.append((scale * rng.standard_normal(n),
+                          rng.uniform(-0.5, 0.5, size=1)))
+    return pairs
+
+
+class TestKernelsKeepTheirBits:
+    @pytest.mark.parametrize("system, reference", [
+        (make_hopf(), _hopf_reference(1.0)),
+        (make_hopf(omega=-0.7, eps0=0.2), _hopf_reference(-0.7)),
+        (make_pitchfork(), _pitchfork_reference()),
+        (make_flip(), _flip_reference(-0.35)),
+        (make_flip(stable_exponent=0.4), _flip_reference(0.4))],
+        ids=["hopf", "hopf-negative-omega", "pitchfork", "flip",
+             "flip-unstable"])
+    def test_value_and_jacobian_equal_the_numpy_forms(self, system,
+                                                      reference):
+        field = system.family.member(0)
+        ref_value, ref_jacobian = reference
+        for x, eps in _kernel_points(system.family.n):
+            assert np.array_equal(field.value(x, eps), ref_value(x, eps))
+            assert np.array_equal(field.jacobian(x, eps),
+                                  ref_jacobian(x, eps))

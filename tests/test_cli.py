@@ -10,6 +10,7 @@ import pytest
 from pnk import ConfigError, continue_branch, parse_config
 from pnk.cli import main, run_config
 from pnk.config import MAX_COUNT, build_run, eps_grid_values, load_config
+from pnk.continuation import checked_path
 from pnk.flow import MIN_TOL
 from pnk.report import emit_branch_table, strip_volatile
 
@@ -95,6 +96,29 @@ class TestParseConfig:
                      "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}}))
         vals = eps_grid_values(cfg.options)
         np.testing.assert_allclose(np.array(vals).ravel(), [0.1, 0.15, 0.2])
+
+    @pytest.mark.parametrize("start, stop, num", [
+        ([0.1], [0.3], 7), ([0.1], [0.1], 1), ([0.1], [0.3], 2),
+        ([0.1], [-1.7e308], 9), ([0.2], [0.3], 5), ([-1e308], [1e308], 4),
+        ([1e308], [-1e308], 1), ([0.1, 0.2], [0.3, 0.4], 3)])
+    def test_grid_check_refuses_what_the_slices_refuse(self, start, stop,
+                                                       num):
+        # build_run checks a start/stop/num grid without building its
+        # slices; it refuses a grid, with the same message, exactly when
+        # checked_path refuses the slices
+        cfg = parse_config(_hopf_config("continue", {
+            "alpha": [1],
+            "eps_grid": {"start": start, "stop": stop, "num": num}}))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slices = eps_grid_values(cfg.options)
+            checked_path(slices, np.array([0.1]), 1)
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as info:
+                build_run(cfg)
+            assert str(info.value) == f"options.eps_grid: {exc}"
+        else:
+            build_run(cfg)
 
     def test_polynomial_system_evaluates(self):
         # planar Hopf normal form written as polynomials, eps-coupled
@@ -370,13 +394,8 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"options.{key}" in capsys.readouterr().err
         most = _hopf_config(analysis, options(MAX_COUNT))
-        if key == "eps_grid.num":
-            # validating builds every slice's parameter vector (seconds
-            # for 10**6 slices), so the largest grid is only parsed
-            parse_config(most)
-        else:
-            assert main(["validate", str(_write(tmp_path, most,
-                                                "most.json"))]) == 0
+        assert main(["validate", str(_write(tmp_path, most,
+                                            "most.json"))]) == 0
 
     @pytest.mark.parametrize("analysis, key", [
         ("verify", "commutation_tol"), ("verify", "invariance_tol"),

@@ -312,6 +312,14 @@ class TestChartEscape:
         with pytest.raises(Escape):
             integrate_flow(grow, [1.0], [], 1.0)
 
+    def test_escape_raised_below_minus_chart_radius(self):
+        from pnk import Escape
+        grow = Field(2, 0, lambda x, e: 10.0 * x,
+                     lambda x, e: 10.0 * np.eye(2),
+                     lambda x, e: np.zeros((2, 0)), chart_radius=5.0)
+        with pytest.raises(Escape):
+            integrate_flow(grow, [0.0, -1.0], [], 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_is_not_an_escape(self, bad):
         # from the origin the first trial step carries the bad value into
@@ -322,6 +330,40 @@ class TestChartEscape:
                        lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
         with pytest.raises(NonFinite):
             integrate_flow(broken, [0.0], [], 1.0)
+
+    # the three paths that check states: plain flow, sampled orbit and
+    # variational flow, each run from x0 for time 1
+    PATHS = {
+        "plain": lambda f, x0: integrate_flow(f, x0, [], 1.0),
+        "orbit": lambda f, x0: integrate_orbit(f, x0, [], [0.5, 1.0]),
+        "variational": lambda f, x0: integrate_variational(f, x0, [], 1.0),
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_second_entry_is_not_an_escape(self, path, bad):
+        # once x[0] passes 1e-3 the derivative is (1e12, bad): the next
+        # stage state has its leading entry far beyond the radius and a
+        # bad second entry, and the bad entry decides
+        def value(x, e):
+            return np.array([1.0, 0.0] if x[0] < 1e-3 else [1e12, bad])
+
+        broken = Field(2, 0, value, lambda x, e: np.zeros((2, 2)),
+                       lambda x, e: np.zeros((2, 0)), chart_radius=5.0)
+        with pytest.raises(NonFinite):
+            self.PATHS[path](broken, [0.0, 0.0])
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("x0", [[5.0, 0.0], [1.0, -5.0]])
+    def test_state_on_the_chart_radius_stays(self, path, x0):
+        # a zero field keeps every stage, end and sample state at x0,
+        # whose largest entry is exactly the radius
+        still = Field(2, 0, lambda x, e: np.zeros(2),
+                      lambda x, e: np.zeros((2, 2)),
+                      lambda x, e: np.zeros((2, 0)), chart_radius=5.0)
+        out = self.PATHS[path](still, x0)
+        end = out[-1] if path == "orbit" else out.endpoint
+        assert end.tolist() == x0
 
 
 def _hopf_variational():
