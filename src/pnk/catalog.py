@@ -6,6 +6,15 @@ the numerical pipeline computes (transversal multipliers, continued fixed
 points, post-critical amplitudes). Seeds are normalized so the generators
 act as unit angle translations on the torus, which is what makes time-one
 flows of the 2*pi-scaled loop combinations close up.
+
+The Hopf, pitchfork, flip and Neimark kernels run in the integrator's
+stage loop, so they work on Python floats and build one array per result,
+each entry's operations in the order of the numpy forms they replace. A
+product summing two or more rounded terms stays one numpy call, as BLAS
+may fuse its multiply-adds; a product by 0 or +-1 moves to floats:
+``_J2 @ u`` is ``(-u1 or 0.0, u0 or 0.0)``, with BLAS's signs of zero.
+Powers use :func:`_power`, which gives numpy's +-inf where ``**`` raises
+OverflowError. ``tests/test_catalog.py`` checks the bits.
 """
 
 from __future__ import annotations
@@ -144,45 +153,39 @@ def make_straightened(spec: StraightenedSpec,
     cubic = float(spec.cubic)
     cmat = spec.C
 
-    def make_value(i):
-        a = mats[i]
-
-        def value(x, eps, _a=a):
+    def make_value(i, a):
+        def value(x, eps):
             u = x[k:]
             w = u + cmat @ eps
             if cubic != 0.0:
                 w = w + cubic * u ** 3
             out = np.zeros(n)
             out[i] = 1.0
-            out[k:] = _a @ w
+            out[k:] = a @ w
             return out
         return value
 
-    def make_jacobian(i):
-        a = mats[i]
-
-        def jac(x, eps, _a=a):
+    def make_jacobian(a):
+        def jac(x, eps):
             out = np.zeros((n, n))
             u = x[k:]
             gain = np.eye(r) if cubic == 0.0 else np.diag(1.0 + 3.0 * cubic * u ** 2)
-            out[k:, k:] = _a @ gain
+            out[k:, k:] = a @ gain
             return out
         return jac
 
-    def make_epsjac(i):
-        a = mats[i]
-
-        def ejac(x, eps, _a=a):
+    def make_epsjac(a):
+        def ejac(x, eps):
             out = np.zeros((n, p))
-            out[k:, :] = _a @ cmat
+            out[k:, :] = a @ cmat
             return out
         return ejac
 
     family = VectorFieldFamily(
         n, k, p,
-        values=[make_value(i) for i in range(k)],
-        jacobians=[make_jacobian(i) for i in range(k)],
-        eps_jacobians=[make_epsjac(i) for i in range(k)],
+        values=[make_value(i, a) for i, a in enumerate(mats)],
+        jacobians=[make_jacobian(a) for a in mats],
+        eps_jacobians=[make_epsjac(a) for a in mats],
         name=name)
 
     def embed(phi):
@@ -202,10 +205,6 @@ class HopfOracle:
     def __init__(self, omega: float, eps0: float):
         self.omega = omega
         self.eps0 = eps0
-
-    def radius(self, eps) -> float:
-        e = float(np.asarray(eps).reshape(-1)[0])
-        return math.sqrt(e)
 
     def multiplier(self, eps) -> float:
         e = float(np.asarray(eps).reshape(-1)[0])
@@ -236,9 +235,6 @@ def make_hopf(omega: float = 1.0, eps0: float = 0.1,
         raise ValueError("seed parameter must be positive (cycle exists)")
     inv = 1.0 / omega
 
-    # The kernels sit in the integrator's stage loop, so they work on
-    # Python floats and build one array. Each entry's operations and their
-    # order are fixed: tests/test_catalog.py checks the bits against numpy.
     def value(x, eps):
         xx, yy = x.tolist()
         e = float(eps[0])
@@ -419,6 +415,14 @@ class CylinderOracle:
         return base ** a
 
 
+def _power(u: float, k: int) -> float:
+    """u ** k on Python floats, giving numpy's +-inf where it overflows."""
+    try:
+        return u ** k
+    except OverflowError:
+        return math.copysign(math.inf, u) ** k
+
+
 def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSystem:
     """Cylinder flow phi' = 1, u' = eps u - u^3.
 
@@ -426,10 +430,9 @@ def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSyste
     exp(2 pi eps), crossing +1 at eps = 0; past the crossing the map gains
     the twin fixed points u = +-sqrt(eps) (flow equilibria).
     """
-    # Python floats in the stage loop, as in make_hopf
     def value(x, eps):
         u = x.tolist()[1]
-        return np.array([1.0, float(eps[0]) * u - u ** 3])
+        return np.array([1.0, float(eps[0]) * u - _power(u, 3)])
 
     def jacobian(x, eps):
         u = x.tolist()[1]
@@ -443,11 +446,6 @@ def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSyste
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(lambda e: [math.exp(TWO_PI * e)])
     return CatalogSystem(name, family, seed, oracle, {"eps0": eps0})
-
-
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -467,33 +465,33 @@ def make_flip(stable_exponent: float = -0.35, eps0: float = -0.05,
     """
     d2 = float(stable_exponent)
 
-    def pieces(x, eps):
-        rot = _rot(0.5 * x[0])
-        v = rot.T @ x[1:]
-        g = np.array([eps[0] * v[0] - v[0] ** 3, d2 * v[1]])
-        return rot, v, g
-
     def value(x, eps):
-        rot, _, g = pieces(x, eps)
-        u = x[1:]
-        du = 0.5 * (_J2 @ u) + rot @ g
-        return np.array([1.0, du[0], du[1]])
+        phi, u0, u1 = x.tolist()
+        c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+        rot = np.array([[c, -s], [s, c]])
+        v0, v1 = rot.T.dot(x[1:]).tolist()
+        r0, r1 = rot.dot([float(eps[0]) * v0 - _power(v0, 3), d2 * v1]).tolist()
+        return np.array([1.0, 0.5 * (-u1 or 0.0) + r0, 0.5 * (u0 or 0.0) + r1])
 
     def jacobian(x, eps):
-        rot, v, g = pieces(x, eps)
-        dg = np.array([[eps[0] - 3.0 * v[0] ** 2, 0.0], [0.0, d2]])
-        du_u = 0.5 * _J2 + rot @ dg @ rot.T
-        du_phi = 0.5 * (_J2 @ rot @ g - rot @ dg @ _J2 @ v)
-        out = np.zeros((3, 3))
-        out[1:, 0] = du_phi
-        out[1:, 1:] = du_u
-        return out
+        c, s = math.cos(0.5 * x[0]), math.sin(0.5 * x[0])
+        rot = np.array([[c, -s], [s, c]])
+        v = rot.T.dot(x[1:])
+        v0, v1 = v.tolist()
+        e = float(eps[0])
+        rot_dg = rot.dot([[e - 3.0 * _power(v0, 2), 0.0], [0.0, d2]])
+        (m00, m01), (m10, m11) = rot_dg.dot(rot.T).tolist()
+        p0, p1 = _J2.dot(rot).dot([e * v0 - _power(v0, 3), d2 * v1]).tolist()
+        q0, q1 = rot_dg.dot(_J2).dot(v).tolist()
+        return np.array([[0.0, 0.0, 0.0],
+                         [0.5 * (p0 - q0), 0.0 + m00, -0.5 + m01],
+                         [0.5 * (p1 - q1), 0.5 + m10, 0.0 + m11]])
 
     def ejac(x, eps):
-        rot, v, _ = pieces(x, eps)
-        out = np.zeros((3, 1))
-        out[1:, 0] = rot @ np.array([v[0], 0.0])
-        return out
+        c, s = math.cos(0.5 * x[0]), math.sin(0.5 * x[0])
+        rot = np.array([[c, -s], [s, c]])
+        r0, r1 = rot.dot([rot.T.dot(x[1:])[0], 0.0]).tolist()
+        return np.array([[0.0], [r0], [r1]])
 
     family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac], name=name)
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),
@@ -513,26 +511,26 @@ def make_neimark(rotation: float = 0.18, damping: float = 1.0,
     with rotation number w; past the crossing the map carries an invariant
     circle of radius sqrt(eps / c).
     """
-    w = float(rotation)
-    c = float(damping)
+    w, c = float(rotation), float(damping)
+    w0, c2 = w * 0.0, 2.0 * c  # diagonal of w * _J2; factor of u u^T
 
     def value(x, eps):
         u = x[1:]
-        amp = eps[0] - c * (u @ u)
-        du = amp * u + w * (_J2 @ u)
-        return np.array([1.0, du[0], du[1]])
+        a = float(eps[0]) - c * float(u.dot(u))
+        _, u0, u1 = x.tolist()
+        return np.array([1.0, a * u0 + w * (-u1 or 0.0), a * u1 + w * (u0 or 0.0)])
 
     def jacobian(x, eps):
         u = x[1:]
-        amp = eps[0] - c * (u @ u)
-        out = np.zeros((3, 3))
-        out[1:, 1:] = amp * np.eye(2) + w * _J2 - 2.0 * c * np.outer(u, u)
-        return out
+        a = float(eps[0]) - c * float(u.dot(u))
+        _, u0, u1 = x.tolist()
+        return np.array([
+            [0.0, 0.0, 0.0],
+            [0.0, a + w0 - c2 * (u0 * u0), a * 0.0 - w - c2 * (u0 * u1)],
+            [0.0, a * 0.0 + w - c2 * (u1 * u0), a + w0 - c2 * (u1 * u1)]])
 
     def ejac(x, eps):
-        out = np.zeros((3, 1))
-        out[1:, 0] = x[1:]
-        return out
+        return np.array([[0.0], [x[1]], [x[2]]])
 
     family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac], name=name)
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),

@@ -1,16 +1,18 @@
 """Catalog constructors, their oracles, and the hamiltonian checks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pnk import (NonCommuting, monodromy_report, verify_commuting_family,
-                 verify_torus_invariance)
+from pnk import (NonCommuting, NonFinite, monodromy_report,
+                 verify_commuting_family, verify_torus_invariance)
 from pnk.catalog import (HamiltonianPair, StraightenedSpec,
                          build_catalog_system, hamiltonian_field, make_flip,
                          make_hopf, make_neimark, make_pitchfork,
                          make_straightened, poisson_bracket)
+from pnk.flow import integrate_flow, integrate_orbit, integrate_variational
 from pnk.spectra import match, match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -199,8 +201,8 @@ class TestBeyondTheDiagonalCases:
             assert float(np.max(np.abs(pt.u + spec.C @ pt.eps))) <= 1e-9
 
 
-# The numpy expressions the Hopf, pitchfork and flip kernels had before
-# they moved to Python floats; the kernels must return the same bits.
+# The numpy expressions the Hopf, pitchfork, flip and Neimark kernels had
+# before they moved to Python floats; the kernels must return the same bits.
 def _hopf_reference(omega):
     inv = 1.0 / omega
 
@@ -233,43 +235,110 @@ def _pitchfork_reference():
     return value, jacobian
 
 
-def _flip_reference(d2):
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+
+def _flip_frame(x):
+    c, s = math.cos(0.5 * x[0]), math.sin(0.5 * x[0])
+    rot = np.array([[c, -s], [s, c]])
+    return rot, rot.T @ x[1:]
+
+
+def _flip_reference(d2):
     def pieces(x, eps):
-        c, s = math.cos(0.5 * x[0]), math.sin(0.5 * x[0])
-        rot = np.array([[c, -s], [s, c]])
-        v = rot.T @ x[1:]
+        rot, v = _flip_frame(x)
         g = np.array([eps[0] * v[0] - v[0] ** 3, d2 * v[1]])
         return rot, v, g
 
     def value(x, eps):
         rot, _, g = pieces(x, eps)
-        du = 0.5 * (j2 @ x[1:]) + rot @ g
+        du = 0.5 * (_J2 @ x[1:]) + rot @ g
         return np.array([1.0, du[0], du[1]])
 
     def jacobian(x, eps):
         rot, v, g = pieces(x, eps)
         dg = np.diag([eps[0] - 3.0 * v[0] ** 2, d2])
         out = np.zeros((3, 3))
-        out[1:, 0] = 0.5 * (j2 @ rot @ g - rot @ dg @ j2 @ v)
-        out[1:, 1:] = 0.5 * j2 + rot @ dg @ rot.T
+        out[1:, 0] = 0.5 * (_J2 @ rot @ g - rot @ dg @ _J2 @ v)
+        out[1:, 1:] = 0.5 * _J2 + rot @ dg @ rot.T
         return out
     return value, jacobian
 
 
+def _flip_eps_jacobian(x, eps):
+    rot, v = _flip_frame(x)
+    out = np.zeros((3, 1))
+    out[1:, 0] = rot @ np.array([v[0], 0.0])
+    return out
+
+
+def _neimark_reference(w, c):
+    def value(x, eps):
+        u = x[1:]
+        amp = eps[0] - c * (u @ u)
+        du = amp * u + w * (_J2 @ u)
+        return np.array([1.0, du[0], du[1]])
+
+    def jacobian(x, eps):
+        u = x[1:]
+        amp = eps[0] - c * (u @ u)
+        out = np.zeros((3, 3))
+        out[1:, 1:] = amp * np.eye(2) + w * _J2 - 2.0 * c * np.outer(u, u)
+        return out
+    return value, jacobian
+
+
+def _neimark_eps_jacobian(x, eps):
+    out = np.zeros((3, 1))
+    out[1:, 0] = x[1:]
+    return out
+
+
 def _kernel_points(n):
-    """(x, eps) pairs: seeded random points at three scales, of either
-    sign, plus zeros and all-negative points."""
+    """(x, eps) pairs: seeded random points of either sign at three
+    scales and at two where squares and cubes overflow (1e160, 3e200);
+    every pattern of signed zeros, with eps +-0.0 or of either sign;
+    random points with +-0.0 put into one entry or into eps; leading
+    entries 0, pi and 2 pi (the flip's phase); all-negative points."""
     rng = np.random.default_rng(20)
-    pairs = [(np.zeros(n), np.zeros(1)), (np.zeros(n), np.array([-0.3])),
-             (-np.full(n, 0.7), np.array([-0.05])),
+    pairs = [(-np.full(n, 0.7), np.array([-0.05])),
              (-np.arange(1.0, n + 1.0), np.array([0.2]))]
-    for scale in (1e-3, 1.0, 1e3):
+    for zeros in itertools.product((0.0, -0.0), repeat=n):
+        for e in (0.0, -0.0, 0.2, -0.3):
+            pairs.append((np.array(zeros), np.array([e])))
+    for scale in (1e-3, 1.0, 1e3, 1e160, 3e200):
         for _ in range(40):
             pairs.append((scale * rng.standard_normal(n),
                           rng.uniform(-0.5, 0.5, size=1)))
+    for zero in (0.0, -0.0):
+        for i in range(n + 1):
+            for _ in range(4):
+                x, eps = rng.standard_normal(n), rng.uniform(-0.5, 0.5, 1)
+                if i < n:
+                    x[i] = zero
+                else:
+                    eps[0] = zero
+                pairs.append((x, eps))
+    for phase in (0.0, math.pi, 2.0 * math.pi):
+        for _ in range(6):
+            x = rng.standard_normal(n)
+            x[0] = phase
+            pairs.append((x, rng.uniform(-0.5, 0.5, size=1)))
     return pairs
+
+
+def _assert_same_bits(kernels, references, n):
+    """Each kernel returns its reference's dtype, shape and bytes at every
+    kernel point: unlike np.array_equal, -0.0 is not 0.0 and a NaN equals
+    only a NaN of the same bits."""
+    for x, eps in _kernel_points(n):
+        for kernel, reference in zip(kernels, references):
+            # as in the integrator, where NonFinite reports an overflow
+            # and numpy's warnings are noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = kernel(x, eps), reference(x, eps)
+            assert (got.dtype == want.dtype and got.shape == want.shape
+                    and got.tobytes() == want.tobytes()), (kernel, x, eps)
 
 
 class TestKernelsKeepTheirBits:
@@ -278,14 +347,51 @@ class TestKernelsKeepTheirBits:
         (make_hopf(omega=-0.7, eps0=0.2), _hopf_reference(-0.7)),
         (make_pitchfork(), _pitchfork_reference()),
         (make_flip(), _flip_reference(-0.35)),
-        (make_flip(stable_exponent=0.4), _flip_reference(0.4))],
+        (make_flip(stable_exponent=0.4), _flip_reference(0.4)),
+        (make_neimark(), _neimark_reference(0.18, 1.0)),
+        (make_neimark(damping=-1.0), _neimark_reference(0.18, -1.0)),
+        (make_neimark(rotation=-0.3), _neimark_reference(-0.3, 1.0)),
+        (make_neimark(rotation=-0.3, damping=-1.0),
+         _neimark_reference(-0.3, -1.0))],
         ids=["hopf", "hopf-negative-omega", "pitchfork", "flip",
-             "flip-unstable"])
+             "flip-unstable", "neimark", "neimark-subcritical",
+             "neimark-negative-rotation", "neimark-subcritical-negative"])
     def test_value_and_jacobian_equal_the_numpy_forms(self, system,
                                                       reference):
         field = system.family.member(0)
-        ref_value, ref_jacobian = reference
-        for x, eps in _kernel_points(system.family.n):
-            assert np.array_equal(field.value(x, eps), ref_value(x, eps))
-            assert np.array_equal(field.jacobian(x, eps),
-                                  ref_jacobian(x, eps))
+        _assert_same_bits((field.value, field.jacobian), reference,
+                          system.family.n)
+
+    @pytest.mark.parametrize("system, reference", [
+        (make_flip(), _flip_eps_jacobian),
+        (make_neimark(), _neimark_eps_jacobian)], ids=["flip", "neimark"])
+    def test_eps_jacobian_equals_the_numpy_form(self, system, reference):
+        _assert_same_bits((system.family.member(0).eps_jacobian,),
+                          (reference,), system.family.n)
+
+
+class TestOverflowingStarts:
+    # a start whose cube, or |u|^2 u, overflows: the Python-float kernels
+    # must give numpy's inf, which the state check reports as NonFinite
+    PATHS = {
+        "plain": lambda f, x0: integrate_flow(f, x0, [0.1], 1.0),
+        "orbit": lambda f, x0: integrate_orbit(f, x0, [0.1], [0.5, 1.0]),
+        "variational": lambda f, x0: integrate_variational(f, x0, [0.1],
+                                                           1.0),
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("maker, x0", [
+        (make_pitchfork, [0.0, 6e102]),
+        (make_flip, [0.0, 6e102, 0.0]),
+        (make_neimark, [0.0, 6e102, 0.0])],
+        ids=["pitchfork", "flip", "neimark"])
+    def test_integration_raises_non_finite(self, path, maker, x0):
+        with pytest.raises(NonFinite):
+            self.PATHS[path](maker().family.member(0), x0)
+
+    @pytest.mark.parametrize("u, want", [(6e102, -math.inf),
+                                         (-6e102, math.inf)])
+    def test_pitchfork_eval_gives_numpy_inf(self, u, want):
+        got = make_pitchfork().family.eval(0, [0.0, u], [0.1])
+        assert got.tolist() == [1.0, want]
