@@ -153,33 +153,35 @@ def make_straightened(spec: StraightenedSpec,
     cubic = float(spec.cubic)
     cmat = spec.C
 
+    # products add onto zeros, as matmul does: a length-1 dot may give -0.0
     def make_value(i, a):
         def value(x, eps):
             u = x[k:]
-            w = u + cmat @ eps
+            w = u + cmat.dot(eps)
             if cubic != 0.0:
                 w = w + cubic * u ** 3
             out = np.zeros(n)
             out[i] = 1.0
-            out[k:] = a @ w
+            out[k:] += a.dot(w)
             return out
         return value
 
     def make_jacobian(a):
+        if cubic == 0.0:
+            const = np.zeros((n, n))
+            const[k:, k:] = a @ np.eye(r)
+            return lambda x, eps: const.copy()
+
         def jac(x, eps):
             out = np.zeros((n, n))
-            u = x[k:]
-            gain = np.eye(r) if cubic == 0.0 else np.diag(1.0 + 3.0 * cubic * u ** 2)
-            out[k:, k:] = a @ gain
+            out[k:, k:] += a.dot(np.diag(1.0 + 3.0 * cubic * x[k:] ** 2))
             return out
         return jac
 
     def make_epsjac(a):
-        def ejac(x, eps):
-            out = np.zeros((n, p))
-            out[k:, :] = a @ cmat
-            return out
-        return ejac
+        const = np.zeros((n, p))
+        const[k:, :] = a @ cmat
+        return lambda x, eps: const.copy()
 
     family = VectorFieldFamily(
         n, k, p,

@@ -104,7 +104,8 @@ def _run_monodromy(setup: RunSetup, options: dict):
     if options["sample_angles"]:
         check = basepoint_spectrum_check(
             family, seed, alpha, options["sample_angles"],
-            tol=options["spectrum_tol"], integration_tol=options["tol"])
+            tol=options["spectrum_tol"], integration_tol=options["tol"],
+            base=rep)
         results["basepoint_check"] = {
             "max_spectral_distance": check.max_spectral_distance,
             "passed": check.passed,

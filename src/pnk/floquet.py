@@ -92,7 +92,7 @@ def _transport_gauge(family, seed, eps0, a, period, times):
     [0, period], sampled from the transport run.
     """
     base = build_section(family, seed, None, eps0)
-    n, r = family.n, family.n - family.k
+    n = family.n
 
     def projector(t):
         gq, _ = np.linalg.qr(
@@ -104,19 +104,17 @@ def _transport_gauge(family, seed, eps0, a, period, times):
         pdot = numdiff.directional(projector, t, 1.0, FRAME_FD_STEP)
         return pdot @ p - p @ pdot
 
-    def rhs(t, svec, out):
-        np.matmul(transport(t), svec.reshape(n, r), out=out.reshape(n, r))
+    def rhs(t, frame, out):
+        transport(t).dot(frame, out=out)
 
-    run = flow.integrate(rhs, base.transversal_basis.ravel(), period, 1e-11,
-                         1e-13, times=times)
-    holonomy = float(np.max(np.abs(
-        run.end.reshape(n, r) - base.transversal_basis)))
+    run = flow.integrate(rhs, base.transversal_basis, period, 1e-11, 1e-13,
+                         times=times)
+    holonomy = float(np.max(np.abs(run.end - base.transversal_basis)))
     if holonomy > 1e-6:
         raise DegenerateTangent(
             f"normal frame does not return after one loop (holonomy defect "
             f"{holonomy:.3g}); supply chart angle coordinates instead")
-    frames = run.samples.reshape(-1, n, r)
-    return frames, [transport(t) @ s for t, s in zip(times, frames)]
+    return run.samples, [transport(t) @ s for t, s in zip(times, run.samples)]
 
 
 def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
@@ -206,15 +204,13 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
         raise ValueError("n_out must be at least 2")
 
     def rhs(t, y, out):
-        np.matmul(func(t), y.reshape(r, r), out=out.reshape(r, r))
+        func(t).dot(y, out=out)
 
     times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, np.eye(r).ravel(), T, tol, tol * ATOL_FACTOR,
+    run = flow.integrate(rhs, np.eye(r), T, tol, tol * ATOL_FACTOR,
                          times=times)
-    samples = run.samples.reshape(n_out, r, r)
-    q = run.end.reshape(r, r)
-    samples[-1] = q
-    return FundamentalMatrix(times, samples, q, float(T))
+    run.samples[-1] = run.end
+    return FundamentalMatrix(times, run.samples, run.end, float(T))
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,7 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
         return np.asarray(bhat(t), dtype=float).reshape(r)
 
     def rhs(t, y, out):
-        np.matmul(func(t), y, out=out)
+        func(t).dot(y, out=out)
         out += forcing(t)
 
     atol = tol * ATOL_FACTOR

@@ -27,16 +27,19 @@ dense-output polynomial are pnk's own copy of scipy 1.17.1's
 scipy module is imported; its end state, step count and samples are
 those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
 saves is the per-call wrapping: a right-hand side writes each stage
-derivative straight into its row of the stage array. A stage costs a
-few numpy calls on vectors of n (or n + n^2) entries; at pnk's chart
-sizes each call's fixed cost, about a microsecond, outweighs its
-arithmetic, so the state check of each stage works on Python floats,
-whose operations cost a few hundredths of a microsecond. Runs use
-rtol = tol and atol = tol / 100, so the default tol = 1e-10 lands at
-the (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue
-gaps, so integration error has to sit well below them; tolerances are
-per-call arguments everywhere, none below ``MIN_TOL`` (100 machine
-epsilons, about 2.2e-14).
+derivative straight into its row of the stage array. A state of any
+shape steps as its flat row-major form, and the right-hand side sees it
+in y0's shape (the variational state [x; M] is one (n + 1, n) array). A
+stage costs a few numpy calls on vectors of n (or n + n^2) entries; at
+pnk's chart sizes each call's fixed cost, about a microsecond,
+outweighs its arithmetic, so products are ``ndarray.dot`` calls into
+buffers, and the state check and the step-size controller work on
+Python floats, whose operations cost a few hundredths of a microsecond.
+Runs use rtol = tol and atol = tol / 100, so the default tol = 1e-10
+lands at the (1e-10, 1e-12) pair. Monodromy spectra downstream feed
+eigenvalue gaps, so integration error has to sit well below them;
+tolerances are per-call arguments everywhere, none below ``MIN_TOL``
+(100 machine epsilons, about 2.2e-14).
 
 :func:`integrate_orbit` samples one orbit at many times from a single
 run: the samples come from DOP853's dense output (its continuous
@@ -106,8 +109,8 @@ class VariationalResult:
 @dataclass(frozen=True)
 class Run:
     """What :func:`integrate` returns: the state ``end`` at time t, the
-    number of accepted ``steps``, and ``samples``, one row per requested
-    time (None when no times were requested)."""
+    number of accepted ``steps``, and ``samples``, one state per requested
+    time (None when no times were requested), all in y0's shape."""
 
     end: np.ndarray
     steps: int
@@ -144,45 +147,50 @@ def _check_tol(tol):
         raise ValueError(f"tol must be at least MIN_TOL = {MIN_TOL:.3g}")
 
 
-def _stages(fun, stages, t, y, h, dy, y_stage):
+def _stages(fun, stages, t, y, h, dy, y_stage, y_shaped):
     """Evaluate ``stages`` of a DOP853 step of size h from (t, y).
 
-    Each stage (K[:s].T, a, c, K[s]) writes the derivative at time
-    t + c h and state y + h (K[:s].T @ a) into its row K[s]; dy and
-    y_stage are the buffers of the increment and of the state.
+    Each stage (K[:s].T, a, c, K[s] in the state's shape) writes the
+    derivative at time t + c h and state y + h (K[:s].T @ a) into K[s];
+    dy and y_stage are the flat buffers of the increment and of the
+    state, y_shaped is y_stage in the state's shape.
     """
     for kt, a, c, out in stages:
-        np.dot(kt, a, out=dy)
-        dy *= h
+        kt.dot(a, out=dy)
+        np.multiply(dy, h, out=dy)
         np.add(y, dy, out=y_stage)
-        fun(t + c * h, y_stage, out)
+        fun(t + c * h, y_shaped, out)
 
 
 def _error_norm(k_step, h_abs, scale, err5, err3):
     """The DOP853 error norm of a step with stages ``k_step`` (K[:13].T),
     from its 5th- and 3rd-order estimates (written into err5 and err3)."""
-    np.dot(k_step, dop853.E5, out=err5)
-    err5 /= scale
-    np.dot(k_step, dop853.E3, out=err3)
-    err3 /= scale
-    # np.linalg.norm of a 1-D float vector, without its wrapper
-    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+    k_step.dot(dop853.E5, out=err5)
+    np.divide(err5, scale, out=err5)
+    k_step.dot(dop853.E3, out=err3)
+    np.divide(err3, scale, out=err3)
+    # np.linalg.norm(err) ** 2 on Python floats; sqrt(max) ** 2 is finite
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return h_abs * err5_norm_2 / np.sqrt(denom * len(scale))
+    if denom == 0:  # 0.01 * err3_norm_2 underflowed: numpy's 0 / 0
+        return math.nan
+    return h_abs * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
     """The one integration routine, over [0, t] (see the module docstring).
 
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
-    ``out``, the stage row it fills; it must keep neither array after it
-    returns, since both are buffers of the next stage. ``times``, when
-    given, is increasing and lies in [0, t], so t is positive; each
-    time is sampled by the dense output of the step that ends at or
-    after it.
+    ``out``, the stage row it fills; both have y0's shape, and it must
+    keep neither after it returns, since both are buffers of the next
+    stage. A state of any shape takes the steps of its flat row-major
+    form; ``end`` has y0's shape, ``samples`` ``(len(times),) + y0.shape``.
+    ``times``, when given, is increasing and lies in [0, t], so t is
+    positive; each time is sampled by the dense output of the step that
+    ends at or after it.
 
     Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0,
     or for ``times`` with a t that is not positive or outside [0, t].
@@ -195,9 +203,9 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
     if not np.isfinite(y).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
-    n = y.size
+    shape, n = y.shape, y.size
     t0, t_bound = 0.0, float(t)
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
     if times is not None:
         times = np.asarray(times, dtype=float)
         if not (t_bound > t0 and times[0] >= t0 and times[-1] <= t_bound):
@@ -218,11 +226,13 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
     # end, which the next step copies to its stage 0. The stage views and
     # the increment, state and error buffers serve every step of the run.
     K = np.empty((dop853.N_STAGES_EXTENDED, n))
-    stages = [(K[:s].T, dop853.A[s, :s], float(dop853.C[s]), K[s])
+    rows = K.reshape(K.shape[:1] + shape)
+    stages = [(K[:s].T, dop853.A[s, :s], float(dop853.C[s]), rows[s, ...])
               for s in range(1, dop853.N_STAGES_EXTENDED)]
     step_stages, extra_stages = stages[:_STAGES - 1], stages[_STAGES:]
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
     dy, y_stage, err5, err3 = np.empty((4, n))
+    f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
 
     def step(t_old, y_old, h_abs):
         """Trial steps from (t_old, y_old), from size h_abs on, until one
@@ -241,9 +251,11 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
                 t_new = t_bound
             h = t_new - t_old
             h_abs = abs(h)
-            _stages(fun, step_stages, t_old, y_old, h, dy, y_stage)
-            y_new = y_old + h * np.dot(k_body, dop853.B)
-            fun(t_old + h, y_new, f_new)
+            _stages(fun, step_stages, t_old, y_old, h, dy, y_stage, y_shaped)
+            k_body.dot(dop853.B, out=dy)
+            np.multiply(dy, h, out=dy)
+            y_new = y_old + dy
+            fun(t_old + h, y_new.reshape(shape), f_shaped)
             scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
             error_norm = _error_norm(k_step, h_abs, scale, err5, err3)
             if error_norm < 1:
@@ -261,24 +273,25 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
 
     def dense(t_old, y_old, y_new, h, at):
         """The dense output over the step just accepted, at the times at."""
-        _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage)
+        _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage, y_shaped)
         F = np.empty((dop853.INTERPOLATOR_POWER, n))
         f_old = K[0]
         delta_y = y_new - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * np.dot(dop853.D, K)
+        F[3:] = h * dop853.D.dot(K)
         return dense_rows(t_old, h, y_old, F, at)
 
     steps, sampled, t_now = 0, 0, t0
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        fun(t0, y, f_new)
-        h_abs = select_initial_step(
-            lambda s, x: fun(s, x, K[1]), t0, y, t_bound, np.inf, f_new,
-            direction, _ERROR_ORDER, rtol, atol)
+        fun(t0, y, f_shaped)
+        h_abs = float(select_initial_step(
+            lambda s, x: fun(s, x, rows[1, ...]), t0, y, t_bound, np.inf,
+            f_shaped, direction, _ERROR_ORDER, rtol, atol))
+        y = y.reshape(n)
         while t_now != t_bound:
             t_old, y_old = t_now, y
             accepted = step(t_old, y_old, h_abs)
@@ -296,7 +309,8 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
                 samples[sampled:sampled_new] = dense(
                     t_old, y_old, y, h, times[sampled:sampled_new])
                 sampled = sampled_new
-    return Run(y, steps, None if times is None else samples)
+    return Run(y.reshape(shape), steps,
+               None if times is None else samples.reshape(times.shape + shape))
 
 
 def _checked_start(field: Field, x0, eps, times, tol):
@@ -360,14 +374,12 @@ def integrate_variational(field: Field, x0, eps, t: float,
     radius = field.chart_radius
 
     def rhs(_t, y, out):
-        x = y[:n]
+        x = y[0]
         _check_state(x, radius)
-        out[:n] = value(x, eps)
-        np.matmul(jac(x, eps), y[n:].reshape(n, n),
-                  out=out[n:].reshape(n, n))
+        out[0] = value(x, eps)
+        jac(x, eps).dot(y[1:], out=out[1:])
 
-    y0 = np.concatenate([x0, np.eye(n).ravel()])
-    run = integrate(rhs, y0, t, tol, tol * ATOL_FACTOR)
-    end = run.end[:n]
+    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol, tol * ATOL_FACTOR)
+    end = run.end[0]
     _check_state(end, radius)
-    return VariationalResult(end, run.end[n:].reshape(n, n), run.steps)
+    return VariationalResult(end, run.end[1:], run.steps)

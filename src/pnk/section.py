@@ -414,18 +414,22 @@ class BasePointCheck:
 def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
                              alpha, sample_angles, eps=None,
                              tol: float = 1e-6,
-                             integration_tol: float = DEFAULT_TOL) -> BasePointCheck:
+                             integration_tol: float = DEFAULT_TOL,
+                             base: MonodromyReport | None = None) -> BasePointCheck:
     """Transversal spectra at embed(phi) for each sample; they must agree.
 
     Monodromy operators at different base points of the same loop class
     are conjugate, so the sorted spectra coincide up to numerics. A single
-    sample passes vacuously.
+    sample passes vacuously. ``base``, the report at the seed's base point
+    for eps and integration_tol, serves the samples at that point.
     """
     angles = [np.asarray(phi, dtype=float).reshape(-1) for phi in sample_angles]
+    known = {} if base is None else {seed.base_point.tobytes(): base}
     specs = []
     for phi in angles:
-        rep = monodromy_report(family, seed, alpha, seed.point(phi), eps,
-                               tol=integration_tol)
+        m = seed.point(phi)
+        rep = known.get(m.tobytes()) or monodromy_report(
+            family, seed, alpha, m, eps, tol=integration_tol)
         specs.append(rep.transversal_spectrum)
     worst = 0.0
     for i in range(len(specs)):

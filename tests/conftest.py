@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pnk.section
 from pnk import VectorFieldFamily
 from pnk.catalog import (StraightenedSpec, make_hopf, make_straightened,
                          make_uncoupled_oscillators)
@@ -67,3 +68,18 @@ def counted_family():
     """``counted_family(family) -> (family copy, [value calls, jacobian
     calls])``."""
     return _counted
+
+
+@pytest.fixture()
+def loop_flows(monkeypatch):
+    """The arguments of every ``section.integrate_variational`` call made
+    while the test runs, one tuple per call."""
+    calls = []
+    real = pnk.section.integrate_variational
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pnk.section, "integrate_variational", spy)
+    return calls

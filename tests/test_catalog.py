@@ -294,44 +294,102 @@ def _neimark_eps_jacobian(x, eps):
     return out
 
 
-def _kernel_points(n):
-    """(x, eps) pairs: seeded random points of either sign at three
-    scales and at two where squares and cubes overflow (1e160, 3e200);
-    every pattern of signed zeros, with eps +-0.0 or of either sign;
-    random points with +-0.0 put into one entry or into eps; leading
-    entries 0, pi and 2 pi (the flip's phase); all-negative points."""
+def _straightened_reference(spec, i):
+    """Field i of make_straightened(spec) in its numpy forms, which build
+    every matrix on each call."""
+    a, cmat, cubic = spec.A[i], spec.C, spec.cubic
+    k, r, p = spec.k, spec.r, spec.p
+    n = k + r
+
+    def value(x, eps):
+        u = x[k:]
+        w = u + cmat @ eps
+        if cubic != 0.0:
+            w = w + cubic * u ** 3
+        out = np.zeros(n)
+        out[i] = 1.0
+        out[k:] = a @ w
+        return out
+
+    def jacobian(x, eps):
+        out = np.zeros((n, n))
+        u = x[k:]
+        gain = np.eye(r) if cubic == 0.0 else np.diag(1.0 + 3.0 * cubic * u ** 2)
+        out[k:, k:] = a @ gain
+        return out
+
+    def eps_jacobian(x, eps):
+        out = np.zeros((n, p))
+        out[k:, :] = a @ cmat
+        return out
+    return value, jacobian, eps_jacobian
+
+
+def _rotation_scaling(a, b):
+    return np.array([[a, -b], [b, a]])
+
+
+# Specs of make_straightened: cubic 0 and nonzero, diagonal A (with
+# -0.0 off the diagonal) and a non-diagonal commuting pair, r 1 and 2,
+# p 1 and 2, C with signed zeros.
+STRAIGHTENED_SPECS = {
+    "diagonal": StraightenedSpec((np.diag([-1.0, 0.5]),), [[0.3], [-0.0]]),
+    "diagonal-cubic-p2": StraightenedSpec(
+        (np.array([[-1.0, -0.0], [0.0, 0.5]]), np.diag([0.25, -2.0])),
+        [[0.3, 0.0], [-0.7, 1.2]], cubic=-0.4),
+    "scalar": StraightenedSpec((np.array([[-1.5]]),), [[-0.0]]),
+    "scalar-cubic": StraightenedSpec((np.array([[-1.5]]),), [[0.0]],
+                                     cubic=0.8),
+    "scalar-cubic-p2": StraightenedSpec(
+        (np.array([[-1.5]]), np.array([[0.5]])), [[0.25, -0.0]], cubic=0.8),
+    "commuting-pair": StraightenedSpec(
+        (_rotation_scaling(-0.5, 1.0), _rotation_scaling(0.25, -2.0)),
+        [[0.0], [-0.6]]),
+    "commuting-pair-p2": StraightenedSpec(
+        (_rotation_scaling(-0.5, 1.0), _rotation_scaling(0.25, -2.0)),
+        [[-0.0, 1.0], [-0.6, 0.0]]),
+}
+
+
+def _kernel_points(n, p=1):
+    """(x, eps) pairs, eps of p entries: seeded random points of either
+    sign at three scales and at two where squares and cubes overflow
+    (1e160, 3e200); every pattern of signed zeros, with eps +-0.0 or of
+    either sign; random points with +-0.0 put into one entry of x or of
+    eps; leading entries 0, pi and 2 pi (the flip's phase); all-negative
+    points."""
     rng = np.random.default_rng(20)
-    pairs = [(-np.full(n, 0.7), np.array([-0.05])),
-             (-np.arange(1.0, n + 1.0), np.array([0.2]))]
+    pairs = [(-np.full(n, 0.7), np.full(p, -0.05)),
+             (-np.arange(1.0, n + 1.0), np.full(p, 0.2))]
     for zeros in itertools.product((0.0, -0.0), repeat=n):
         for e in (0.0, -0.0, 0.2, -0.3):
-            pairs.append((np.array(zeros), np.array([e])))
+            pairs.append((np.array(zeros), np.full(p, e)))
     for scale in (1e-3, 1.0, 1e3, 1e160, 3e200):
         for _ in range(40):
             pairs.append((scale * rng.standard_normal(n),
-                          rng.uniform(-0.5, 0.5, size=1)))
+                          rng.uniform(-0.5, 0.5, size=p)))
     for zero in (0.0, -0.0):
-        for i in range(n + 1):
+        for i in range(n + p):
             for _ in range(4):
-                x, eps = rng.standard_normal(n), rng.uniform(-0.5, 0.5, 1)
+                x, eps = rng.standard_normal(n), rng.uniform(-0.5, 0.5, p)
                 if i < n:
                     x[i] = zero
                 else:
-                    eps[0] = zero
+                    eps[i - n] = zero
                 pairs.append((x, eps))
     for phase in (0.0, math.pi, 2.0 * math.pi):
         for _ in range(6):
             x = rng.standard_normal(n)
             x[0] = phase
-            pairs.append((x, rng.uniform(-0.5, 0.5, size=1)))
+            pairs.append((x, rng.uniform(-0.5, 0.5, size=p)))
     return pairs
 
 
-def _assert_same_bits(kernels, references, n):
+def _assert_same_bits(kernels, references, n, p=1):
     """Each kernel returns its reference's dtype, shape and bytes at every
     kernel point: unlike np.array_equal, -0.0 is not 0.0 and a NaN equals
     only a NaN of the same bits."""
-    for x, eps in _kernel_points(n):
+    for x, eps in _kernel_points(n, p):
         for kernel, reference in zip(kernels, references):
             # as in the integrator, where NonFinite reports an overflow
             # and numpy's warnings are noise
@@ -368,6 +426,32 @@ class TestKernelsKeepTheirBits:
     def test_eps_jacobian_equals_the_numpy_form(self, system, reference):
         _assert_same_bits((system.family.member(0).eps_jacobian,),
                           (reference,), system.family.n)
+
+    @pytest.mark.parametrize("spec", STRAIGHTENED_SPECS.values(),
+                             ids=STRAIGHTENED_SPECS)
+    def test_straightened_kernels_equal_the_numpy_forms(self, spec):
+        family = make_straightened(spec).family
+        for i in range(spec.k):
+            field = family.member(i)
+            _assert_same_bits(
+                (field.value, field.jacobian, field.eps_jacobian),
+                _straightened_reference(spec, i), family.n, family.p)
+
+    @pytest.mark.parametrize("spec", STRAIGHTENED_SPECS.values(),
+                             ids=STRAIGHTENED_SPECS)
+    def test_straightened_constants_are_fresh_per_call(self, spec):
+        # the jacobian without cubic terms and the eps_jacobian are built
+        # once; what a caller does to one result must not reach the next
+        field = make_straightened(spec).family.member(0)
+        x, eps = np.arange(1.0, field.n + 1.0), np.full(field.p, 0.3)
+        kernels = [field.eps_jacobian]
+        if spec.cubic == 0.0:
+            kernels.append(field.jacobian)
+        for kernel in kernels:
+            first = kernel(x, eps)
+            want = first.copy()
+            first += 7.0
+            assert kernel(x, eps).tobytes() == want.tobytes()
 
 
 class TestOverflowingStarts:

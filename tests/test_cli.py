@@ -575,3 +575,15 @@ class TestStoppedBranchArtifacts:
         assert n_points == 3  # stops on the critical slice eps = 0.05
         rows = (out / "branch.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + n_points
+
+
+class TestMonodromyRun:
+    def test_base_angle_sample_reuses_the_base_flow(self, tmp_path,
+                                                    loop_flows):
+        # hopf_monodromy samples the angles 0, pi/2 and pi; the sample at
+        # 0 is the base point, whose loop flow the base report already made
+        rep, code = run_config(load_config(CONFIG_DIR / "hopf_monodromy.json"),
+                               tmp_path / "out")
+        assert code == 0
+        assert len(loop_flows) == 3
+        assert rep["results"]["basepoint_check"]["passed"]

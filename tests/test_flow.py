@@ -2,6 +2,7 @@
 
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -576,3 +577,145 @@ class TestTableauCopy:
                 TestOwnStepLoop.RTOL, TestOwnStepLoop.ATOL)
         assert (pnk._dop853.select_initial_step(*args)
                 == scipy_common.select_initial_step(*args))
+
+
+class TestShapedStates:
+    """flow.integrate steps a state of any shape on its flat row-major
+    form: the run of a 2-D or 3-D y0 is the run of y0.ravel() bit for bit,
+    in end state, steps, samples and right-hand-side calls, and the
+    right-hand side sees states and stage rows in y0's shape."""
+
+    RTOL, ATOL = TestOwnStepLoop.RTOL, TestOwnStepLoop.ATOL
+
+    def _run(self, rhs, y0, t, times):
+        """flow.integrate, its right-hand-side calls and the shapes of
+        the arrays the right-hand side saw."""
+        calls, shapes = [0], set()
+
+        def counted(s, y, out):
+            calls[0] += 1
+            shapes.update([y.shape, out.shape])
+            rhs(s, y, out)
+
+        run = pnk.flow.integrate(counted, y0, t, self.RTOL, self.ATOL,
+                                 times=times)
+        return run, calls[0], shapes
+
+    def _assert_same_run(self, shaped_rhs, y0, flat_rhs, t, times):
+        ours, calls, shapes = self._run(shaped_rhs, y0, t, times)
+        flat, flat_calls, _ = self._run(flat_rhs, y0.ravel(), t, times)
+        assert shapes == {y0.shape}
+        assert ours.end.shape == y0.shape
+        assert ours.end.tobytes() == flat.end.tobytes()
+        assert (ours.steps, calls) == (flat.steps, flat_calls)
+        if times is None:
+            assert ours.samples is None
+        else:
+            assert ours.samples.shape == (len(times),) + y0.shape
+            assert ours.samples.tobytes() == flat.samples.tobytes()
+
+    RUNS = pytest.mark.parametrize("t, times", [
+        (1.0, None), (-0.7, None), (1.0, np.linspace(0.0, 1.0, 9)),
+        (1.0, np.linspace(0.0, 1.0, 23)[1:-1])],
+        ids=["forward", "backward", "sampled", "interior"])
+
+    @RUNS
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 3, 2), (3, 2, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_shaped_run_is_the_flat_run(self, t, times, shape, order):
+        # the shaped right-hand side writes through flat views of its
+        # arguments, so it only works on row-major stage rows
+        _, written, y0 = _hopf_variational()
+
+        def shaped(s, y, out):
+            flat = out.reshape(-1)
+            assert np.shares_memory(flat, out)
+            written(s, y.reshape(-1), flat)
+
+        y0 = np.asarray(y0.reshape(shape), order=order)
+        self._assert_same_run(shaped, y0, written, t, times)
+
+    @RUNS
+    def test_variational_state_as_one_array(self, t, times):
+        # [x; M] as one (3, 2) array with the tangent product by .dot runs
+        # as the flat system with np.matmul
+        field = loop_field(make_hopf(1.0, 0.1).family, [1])
+        eps = np.array([0.12])
+        _, written, y0 = _hopf_variational()
+
+        def stacked(_t, y, out):
+            out[0] = field.value(y[0], eps)
+            field.jacobian(y[0], eps).dot(y[1:], out=out[1:])
+
+        self._assert_same_run(stacked, y0.reshape(3, 2), written, t, times)
+
+    @pytest.mark.parametrize("slope", [-0.0, 0.0, -1.0, 0.3])
+    @pytest.mark.parametrize("x0", [0.0, -0.0, 0.5])
+    def test_length_one_tangent_product(self, slope, x0):
+        # for n = 1, .dot returns the bare product jac * M where np.matmul
+        # adds it to +0.0: a stage entry may differ in the sign of a zero,
+        # which the step sums do not keep
+        field = _field(1, lambda x, e: slope * x,
+                       lambda x, e: np.array([[slope]]))
+
+        def flat(_t, y, out):
+            out[:1] = field.value(y[:1], None)
+            np.matmul(field.jacobian(y[:1], None), y[1:].reshape(1, 1),
+                      out=out[1:].reshape(1, 1))
+
+        ref = pnk.flow.integrate(flat, [x0, 1.0], 1.0, self.RTOL, self.ATOL)
+        res = integrate_variational(field, [x0], [], 1.0)
+        got = np.concatenate([res.endpoint, res.tangent.ravel()])
+        assert got.tobytes() == ref.end.tobytes()
+        assert res.steps_taken == ref.steps
+
+
+class TestErrorNorm:
+    """flow._error_norm works on Python floats and returns scipy's DOP853
+    error norm, np.linalg.norm on numpy scalars, bit for bit. A NaN norm
+    stands for any NaN, since the controller only compares it: it rejects
+    the step."""
+
+    @staticmethod
+    def _norms(K, h, scale):
+        n = scale.size
+        tableau = types.SimpleNamespace(E5=dop853_coefficients.E5,
+                                        E3=dop853_coefficients.E3)
+        # as in the step loop, where NonFinite reports a blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours = pnk.flow._error_norm(K.T, abs(h), scale, np.empty(n),
+                                        np.empty(n))
+            ref = scipy_rk.DOP853._estimate_error_norm(tableau, K, h, scale)
+        assert type(ours) is float
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+        return ours
+
+    def test_random_errors(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            K = rng.standard_normal((13, n)) * 10.0 ** rng.integers(-12, 4)
+            scale = 1e-12 + np.abs(rng.standard_normal(n)) * 1e-10
+            h = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-6, 1.0))
+            self._norms(K, h, scale)
+
+    def test_zero_error_is_zero(self):
+        for n in (1, 4):
+            assert self._norms(np.zeros((13, n)), 0.3, np.ones(n)) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200],
+                             ids=["inf", "-inf", "nan", "overflowing"])
+    def test_non_finite_error_rejects(self, bad):
+        K = np.full((13, 3), 0.5)
+        K[7, 1] = bad
+        assert not self._norms(K, 0.1, np.full(3, 1e-10)) < 1
+
+    def test_underflowing_error_is_numpy_zero_over_zero(self):
+        # err5 squares to 0 and 0.01 * |err3|^2 underflows: scipy divides
+        # 0 by 0, and the norm is NaN
+        K = np.zeros((13, 1))
+        K[5, 0] = 1e-162
+        assert math.isnan(self._norms(K, 0.1, np.ones(1)))

@@ -254,6 +254,22 @@ class TestSpectralProperties:
         assert check.passed
         assert check.max_spectral_distance == 0.0
 
+    def test_base_report_serves_the_base_point(self, hopf_sys, loop_flows):
+        # a sample whose point is the base point, bit for bit, takes the
+        # base report's spectrum instead of flowing the loop again; -0.0
+        # puts the Hopf point at (r, -0.0), another point
+        fam, seed = hopf_sys.family, hopf_sys.seed
+        base = monodromy_report(fam, seed, [1])
+        angles = [[0.0], [0.5 * math.pi], [0.0], [-0.0]]
+        loop_flows.clear()
+        reused = basepoint_spectrum_check(fam, seed, [1], angles, base=base)
+        assert len(loop_flows) == 2
+        fresh = basepoint_spectrum_check(fam, seed, [1], angles)
+        assert len(loop_flows) == 6
+        assert reused.max_spectral_distance == fresh.max_spectral_distance
+        assert [s.tobytes() for s in reused.spectra] == \
+            [s.tobytes() for s in fresh.spectra]
+
 
 class TestInvarianceMonodromyConsistency:
     def test_invariant_seed_supports_closed_loops(self, hopf_sys):
