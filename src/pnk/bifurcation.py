@@ -261,13 +261,10 @@ class BifurcationEvent:
         return KIND_LABELS[self.kind]
 
 
-def _resonant_angle(angle: float, angle_tol: float = 1e-3,
-                    max_denominator: int = 6) -> bool:
-    for q in range(1, max_denominator + 1):
-        for p in range(q + 1):
-            if abs(angle - TWO_PI * p / q) <= angle_tol:
-                return True
-    return False
+def _resonant_angle(angle: float) -> bool:
+    """Whether angle lies within 1e-3 of 2*pi*p/q for some q <= 6."""
+    return any(abs(angle - TWO_PI * p / q) <= 1e-3
+               for q in range(1, 7) for p in range(q + 1))
 
 
 def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
@@ -312,7 +309,7 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
         arclen = float(d_eps[0])  # keep the sign for a scalar parameter
     trans = ((abs(bracket.mu_hi) - abs(bracket.mu_lo)) / arclen
              if arclen != 0.0 else math.inf)
-    resonant = kind == CASE_C and _resonant_angle(angle, 1e-3)
+    resonant = kind == CASE_C and _resonant_angle(angle)
     return BifurcationEvent(bracket.eps_mid, criticals, kind, trans, split,
                             float(angle), resonant, bracket)
 

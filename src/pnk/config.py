@@ -16,12 +16,13 @@ and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
 ``search_radius`` must be positive, and the integration tolerances
 ``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
 about 2.2e-14); the integers ``samples``, ``n_samples`` and
-``eps_grid.num`` are >= 1 and ``n_out`` >= 2, all <= ``MAX_COUNT``,
-``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0.
-``build_run`` adds the checks that need the built family: vector
-lengths, the grid start, and the ``grid**k`` and ``grid_per_angle**k``
-points of a k-torus grid, at most ``MAX_COUNT``. The torus, output and
-polynomial sections are checked by hand.
+``eps_grid.num`` are >= 1 and <= ``MAX_COUNT``, ``grid`` >= 4,
+``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0. ``build_run``
+adds the checks that need the built family: vector lengths, the grid
+start, the ``grid**k`` and ``grid_per_angle**k`` points of a k-torus
+grid, at most ``MAX_COUNT``, and a transversal section (k < n) for
+every analysis but ``verify``. The torus, output and polynomial sections
+are checked by hand.
 
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
@@ -177,9 +178,7 @@ _OPTIONS = {
         **_LOOP, "unit_tol": (1e-8, _positive),
         "sample_angles": ([], _as_vectors), "spectrum_tol": (1e-6, _positive),
     },
-    # the Floquet samples hold both ends of the period
-    "floquet": {**_LOOP, "n_samples": (256, _COUNT),
-                "n_out": (129, _int_range(2, MAX_COUNT))},
+    "floquet": {**_LOOP, "n_samples": (256, _COUNT)},
     "continue": _BRANCH,
     "bifurcate": {
         **_BRANCH, "circle_tol": (1e-9, _positive),
@@ -416,21 +415,12 @@ class RunSetup:
 
 def _polynomial_family(params: dict) -> VectorFieldFamily:
     n, k, p = params["n"], params["k"], params["p"]
-    compiled = []
-    for comps in params["fields"]:
-        comp_data = []
-        for terms in comps:
-            if terms:
-                coeffs = np.array([t[0] for t in terms])
-                powers = np.array([t[1] for t in terms], dtype=int)
-                epows = np.array([t[2] for t in terms], dtype=int) \
-                    if p else np.zeros((len(terms), 0), dtype=int)
-            else:
-                coeffs = np.zeros(0)
-                powers = np.zeros((0, n), dtype=int)
-                epows = np.zeros((0, p), dtype=int)
-            comp_data.append((coeffs, powers, epows))
-        compiled.append(comp_data)
+    # per field and component: its terms' coefficients, powers, eps powers
+    compiled = [[(np.array([t[0] for t in terms], dtype=float),
+                  np.array([t[1] for t in terms], dtype=int).reshape(-1, n),
+                  np.array([t[2] for t in terms], dtype=int).reshape(
+                      len(terms), p))
+                 for terms in comps] for comps in params["fields"]]
 
     def term_values(coeffs, powers, epows, x, eps):
         if coeffs.size == 0:
@@ -448,51 +438,33 @@ def _polynomial_family(params: dict) -> VectorFieldFamily:
                              for c, pw, ep in _d])
         return value
 
-    def diff_terms(coeffs, powers, epows, axis):
-        mask = powers[:, axis] > 0
-        c = coeffs[mask] * powers[mask, axis]
-        pw = powers[mask].copy()
-        pw[:, axis] -= 1
-        return c, pw, epows[mask]
+    def diff(terms, slot, axis):
+        """The terms differentiated by x[axis] (slot 1) or eps[axis] (2)."""
+        power = terms[slot][:, axis]
+        mask = power > 0
+        out = [table[mask] for table in terms]
+        out[0] = out[0] * power[mask]
+        out[slot][:, axis] -= 1
+        return out
 
-    def make_jacobian(i):
-        data = compiled[i]
-        derivs = [[diff_terms(c, pw, ep, a) for a in range(n)]
-                  for c, pw, ep in data]
+    def make_derivative(i, slot, size):
+        """The n x size jacobian of field i by x (slot 1) or eps (2)."""
+        derivs = [[diff(terms, slot, a) for a in range(size)]
+                  for terms in compiled[i]]
 
-        def jac(x, eps, _derivs=derivs):
-            out = np.empty((n, n))
+        def derivative(x, eps, _derivs=derivs):
+            out = np.empty((n, size))
             for j in range(n):
-                for a in range(n):
+                for a in range(size):
                     out[j, a] = term_values(*_derivs[j][a], x, eps)
             return out
-        return jac
-
-    def diff_eps(coeffs, powers, epows, axis):
-        mask = epows[:, axis] > 0
-        c = coeffs[mask] * epows[mask, axis]
-        ep = epows[mask].copy()
-        ep[:, axis] -= 1
-        return c, powers[mask], ep
-
-    def make_epsjac(i):
-        data = compiled[i]
-        derivs = [[diff_eps(c, pw, ep, a) for a in range(p)]
-                  for c, pw, ep in data]
-
-        def ejac(x, eps, _derivs=derivs):
-            out = np.empty((n, p))
-            for j in range(n):
-                for a in range(p):
-                    out[j, a] = term_values(*_derivs[j][a], x, eps)
-            return out
-        return ejac
+        return derivative
 
     return VectorFieldFamily(
         n, k, p,
         values=[make_value(i) for i in range(k)],
-        jacobians=[make_jacobian(i) for i in range(k)],
-        eps_jacobians=[make_epsjac(i) for i in range(k)] if p else None,
+        jacobians=[make_derivative(i, 1, n) for i in range(k)],
+        eps_jacobians=[make_derivative(i, 2, p) for i in range(k)],
         name="polynomial")
 
 
@@ -542,13 +514,15 @@ def _build_seed(torus: dict, family: VectorFieldFamily) -> TorusSeed:
 def build_run(config: RunConfig) -> RunSetup:
     """Materialize the family and seed described by a parsed config.
 
-    A catalog constructor that rejects its parameters raises
-    :class:`ConfigError` naming ``system.params``. A parameter vector of
-    the wrong length in ``options.eps`` (``torus``) or ``options.eps_grid``
-    (``continue``, ``bifurcate``), an ``options.sample_angles`` entry whose
-    length is not the torus dimension, a grid that does not start at the
-    seed parameter, and an angle grid of more than ``MAX_COUNT`` points
-    raise :class:`ConfigError` naming the option.
+    A catalog constructor that rejects its parameters, and a torus of the
+    chart's own dimension (k = n, no section) for any analysis but
+    ``verify``, raise :class:`ConfigError` naming ``system.params``. A
+    parameter vector of the wrong length in ``options.eps`` (``torus``) or
+    ``options.eps_grid`` (``continue``, ``bifurcate``), an
+    ``options.sample_angles`` entry whose length is not the torus
+    dimension, a grid that does not start at the seed parameter, and an
+    angle grid of more than ``MAX_COUNT`` points raise
+    :class:`ConfigError` naming the option.
     """
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
@@ -570,6 +544,11 @@ def build_run(config: RunConfig) -> RunSetup:
 
 def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
                          seed: TorusSeed) -> None:
+    if family.k == family.n and config.analysis != "verify":
+        raise ConfigError(
+            f"system.params: k = n = {family.n}: the torus fills the chart "
+            f"and leaves the {config.analysis} analysis no transversal "
+            "section (r = n - k = 0); only 'verify' runs at k = n")
     alpha = config.options.get("alpha")
     if alpha is not None and len(alpha) != family.k:
         raise ConfigError(

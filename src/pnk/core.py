@@ -9,7 +9,9 @@ Conventions used throughout the package:
   helpers (:func:`wrap_angles`) reduce them mod 2*pi;
 * a family is a list of ``k`` pairwise commuting fields. Commutation is a
   hypothesis of every downstream construction and can be checked with
-  :func:`verify_commuting_family`.
+  :func:`verify_commuting_family`;
+* seed-based analyses run at the seed parameter ``TorusSeed.eps0``, where
+  the seed torus is invariant, and take no parameter of their own.
 """
 
 from __future__ import annotations
@@ -164,11 +166,6 @@ class VectorFieldFamily:
         x, eps = self._checked(x, eps)
         return np.asarray(self._fields[i].jacobian(x, eps), dtype=float)
 
-    def eps_jacobian(self, i: int, x, eps) -> np.ndarray:
-        """Parameter derivative of the i-th field (n x p)."""
-        x, eps = self._checked(x, eps)
-        return np.asarray(self._fields[i].eps_jacobian(x, eps), dtype=float)
-
     # -- raw field views --------------------------------------------------
 
     def member(self, i: int) -> Field:
@@ -181,7 +178,7 @@ def _field(n, p, value, jac, ejac, chart_radius) -> Field:
     if jac is None:
         def jac(x, eps):
             return numdiff.jacobian(lambda z: value(z, eps), x)
-    if p == 0:
+    if ejac is None and p == 0:
         def ejac(x, eps):
             return np.zeros((n, 0))
     elif ejac is None:
@@ -307,9 +304,9 @@ class InvarianceReport:
 
 
 def verify_torus_invariance(family: VectorFieldFamily, seed: TorusSeed,
-                            grid: int = 8, tol: float = 1e-8,
-                            eps=None) -> InvarianceReport:
-    """Check that every X_i is tangent to the embedded torus.
+                            grid: int = 8,
+                            tol: float = 1e-8) -> InvarianceReport:
+    """Check that every X_i at ``seed.eps0`` is tangent to the torus.
 
     At each point of a uniform angle grid (at least 4 points per angle) the
     field values are decomposed against the embedding tangents; the report
@@ -318,7 +315,6 @@ def verify_torus_invariance(family: VectorFieldFamily, seed: TorusSeed,
     """
     if grid < 4:
         raise ValueError("need at least 4 grid points per angle")
-    eps = seed.eps0 if eps is None else as_params(eps, family.p)
     ticks = np.arange(grid) * (TWO_PI / grid)
     grids = np.meshgrid(*([ticks] * seed.k), indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=-1)
@@ -332,7 +328,7 @@ def verify_torus_invariance(family: VectorFieldFamily, seed: TorusSeed,
             raise DegenerateTangent(
                 f"embedding tangents rank-deficient at phi={phi}")
         for i in range(family.k):
-            v = family.eval(i, point, eps)
+            v = family.eval(i, point, seed.eps0)
             coeff, *_ = np.linalg.lstsq(tang, v, rcond=None)
             res = float(np.max(np.abs(v - tang @ coeff)))
             if res > worst:

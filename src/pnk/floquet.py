@@ -15,7 +15,8 @@ of this linear periodic system carries the transversal multipliers of the
 loop, independently computed from the coefficient route rather than from
 the full variational flow.
 
-The coefficients come from the loop field that the loop flows integrate.
+The coefficients come from the loop field that the loop flows integrate,
+at the seed parameter ``seed.eps0``, as in every seed-based analysis.
 The frame transport, fundamental matrices and forced responses run
 through :func:`pnk.flow.integrate`, so their failures are the
 :class:`~pnk.errors.NonFinite`/:class:`~pnk.errors.StepFailure` of a flow.
@@ -30,8 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import flow, numdiff, spectra
-from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding,
-                   loop_field)
+from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_winding, loop_field
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
 from .flow import ATOL_FACTOR, DEFAULT_TOL
 from .section import build_section
@@ -40,6 +40,9 @@ FRAME_FD_STEP = 1e-3
 
 # A multiplier this close to 1 makes the forced response resonant.
 RESONANCE_TOL = 1e-8
+
+# A monodromy matrix with a smaller relative singular value has no logarithm.
+SINGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def _coordinate_gauge(family, seed, times):
     return frames, np.zeros_like(frames)
 
 
-def _transport_gauge(family, seed, eps0, a, period, times):
+def _transport_gauge(family, seed, a, period, times):
     """Parallel transport of the initial complement along the orbit.
 
     The orthogonal projector P(t) onto the complement of the generator
@@ -91,12 +94,12 @@ def _transport_gauge(family, seed, eps0, a, period, times):
     the frames S and their derivatives S' at each of ``times`` in
     [0, period], sampled from the transport run.
     """
-    base = build_section(family, seed, None, eps0)
+    base = build_section(family, seed)
     n = family.n
 
     def projector(t):
         gq, _ = np.linalg.qr(
-            family.generators(seed.point(TWO_PI * a * t), eps0))
+            family.generators(seed.point(TWO_PI * a * t), seed.eps0))
         return np.eye(n) - gq @ gq.T
 
     def transport(t):
@@ -118,26 +121,24 @@ def _transport_gauge(family, seed, eps0, a, period, times):
 
 
 def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                          eps0=None, n_samples: int = 256
-                          ) -> LinearizedCoefficients:
+                          n_samples: int = 256) -> LinearizedCoefficients:
     """Sample the coefficient blocks along the loop orbit and interpolate.
 
     The orbit is phi(t) = 2*pi*alpha*t over t in [0, 1]; all
-    derivatives are evaluated on the embedded torus. The transversal
-    gauge is the constant coordinate complement when the chart carries
-    angle coordinates, and the parallel-transported complement of the
-    generator span otherwise.
+    derivatives are evaluated on the embedded torus at ``seed.eps0``. The
+    transversal gauge is the constant coordinate complement when the chart
+    carries angle coordinates, and the parallel-transported complement of
+    the generator span otherwise.
     """
     a = as_winding(alpha, seed.k)
-    eps0 = seed.eps0 if eps0 is None else as_params(eps0, family.p)
+    eps0 = seed.eps0
     field = loop_field(family, a)
     period = 1.0
     times = np.arange(n_samples) * (period / n_samples)
     if len(seed.angle_coords) == seed.k:
         frames, frame_dots = _coordinate_gauge(family, seed, times)
     else:
-        frames, frame_dots = _transport_gauge(family, seed, eps0, a, period,
-                                              times)
+        frames, frame_dots = _transport_gauge(family, seed, a, period, times)
 
     def blocks_at(t, s_basis, s_dot):
         z = seed.point(TWO_PI * a * t)
@@ -237,21 +238,20 @@ class FloquetDecomposition:
     periodicity_defect: float
 
 
-def floquet_decompose(theta: FundamentalMatrix, T: float | None = None,
-                      tol: float = 1e-8) -> FloquetDecomposition:
+def floquet_decompose(theta: FundamentalMatrix) -> FloquetDecomposition:
     """Split a fundamental matrix into periodic part and constant exponent.
 
-    B = log(Q) / T via the Schur-based matrix logarithm (real when the
-    spectrum allows, complex principal branch otherwise); then
-    M(t) = Theta(t) exp(-B t). Raises :class:`SingularMonodromy` when Q is
-    singular beyond tolerance.
+    B = log(Q) / T, T = ``theta.T``, via the Schur-based matrix logarithm
+    (real when the spectrum allows, complex principal branch otherwise);
+    then M(t) = Theta(t) exp(-B t). Raises :class:`SingularMonodromy` when
+    Q is singular within ``SINGULAR_TOL``.
     """
     from scipy.linalg import expm, logm
 
-    T = theta.T if T is None else float(T)
+    T = theta.T
     q = theta.Q
     sv = np.linalg.svd(q, compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
+    if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
         raise SingularMonodromy(
             f"monodromy matrix is singular (smallest singular value {sv[-1]:.3g})")
     log_q = logm(q)

@@ -13,10 +13,10 @@ import numpy as np
 DEFAULT_STEP_SCALE = 1e-5
 
 
-def step_for(x: np.ndarray, scale: float = DEFAULT_STEP_SCALE) -> float:
+def step_for(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     base = float(np.max(np.abs(x))) if x.size else 0.0
-    return scale * max(1.0, base)
+    return DEFAULT_STEP_SCALE * max(1.0, base)
 
 
 def directional(f, x, v, h: float) -> np.ndarray:

@@ -25,6 +25,10 @@ induct on n, and note phi^alpha_n = phi^{n alpha}_1. So
 :func:`transversal_orbit` takes n iterates from one loop-flow run, and a
 probe gets P o P with its jacobian as one map at winding 2 alpha (source
 paper, arXiv math-ph/0207001).
+
+The seed-based constructions (frame, monodromy, base-point check) run at
+the seed parameter ``seed.eps0``, where the torus is invariant; only the
+map and its orbit take a parameter of their own.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class SectionFrame:
 
 
 def build_section(family: VectorFieldFamily, seed: TorusSeed,
-                  m=None, eps=None) -> SectionFrame:
+                  m=None) -> SectionFrame:
     """Build the orthogonal transversal section at m (default: seed base).
 
     The transversal complement is chosen orthogonal in chart coordinates
@@ -95,8 +99,7 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
     finite and :class:`DegenerateTangent` when they are rank deficient.
     """
     m = seed.base_point if m is None else as_point(m, family.n)
-    eps = seed.eps0 if eps is None else as_params(eps, family.p)
-    group = family.generators(m, eps)
+    group = family.generators(m, seed.eps0)
     if not np.all(np.isfinite(group)):
         raise NonFinite("generator values at the base point are not finite")
     sv = np.linalg.svd(group, compute_uv=False)
@@ -115,7 +118,7 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
     inv = np.linalg.inv(frame)
     return SectionFrame(
         base=m,
-        eps=eps,
+        eps=seed.eps0,
         group_basis=group,
         transversal_basis=transversal,
         constraints=inv[:family.k],
@@ -124,16 +127,15 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
     )
 
 
-def _loop_variational(family, seed, alpha, m, eps, tol):
+def _loop_variational(family, seed, alpha, m, tol):
     """Time-one variational flow of the loop field; returns (A, defect).
 
     Raises :class:`OpenLoop` when the closure defect exceeds 10 * tol.
     """
     m = seed.base_point if m is None else as_point(m, family.n)
-    eps = seed.eps0 if eps is None else as_params(eps, family.p)
     closure_tol = 10.0 * tol
     field = loop_field(family, alpha)
-    res = integrate_variational(field, m, eps, 1.0, tol)
+    res = integrate_variational(field, m, seed.eps0, 1.0, tol)
     end = wrap_angles(res.endpoint, m, seed.angle_coords)
     defect = float(np.max(np.abs(end - m)))
     if defect > closure_tol:
@@ -144,7 +146,7 @@ def _loop_variational(family, seed, alpha, m, eps, tol):
 
 
 def total_monodromy(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                    m=None, eps=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+                    m=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Derivative of the time-one loop flow at m on the invariant torus.
 
     The loop's closure defect |flow(m) - m| (angles reduced mod 2*pi) must
@@ -152,7 +154,7 @@ def total_monodromy(family: VectorFieldFamily, seed: TorusSeed, alpha,
     invariant torus and raises :class:`OpenLoop`. The bound separates
     genuine drift from integrator noise.
     """
-    return _loop_variational(family, seed, alpha, m, eps, tol)[0]
+    return _loop_variational(family, seed, alpha, m, tol)[0]
 
 
 def transversal_linearization(A, frame: SectionFrame) -> np.ndarray:
@@ -179,7 +181,7 @@ class MonodromyReport:
 
 
 def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                     m=None, eps=None, tol: float = DEFAULT_TOL,
+                     m=None, tol: float = DEFAULT_TOL,
                      unit_tol: float = UNIT_TOL) -> MonodromyReport:
     """Compute A, its transversal block and the paired spectra at m.
 
@@ -188,8 +190,8 @@ def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
     ``trivial_unit_count`` counts full eigenvalues that landed on the unit
     block within ``unit_tol``.
     """
-    matrix, defect = _loop_variational(family, seed, alpha, m, eps, tol)
-    frame = build_section(family, seed, m, eps)
+    matrix, defect = _loop_variational(family, seed, alpha, m, tol)
+    frame = build_section(family, seed, m)
     trans = transversal_linearization(matrix, frame)
     full = spectra.sorted_complex(np.linalg.eigvals(matrix))
     tspec = spectra.sorted_complex(np.linalg.eigvals(trans)) if frame.r else \
@@ -412,8 +414,7 @@ class BasePointCheck:
 
 
 def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
-                             alpha, sample_angles, eps=None,
-                             tol: float = 1e-6,
+                             alpha, sample_angles, tol: float = 1e-6,
                              integration_tol: float = DEFAULT_TOL,
                              base: MonodromyReport | None = None) -> BasePointCheck:
     """Transversal spectra at embed(phi) for each sample; they must agree.
@@ -421,7 +422,7 @@ def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
     Monodromy operators at different base points of the same loop class
     are conjugate, so the sorted spectra coincide up to numerics. A single
     sample passes vacuously. ``base``, the report at the seed's base point
-    for eps and integration_tol, serves the samples at that point.
+    for integration_tol, serves the samples at that point.
     """
     angles = [np.asarray(phi, dtype=float).reshape(-1) for phi in sample_angles]
     known = {} if base is None else {seed.base_point.tobytes(): base}
@@ -429,7 +430,7 @@ def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
     for phi in angles:
         m = seed.point(phi)
         rep = known.get(m.tobytes()) or monodromy_report(
-            family, seed, alpha, m, eps, tol=integration_tol)
+            family, seed, alpha, m, tol=integration_tol)
         specs.append(rep.transversal_spectrum)
     worst = 0.0
     for i in range(len(specs)):

@@ -419,6 +419,58 @@ class TestPostcriticalProbe:
             assert not probe.two_cycles
             assert probe.circle.mean_radius == pytest.approx(0.2, rel=0.05)
 
+    @staticmethod
+    def _patch_seeds(monkeypatch, change):
+        """Let the seed fit return change(amplitudes) for the amplitudes
+        it fits; returns the list of the counts it fitted."""
+        fit = bifurcation._seed_amplitudes
+        fitted = []
+
+        def patched(*args):
+            amplitudes = fit(*args)
+            fitted.append(len(amplitudes))
+            return change(amplitudes)
+        monkeypatch.setattr(bifurcation, "_seed_amplitudes", patched)
+        return fitted
+
+    def test_failed_newton_start_adds_no_find(self, pitchfork_branch,
+                                              monkeypatch):
+        # from 1e200 the map's flow leaves the finite chart: a failed start
+        sysm, branch = pitchfork_branch
+        fitted = self._patch_seeds(monkeypatch,
+                                   lambda found: [1e200] + found)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_B)
+        assert fitted == [2]
+        found = sorted(f.u[0] for f in probe.fixed_points)
+        np.testing.assert_allclose(found, [-0.2, 0.2], rtol=0.05)
+        assert "2 non-trivial fixed point(s)" in probe.notes
+        assert "from 3 normal-form seed(s)" in probe.notes
+
+    def test_repeated_seed_gives_one_find(self, pitchfork_branch,
+                                          monkeypatch):
+        sysm, branch = pitchfork_branch
+        self._patch_seeds(monkeypatch, lambda found: found[:1] * 2)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_B)
+        assert len(probe.fixed_points) == 1
+        assert probe.fixed_points[0].u[0] == pytest.approx(0.2, rel=0.05)
+        assert "from 2 normal-form seed(s)" in probe.notes
+
+    def test_two_cycle_seed_back_at_the_fixed_point(self, flip_branch,
+                                                    monkeypatch):
+        # Newton on P o P from 1e-3 along v returns to u0, which P fixes:
+        # that solve is no 2-cycle, and only the fitted seeds find one
+        sysm, branch = flip_branch
+        fitted = self._patch_seeds(monkeypatch, lambda found: [1e-3] + found)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_A)
+        assert len(probe.two_cycles) == 1
+        amp = sorted(abs(pt[0]) for pt in probe.two_cycles[0].points)
+        np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
+        assert not probe.fixed_points
+        assert f"from {fitted[0] + 1} normal-form seed(s)" in probe.notes
+
     def test_tiny_search_radius_finds_nothing(self, pitchfork_branch):
         # the seed fit divides by powers of the radius: none may underflow
         sysm, branch = pitchfork_branch

@@ -54,11 +54,13 @@ class TestParseConfig:
             "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
-        # no floquet pipeline reads a resonance tolerance
-        doc = _hopf_config(analysis="floquet", options={
-            "alpha": [1], "resonance_tol": 1e-8})
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(doc)
+        # no floquet pipeline reads a resonance tolerance, and its report
+        # reads the fundamental matrix at 0 and T only, whatever n_out was
+        for key, value in (("resonance_tol", 1e-8), ("n_out", 17)):
+            doc = _hopf_config(analysis="floquet", options={
+                "alpha": [1], key: value})
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(doc)
         # the return solve has no trust radius
         for analysis in ("continue", "bifurcate"):
             doc = _hopf_config(analysis=analysis, options={
@@ -149,6 +151,52 @@ class TestParseConfig:
         from pnk import numdiff
         fd = numdiff.jacobian(lambda z: setup.family.eval(0, z, eps), x)
         np.testing.assert_allclose(jac, fd, atol=1e-9)
+
+    @staticmethod
+    def _polynomial_field(n, p, components):
+        doc = {
+            "system": {"name": "polynomial", "params": {
+                "n": n, "k": 1, "p": p, "fields": [components]}},
+            "torus": {"kind": "flat", "angle_coords": [0],
+                      "values": [0.0] * n, "eps0": [0.0] * p},
+            "analysis": "verify",
+        }
+        return build_run(parse_config(doc)).family.member(0)
+
+    def test_polynomial_derivatives_exact(self):
+        # integer coefficients at dyadic points, so every value is exact:
+        # f0 = 3 x0^2 x1 e0 - 2 x1 e1^2 + 5,
+        # f1 = x0 e0 e1 - 4 x1^3 + x2^2 and f2 = 0
+        field = self._polynomial_field(3, 2, [
+            [[3, [2, 1, 0], [1, 0]], [-2, [0, 1, 0], [0, 2]],
+             [5, [0, 0, 0], [0, 0]]],
+            [[1, [1, 0, 0], [1, 1]], [-4, [0, 3, 0], [0, 0]],
+             [1, [0, 0, 2]]],
+            [],
+        ])
+        x = np.array([0.5, -1.5, 2.0])
+        eps = np.array([0.25, -0.5])
+        np.testing.assert_array_equal(field.value(x, eps),
+                                      [5.46875, 17.4375, 0.0])
+        np.testing.assert_array_equal(field.jacobian(x, eps), [
+            [-1.125, -0.3125, 0.0],
+            [-0.125, -27.0, 4.0],
+            [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(field.eps_jacobian(x, eps), [
+            [-1.125, -3.0],
+            [-0.25, 0.125],
+            [0.0, 0.0]])
+
+    def test_polynomial_without_parameters(self):
+        # f0 = 2 x0 x1, f1 = 0: the parameter jacobian is n x 0
+        field = self._polynomial_field(2, 0, [[[2, [1, 1]]], []])
+        x = np.array([0.5, -1.5])
+        eps = np.zeros(0)
+        np.testing.assert_array_equal(field.jacobian(x, eps),
+                                      [[-3.0, 1.0], [0.0, 0.0]])
+        ejac = field.eps_jacobian(x, eps)
+        assert ejac.shape == (2, 0)
+        assert ejac.dtype == np.float64
 
     def test_polynomial_requires_explicit_torus(self):
         doc = {
@@ -327,6 +375,41 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert not rep["results"]["commutation"]["passed"]
 
+    @staticmethod
+    def _torus_filling_the_chart(analysis):
+        # k = n: the fields x' = e1 and x' = e2 span the whole chart, so
+        # their 2-torus leaves no section (r = 0)
+        grid = {"start": [0.0], "stop": [0.1], "num": 3}
+        options = {"verify": {}, "torus": {"alpha": [1, 0], "eps": [0.0]},
+                   "continue": {"alpha": [1, 0], "eps_grid": grid},
+                   "bifurcate": {"alpha": [1, 0], "eps_grid": grid}}
+        return {
+            "system": {"name": "polynomial", "params": {
+                "n": 2, "k": 2, "p": 1,
+                "fields": [[[[1.0, [0, 0], [0]]], []],
+                           [[], [[1.0, [0, 0], [0]]]]]}},
+            "torus": {"kind": "flat", "angle_coords": [0, 1],
+                      "values": [0.0, 0.0], "eps0": [0.0]},
+            "analysis": analysis,
+            "options": options.get(analysis, {"alpha": [1, 0]}),
+        }
+
+    @pytest.mark.parametrize("analysis", [
+        "monodromy", "floquet", "continue", "bifurcate", "torus"])
+    def test_torus_filling_the_chart_is_2(self, tmp_path, capsys, analysis):
+        path = _write(tmp_path, self._torus_filling_the_chart(analysis))
+        out = tmp_path / "o"
+        assert main(["validate", str(path)]) == 2
+        assert "system.params: k = n = 2" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "system.params: k = n = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_torus_filling_the_chart_verifies(self, tmp_path):
+        path = _write(tmp_path, self._torus_filling_the_chart("verify"))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("grid", [0, 1])
     def test_torus_grid_below_two_is_2(self, tmp_path, grid):
         doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15],
@@ -356,9 +439,8 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("analysis, key, bad, least", [
-        ("floquet", "n_samples", 0, 1), ("floquet", "n_out", 0, 2),
-        ("floquet", "n_out", 1, 2),
-        ("verify", "grid", 2, 4), ("verify", "grid", 3, 4),
+        ("floquet", "n_samples", 0, 1), ("verify", "grid", 2, 4),
+        ("verify", "grid", 3, 4),
         ("verify", "samples", 0, 1)])
     def test_integer_below_minimum_is_2(self, tmp_path, analysis, key, bad,
                                         least):
@@ -372,7 +454,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("analysis, key, bad", [
         ("verify", "grid", 2**62), ("verify", "samples", 2**63),
-        ("floquet", "n_samples", 2**62), ("floquet", "n_out", 2**62),
+        ("floquet", "n_samples", 2**62),
         ("torus", "grid_per_angle", 2**62),
         ("continue", "eps_grid.num", 2 * 10**6),
         ("bifurcate", "eps_grid.num", 2 * 10**6)])
@@ -587,3 +669,44 @@ class TestMonodromyRun:
         assert code == 0
         assert len(loop_flows) == 3
         assert rep["results"]["basepoint_check"]["passed"]
+
+
+class TestProbeReports:
+    """Bifurcate runs whose probes find a 2-cycle and a circle, read back
+    from the written report."""
+
+    @staticmethod
+    def _probe(tmp_path, system):
+        doc = {
+            "system": {"name": system},
+            "analysis": "bifurcate",
+            "options": {"alpha": [1], "probe_offsets": [0.04],
+                        "eps_grid": {"start": [-0.05], "stop": [0.05],
+                                     "num": 12}},
+        }
+        _, code = run_config(parse_config(doc), tmp_path / system)
+        assert code == 0
+        rep = json.loads((tmp_path / system / "report.json").read_text())
+        (probe,) = rep["results"]["probes"]
+        return probe
+
+    def test_flip_two_cycle_report(self, tmp_path):
+        # the 2-cycle of the flip lies at (+-sqrt(eps), 0) on the section
+        probe = self._probe(tmp_path, "flip")
+        assert probe["kind"] == "CaseA"
+        (cycle,) = probe["two_cycles"]
+        amplitude = math.sqrt(probe["eps_post"][0])
+        assert len(cycle["points"]) == 2
+        for point in cycle["points"]:
+            assert abs(math.hypot(*point) - amplitude) <= 1e-6
+        assert probe["circle"] is None
+
+    def test_neimark_circle_report(self, tmp_path):
+        # the invariant circle of the Neimark map has radius sqrt(eps / c)
+        probe = self._probe(tmp_path, "neimark")
+        assert probe["kind"] == "CaseC"
+        circle = probe["circle"]
+        radius = math.sqrt(probe["eps_post"][0] / 1.0)  # damping c = 1
+        assert circle["mean_radius"] == pytest.approx(radius, rel=1e-6)
+        assert circle["n_samples"] == 128
+        assert not probe["two_cycles"]

@@ -13,7 +13,10 @@ negative-time ``integrate_variational``, and a section return that
 iterates: ``transversal_map`` with its jacobian and a restarting
 ``transversal_orbit`` on the twisting circle of ``tests/test_section.py``
 (there the return Newton takes 5 iterations, and the orbit takes 4
-loop-flow runs).
+loop-flow runs). ``polynomial_kernels`` evaluates the value, jacobian
+and parameter jacobian of seeded random polynomial families, p = 0
+included, which no shipped config reaches (``polynomial_verify`` has
+k = 1 and evaluates no jacobian).
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
@@ -38,6 +41,7 @@ import numpy as np  # noqa: E402
 
 from pnk import report  # noqa: E402
 from pnk.catalog import make_hopf  # noqa: E402
+from pnk.config import build_run, parse_config  # noqa: E402
 from pnk.core import loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
                          fundamental_matrix)
@@ -133,6 +137,44 @@ def return_cases():
     }
 
 
+def _random_polynomial(rng, n, k, p):
+    """A polynomial system config with up to 3 terms per component:
+    integer powers up to 3 (parameters up to 2), signed zero coefficients
+    and empty components included."""
+    def term():
+        coeff = rng.choice([-0.0, 0.0, rng.uniform(-2.0, 2.0)])
+        return [coeff, [rng.randint(0, 3) for _ in range(n)],
+                [rng.randint(0, 2) for _ in range(p)]]
+
+    fields = [[[term() for _ in range(rng.randint(0, 3))] for _ in range(n)]
+              for _ in range(k)]
+    return {"system": {"name": "polynomial",
+                       "params": {"n": n, "k": k, "p": p, "fields": fields}},
+            "torus": {"kind": "flat", "angle_coords": list(range(k)),
+                      "values": [0.0] * n, "eps0": [0.0] * p},
+            "analysis": "verify"}
+
+
+def polynomial_case(seed):
+    """Value, jacobian and parameter jacobian of each field of eight
+    random polynomial families at three random points each."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(8):
+        n = rng.randint(1, 4)
+        p = 0 if index % 4 == 0 else rng.randint(1, 3)
+        doc = _random_polynomial(rng, n, rng.randint(1, n), p)
+        family = build_run(parse_config(doc)).family
+        for _ in range(3):
+            x = np.array([rng.uniform(-1.5, 1.5) for _ in range(n)])
+            eps = np.array([rng.uniform(-1.0, 1.0) for _ in range(p)])
+            for i in range(family.k):
+                field = family.member(i)
+                out.append((field.value(x, eps), field.jacobian(x, eps),
+                            field.eps_jacobian(x, eps)))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -140,7 +182,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in PREPARE:
             print(name, digest(workload_case(name, args.seed, Path(tmp))))
-    cases = {**floquet_cases(args.seed), **return_cases()}
+    cases = {**floquet_cases(args.seed), **return_cases(),
+             "polynomial_kernels": lambda: polynomial_case(args.seed)}
     for name, case in cases.items():
         print(name, digest(case()))
     return 0
