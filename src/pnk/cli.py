@@ -117,13 +117,12 @@ def _run_monodromy(setup: RunSetup, options: dict):
 def _run_floquet(setup: RunSetup, options: dict):
     family, seed = setup.family, setup.seed
     alpha = options["alpha"]
-    coeffs = extract_linearization(family, seed, alpha,
-                                   n_samples=options["n_samples"])
+    coeffs = extract_linearization(family, seed, alpha)
     # the report reads Theta only at 0 and T
     theta = fundamental_matrix(coeffs, coeffs.T, tol=options["tol"], n_out=2)
     dec = floquet_decompose(theta)
-    block = block_spectrum_check(coeffs.Ahat_samples[0],
-                                 coeffs.Bhat_samples[0])
+    a0, b0, _, _ = coeffs.blocks([0.0])
+    block = block_spectrum_check(a0[0], b0[0])
     results = {
         "alpha": alpha,
         "period": coeffs.T,
@@ -223,16 +222,21 @@ def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
     """Execute one parsed configuration; returns (report, exit_code)."""
     started = time.perf_counter()
     setup = build_run(config)
-    tol = config.options.get("tol", flow.DEFAULT_TOL)
+    # what the analysis integrates with; verify integrates nothing, and
+    # the bifurcate probes integrate at their own tolerance
+    integrator = None
+    if "tol" in config.options:
+        tol = config.options["tol"]
+        integrator = {"method": flow.METHOD, "rtol": tol,
+                      "atol": tol * flow.ATOL_FACTOR}
+    if "probe_tol" in config.options:
+        tol = config.options["probe_tol"]
+        integrator.update(probe_rtol=tol, probe_atol=tol * flow.ATOL_FACTOR)
     report = {
         "config": config.normalized,
         "analysis": config.analysis,
         "tool_version": __version__,
-        "integrator": {
-            "method": flow.METHOD,
-            "rtol": tol,
-            "atol": tol * flow.ATOL_FACTOR,
-        },
+        "integrator": integrator,
     }
     artifacts: dict = {}
     try:

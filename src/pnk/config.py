@@ -15,9 +15,9 @@ and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
 ``straightened``; every tolerance (``*_tol``, ``delta_min``) and
 ``search_radius`` must be positive, and the integration tolerances
 ``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
-about 2.2e-14); the integers ``samples``, ``n_samples`` and
-``eps_grid.num`` are >= 1 and <= ``MAX_COUNT``, ``grid`` >= 4,
-``grid_per_angle`` >= 2, ``seed`` and ``max_iter`` >= 0. ``build_run``
+about 2.2e-14); the integers ``samples`` and ``eps_grid.num`` are >= 1
+and <= ``MAX_COUNT``, ``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed``
+and ``max_iter`` >= 0. ``build_run``
 adds the checks that need the built family: vector lengths, the grid
 start, the ``grid**k`` and ``grid_per_angle**k`` points of a k-torus
 grid, at most ``MAX_COUNT``, and a transversal section (k < n) for
@@ -178,7 +178,7 @@ _OPTIONS = {
         **_LOOP, "unit_tol": (1e-8, _positive),
         "sample_angles": ([], _as_vectors), "spectrum_tol": (1e-6, _positive),
     },
-    "floquet": {**_LOOP, "n_samples": (256, _COUNT)},
+    "floquet": _LOOP,
     "continue": _BRANCH,
     "bifurcate": {
         **_BRANCH, "circle_tol": (1e-9, _positive),

@@ -10,17 +10,17 @@ block decouples:
     w' = W(t) (J(t) S(t) - S'(t)) w =: Ahat(t) w
 
 with W the covectors dual to S. The frame is anchored to the section
-basis at t = 0 and is periodic by construction, so the monodromy matrix
-of this linear periodic system carries the transversal multipliers of the
-loop, independently computed from the coefficient route rather than from
-the full variational flow.
+basis at t = 0 and must return to it after one loop, so the monodromy
+matrix of this linear periodic system carries the transversal multipliers
+of the loop, independently computed from the coefficient route rather
+than from the full variational flow.
 
-The coefficients come from the loop field that the loop flows integrate,
-at the seed parameter ``seed.eps0``, as in every seed-based analysis.
-The frame transport, fundamental matrices and forced responses run
-through :func:`pnk.flow.integrate`, so their failures are the
-:class:`~pnk.errors.NonFinite`/:class:`~pnk.errors.StepFailure` of a flow.
-Their ``n_out`` >= 2 samples hold both ends of the period, 0 and T.
+The blocks are evaluated exactly at every time the integrator asks for,
+from the loop field at ``seed.eps0``, as in every seed-based analysis.
+The frame S is constant when the chart carries angle coordinates, and
+otherwise transported along the loop with Theta, as one state [Theta; S].
+Every integration runs through :func:`pnk.flow.integrate`, so failures
+are those of a flow; ``n_out`` >= 2 samples hold both ends, 0 and T.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ from .section import build_section
 
 FRAME_FD_STEP = 1e-3
 
+# A transported frame that misses its start by more after one loop twists
+# the normal bundle: no periodic frame of this kind exists.
+HOLONOMY_TOL = 1e-6
+
 # A multiplier this close to 1 makes the forced response resonant.
 RESONANCE_TOL = 1e-8
 
@@ -47,136 +51,111 @@ SINGULAR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LinearizedCoefficients:
-    """Periodic coefficient blocks along the loop orbit.
+    """Periodic coefficient blocks along the loop orbit, exact at any time.
 
-    ``Ahat(t)`` (r x r) drives the transversal deviations, ``Bhat(t)``
-    (r x p) their parameter forcing; ``Phat`` (k x r) and ``Qhat`` (k x p)
-    describe the drift of the angle deviations. The angle blocks are
-    extracted and stored for completeness but drive no analysis here. All
-    callables are periodic cubic interpolants of ``n_samples`` samples.
+    ``blocks_at(t, S, S')`` returns ``(Ahat, Bhat, Phat, Qhat)`` at time t
+    in the transversal frame S with time derivative S'. ``Ahat`` (r x r)
+    drives the transversal deviations, ``Bhat`` (r x p) their parameter
+    forcing; ``Phat`` (k x r) and ``Qhat`` (k x p) describe the drift of
+    the angle deviations, and drive no analysis here. ``frame`` is S(0);
+    ``transport`` generates the frame, S' = transport(t) S, and is None
+    when the frame is constant.
     """
 
     T: float
-    times: np.ndarray
-    Ahat: Callable[[float], np.ndarray]
-    Bhat: Callable[[float], np.ndarray]
-    Phat: Callable[[float], np.ndarray]
-    Qhat: Callable[[float], np.ndarray]
-    Ahat_samples: np.ndarray
-    Bhat_samples: np.ndarray
-    Phat_samples: np.ndarray
-    Qhat_samples: np.ndarray
+    frame: np.ndarray
+    transport: Callable[[float], np.ndarray] | None
+    blocks_at: Callable[[float, np.ndarray, np.ndarray], tuple]
+
+    def blocks(self, times):
+        """The four blocks at ``times`` (increasing, in [0, T]), each
+        stacked along a first axis. A transported frame is sampled from
+        one run at ``DEFAULT_TOL``; t = 0 alone needs none."""
+        times = np.asarray(times, dtype=float)
+        frames = [self.frame] * times.size
+        dots = [np.zeros_like(self.frame)] * times.size
+        if self.transport is not None:
+            if times.any():
+                frames = flow.integrate(
+                    lambda t, s, out: self.transport(t).dot(s, out=out),
+                    self.frame, self.T, DEFAULT_TOL,
+                    DEFAULT_TOL * ATOL_FACTOR, times=times).samples
+            dots = [self.transport(t) @ s for t, s in zip(times, frames)]
+        per_time = [self.blocks_at(*at) for at in zip(times, frames, dots)]
+        return tuple(np.stack(block) for block in zip(*per_time))
 
 
-def _coordinate_gauge(family, seed, times):
-    """Constant transversal frame from the non-angle chart coordinates,
-    and its derivative, at each of ``times``.
-
-    Valid when the chart splits into k angle coordinates plus r
-    transversal ones (flow-box form); then the frame never rotates and
-    its time derivative vanishes identically.
-    """
-    trans_idx = [i for i in range(family.n) if i not in seed.angle_coords]
-    s_const = np.eye(family.n)[:, trans_idx]
-    frames = np.broadcast_to(s_const, (len(times),) + s_const.shape)
-    return frames, np.zeros_like(frames)
-
-
-def _transport_gauge(family, seed, a, period, times):
-    """Parallel transport of the initial complement along the orbit.
-
-    The orthogonal projector P(t) onto the complement of the generator
-    span is canonical and smooth; frames are carried by the subspace
-    transport S' = (P' P - P P') S, which keeps them orthonormal and
-    inside range P. The loop may in principle twist the normal bundle
-    (nontrivial holonomy), in which case no periodic gauge of this kind
-    exists and the chart must provide angle coordinates instead. Returns
-    the frames S and their derivatives S' at each of ``times`` in
-    [0, period], sampled from the transport run.
-    """
-    base = build_section(family, seed)
-    n = family.n
-
-    def projector(t):
-        gq, _ = np.linalg.qr(
-            family.generators(seed.point(TWO_PI * a * t), seed.eps0))
-        return np.eye(n) - gq @ gq.T
-
-    def transport(t):
-        p = projector(t)
-        pdot = numdiff.directional(projector, t, 1.0, FRAME_FD_STEP)
-        return pdot @ p - p @ pdot
-
-    def rhs(t, frame, out):
-        transport(t).dot(frame, out=out)
-
-    run = flow.integrate(rhs, base.transversal_basis, period, 1e-11, 1e-13,
-                         times=times)
-    holonomy = float(np.max(np.abs(run.end - base.transversal_basis)))
-    if holonomy > 1e-6:
-        raise DegenerateTangent(
-            f"normal frame does not return after one loop (holonomy defect "
-            f"{holonomy:.3g}); supply chart angle coordinates instead")
-    return run.samples, [transport(t) @ s for t, s in zip(times, run.samples)]
-
-
-def extract_linearization(family: VectorFieldFamily, seed: TorusSeed, alpha,
-                          n_samples: int = 256) -> LinearizedCoefficients:
-    """Sample the coefficient blocks along the loop orbit and interpolate.
+def extract_linearization(family: VectorFieldFamily, seed: TorusSeed,
+                          alpha) -> LinearizedCoefficients:
+    """The coefficient blocks along the loop orbit.
 
     The orbit is phi(t) = 2*pi*alpha*t over t in [0, 1]; all
     derivatives are evaluated on the embedded torus at ``seed.eps0``. The
     transversal gauge is the constant coordinate complement when the chart
-    carries angle coordinates, and the parallel-transported complement of
-    the generator span otherwise.
+    carries angle coordinates (flow-box form: the frame never rotates),
+    and the parallel-transported section basis otherwise.
     """
     a = as_winding(alpha, seed.k)
     eps0 = seed.eps0
     field = loop_field(family, a)
-    period = 1.0
-    times = np.arange(n_samples) * (period / n_samples)
+    n, transport = family.n, None
     if len(seed.angle_coords) == seed.k:
-        frames, frame_dots = _coordinate_gauge(family, seed, times)
+        frame = np.delete(np.eye(n), seed.angle_coords, axis=1)
     else:
-        frames, frame_dots = _transport_gauge(family, seed, a, period, times)
+        # The orthogonal projector P(t) onto the complement of the
+        # generator span is canonical and smooth; frames are carried by
+        # the subspace transport S' = (P' P - P P') S, which keeps them
+        # orthonormal and inside range P. A loop that twists the normal
+        # bundle (nontrivial holonomy) has no periodic gauge of this kind,
+        # and the chart must provide angle coordinates instead.
+        frame = build_section(family, seed).transversal_basis
+
+        def projector(t):
+            gq, _ = np.linalg.qr(
+                family.generators(seed.point(TWO_PI * a * t), eps0))
+            return np.eye(n) - gq @ gq.T
+
+        def transport(t):
+            p = projector(t)
+            pdot = numdiff.directional(projector, t, 1.0, FRAME_FD_STEP)
+            return pdot @ p - p @ pdot
 
     def blocks_at(t, s_basis, s_dot):
         z = seed.point(TWO_PI * a * t)
-        frame = np.column_stack([family.generators(z, eps0), s_basis])
-        sv = np.linalg.svd(frame, compute_uv=False)
+        full = np.column_stack([family.generators(z, eps0), s_basis])
+        sv = np.linalg.svd(full, compute_uv=False)
         if sv[-1] <= 1e-10 * max(1.0, sv[0]):
             raise DegenerateTangent(
                 "transversal gauge degenerates against the generators "
                 f"at t={t:.4g}")
-        inv = np.linalg.inv(frame)
-        n_cov = inv[:family.k]
-        w_cov = inv[family.k:]
+        inv = np.linalg.inv(full)
+        n_cov, w_cov = inv[:family.k], inv[family.k:]
         core = field.jacobian(z, eps0) @ s_basis - s_dot
         epsjac = field.eps_jacobian(z, eps0)
         return w_cov @ core, w_cov @ epsjac, n_cov @ core, n_cov @ epsjac
 
-    sampled = [blocks_at(*at) for at in zip(times, frames, frame_dots)]
-    arrays = [np.stack([s[b] for s in sampled]) for b in range(4)]
+    return LinearizedCoefficients(1.0, frame, transport, blocks_at)
 
-    from scipy.interpolate import CubicSpline
 
-    t_ext = np.concatenate([times, [period]])
+def _coefficient_flow(coeffs: LinearizedCoefficients):
+    """Right-hand side and start of Theta' = Ahat(t) Theta with exact
+    blocks; a transported frame S joins Theta as one state [Theta; S]."""
+    r = coeffs.frame.shape[1]
+    if coeffs.transport is None:
+        zero = np.zeros_like(coeffs.frame)
 
-    def periodic_spline(samples):
-        closed = np.concatenate([samples, samples[:1]], axis=0)
-        spline = CubicSpline(t_ext, closed, axis=0, bc_type="periodic")
-        return lambda t: spline(float(t) % period)
+        def rhs(t, y, out):
+            coeffs.blocks_at(t, coeffs.frame, zero)[0].dot(y, out=out)
+        return rhs, np.eye(r)
 
-    funcs = [periodic_spline(arr) for arr in arrays]
-    return LinearizedCoefficients(period, times, funcs[0], funcs[1],
-                                  funcs[2], funcs[3],
-                                  arrays[0], arrays[1], arrays[2], arrays[3])
+    def joint_rhs(t, y, out):
+        coeffs.transport(t).dot(y[r:], out=out[r:])
+        coeffs.blocks_at(t, y[r:], out[r:])[0].dot(y[:r], out=out[:r])
+    return joint_rhs, np.vstack([np.eye(r), coeffs.frame])
 
 
 def _as_matrix_func(Ahat):
-    """Normalize matrix input: coefficients, callable, or constant matrix."""
-    if isinstance(Ahat, LinearizedCoefficients):
-        Ahat = Ahat.Ahat
+    """Normalize matrix input: callable of t, or constant matrix."""
     if callable(Ahat):
         probe = np.atleast_2d(np.asarray(Ahat(0.0), dtype=float))
         r = probe.shape[0]
@@ -197,21 +176,35 @@ class FundamentalMatrix:
 
 def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
                        n_out: int = 129) -> FundamentalMatrix:
-    """Integrate Theta' = Ahat(t) Theta, Theta(0) = I over [0, T]."""
-    func, r = _as_matrix_func(Ahat)
+    """Integrate Theta' = Ahat(t) Theta, Theta(0) = I over [0, T].
+
+    ``Ahat`` is a callable of t, a constant matrix, or the coefficients
+    of :func:`extract_linearization`. A transported frame that misses
+    S(0) at T by more than ``HOLONOMY_TOL`` raises
+    :class:`DegenerateTangent`.
+    """
+    if isinstance(Ahat, LinearizedCoefficients):
+        rhs, y0 = _coefficient_flow(Ahat)
+    else:
+        func, r = _as_matrix_func(Ahat)
+
+        def rhs(t, y, out):
+            func(t).dot(y, out=out)
+        y0 = np.eye(r)
     if T <= 0:
         raise ValueError("period must be positive")
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
-
-    def rhs(t, y, out):
-        func(t).dot(y, out=out)
-
     times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, np.eye(r), T, tol, tol * ATOL_FACTOR,
-                         times=times)
+    run = flow.integrate(rhs, y0, T, tol, tol * ATOL_FACTOR, times=times)
+    r = y0.shape[1]  # rows below r carry a transported frame S
+    holonomy = float(np.max(np.abs(run.end[r:] - y0[r:]), initial=0.0))
+    if holonomy > HOLONOMY_TOL:
+        raise DegenerateTangent(
+            f"normal frame does not return after one loop (holonomy defect "
+            f"{holonomy:.3g}); supply chart angle coordinates instead")
     run.samples[-1] = run.end
-    return FundamentalMatrix(times, run.samples, run.end, float(T))
+    return FundamentalMatrix(times, run.samples[:, :r], run.end[:r], float(T))
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,11 @@ class TestParseConfig:
             "eps_grid": {"start": [0.1], "stop": [0.2], "num": 3}})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
-        # no floquet pipeline reads a resonance tolerance, and its report
-        # reads the fundamental matrix at 0 and T only, whatever n_out was
-        for key, value in (("resonance_tol", 1e-8), ("n_out", 17)):
+        # no floquet pipeline reads a resonance tolerance, its report
+        # reads the fundamental matrix at 0 and T only, whatever n_out was,
+        # and its coefficient blocks are exact, not sampled
+        for key, value in (("resonance_tol", 1e-8), ("n_out", 17),
+                           ("n_samples", 64)):
             doc = _hopf_config(analysis="floquet", options={
                 "alpha": [1], key: value})
             with pytest.raises(ConfigError, match="unknown key"):
@@ -439,22 +441,19 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("analysis, key, bad, least", [
-        ("floquet", "n_samples", 0, 1), ("verify", "grid", 2, 4),
-        ("verify", "grid", 3, 4),
+        ("verify", "grid", 2, 4), ("verify", "grid", 3, 4),
         ("verify", "samples", 0, 1)])
     def test_integer_below_minimum_is_2(self, tmp_path, analysis, key, bad,
                                         least):
-        alpha = {"alpha": [1]} if analysis == "floquet" else {}
-        path = _write(tmp_path, _hopf_config(analysis, {**alpha, key: bad}))
+        path = _write(tmp_path, _hopf_config(analysis, {key: bad}))
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        path = _write(tmp_path, _hopf_config(analysis, {**alpha, key: least}),
+        path = _write(tmp_path, _hopf_config(analysis, {key: least}),
                       "least.json")
         assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("analysis, key, bad", [
         ("verify", "grid", 2**62), ("verify", "samples", 2**63),
-        ("floquet", "n_samples", 2**62),
         ("torus", "grid_per_angle", 2**62),
         ("continue", "eps_grid.num", 2 * 10**6),
         ("bifurcate", "eps_grid.num", 2 * 10**6)])
@@ -466,7 +465,7 @@ class TestExitCodes:
                 return {"alpha": [1], "eps_grid": {"start": [0.1],
                                                    "stop": [0.3],
                                                    "num": value}}
-            return {**{"verify": {}, "floquet": {"alpha": [1]},
+            return {**{"verify": {},
                        "torus": {"alpha": [1], "eps": [0.15]}}[analysis],
                     key: value}
 
@@ -669,6 +668,26 @@ class TestMonodromyRun:
         assert code == 0
         assert len(loop_flows) == 3
         assert rep["results"]["basepoint_check"]["passed"]
+
+
+class TestIntegratorMetadata:
+    """The report's integrator block states what the analysis ran."""
+
+    def test_verify_integrates_nothing(self, tmp_path):
+        config = load_config(CONFIG_DIR / "polynomial_verify.json")
+        report, code = run_config(config, tmp_path)
+        assert code == 0
+        assert report["integrator"] is None
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["integrator"] is None
+
+    def test_bifurcate_states_the_probe_tolerance(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "pitchfork_bifurcate.json").read_text())
+        doc["options"].update(tol=1e-9, probe_tol=1e-8)
+        report, _ = run_config(parse_config(doc), tmp_path)
+        assert report["integrator"] == {
+            "method": "DOP853", "rtol": 1e-9, "atol": 1e-9 * 1e-2,
+            "probe_rtol": 1e-8, "probe_atol": 1e-8 * 1e-2}
 
 
 class TestProbeReports:

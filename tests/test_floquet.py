@@ -11,11 +11,11 @@ import pytest
 from scipy.linalg import expm
 
 import pnk.flow
-from pnk import (NonFinite, Resonance, SingularMonodromy, StepFailure,
-                 ZeroClass, block_spectrum_check, extract_linearization,
-                 floquet_decompose, forced_response, fundamental_matrix,
-                 integrate_flow, integrate_variational, loop_field,
-                 monodromy_report)
+from pnk import (DegenerateTangent, NonFinite, Resonance, SingularMonodromy,
+                 StepFailure, ZeroClass, block_spectrum_check,
+                 extract_linearization, floquet_decompose, forced_response,
+                 fundamental_matrix, integrate_flow, integrate_variational,
+                 loop_field, monodromy_report)
 from pnk.floquet import FundamentalMatrix
 from pnk.flow import integrate_orbit
 from pnk.spectra import match_distance, sorted_complex
@@ -26,18 +26,23 @@ A1 = np.diag([-0.3, 0.2])
 A2 = np.diag([0.1, -0.4])
 
 
+def _grid(count):
+    return np.arange(count) / count
+
+
 class TestExtractLinearization:
     def test_straightened_blocks_constant(self, straight_sys):
         co = extract_linearization(straight_sys.family, straight_sys.seed,
-                                   [1, 1], n_samples=32)
+                                   [1, 1])
+        a, b, p, _ = co.blocks(_grid(32))
         want = TWO_PI * (A1 + A2)
-        spread = np.max(np.abs(co.Ahat_samples - want))
+        spread = np.max(np.abs(a - want))
         assert spread <= 1e-10
         # parameter block: 2 pi (A1 + A2) C
         want_b = TWO_PI * (A1 + A2) @ np.array([[0.5], [0.25]])
-        np.testing.assert_allclose(co.Bhat_samples[0], want_b, atol=1e-10)
+        np.testing.assert_allclose(b[0], want_b, atol=1e-10)
         # angle blocks vanish for the straightened structure
-        assert np.max(np.abs(co.Phat_samples)) <= 1e-10
+        assert np.max(np.abs(p)) <= 1e-10
 
     def test_u_independent_transversal_part_gives_zero(self):
         # fields whose transversal components do not depend on u
@@ -51,25 +56,100 @@ class TestExtractLinearization:
                          angle_coords=(0,))
         # u = -cos(phi) + const is not invariant; linearize anyway on u = 0:
         # dF/du = 0 identically
-        co = extract_linearization(fam, seed, [1], n_samples=16)
-        assert np.max(np.abs(co.Ahat_samples)) <= 1e-12
+        co = extract_linearization(fam, seed, [1])
+        assert np.max(np.abs(co.blocks(_grid(16))[0])) <= 1e-12
 
     def test_hopf_radial_coefficient(self, hopf_sys):
-        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1],
-                                   n_samples=32)
+        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
         want = -2.0 * 0.1 * TWO_PI
-        np.testing.assert_allclose(co.Ahat_samples.ravel(), want, atol=1e-8)
+        np.testing.assert_allclose(co.blocks(_grid(32))[0].ravel(), want,
+                                   atol=1e-8)
 
     def test_zero_winding_is_rejected(self, hopf_sys):
         # the coefficients come from the loop field, which has no zero class
         with pytest.raises(ZeroClass):
-            extract_linearization(hopf_sys.family, hopf_sys.seed, [0],
-                                  n_samples=8)
+            extract_linearization(hopf_sys.family, hopf_sys.seed, [0])
 
     def test_blocks_periodic(self, hopf_sys):
-        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1],
-                                   n_samples=32)
-        np.testing.assert_allclose(co.Ahat(0.0), co.Ahat(1.0), atol=1e-10)
+        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
+        a = co.blocks([0.0, 0.5, 1.0])[0]
+        np.testing.assert_allclose(a[0], a[2], atol=1e-10)
+
+    def test_blocks_at_zero_need_no_frame_run(self, hopf_sys, monkeypatch):
+        # t = 0 alone reads the frame S(0); a grid samples one frame run
+        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
+        assert co.transport is not None
+        calls = []
+        real = pnk.flow.integrate
+        monkeypatch.setattr(pnk.flow, "integrate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        at_zero = co.blocks([0.0])
+        assert not calls
+        on_grid = co.blocks(_grid(8))
+        assert len(calls) == 1
+        for zero, grid in zip(at_zero, on_grid):
+            np.testing.assert_array_equal(zero[0], grid[0])
+
+
+class TestExactCoefficients:
+    """The coefficient route is as accurate as its integrator: the blocks
+    are evaluated at every stage, not interpolated."""
+
+    def test_flip_multipliers_match_the_oracle(self):
+        from pnk.catalog import make_flip
+        eps, d = -0.05, -0.35
+        sysm = make_flip(stable_exponent=d, eps0=eps)
+        co = extract_linearization(sysm.family, sysm.seed, [1])
+        got = np.sort(np.linalg.eigvals(fundamental_matrix(co, co.T).Q).real)
+        want = np.sort([-math.exp(TWO_PI * eps), -math.exp(TWO_PI * d)])
+        np.testing.assert_allclose(got, want, rtol=2e-10, atol=0.0)
+
+    def test_hopf_transport_gauge_multiplier(self, hopf_sys):
+        # no angle coordinates: the frame is transported with Theta
+        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
+        assert co.transport is not None
+        q = fundamental_matrix(co, co.T).Q
+        assert q.shape == (1, 1)
+        assert abs(q[0, 0] - math.exp(-4.0 * math.pi * 0.1 / 1.0)) <= 1e-10
+
+
+def _twisted_loop():
+    """A loop whose transported normal frame does not return: n = 3,
+    k = 1, gamma(phi) = (cos phi, sin phi, sin phi + sin 2 phi) and
+    X(x) = gamma'(atan2(x1, x0)), without angle coordinates."""
+    from pnk import TorusSeed, VectorFieldFamily
+
+    def value(x, eps):
+        phi = math.atan2(x[1], x[0])
+        return np.array([-math.sin(phi), math.cos(phi),
+                         math.cos(phi) + 2.0 * math.cos(2.0 * phi)])
+
+    family = VectorFieldFamily(3, 1, 1, [value])
+    seed = TorusSeed(1, lambda phi: np.array([
+        math.cos(phi[0]), math.sin(phi[0]),
+        math.sin(phi[0]) + math.sin(2.0 * phi[0])]), np.zeros(1))
+    return family, seed
+
+
+class TestHolonomy:
+    def test_twisted_frame_is_refused(self):
+        family, seed = _twisted_loop()
+        co = extract_linearization(family, seed, [1])
+        with pytest.raises(DegenerateTangent, match="holonomy"):
+            fundamental_matrix(co, co.T)
+
+    def test_twisted_frame_run_exits_3(self, tmp_path, monkeypatch):
+        import pnk.cli
+        from pnk.config import RunSetup, parse_config
+        family, seed = _twisted_loop()
+        monkeypatch.setattr(pnk.cli, "build_run",
+                            lambda config: RunSetup(family, seed, None))
+        config = parse_config({"system": {"name": "hopf"},
+                               "analysis": "floquet",
+                               "options": {"alpha": [1]}})
+        report, code = pnk.cli.run_config(config, tmp_path)
+        assert code == pnk.cli.EXIT_NUMERICAL
+        assert report["error"]["type"] == "DegenerateTangent"
 
 
 class TestFundamentalMatrix:
@@ -150,8 +230,8 @@ class TestOneIntegrator:
                 lambda t: [[-1.0]], 1.0),
             "forced_response": lambda: forced_response(
                 lambda t: [[-1.0]], lambda t: [1.0], 1.0),
-            "extract_linearization": lambda: extract_linearization(
-                fam, seed, [1], n_samples=16),
+            "coefficients": lambda: fundamental_matrix(
+                extract_linearization(fam, seed, [1]), 1.0),
         }
         for name, run in runs.items():
             before = len(calls)
@@ -280,8 +360,7 @@ class TestConsistencyWithMonodromy:
         else:
             sysm = straight_sys if system == "straight" else hopf_sys
         rep = monodromy_report(sysm.family, sysm.seed, list(alpha))
-        co = extract_linearization(sysm.family, sysm.seed, list(alpha),
-                                   n_samples=64)
+        co = extract_linearization(sysm.family, sysm.seed, list(alpha))
         fm = fundamental_matrix(co, co.T)
         got = sorted_complex(np.linalg.eigvals(fm.Q))
-        assert match_distance(got, rep.transversal_spectrum) <= 1e-6
+        assert match_distance(got, rep.transversal_spectrum) <= 1e-9

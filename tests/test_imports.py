@@ -1,6 +1,7 @@
 """Every imported name in the package modules and the tests is used, no
-package module imports or reads a private name of another, and importing
-pnk or running it imports no scipy module.
+package module imports or reads a private name of another, importing
+pnk or running it imports no scipy module, and a Floquet run imports
+scipy.linalg only: its coefficients are exact, not interpolated.
 
 The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
 ``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
@@ -143,13 +144,53 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_runs_import_no_scipy(tmp_path):
+def _fresh_scipy_modules(script, *args):
+    """The scipy modules that ``script`` prints, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_RUNS, str(ROOT / "run_configs"),
-         str(tmp_path)], capture_output=True, text=True, env=env,
-        timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_runs_import_no_scipy(tmp_path):
+    assert _fresh_scipy_modules(SCIPY_FREE_RUNS, ROOT / "run_configs",
+                                tmp_path) == "[]"
+
+
+FLOQUET_RUN = """
+import sys
+from pathlib import Path
+
+from pnk.cli import run_config
+from pnk.config import load_config
+
+report, code = run_config(load_config(sys.argv[1]), Path(sys.argv[2]))
+assert code == 0, report["error"]
+print(sorted({".".join(m.split(".")[:2]) for m in sys.modules
+              if m.split(".")[0] == "scipy"}))
+"""
+
+
+def test_floquet_run_imports_no_interpolation(tmp_path):
+    # expm and logm of the decomposition come from scipy.linalg
+    loaded = _fresh_scipy_modules(
+        FLOQUET_RUN, ROOT / "run_configs" / "straightened_floquet.json",
+        tmp_path)
+    assert "'scipy.linalg'" in loaded
+    assert "scipy.interpolate" not in loaded
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_interpolation_import_anywhere(path):
+    # function bodies included: no pnk module interpolates samples
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0
+              for alias in node.names]
+    assert not [m for m in names if m.startswith("scipy.interpolate")]

@@ -6,9 +6,10 @@
 The cases are the four benchmark workloads of ``pnkbench.workloads``
 (one ``run()`` each, built at the given seed; run reports pass through
 ``report.strip_volatile``) and the flow and Floquet paths that no
-workload reaches: the parallel-transport gauge of
-``extract_linearization`` (the Hopf seed has no angle coordinates),
-``fundamental_matrix`` and ``forced_response`` on its coefficients, a
+workload reaches: the coefficient blocks of ``extract_linearization``
+on a 64-point grid in the parallel-transport gauge (the Hopf seed has no
+angle coordinates), ``fundamental_matrix`` on those coefficients,
+``forced_response`` on a periodic coefficient and forcing, a
 negative-time ``integrate_variational``, and a section return that
 iterates: ``transversal_map`` with its jacobian and a restarting
 ``transversal_orbit`` on the twisting circle of ``tests/test_section.py``
@@ -42,7 +43,7 @@ import numpy as np  # noqa: E402
 from pnk import report  # noqa: E402
 from pnk.catalog import make_hopf  # noqa: E402
 from pnk.config import build_run, parse_config  # noqa: E402
-from pnk.core import loop_field  # noqa: E402
+from pnk.core import TWO_PI, loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
                          fundamental_matrix)
 from pnk.flow import integrate_variational  # noqa: E402
@@ -111,15 +112,16 @@ def floquet_cases(seed):
     rng = random.Random(seed)
     system = make_hopf(0.95 + 0.1 * rng.random(), 0.099 + 0.002 * rng.random())
     family, seed_ = system.family, system.seed
-    coefficients = extract_linearization(family, seed_, [1], n_samples=64)
-    forcing = lambda t: coefficients.Bhat(t)[:, 0]  # noqa: E731
+    coefficients = extract_linearization(family, seed_, [1])
+    rate = float(coefficients.blocks([0.0])[0][0, 0, 0])
     field = loop_field(family, [1])
     return {
-        "transport_gauge": lambda: coefficients,
+        "transport_gauge": lambda: coefficients.blocks(np.arange(64) / 64),
         "fundamental_matrix": lambda: fundamental_matrix(
             coefficients, coefficients.T, n_out=33),
         "forced_response": lambda: forced_response(
-            coefficients, forcing, coefficients.T, n_out=33),
+            lambda t: [[rate * (1.0 + 0.5 * np.cos(TWO_PI * t))]],
+            lambda t: [np.sin(TWO_PI * t)], coefficients.T, n_out=33),
         "variational_negative_time": lambda: integrate_variational(
             field, seed_.base_point, seed_.eps0, -0.7),
     }
