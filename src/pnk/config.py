@@ -19,7 +19,7 @@ about 2.2e-14); the integers ``samples`` and ``eps_grid.num`` are >= 1
 and <= ``MAX_COUNT``, ``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed``
 and ``max_iter`` >= 0. ``build_run``
 adds the checks that need the built family: vector lengths, the grid
-start, the ``grid**k`` and ``grid_per_angle**k`` points of a k-torus
+start, two or more slices in a ``bifurcate`` grid, the ``grid**k`` and ``grid_per_angle**k`` points of a k-torus
 grid, at most ``MAX_COUNT``, and a transversal section (k < n) for
 every analysis but ``verify``. The torus, output and polynomial sections
 are checked by hand.
@@ -520,7 +520,8 @@ def build_run(config: RunConfig) -> RunSetup:
     parameter vector of the wrong length in ``options.eps`` (``torus``) or
     ``options.eps_grid`` (``continue``, ``bifurcate``), an
     ``options.sample_angles`` entry whose length is not the torus
-    dimension, a grid that does not start at the seed parameter, and an
+    dimension, a grid that does not start at the seed parameter, a
+    ``bifurcate`` grid of one slice, and an
     angle grid of more than ``MAX_COUNT`` points raise
     :class:`ConfigError` naming the option.
     """
@@ -575,7 +576,10 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
             as_params(config.options["eps"], family.p)
         elif config.analysis in ("continue", "bifurcate"):
             key = "eps_grid"
-            checked_path(_bounding_slices(config.options), seed.eps0,
-                         family.p)
+            slices = _bounding_slices(config.options)
+            if config.analysis == "bifurcate" and len(slices) < 2:
+                raise ValueError("a bifurcation scan needs at least two "
+                                 "slices to track multipliers across")
+            checked_path(slices, seed.eps0, family.p)
     except ValueError as exc:
         raise ConfigError(f"options.{key}: {exc}") from exc

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateTangent, ZeroClass
+from .errors import DegenerateTangent, NonFinite, ZeroClass
 
 TWO_PI = 2.0 * math.pi
 
@@ -278,7 +278,8 @@ def verify_commuting_family(family: VectorFieldFamily, sample_points,
     """Check |[X_i, X_j]|_inf <= tol over all pairs and sample points.
 
     ``sample_points`` is a nonempty list of (x, eps) pairs. A single-field
-    family passes vacuously with residual zero.
+    family passes vacuously with residual zero. A bracket that is not
+    finite cannot be checked and raises :class:`NonFinite`.
     """
     samples = list(sample_points)
     if not samples:
@@ -286,12 +287,19 @@ def verify_commuting_family(family: VectorFieldFamily, sample_points,
     worst = 0.0
     worst_pair = None
     worst_sample = None
-    for s_idx, (x, eps) in enumerate(samples):
-        for i in range(family.k):
-            for j in range(i + 1, family.k):
-                res = float(np.max(np.abs(lie_bracket(family, i, j, x, eps))))
-                if res > worst:
-                    worst, worst_pair, worst_sample = res, (i, j), s_idx
+    # an overflow shows as a residual that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s_idx, (x, eps) in enumerate(samples):
+            for i in range(family.k):
+                for j in range(i + 1, family.k):
+                    res = float(np.max(np.abs(
+                        lie_bracket(family, i, j, x, eps))))
+                    if not math.isfinite(res):
+                        raise NonFinite(
+                            f"commutation check: bracket [X_{i}, X_{j}] is "
+                            f"{res} at sample {s_idx}")
+                    if res > worst:
+                        worst, worst_pair, worst_sample = res, (i, j), s_idx
     return CommutationReport(worst, worst_pair, worst_sample, tol, worst <= tol)
 
 
@@ -311,7 +319,8 @@ def verify_torus_invariance(family: VectorFieldFamily, seed: TorusSeed,
     At each point of a uniform angle grid (at least 4 points per angle) the
     field values are decomposed against the embedding tangents; the report
     carries the largest leftover normal component. Raises
-    :class:`DegenerateTangent` when the tangent frame drops rank anywhere.
+    :class:`DegenerateTangent` when the tangent frame drops rank anywhere,
+    and :class:`NonFinite` for tangents or a residual that are not finite.
     """
     if grid < 4:
         raise ValueError("need at least 4 grid points per angle")
@@ -320,17 +329,25 @@ def verify_torus_invariance(family: VectorFieldFamily, seed: TorusSeed,
     angles = np.stack([g.ravel() for g in grids], axis=-1)
     worst = 0.0
     worst_phi = None
-    for phi in angles:
-        point = seed.point(phi)
-        tang = seed.tangent_basis(phi)
-        sv = np.linalg.svd(tang, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-            raise DegenerateTangent(
-                f"embedding tangents rank-deficient at phi={phi}")
-        for i in range(family.k):
-            v = family.eval(i, point, seed.eps0)
-            coeff, *_ = np.linalg.lstsq(tang, v, rcond=None)
-            res = float(np.max(np.abs(v - tang @ coeff)))
-            if res > worst:
-                worst, worst_phi = res, phi.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in angles:
+            point = seed.point(phi)
+            tang = seed.tangent_basis(phi)
+            if not np.all(np.isfinite(tang)):
+                raise NonFinite(f"invariance check: embedding tangents are "
+                                f"not finite at phi={phi}")
+            sv = np.linalg.svd(tang, compute_uv=False)
+            if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+                raise DegenerateTangent(
+                    f"embedding tangents rank-deficient at phi={phi}")
+            for i in range(family.k):
+                v = family.eval(i, point, seed.eps0)
+                coeff, *_ = np.linalg.lstsq(tang, v, rcond=None)
+                res = float(np.max(np.abs(v - tang @ coeff)))
+                if not math.isfinite(res):
+                    raise NonFinite(
+                        f"invariance check: normal residual of X_{i} is "
+                        f"{res} at phi={phi}")
+                if res > worst:
+                    worst, worst_phi = res, phi.copy()
     return InvarianceReport(worst, worst_phi, tol, worst <= tol)

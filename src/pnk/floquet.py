@@ -16,9 +16,12 @@ of the loop, independently computed from the coefficient route rather
 than from the full variational flow.
 
 The blocks are evaluated exactly at every time the integrator asks for,
-from the loop field at ``seed.eps0``, as in every seed-based analysis.
-The frame S is constant when the chart carries angle coordinates, and
-otherwise transported along the loop with Theta, as one state [Theta; S].
+from the loop field at ``seed.eps0``, as in every seed-based analysis:
+``LinearizedCoefficients.at(t, S)`` makes one generator evaluation and
+takes one loop jacobian J per stage. The frame S is constant when the
+chart carries angle coordinates, and otherwise transported along the
+loop with Theta, as one state [Theta; S]; by the same push-forward,
+G' = J G, so its transport is exact too.
 Every integration runs through :func:`pnk.flow.integrate`, so failures
 are those of a flow; ``n_out`` >= 2 samples hold both ends, 0 and T.
 """
@@ -30,13 +33,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import flow, numdiff, spectra
-from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_winding, loop_field
+from . import flow, spectra
+from .core import (RANK_TOL, TWO_PI, TorusSeed, VectorFieldFamily, as_winding,
+                   loop_field)
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
 from .flow import ATOL_FACTOR, DEFAULT_TOL
 from .section import build_section
-
-FRAME_FD_STEP = 1e-3
 
 # A transported frame that misses its start by more after one loop twists
 # the normal bundle: no periodic frame of this kind exists.
@@ -53,19 +55,20 @@ SINGULAR_TOL = 1e-8
 class LinearizedCoefficients:
     """Periodic coefficient blocks along the loop orbit, exact at any time.
 
-    ``blocks_at(t, S, S')`` returns ``(Ahat, Bhat, Phat, Qhat)`` at time t
-    in the transversal frame S with time derivative S'. ``Ahat`` (r x r)
-    drives the transversal deviations, ``Bhat`` (r x p) their parameter
-    forcing; ``Phat`` (k x r) and ``Qhat`` (k x p) describe the drift of
-    the angle deviations, and drive no analysis here. ``frame`` is S(0);
-    ``transport`` generates the frame, S' = transport(t) S, and is None
-    when the frame is constant.
+    ``at(t, S)`` returns ``(S', Ahat, Bhat, Phat, Qhat)`` at time t in the
+    transversal frame S: the frame's time derivative and the four blocks.
+    ``Ahat`` (r x r) drives the transversal deviations, ``Bhat`` (r x p)
+    their parameter forcing; ``Phat`` (k x r) and ``Qhat`` (k x p)
+    describe the drift of the angle deviations, and drive no analysis
+    here. ``frame`` is S(0). When ``transported`` is False the frame is
+    constant and S' is zero; otherwise S' is the transport of S along the
+    loop, exact from G' = J G.
     """
 
     T: float
     frame: np.ndarray
-    transport: Callable[[float], np.ndarray] | None
-    blocks_at: Callable[[float, np.ndarray, np.ndarray], tuple]
+    transported: bool
+    at: Callable[[float, np.ndarray], tuple]
 
     def blocks(self, times):
         """The four blocks at ``times`` (increasing, in [0, T]), each
@@ -73,15 +76,13 @@ class LinearizedCoefficients:
         one run at ``DEFAULT_TOL``; t = 0 alone needs none."""
         times = np.asarray(times, dtype=float)
         frames = [self.frame] * times.size
-        dots = [np.zeros_like(self.frame)] * times.size
-        if self.transport is not None:
-            if times.any():
-                frames = flow.integrate(
-                    lambda t, s, out: self.transport(t).dot(s, out=out),
-                    self.frame, self.T, DEFAULT_TOL,
-                    DEFAULT_TOL * ATOL_FACTOR, times=times).samples
-            dots = [self.transport(t) @ s for t, s in zip(times, frames)]
-        per_time = [self.blocks_at(*at) for at in zip(times, frames, dots)]
+        if self.transported and times.any():
+            def transport(t, s, out):
+                out[...] = self.at(t, s)[0]
+            frames = flow.integrate(transport, self.frame, self.T,
+                                    DEFAULT_TOL, DEFAULT_TOL * ATOL_FACTOR,
+                                    times=times).samples
+        per_time = [self.at(t, s)[1:] for t, s in zip(times, frames)]
         return tuple(np.stack(block) for block in zip(*per_time))
 
 
@@ -98,59 +99,57 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed,
     a = as_winding(alpha, seed.k)
     eps0 = seed.eps0
     field = loop_field(family, a)
-    n, transport = family.n, None
-    if len(seed.angle_coords) == seed.k:
-        frame = np.delete(np.eye(n), seed.angle_coords, axis=1)
-    else:
-        # The orthogonal projector P(t) onto the complement of the
-        # generator span is canonical and smooth; frames are carried by
-        # the subspace transport S' = (P' P - P P') S, which keeps them
-        # orthonormal and inside range P. A loop that twists the normal
-        # bundle (nontrivial holonomy) has no periodic gauge of this kind,
-        # and the chart must provide angle coordinates instead.
+    transported = len(seed.angle_coords) != seed.k
+    if transported:
         frame = build_section(family, seed).transversal_basis
+    else:
+        frame = np.delete(np.eye(family.n), seed.angle_coords, axis=1)
+    zero = np.zeros_like(frame)
 
-        def projector(t):
-            gq, _ = np.linalg.qr(
-                family.generators(seed.point(TWO_PI * a * t), eps0))
-            return np.eye(n) - gq @ gq.T
-
-        def transport(t):
-            p = projector(t)
-            pdot = numdiff.directional(projector, t, 1.0, FRAME_FD_STEP)
-            return pdot @ p - p @ pdot
-
-    def blocks_at(t, s_basis, s_dot):
+    def at(t, s_basis):
         z = seed.point(TWO_PI * a * t)
-        full = np.column_stack([family.generators(z, eps0), s_basis])
+        gens = family.generators(z, eps0)
+        full = np.column_stack([gens, s_basis])
         sv = np.linalg.svd(full, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
             raise DegenerateTangent(
                 "transversal gauge degenerates against the generators "
                 f"at t={t:.4g}")
+        jac = field.jacobian(z, eps0)
+        s_dot = zero
+        if transported:
+            # Kato's transport S' = (P' P - P P') S along the projector P
+            # onto the complement of G = QR keeps S orthonormal in range P.
+            # With L = P G' G^+, G^+ = R^-1 Q^T and G' = J G, P' = -(L + L^T)
+            # and the generator is L - L^T. A loop that twists the normal
+            # bundle has no periodic frame of this kind.
+            q, r_fac = np.linalg.qr(gens)
+            g_dot = jac @ gens
+            lift = (g_dot - q @ (q.T @ g_dot)) @ np.linalg.solve(r_fac, q.T)
+            s_dot = (lift - lift.T) @ s_basis
         inv = np.linalg.inv(full)
         n_cov, w_cov = inv[:family.k], inv[family.k:]
-        core = field.jacobian(z, eps0) @ s_basis - s_dot
+        core = jac @ s_basis - s_dot
         epsjac = field.eps_jacobian(z, eps0)
-        return w_cov @ core, w_cov @ epsjac, n_cov @ core, n_cov @ epsjac
+        return (s_dot, w_cov @ core, w_cov @ epsjac, n_cov @ core,
+                n_cov @ epsjac)
 
-    return LinearizedCoefficients(1.0, frame, transport, blocks_at)
+    return LinearizedCoefficients(1.0, frame, transported, at)
 
 
 def _coefficient_flow(coeffs: LinearizedCoefficients):
     """Right-hand side and start of Theta' = Ahat(t) Theta with exact
     blocks; a transported frame S joins Theta as one state [Theta; S]."""
     r = coeffs.frame.shape[1]
-    if coeffs.transport is None:
-        zero = np.zeros_like(coeffs.frame)
-
+    if not coeffs.transported:
         def rhs(t, y, out):
-            coeffs.blocks_at(t, coeffs.frame, zero)[0].dot(y, out=out)
+            coeffs.at(t, coeffs.frame)[1].dot(y, out=out)
         return rhs, np.eye(r)
 
     def joint_rhs(t, y, out):
-        coeffs.transport(t).dot(y[r:], out=out[r:])
-        coeffs.blocks_at(t, y[r:], out[r:])[0].dot(y[:r], out=out[:r])
+        s_dot, ahat = coeffs.at(t, y[r:])[:2]
+        out[r:] = s_dot
+        ahat.dot(y[:r], out=out[:r])
     return joint_rhs, np.vstack([np.eye(r), coeffs.frame])
 
 

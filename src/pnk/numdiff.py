@@ -1,8 +1,7 @@
 """Fourth-order central differences for jacobians and curve tangents.
 
 Used as the fallback whenever a family or seed does not supply analytic
-derivatives, and for the time derivative of the Floquet frame's
-projector. The default step follows h = 1e-5 * max(1, |x|_inf), which
+derivatives. The default step follows h = 1e-5 * max(1, |x|_inf), which
 keeps the rounding floor near 1e-11 while truncation is negligible.
 """
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,40 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"]["type"] == "NothingFound"
 
+    @staticmethod
+    def _verify_out_of_range(case):
+        if case == "commutation":
+            # every bracket of the cubic flow-box family overflows to nan
+            return {"system": {"name": "straightened", "params": {
+                        "A": [[[-0.3, 0.0], [0.0, 0.2]],
+                              [[0.1, 0.0], [0.0, -0.4]]],
+                        "C": [[0.5], [0.25]], "cubic": 1}},
+                    "torus": {"kind": "catalog"}, "analysis": "verify",
+                    "options": {"ball_radius": 1e200}}
+        doc = json.loads((CONFIG_DIR / "polynomial_verify.json").read_text())
+        # at 1e120 the cubic terms overflow; at 1e308 so do the stencil
+        # sums of the embedding tangents
+        doc["torus"]["radius"] = 1e120 if case == "invariance" else 1e308
+        doc["output"] = {}
+        return doc
+
+    @pytest.mark.parametrize("case, check", [
+        ("commutation", "commutation"), ("invariance", "invariance"),
+        ("tangents", "invariance")])
+    def test_verify_residual_not_finite_is_3(self, tmp_path, capsys, case,
+                                             check):
+        # a check that could not be evaluated fails, without numpy
+        # warnings, instead of passing at 0.0 or raising LinAlgError
+        path = _write(tmp_path, self._verify_out_of_range(case))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"]["type"] == "NonFinite"
+        assert rep["error"]["message"].startswith(f"{check} check:")
+        assert "NonFinite" in capsys.readouterr().err
+
     def test_noncommuting_is_4(self, tmp_path):
         doc = {
             "system": {"name": "polynomial", "params": {
@@ -568,6 +603,19 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 2
         assert "options.eps_grid" in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        {"start": [-0.05], "stop": [0.05], "num": 1},
+        {"values": [[-0.05]]},
+    ], ids=["num", "values"])
+    def test_one_slice_bifurcate_grid_is_2(self, tmp_path, capsys, grid):
+        # one slice leaves no multiplier path to scan; the run used to
+        # exit 3 with no error named
+        path = _write(tmp_path, self._pitchfork_grid("bifurcate", grid))
+        assert main(["validate", str(path)]) == 2
+        assert "options.eps_grid" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "options.eps_grid" in capsys.readouterr().err
 
     def test_torus_eps_wrong_width_is_2(self, tmp_path, capsys):
         doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15, 0.2]})

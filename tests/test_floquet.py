@@ -15,7 +15,7 @@ from pnk import (DegenerateTangent, NonFinite, Resonance, SingularMonodromy,
                  StepFailure, ZeroClass, block_spectrum_check,
                  extract_linearization, floquet_decompose, forced_response,
                  fundamental_matrix, integrate_flow, integrate_variational,
-                 loop_field, monodromy_report)
+                 loop_field, monodromy_report, numdiff)
 from pnk.floquet import FundamentalMatrix
 from pnk.flow import integrate_orbit
 from pnk.spectra import match_distance, sorted_complex
@@ -78,7 +78,7 @@ class TestExtractLinearization:
     def test_blocks_at_zero_need_no_frame_run(self, hopf_sys, monkeypatch):
         # t = 0 alone reads the frame S(0); a grid samples one frame run
         co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
-        assert co.transport is not None
+        assert co.transported
         calls = []
         real = pnk.flow.integrate
         monkeypatch.setattr(pnk.flow, "integrate",
@@ -107,10 +107,79 @@ class TestExactCoefficients:
     def test_hopf_transport_gauge_multiplier(self, hopf_sys):
         # no angle coordinates: the frame is transported with Theta
         co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
-        assert co.transport is not None
+        assert co.transported
         q = fundamental_matrix(co, co.T).Q
         assert q.shape == (1, 1)
         assert abs(q[0, 0] - math.exp(-4.0 * math.pi * 0.1 / 1.0)) <= 1e-10
+
+
+def _stencil_transport(family, seed, alpha, t, frame, h):
+    """S' = (P' P - P P') S with P' from the 4-point projector stencil."""
+    def projector(time):
+        z = seed.point(TWO_PI * np.asarray(alpha, dtype=float) * time)
+        q, _ = np.linalg.qr(family.generators(z, seed.eps0))
+        return np.eye(family.n) - q @ q.T
+
+    p = projector(t)
+    p_dot = numdiff.directional(projector, t, 1.0, h)
+    return (p_dot @ p - p @ p_dot) @ frame
+
+
+class TestExactTransport:
+    """A frame without angle coordinates is transported with G' = J G:
+    one generator evaluation per stage, and no stencil error."""
+
+    CASES = [("hopf", (1,)), ("oscillators", (1, 0)),
+             ("oscillators", (1, 1)), ("oscillators", (2, -1))]
+
+    @staticmethod
+    def _system(name, hopf_sys):
+        from pnk.catalog import make_uncoupled_oscillators
+        return hopf_sys if name == "hopf" else make_uncoupled_oscillators()
+
+    @pytest.mark.parametrize("name,alpha", CASES)
+    def test_matches_the_projector_stencil(self, name, alpha, hopf_sys):
+        # the k = 2 oscillators need commutation for G' = J G to hold
+        sysm = self._system(name, hopf_sys)
+        co = extract_linearization(sysm.family, sysm.seed, list(alpha))
+        assert co.transported
+        for t in (0.0, 0.13, 0.37, 0.71):
+            want = _stencil_transport(sysm.family, sysm.seed, alpha, t,
+                                      co.frame, 1e-4)
+            np.testing.assert_allclose(co.at(t, co.frame)[0], want,
+                                       rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [(1, 0), (1, 1), (2, -1)])
+    def test_oscillator_multipliers_are_one(self, alpha):
+        from pnk.catalog import make_uncoupled_oscillators
+        sysm = make_uncoupled_oscillators()
+        co = extract_linearization(sysm.family, sysm.seed, list(alpha))
+        q = fundamental_matrix(co, co.T, n_out=2).Q
+        np.testing.assert_allclose(q, np.eye(2), rtol=0.0, atol=1e-12)
+
+    def test_one_generator_evaluation_per_stage(self, hopf_sys, monkeypatch):
+        family = hopf_sys.family
+        co = extract_linearization(family, hopf_sys.seed, [1])
+        counts = {"generators": 0, "rhs": 0}
+        real_generators = family.generators
+        real_integrate = pnk.flow.integrate
+
+        def generators(*args):
+            counts["generators"] += 1
+            return real_generators(*args)
+
+        def integrate(rhs, *args, **kwargs):
+            def counted(*rhs_args):
+                counts["rhs"] += 1
+                rhs(*rhs_args)
+            return real_integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(family, "generators", generators)
+        monkeypatch.setattr(pnk.flow, "integrate", integrate)
+        q = fundamental_matrix(co, 1.0, n_out=2).Q
+        assert counts["rhs"] > 0
+        assert counts["generators"] == counts["rhs"]
+        assert abs(q[0, 0] - math.exp(-0.4 * math.pi)) <= 1e-12
 
 
 def _twisted_loop():

@@ -1,7 +1,8 @@
 """Every imported name in the package modules and the tests is used, no
 package module imports or reads a private name of another, importing
 pnk or running it imports no scipy module, and a Floquet run imports
-scipy.linalg only: its coefficients are exact, not interpolated.
+scipy.linalg only: its coefficients are exact, not interpolated, and
+floquet.py imports no difference stencil.
 
 The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
 ``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
@@ -194,3 +195,15 @@ def test_no_interpolation_import_anywhere(path):
               if isinstance(node, ast.ImportFrom) and node.level == 0
               for alias in node.names]
     assert not [m for m in names if m.startswith("scipy.interpolate")]
+
+
+def test_floquet_imports_no_difference_stencil():
+    # the frame transport is exact, G' = J G, so floquet differences nothing
+    tree = ast.parse((ROOT / "src" / "pnk" / "floquet.py").read_text(
+        encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module}
+    assert not [n for n in names if n.split(".")[-1] == "numdiff"]

@@ -8,10 +8,12 @@ The cases are the four benchmark workloads of ``pnkbench.workloads``
 ``report.strip_volatile``) and the flow and Floquet paths that no
 workload reaches: the coefficient blocks of ``extract_linearization``
 on a 64-point grid in the parallel-transport gauge (the Hopf seed has no
-angle coordinates), ``fundamental_matrix`` on those coefficients,
-``forced_response`` on a periodic coefficient and forcing, a
-negative-time ``integrate_variational``, and a section return that
-iterates: ``transversal_map`` with its jacobian and a restarting
+angle coordinates), ``fundamental_matrix`` on those coefficients and,
+as ``oscillator_transport``, on the k = 2 transported frame of the
+uncoupled oscillators at winding (2, -1), ``forced_response`` on a
+periodic coefficient and forcing, a negative-time
+``integrate_variational``, and a section return that iterates:
+``transversal_map`` with its jacobian and a restarting
 ``transversal_orbit`` on the twisting circle of ``tests/test_section.py``
 (there the return Newton takes 5 iterations, and the orbit takes 4
 loop-flow runs). ``polynomial_kernels`` evaluates the value, jacobian
@@ -41,7 +43,8 @@ sys.path.insert(0, str(ROOT))
 import numpy as np  # noqa: E402
 
 from pnk import report  # noqa: E402
-from pnk.catalog import make_hopf  # noqa: E402
+from pnk.catalog import (make_hopf,  # noqa: E402
+                         make_uncoupled_oscillators)
 from pnk.config import build_run, parse_config  # noqa: E402
 from pnk.core import TWO_PI, loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
@@ -114,11 +117,15 @@ def floquet_cases(seed):
     family, seed_ = system.family, system.seed
     coefficients = extract_linearization(family, seed_, [1])
     rate = float(coefficients.blocks([0.0])[0][0, 0, 0])
+    pair = make_uncoupled_oscillators()
+    oscillators = extract_linearization(pair.family, pair.seed, [2, -1])
     field = loop_field(family, [1])
     return {
         "transport_gauge": lambda: coefficients.blocks(np.arange(64) / 64),
         "fundamental_matrix": lambda: fundamental_matrix(
             coefficients, coefficients.T, n_out=33),
+        "oscillator_transport": lambda: fundamental_matrix(
+            oscillators, oscillators.T, n_out=33),
         "forced_response": lambda: forced_response(
             lambda t: [[rate * (1.0 + 0.5 * np.cos(TWO_PI * t))]],
             lambda t: [np.sin(TWO_PI * t)], coefficients.T, n_out=33),
