@@ -85,7 +85,8 @@ class Field:
     ``value(x, eps)`` returns the field vector, ``jacobian(x, eps)`` its
     n x n spatial derivative and ``eps_jacobian(x, eps)`` the n x p
     derivative in the parameters. The callables are raw (unvalidated) so
-    they can sit inside integrator inner loops.
+    they can sit inside integrator inner loops. Its ``terms`` are the
+    (field, scale) pairs that sum to it: loop ``members``, or itself at 1.0.
     """
 
     n: int
@@ -94,6 +95,11 @@ class Field:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eps_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart_radius: float | None = None
+    members: tuple[tuple[Field, float], ...] = ()
+
+    @property
+    def terms(self) -> tuple[tuple[Field, float], ...]:
+        return self.members or ((self, 1.0),)
 
 
 class VectorFieldFamily:
@@ -188,6 +194,13 @@ def _field(n, p, value, jac, ejac, chart_radius) -> Field:
     return Field(n, p, value, jac, ejac, chart_radius)
 
 
+def scaled_kernels(terms, part: str):
+    """The ``part`` kernels of (field, scale) terms, summed c0 * f0 + ...
+    in this order: f0, c0 and the rest's (kernel, scale) pairs."""
+    (first, c0), *rest = [(getattr(f, part), c) for f, c in terms]
+    return first, c0, rest
+
+
 @dataclass(frozen=True)
 class TorusSeed:
     """A parametrized invariant k-torus of a family at parameter ``eps0``.
@@ -234,27 +247,27 @@ def loop_field(family: VectorFieldFamily, alpha) -> Field:
 
     Its time-one orbits on the seed torus are closed loops winding alpha_i
     times around the i-th basis cycle. Purely a pointwise linear
-    combination; no integration is involved.
+    combination; no integration is involved. Its ``members`` (X_i at
+    2*pi * alpha_i != 0) are summed by its callables as by flow stages.
     """
     a = as_winding(alpha, family.k)
     if not np.any(a):
         raise ZeroClass("winding vector is identically zero")
-    members = [(family.member(i), TWO_PI * float(c))
-               for i, c in enumerate(a) if c != 0]
+    members = tuple((family.member(i), TWO_PI * float(c))
+                    for i, c in enumerate(a) if c != 0)
 
     def combined(part):
-        terms = [(getattr(fld, part), c) for fld, c in members]
-        (first, c0), rest = terms[0], terms[1:]
+        first, c0, rest = scaled_kernels(members, part)
 
         def total(x, eps):
-            out = c0 * np.asarray(first(x, eps), dtype=float)
+            out = np.multiply(first(x, eps), c0)
             for fn, c in rest:
-                out = out + c * np.asarray(fn(x, eps), dtype=float)
+                np.add(out, np.multiply(fn(x, eps), c), out=out)
             return out
         return total
 
     return Field(family.n, family.p, combined("value"), combined("jacobian"),
-                 combined("eps_jacobian"), family.chart_radius)
+                 combined("eps_jacobian"), family.chart_radius, members)
 
 
 def lie_bracket(family: VectorFieldFamily, i: int, j: int, x, eps) -> np.ndarray:

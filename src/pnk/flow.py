@@ -5,12 +5,12 @@ tolerances, and nothing of tori.
 
 :func:`integrate` is the one integration routine of pnk: it serves
 flows, orbit samples, variational flows, the Floquet frame transport,
-fundamental matrices and forced responses. One run may make at most
-``MAX_EVALS`` = 100,000 right-hand-side calls; beyond that it raises
-:class:`~pnk.errors.StepFailure`, so a stiff or non-finite field stops
-instead of stepping on. A run whose step size collapses raises
-:class:`~pnk.errors.NonFinite` when the last state it accepted is not
-finite, :class:`~pnk.errors.StepFailure` otherwise.
+fundamental matrices and forced responses. A run may make at most
+``MAX_EVALS`` = 100,000 right-hand-side calls, charged per batch of
+stages before it runs, so a stiff or non-finite field raises
+:class:`~pnk.errors.StepFailure` instead of stepping on. A run whose step
+size collapses raises :class:`~pnk.errors.NonFinite` when the last state
+it accepted is not finite, :class:`~pnk.errors.StepFailure` otherwise.
 
 A run keeps three things: the state at its end time t, the number of
 accepted steps and, for times in [0, t] given up front, one sample per
@@ -26,15 +26,17 @@ dense-output polynomial are pnk's own copy of scipy 1.17.1's
 (:mod:`pnk._dop853`), which the tests check equal to scipy's, so no
 scipy module is imported; its end state, step count and samples are
 those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
-saves is the per-call wrapping: a right-hand side writes each stage
-derivative straight into its row of the stage array. A state of any
-shape steps as its flat row-major form, and the right-hand side sees it
-in y0's shape (the variational state [x; M] is one (n + 1, n) array). A
-stage costs a few numpy calls on vectors of n (or n + n^2) entries; at
-pnk's chart sizes each call's fixed cost, about a microsecond,
-outweighs its arithmetic, so products are ``ndarray.dot`` calls into
-buffers, and the state check and the step-size controller work on
-Python floats, whose operations cost a few hundredths of a microsecond.
+saves is the per-call wrapping: a stage calls the right-hand side,
+which writes c_0 X_0(x) into the stage's row and adds each further term
+c_i X_i(x) there (a plain field is one term at scale 1.0, exact); a
+variational stage sums the jacobians so into one n x n buffer and writes
+its product with M. A one-term stage thus costs the state check, a
+kernel call and a ufunc (variational: two of each and a dot). A state of
+any shape steps as its flat row-major form, seen by the right-hand side
+in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
+numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
+so products are ``ndarray.dot`` calls into buffers, and the state check
+and the step-size controller work on Python floats.
 Runs use rtol = tol and atol = tol / 100, so the default tol = 1e-10
 lands at the (1e-10, 1e-12) pair. Monodromy spectra downstream feed
 eigenvalue gaps, so integration error has to sit well below them;
@@ -63,7 +65,7 @@ import numpy as np
 from . import _dop853 as dop853
 from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
                       dense_rows, select_initial_step)
-from .core import Field, as_params, as_point
+from .core import Field, as_params, as_point, scaled_kernels
 from .errors import Escape, NonFinite, StepFailure
 
 # The method of every integration in pnk (flow and floquet), as reported.
@@ -131,13 +133,15 @@ def _check_state(x, chart_radius):
 
 def _checked_rhs(field: Field, eps):
     """The field as an :func:`integrate` right-hand side that checks each
-    state."""
-    value = field.value
+    state and writes the scaled sum of its terms into the stage row."""
+    value, c0, rest = scaled_kernels(field.terms, "value")
     radius = field.chart_radius
 
     def rhs(_t, y, out):
         _check_state(y, radius)
-        out[:] = value(y, eps)
+        np.multiply(value(y, eps), c0, out=out)
+        for kernel, c in rest:
+            np.add(out, np.multiply(kernel(y, eps), c), out=out)
 
     return rhs
 
@@ -213,14 +217,12 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
         samples = np.empty((times.size, n))
     calls = 0
 
-    def fun(s, x, out):
+    def charge(count):  # before a batch of count rhs calls runs
         nonlocal calls
-        calls += 1
+        calls += count
         if calls > MAX_EVALS:
             raise StepFailure(
                 f"integration exceeded {MAX_EVALS} field evaluations")
-        rhs(s, x, out)
-        return out
 
     # Row s of K is stage s; row _STAGES is the derivative at the step's
     # end, which the next step copies to its stage 0. The stage views and
@@ -251,11 +253,13 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
                 t_new = t_bound
             h = t_new - t_old
             h_abs = abs(h)
-            _stages(fun, step_stages, t_old, y_old, h, dy, y_stage, y_shaped)
+            charge(_STAGES - 1)
+            _stages(rhs, step_stages, t_old, y_old, h, dy, y_stage, y_shaped)
             k_body.dot(dop853.B, out=dy)
             np.multiply(dy, h, out=dy)
             y_new = y_old + dy
-            fun(t_old + h, y_new.reshape(shape), f_shaped)
+            charge(1)
+            rhs(t_old + h, y_new.reshape(shape), f_shaped)
             scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
             error_norm = _error_norm(k_step, h_abs, scale, err5, err3)
             if error_norm < 1:
@@ -273,7 +277,8 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
 
     def dense(t_old, y_old, y_new, h, at):
         """The dense output over the step just accepted, at the times at."""
-        _stages(fun, extra_stages, t_old, y_old, h, dy, y_stage, y_shaped)
+        charge(len(extra_stages))
+        _stages(rhs, extra_stages, t_old, y_old, h, dy, y_stage, y_shaped)
         F = np.empty((dop853.INTERPOLATOR_POWER, n))
         f_old = K[0]
         delta_y = y_new - y_old
@@ -283,14 +288,19 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
         F[3:] = h * dop853.D.dot(K)
         return dense_rows(t_old, h, y_old, F, at)
 
+    def initial_slope(s, x):  # select_initial_step's one call
+        rhs(s, x, rows[1, ...])
+        return rows[1, ...]
+
     steps, sampled, t_now = 0, 0, t0
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        fun(t0, y, f_shaped)
+        charge(2)  # the start-up batch: at t0 and initial_slope
+        rhs(t0, y, f_shaped)
         h_abs = float(select_initial_step(
-            lambda s, x: fun(s, x, rows[1, ...]), t0, y, t_bound, np.inf,
-            f_shaped, direction, _ERROR_ORDER, rtol, atol))
+            initial_slope, t0, y, t_bound, np.inf, f_shaped, direction,
+            _ERROR_ORDER, rtol, atol))
         y = y.reshape(n)
         while t_now != t_bound:
             t_old, y_old = t_now, y
@@ -369,15 +379,22 @@ def integrate_variational(field: Field, x0, eps, t: float,
     if abs(t) < TINY_TIME:
         return VariationalResult(x0.copy(), np.eye(n), 0)
 
-    value = field.value
-    jac = field.jacobian
+    value, c0, values = scaled_kernels(field.terms, "value")
+    jac, _, jacs = scaled_kernels(field.terms, "jacobian")
     radius = field.chart_radius
+    jac_sum = np.empty((n, n))
 
     def rhs(_t, y, out):
         x = y[0]
         _check_state(x, radius)
-        out[0] = value(x, eps)
-        jac(x, eps).dot(y[1:], out=out[1:])
+        row = out[0]
+        np.multiply(value(x, eps), c0, out=row)
+        for kernel, c in values:
+            np.add(row, np.multiply(kernel(x, eps), c), out=row)
+        np.multiply(jac(x, eps), c0, out=jac_sum)
+        for kernel, c in jacs:
+            np.add(jac_sum, np.multiply(kernel(x, eps), c), out=jac_sum)
+        jac_sum.dot(y[1:], out=out[1:])
 
     run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol, tol * ATOL_FACTOR)
     end = run.end[0]

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import pnk.cli  # noqa: F401  (imports every pnk module the bench binds)
+import pnk.flow
 from pnk import VectorFieldFamily, loop_field
-from pnk.flow import integrate_flow
+from pnk.catalog import make_hopf, make_uncoupled_oscillators
+from pnk.flow import integrate_flow, integrate_variational
 
 BENCH = Path(__file__).resolve().parent.parent / "pnkbench"
 
@@ -71,3 +73,62 @@ def test_family_hook_counts_field_calls(spans, monkeypatch):
     res = integrate_flow(loop_field(fam, [1]), x, eps, 1.0)
     np.testing.assert_allclose(res.endpoint, x, atol=1e-8)
     assert counter.counts["value"] > 1
+
+
+@pytest.fixture()
+def counter(spans, monkeypatch):
+    """A spans.Counter hooked into the families built in the test; the
+    hook is restored after it."""
+    monkeypatch.setattr(VectorFieldFamily, "__init__",
+                        VectorFieldFamily.__init__)
+    counter = spans.Counter()
+    spans.activate(counter)
+    return counter
+
+
+def _counted_runs(monkeypatch):
+    """Count the right-hand-side calls of every flow.integrate run."""
+    calls = [0]
+    integrate = pnk.flow.integrate
+
+    def counted_integrate(rhs, *args, **kwargs):
+        def counted(t, y, out):
+            calls[0] += 1
+            rhs(t, y, out)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(pnk.flow, "integrate", counted_integrate)
+    return calls
+
+
+# A kernel the hook cannot see, fused or cached, would make rhs_evals and
+# jac_evals read low with no work saved: each stage calls each member's
+# value kernel once, and in a variational flow its jacobian kernel once.
+@pytest.mark.parametrize("integrator, values, jacobians", [
+    (integrate_variational, 278, 278), (integrate_flow, 254, 0)],
+    ids=["variational", "plain"])
+def test_hopf_loop_counts_one_call_per_stage(counter, monkeypatch,
+                                             integrator, values, jacobians):
+    system = make_hopf(1.0, 0.1)
+    rhs_calls = _counted_runs(monkeypatch)
+    integrator(loop_field(system.family, [1]), system.seed.base_point,
+               system.seed.eps0, 1.0)
+    assert rhs_calls[0] == values
+    assert counter.counts == {"value": values, "jacobian": jacobians}
+
+
+@pytest.mark.parametrize("integrator", [integrate_variational,
+                                        integrate_flow],
+                         ids=["variational", "plain"])
+def test_two_member_loop_counts_each_member(counter, monkeypatch,
+                                            integrator):
+    system = make_uncoupled_oscillators()
+    rhs_calls = _counted_runs(monkeypatch)
+    integrator(loop_field(system.family, [2, -1]), system.seed.base_point,
+               system.seed.eps0, 1.0)
+    per_member = rhs_calls[0]
+    assert per_member > 0
+    assert counter.counts == {
+        "value": 2 * per_member,
+        "jacobian": 2 * per_member if integrator is integrate_variational
+        else 0}

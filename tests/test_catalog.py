@@ -1,17 +1,20 @@
 """Catalog constructors, their oracles, and the hamiltonian checks."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pnk import (NonCommuting, NonFinite, monodromy_report,
+import pnk.flow
+from pnk import (NonCommuting, NonFinite, loop_field, monodromy_report,
                  verify_commuting_family, verify_torus_invariance)
 from pnk.catalog import (HamiltonianPair, StraightenedSpec,
                          build_catalog_system, hamiltonian_field, make_flip,
                          make_hopf, make_neimark, make_pitchfork,
-                         make_straightened, poisson_bracket)
+                         make_straightened, make_uncoupled_oscillators,
+                         poisson_bracket)
 from pnk.flow import integrate_flow, integrate_orbit, integrate_variational
 from pnk.spectra import match, match_distance, sorted_complex
 
@@ -385,6 +388,11 @@ def _kernel_points(n, p=1):
     return pairs
 
 
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 def _assert_same_bits(kernels, references, n, p=1):
     """Each kernel returns its reference's dtype, shape and bytes at every
     kernel point: unlike np.array_equal, -0.0 is not 0.0 and a NaN equals
@@ -395,8 +403,7 @@ def _assert_same_bits(kernels, references, n, p=1):
             # and numpy's warnings are noise
             with np.errstate(over="ignore", invalid="ignore"):
                 got, want = kernel(x, eps), reference(x, eps)
-            assert (got.dtype == want.dtype and got.shape == want.shape
-                    and got.tobytes() == want.tobytes()), (kernel, x, eps)
+            assert _same_bits(got, want), (kernel, x, eps)
 
 
 class TestKernelsKeepTheirBits:
@@ -452,6 +459,117 @@ class TestKernelsKeepTheirBits:
             want = first.copy()
             first += 7.0
             assert kernel(x, eps).tobytes() == want.tobytes()
+
+
+def _parent_loop_kernels(family, alpha):
+    """loop_field's value, jacobian and eps_jacobian in their earlier
+    form, kept as the reference: each call converts every member's result
+    to float and adds the scaled results into fresh arrays."""
+    members = [(family.member(i), TWO_PI * float(c))
+               for i, c in enumerate(alpha) if c != 0]
+
+    def combined(part):
+        terms = [(getattr(fld, part), c) for fld, c in members]
+        (first, c0), rest = terms[0], terms[1:]
+
+        def total(x, eps):
+            out = c0 * np.asarray(first(x, eps), dtype=float)
+            for fn, c in rest:
+                out = out + c * np.asarray(fn(x, eps), dtype=float)
+            return out
+        return total
+
+    return combined("value"), combined("jacobian"), combined("eps_jacobian")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_rhs(monkeypatch):
+    """Make pnk.flow.integrate refuse to run; the returned function gives
+    the right-hand side that an integrator hands to it for a field at
+    eps, with no chart bound, so that every finite state is evaluated."""
+    seen = []
+
+    def integrate(rhs, *args, **kwargs):
+        seen.append(rhs)
+        raise _Captured
+
+    monkeypatch.setattr(pnk.flow, "integrate", integrate)
+
+    def rhs_of(integrator, field, eps):
+        with pytest.raises(_Captured):
+            integrator(dataclasses.replace(field, chart_radius=None),
+                       np.zeros(field.n), eps, 1.0)
+        return seen.pop()
+    return rhs_of
+
+
+# (system, winding) pairs: loops of one member and of several, and a
+# plain member field (winding None), the one-term sum at scale 1.0.
+LOOPS = {
+    "hopf": (make_hopf(), [1]),
+    "hopf-minus-3": (make_hopf(), [-3]),
+    "pitchfork": (make_pitchfork(), [1]),
+    "flip": (make_flip(), [1]),
+    "neimark": (make_neimark(), [1]),
+    "oscillators-1-1": (make_uncoupled_oscillators(), [1, 1]),
+    "oscillators-2-minus-1": (make_uncoupled_oscillators(), [2, -1]),
+    "straightened-cubic-pair": (
+        make_straightened(STRAIGHTENED_SPECS["diagonal-cubic-p2"]), [1, -1]),
+    "hopf-member": (make_hopf(), None),
+    "straightened-cubic-member": (
+        make_straightened(STRAIGHTENED_SPECS["diagonal-cubic-p2"]), None),
+}
+
+
+class TestLoopFieldsKeepTheirBits:
+    """A loop field's callables, and the stage rows that the plain and
+    the variational right-hand sides write for it, hold the bits of the
+    earlier form that summed the members into fresh arrays (the variational
+    row: that value, then the summed jacobian's product with M)."""
+
+    @pytest.mark.parametrize("name", LOOPS)
+    def test_callables_and_stage_rows(self, name, monkeypatch):
+        system, alpha = LOOPS[name]
+        family = system.family
+        n, p = family.n, family.p
+        if alpha is None:
+            field = family.member(0)
+            reference = (field.value, field.jacobian, field.eps_jacobian)
+        else:
+            field = loop_field(family, alpha)
+            reference = _parent_loop_kernels(family, alpha)
+        value, jacobian, _ = reference
+        rhs_of = _capture_rhs(monkeypatch)
+        tangent = np.random.default_rng(7).standard_normal((n, n))
+        tangent[0, 0] = -0.0
+        # the overflowing starts of TestOverflowingStarts
+        overflowing = np.zeros(n)
+        overflowing[1] = 6e102
+        points = _kernel_points(n, p) + [(overflowing, np.full(p, 0.1))]
+        for x, eps in points:
+            plain = rhs_of(integrate_flow, field, eps)
+            variational = rhs_of(integrate_variational, field, eps)
+            row = np.empty(n)
+            rows = np.empty((n + 1, n))
+            want_rows = np.empty((n + 1, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for got_fn, want_fn in zip(
+                        (field.value, field.jacobian, field.eps_jacobian),
+                        reference):
+                    assert _same_bits(got_fn(x, eps), want_fn(x, eps)), (
+                        got_fn, x, eps)
+                plain(0.0, x, row)
+                variational(0.0, np.vstack([x, tangent]), rows)
+                # the earlier right-hand sides: out[:] = value(y, eps),
+                # jac(x, eps).dot(y[1:], out=out[1:])
+                want_row = value(x, eps)
+                want_rows[0] = want_row
+                jacobian(x, eps).dot(tangent, out=want_rows[1:])
+            assert _same_bits(row, want_row), (x, eps)
+            assert _same_bits(rows, want_rows), (x, eps)
 
 
 class TestOverflowingStarts:

@@ -543,6 +543,31 @@ class TestOwnStepLoop:
         pnk.flow.integrate(written, y0, 1.0, self.RTOL, self.ATOL,
                            times=times)
 
+    @pytest.mark.parametrize("budget", ["first-trial", "first-dense",
+                                        "last-dense"])
+    def test_budget_is_charged_per_batch(self, monkeypatch, budget):
+        # a budget inside a batch refuses the whole batch before it runs:
+        # 2 start-up calls, then 11 trial stages, the end-of-step call and,
+        # on a step that holds a sample (t = 0 on the first), 3 dense
+        # stages; the last step samples t = 1
+        returned, written, y0 = _hopf_variational()
+        times = np.linspace(0.0, 1.0, 9)
+        _, ref = self._sampled(written, returned, y0, 1.0, times)
+        limit = {"first-trial": 7, "first-dense": 16,
+                 "last-dense": ref.nfev - 2}[budget]
+        monkeypatch.setattr(pnk.flow, "MAX_EVALS", limit)
+        calls = [0]
+
+        def counted(s, y, out):
+            calls[0] += 1
+            written(s, y, out)
+
+        with pytest.raises(StepFailure, match="field evaluations"):
+            pnk.flow.integrate(counted, y0, 1.0, self.RTOL, self.ATOL,
+                               times=times)
+        assert calls[0] == {"first-trial": 2, "first-dense": 14,
+                            "last-dense": ref.nfev - 3}[budget]
+
 
 class TestTableauCopy:
     """pnk._dop853 copies scipy's DOP853 tableau and step rules from its

@@ -19,7 +19,12 @@ periodic coefficient and forcing, a negative-time
 loop-flow runs). ``polynomial_kernels`` evaluates the value, jacobian
 and parameter jacobian of seeded random polynomial families, p = 0
 included, which no shipped config reaches (``polynomial_verify`` has
-k = 1 and evaluates no jacobian).
+k = 1 and evaluates no jacobian). ``multi_member_loops`` takes loop
+fields of two members through the flow right-hand sides, which no
+workload does: ``integrate_variational``, ``integrate_flow`` and
+``integrate_orbit`` of the uncoupled oscillators at windings (1, 1) and
+(2, -1) and of a cubic straightened pair at (1, -1), each from a point
+off its seed torus.
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
@@ -43,13 +48,14 @@ sys.path.insert(0, str(ROOT))
 import numpy as np  # noqa: E402
 
 from pnk import report  # noqa: E402
-from pnk.catalog import (make_hopf,  # noqa: E402
-                         make_uncoupled_oscillators)
+from pnk.catalog import (StraightenedSpec, make_hopf,  # noqa: E402
+                         make_straightened, make_uncoupled_oscillators)
 from pnk.config import build_run, parse_config  # noqa: E402
 from pnk.core import TWO_PI, loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
                          fundamental_matrix)
-from pnk.flow import integrate_variational  # noqa: E402
+from pnk.flow import (integrate_flow, integrate_orbit,  # noqa: E402
+                      integrate_variational)
 from pnk.section import (build_section, transversal_map,  # noqa: E402
                          transversal_orbit)
 from pnkbench.workloads import PREPARE  # noqa: E402
@@ -184,6 +190,28 @@ def polynomial_case(seed):
     return out
 
 
+def multi_member_loops():
+    """Variational, plain and sampled time-one flows of loop fields with
+    two members, from points off the seed tori."""
+    pair = make_uncoupled_oscillators()
+    cubic = make_straightened(StraightenedSpec(
+        (np.diag([-0.3, 0.2]), np.diag([0.1, -0.4])), [[0.5], [0.25]],
+        cubic=1.0))
+    times = np.arange(1, 9) / 8
+    out = []
+    for system, alpha, offset in (
+            (pair, [1, 1], [0.1, -0.2, 0.05, 0.0]),
+            (pair, [2, -1], [0.1, -0.2, 0.05, 0.0]),
+            (cubic, [1, -1], [0.0, 0.0, 0.1, 1e-3])):
+        field = loop_field(system.family, alpha)
+        x0 = system.seed.base_point + np.array(offset)
+        eps = system.seed.eps0
+        out.append((integrate_variational(field, x0, eps, 1.0),
+                    integrate_flow(field, x0, eps, 1.0),
+                    integrate_orbit(field, x0, eps, times)))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -192,7 +220,8 @@ def main(argv=None) -> int:
         for name in PREPARE:
             print(name, digest(workload_case(name, args.seed, Path(tmp))))
     cases = {**floquet_cases(args.seed), **return_cases(),
-             "polynomial_kernels": lambda: polynomial_case(args.seed)}
+             "polynomial_kernels": lambda: polynomial_case(args.seed),
+             "multi_member_loops": multi_member_loops}
     for name, case in cases.items():
         print(name, digest(case()))
     return 0
