@@ -129,7 +129,8 @@ def make_straightened(spec: StraightenedSpec,
 
     Raises :class:`NonCommuting` when the generator matrices do not
     commute (or when cubic terms are requested with non-diagonal
-    matrices, which would break commutation).
+    matrices, which would break commutation), and ValueError when a
+    commutator overflows, so that it cannot be evaluated.
     """
     mats = spec.A
     r, k, p = spec.r, spec.k, spec.p
@@ -139,8 +140,12 @@ def make_straightened(spec: StraightenedSpec,
         raise ValueError(f"C needs {r} rows, one per transversal coordinate")
     for i in range(k):
         for j in range(i + 1, k):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.max(np.abs(comm)) > 1e-12 * max(1.0, np.max(np.abs(mats[i]))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                comm = np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))
+            if not np.isfinite(comm):
+                raise ValueError(f"the commutator of generator matrices {i} "
+                                 f"and {j} could not be evaluated")
+            if not comm <= 1e-12 * max(1.0, np.max(np.abs(mats[i]))):
                 raise NonCommuting(
                     f"generator matrices {i} and {j} do not commute")
     if spec.cubic != 0.0:

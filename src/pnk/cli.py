@@ -219,9 +219,18 @@ _PIPELINES = {
 
 
 def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
-    """Execute one parsed configuration; returns (report, exit_code)."""
+    """Execute one parsed configuration; returns (report, exit_code).
+
+    The output directory is made once the config has built, before the
+    analysis runs; an OS error there or while writing a report file is a
+    ConfigError naming it.
+    """
     started = time.perf_counter()
     setup = build_run(config)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc}") from exc
     # what the analysis integrates with; verify integrates nothing, and
     # the bifurcate probes integrate at their own tolerance
     integrator = None
@@ -253,14 +262,16 @@ def run_config(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
                 else EXIT_NUMERICAL)
     report["timing"] = {"seconds": time.perf_counter() - started}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(report, out_dir / "report.json")
     formats = config.output["formats"]
-    if "csv" in formats and "branch" in artifacts:
-        if artifacts["branch"].points:
-            emit_branch_table(artifacts["branch"], out_dir / "branch.csv")
-    if "csv" in formats and "torus" in artifacts:
-        emit_torus_table(artifacts["torus"], out_dir / "torus.csv")
+    try:
+        write_report(report, out_dir / "report.json")
+        if "csv" in formats and "branch" in artifacts:
+            if artifacts["branch"].points:
+                emit_branch_table(artifacts["branch"], out_dir / "branch.csv")
+        if "csv" in formats and "torus" in artifacts:
+            emit_torus_table(artifacts["torus"], out_dir / "torus.csv")
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc}") from exc
     return report, code
 
 

@@ -48,6 +48,8 @@ from .flow import MIN_TOL
 # more would exhaust memory or run without end rather than fail cleanly.
 MAX_COUNT = 10**6
 
+_INT64_RANGE = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
 
 def _require_mapping(value, path):
     if not isinstance(value, dict):
@@ -68,11 +70,15 @@ def _check_keys(doc: dict, path: str, allowed, required=()):
 def _as_number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite")
-    if positive and value <= 0:
+    if positive and number <= 0:
         raise ConfigError(f"{path}: must be positive")
-    return float(value)
+    return number
 
 
 def _as_int(value, path, minimum=None, maximum=None):
@@ -95,7 +101,9 @@ def _as_vector(value, path, length=None, item=_as_number):
 
 
 def _as_int_vector(value, path, length=None):
-    return _as_vector(value, path, length, item=_as_int)
+    """Integers that fit int64, the dtype windings and exponents are
+    stored in."""
+    return _as_vector(value, path, length, item=_int_range(*_INT64_RANGE))
 
 
 def _as_vectors(value, path):

@@ -28,7 +28,7 @@ import numpy as np
 from . import spectra
 from .core import TorusSeed, VectorFieldFamily, as_params, loop_field, wrap_angles
 from .errors import NoConvergence, OpenTorus, PnkError, SingularJacobian
-from .flow import DEFAULT_TOL, integrate_flow, integrate_orbit
+from .flow import DEFAULT_TOL, integrate_flow
 from .section import SectionFrame, build_section, transversal_map
 
 SINGULAR_TOL = 1e-13  # relative smallest singular value of I - L
@@ -259,9 +259,9 @@ def reconstruct_torus(family: VectorFieldFamily, seed: TorusSeed, eps,
     for d in range(k):
         lead = (0,) * (k - d - 1)
         for prefix in np.ndindex(*((g,) * d)):
-            samples[prefix + (slice(1, None),) + lead] = integrate_orbit(
-                generators[d], samples[prefix + (0,) + lead], eps, times,
-                integration_tol)
+            samples[prefix + (slice(1, None),) + lead] = integrate_flow(
+                generators[d], samples[prefix + (0,) + lead], eps, times[-1],
+                integration_tol, times=times).samples
 
     defect = 0.0
     for d in range(k):

@@ -37,7 +37,7 @@ from . import flow, spectra
 from .core import (RANK_TOL, TWO_PI, TorusSeed, VectorFieldFamily, as_winding,
                    loop_field)
 from .errors import DegenerateTangent, NoConvergence, Resonance, SingularMonodromy
-from .flow import ATOL_FACTOR, DEFAULT_TOL
+from .flow import DEFAULT_TOL
 from .section import build_section
 
 # A transported frame that misses its start by more after one loop twists
@@ -71,8 +71,8 @@ class LinearizedCoefficients:
     at: Callable[[float, np.ndarray], tuple]
 
     def blocks(self, times):
-        """The four blocks at ``times`` (increasing, in [0, T]), each
-        stacked along a first axis. A transported frame is sampled from
+        """The four blocks at ``times`` (strictly increasing, in [0, T]),
+        each stacked along a first axis. A transported frame is sampled from
         one run at ``DEFAULT_TOL``; t = 0 alone needs none."""
         times = np.asarray(times, dtype=float)
         frames = [self.frame] * times.size
@@ -80,8 +80,7 @@ class LinearizedCoefficients:
             def transport(t, s, out):
                 out[...] = self.at(t, s)[0]
             frames = flow.integrate(transport, self.frame, self.T,
-                                    DEFAULT_TOL, DEFAULT_TOL * ATOL_FACTOR,
-                                    times=times).samples
+                                    DEFAULT_TOL, times).samples
         per_time = [self.at(t, s)[1:] for t, s in zip(times, frames)]
         return tuple(np.stack(block) for block in zip(*per_time))
 
@@ -195,15 +194,16 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
     times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, y0, T, tol, tol * ATOL_FACTOR, times=times)
+    run = flow.integrate(rhs, y0, T, tol, times)
     r = y0.shape[1]  # rows below r carry a transported frame S
-    holonomy = float(np.max(np.abs(run.end[r:] - y0[r:]), initial=0.0))
+    holonomy = float(np.max(np.abs(run.endpoint[r:] - y0[r:]), initial=0.0))
     if holonomy > HOLONOMY_TOL:
         raise DegenerateTangent(
             f"normal frame does not return after one loop (holonomy defect "
             f"{holonomy:.3g}); supply chart angle coordinates instead")
-    run.samples[-1] = run.end
-    return FundamentalMatrix(times, run.samples[:, :r], run.end[:r], float(T))
+    run.samples[-1] = run.endpoint
+    return FundamentalMatrix(times, run.samples[:, :r], run.endpoint[:r],
+                             float(T))
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,13 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
         func(t).dot(y, out=out)
         out += forcing(t)
 
-    atol = tol * ATOL_FACTOR
-    part = flow.integrate(rhs, np.zeros(r), T, tol, atol)
-    u0 = np.linalg.solve(np.eye(r) - fm.Q, part.end)
+    part = flow.integrate(rhs, np.zeros(r), T, tol)
+    u0 = np.linalg.solve(np.eye(r) - fm.Q, part.endpoint)
     times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, u0, T, tol, atol, times=times)
+    run = flow.integrate(rhs, u0, T, tol, times)
     samples = run.samples
-    samples[-1] = run.end
-    residual = float(np.max(np.abs(run.end - u0)))
+    samples[-1] = run.endpoint
+    residual = float(np.max(np.abs(run.endpoint - u0)))
     scale = 1.0 + float(np.max(np.abs(samples)))
     if residual > 100.0 * tol * scale:
         raise NoConvergence(

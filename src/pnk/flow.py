@@ -4,18 +4,18 @@ This module only integrates: it knows fields, start points, times and
 tolerances, and nothing of tori.
 
 :func:`integrate` is the one integration routine of pnk: it serves
-flows, orbit samples, variational flows, the Floquet frame transport,
-fundamental matrices and forced responses. A run may make at most
-``MAX_EVALS`` = 100,000 right-hand-side calls, charged per batch of
+flows and their orbit samples, variational flows, the Floquet frame
+transport, fundamental matrices and forced responses. A run may make at
+most ``MAX_EVALS`` = 100,000 right-hand-side calls, charged per batch of
 stages before it runs, so a stiff or non-finite field raises
 :class:`~pnk.errors.StepFailure` instead of stepping on. A run whose step
 size collapses raises :class:`~pnk.errors.NonFinite` when the last state
 it accepted is not finite, :class:`~pnk.errors.StepFailure` otherwise.
 
-A run keeps three things: the state at its end time t, the number of
-accepted steps and, for times in [0, t] given up front, one sample per
-time. Callers that need a solution at many times name them before the
-run.
+A run returns one record, :class:`FlowResult`: the state at its end time
+t, the number of accepted steps and, for times named before the run, one
+sample per time. Sample times are finite, strictly increasing and within
+[0, t], with t > 0; :func:`integrate` refuses any others.
 
 The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
 pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
@@ -37,14 +37,15 @@ in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
 numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
 so products are ``ndarray.dot`` calls into buffers, and the state check
 and the step-size controller work on Python floats.
-Runs use rtol = tol and atol = tol / 100, so the default tol = 1e-10
-lands at the (1e-10, 1e-12) pair. Monodromy spectra downstream feed
-eigenvalue gaps, so integration error has to sit well below them;
-tolerances are per-call arguments everywhere, none below ``MIN_TOL``
-(100 machine epsilons, about 2.2e-14).
+A run takes one tolerance tol and steps at rtol = tol and atol = tol *
+``ATOL_FACTOR`` = tol / 100, so the default tol = 1e-10 lands at the
+(1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue gaps,
+so integration error has to sit well below them; tolerances are
+per-call arguments everywhere, none below ``MIN_TOL`` (100 machine
+epsilons, about 2.2e-14).
 
-:func:`integrate_orbit` samples one orbit at many times from a single
-run: the samples come from DOP853's dense output (its continuous
+An orbit sampled at many times is one :func:`integrate_flow` run with
+``times``: the samples come from DOP853's dense output (its continuous
 extension, 7th order), which costs three extra field evaluations on each
 step that holds a sample, and the state check still sees every field
 evaluation and every sample.
@@ -93,10 +94,13 @@ _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Endpoint of an adaptive flow integration."""
+    """What a run returns: the state ``endpoint`` at time t, the number of
+    accepted steps and ``samples``, one state per requested time (None
+    when no times were requested), all in the start state's shape."""
 
     endpoint: np.ndarray
     steps_taken: int
+    samples: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,17 +110,6 @@ class VariationalResult:
     endpoint: np.ndarray
     tangent: np.ndarray
     steps_taken: int
-
-
-@dataclass(frozen=True)
-class Run:
-    """What :func:`integrate` returns: the state ``end`` at time t, the
-    number of accepted ``steps``, and ``samples``, one state per requested
-    time (None when no times were requested), all in y0's shape."""
-
-    end: np.ndarray
-    steps: int
-    samples: np.ndarray | None
 
 
 def _check_state(x, chart_radius):
@@ -184,25 +177,27 @@ def _error_norm(k_step, h_abs, scale, err5, err3):
     return h_abs * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
-    """The one integration routine, over [0, t] (see the module docstring).
+def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
+    """The one integration routine, over [0, t] at rtol = tol and atol =
+    tol * ``ATOL_FACTOR`` (see the module docstring).
 
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
     ``out``, the stage row it fills; both have y0's shape, and it must
     keep neither after it returns, since both are buffers of the next
     stage. A state of any shape takes the steps of its flat row-major
-    form; ``end`` has y0's shape, ``samples`` ``(len(times),) + y0.shape``.
-    ``times``, when given, is increasing and lies in [0, t], so t is
-    positive; each time is sampled by the dense output of the step that
-    ends at or after it.
+    form; ``endpoint`` has y0's shape, ``samples`` ``(len(times),) +
+    y0.shape``. ``times``, when given, is a nonempty 1-D array of finite,
+    strictly increasing times in [0, t], so t is positive; each time is
+    sampled by the dense output of the step that ends at or after it.
 
-    Raises ValueError for an rtol below ``MIN_TOL`` or a non-finite y0,
-    or for ``times`` with a t that is not positive or outside [0, t].
+    Raises ValueError for a tol below ``MIN_TOL``, a non-finite y0 or
+    ``times`` that break that rule.
     A run whose step size falls below 10 spacings of its time raises
     :class:`~pnk.errors.NonFinite` when the last state the stepper
     accepted is not finite, :class:`~pnk.errors.StepFailure` otherwise.
     """
-    _check_tol(rtol)
+    _check_tol(tol)
+    rtol, atol = tol, tol * ATOL_FACTOR
     y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError(
@@ -212,8 +207,11 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
     direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
     if times is not None:
         times = np.asarray(times, dtype=float)
-        if not (t_bound > t0 and times[0] >= t0 and times[-1] <= t_bound):
-            raise ValueError("times need a positive t and must lie in [0, t]")
+        if not (t_bound > t0 and times.ndim == 1 and times.size
+                and np.isfinite(times).all() and times[0] >= t0
+                and times[-1] <= t_bound and (np.diff(times) > 0).all()):
+            raise ValueError("sample times need a positive t and must be "
+                             "finite, strictly increasing and in [0, t]")
         samples = np.empty((times.size, n))
     calls = 0
 
@@ -319,52 +317,37 @@ def integrate(rhs, y0, t, rtol, atol, times=None) -> Run:
                 samples[sampled:sampled_new] = dense(
                     t_old, y_old, y, h, times[sampled:sampled_new])
                 sampled = sampled_new
-    return Run(y.reshape(shape), steps,
-               None if times is None else samples.reshape(times.shape + shape))
+    return FlowResult(y.reshape(shape), steps, None if times is None
+                      else samples.reshape(times.shape + shape))
 
 
-def _checked_start(field: Field, x0, eps, times, tol):
+def _checked_start(field: Field, x0, eps, t, tol):
     """Validated start point and parameters of an integration of field."""
     x0 = as_point(x0, field.n)
     eps = as_params(eps, field.p)
     _check_tol(tol)
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(t):
         raise ValueError("flow time must be finite")
     return x0, eps
 
 
-def integrate_flow(field: Field, x0, eps, t: float,
-                   tol: float = DEFAULT_TOL) -> FlowResult:
-    """Flow x0 for time t under the field, with local error control."""
+def integrate_flow(field: Field, x0, eps, t: float, tol: float = DEFAULT_TOL,
+                   times=None) -> FlowResult:
+    """Flow x0 for time t under the field, with local error control.
+
+    With ``times`` (under :func:`integrate`'s rule) the same run also
+    samples the orbit at them, from the stepper's dense output, so the
+    samples cost no steps of their own; a time-0 sample is x0.
+    """
     x0, eps = _checked_start(field, x0, eps, t, tol)
-    if abs(t) < TINY_TIME:
+    if times is None and abs(t) < TINY_TIME:
         return FlowResult(x0.copy(), 0)
 
-    run = integrate(_checked_rhs(field, eps), x0, t, tol, tol * ATOL_FACTOR)
-    _check_state(run.end, field.chart_radius)
-    return FlowResult(run.end, run.steps)
-
-
-def integrate_orbit(field: Field, x0, eps, times,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Sample the orbit of x0 at increasing positive times in one run.
-
-    One adaptive integration to ``times[-1]``; the intermediate samples
-    come from the stepper's dense output (the continuous extension of
-    DOP853), so they cost no steps of their own. Returns an array of
-    shape ``(len(times), n)``; its last row is the endpoint of the same
-    run that :func:`integrate_flow` makes for time ``times[-1]``.
-    """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    x0, eps = _checked_start(field, x0, eps, times, tol)
-    if times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be finite, positive and "
-                         "strictly increasing")
-
-    samples = integrate(_checked_rhs(field, eps), x0, times[-1], tol,
-                        tol * ATOL_FACTOR, times=times).samples
-    _check_state(samples.ravel(), field.chart_radius)
-    return samples
+    run = integrate(_checked_rhs(field, eps), x0, t, tol, times)
+    _check_state(run.endpoint, field.chart_radius)
+    if times is not None:
+        _check_state(run.samples.ravel(), field.chart_radius)
+    return run
 
 
 def integrate_variational(field: Field, x0, eps, t: float,
@@ -396,7 +379,7 @@ def integrate_variational(field: Field, x0, eps, t: float,
             np.add(jac_sum, np.multiply(kernel(x, eps), c), out=jac_sum)
         jac_sum.dot(y[1:], out=out[1:])
 
-    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol, tol * ATOL_FACTOR)
-    end = run.end[0]
+    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
+    end = run.endpoint[0]
     _check_state(end, radius)
-    return VariationalResult(end, run.end[1:], run.steps)
+    return VariationalResult(end, run.endpoint[1:], run.steps_taken)

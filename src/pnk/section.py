@@ -43,8 +43,7 @@ from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
                    loop_field, wrap_angles)
 from .errors import (DegenerateTangent, NoConvergence, NonFinite, OpenLoop,
                      PnkError, SingularGeometry)
-from .flow import (DEFAULT_TOL, TINY_TIME, integrate_flow, integrate_orbit,
-                   integrate_variational)
+from .flow import DEFAULT_TOL, TINY_TIME, integrate_flow, integrate_variational
 
 UNIT_TOL = 1e-8
 RETURN_MAX_ITER = 25
@@ -364,9 +363,10 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
     """Iterates P(u), ..., P^count(u) of the section return map.
 
     Because P^n = P_{n alpha} (see the module docstring), the iterates
-    come from one :func:`~pnk.flow.integrate_orbit` run of the loop field
-    sampled at t = 1..count, each sample projected onto the section as
-    :func:`transversal_map` projects its image. When the projection of a
+    are the ``times`` samples t = 1..count of one
+    :func:`~pnk.flow.integrate_flow` run of the loop field, each
+    projected onto the section as :func:`transversal_map` projects its
+    image; ``runs`` counts those runs. When the projection of a
     later sample fails, or needs a group time with max|s| above
     ``ORBIT_MAX_GROUP_TIME``, the run restarts from the last projected
     iterate; the first sample of a run is projected exactly as
@@ -382,8 +382,8 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
     span = count
     while len(iterates) < count:
         span = min(span, count - len(iterates))
-        samples = integrate_orbit(field, x, eps, np.arange(1.0, span + 1.0),
-                                  tol)
+        samples = integrate_flow(field, x, eps, span, tol,
+                                 times=np.arange(1.0, span + 1.0)).samples
         runs += 1
         kept = 0
         for y in samples:

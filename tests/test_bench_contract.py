@@ -7,6 +7,8 @@ those two files unchanged, so renaming a bound function or changing the
 family's constructor fails here, not only inside ``pnkbench/run.py``.
 """
 
+import collections
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -15,9 +17,11 @@ import pytest
 
 import pnk.cli  # noqa: F401  (imports every pnk module the bench binds)
 import pnk.flow
-from pnk import VectorFieldFamily, loop_field
-from pnk.catalog import make_hopf, make_uncoupled_oscillators
+from pnk import (VectorFieldFamily, build_section, loop_field,
+                 reconstruct_torus)
+from pnk.catalog import make_hopf, make_neimark, make_uncoupled_oscillators
 from pnk.flow import integrate_flow, integrate_variational
+from pnk.section import transversal_orbit
 
 BENCH = Path(__file__).resolve().parent.parent / "pnkbench"
 
@@ -73,6 +77,46 @@ def test_family_hook_counts_field_calls(spans, monkeypatch):
     res = integrate_flow(loop_field(fam, [1]), x, eps, 1.0)
     np.testing.assert_allclose(res.endpoint, x, atol=1e-8)
     assert counter.counts["value"] > 1
+
+
+@pytest.fixture()
+def span_calls(spans):
+    """Calls per ``SPANNED`` function, counted where the spans would see
+    them; binding the identity after the test restores every binding."""
+    calls = collections.Counter()
+
+    def counting(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    spans.bind(spans.SPANNED, counting)
+    try:
+        yield calls
+    finally:
+        spans.bind(spans.SPANNED, lambda fn: fn)
+
+
+# Torus rows and section orbits are integrate_flow runs, so the flow.plain
+# span metrics count their steps.
+def test_torus_rows_are_spanned_flows(span_calls):
+    system = make_hopf(1.0, 0.1)
+    # one sampled row run and one wrap-edge flow
+    reconstruct_torus(system.family, system.seed, system.seed.eps0, [0.0],
+                      grid_per_angle=8)
+    assert span_calls["integrate_flow"] == 2
+
+
+def test_section_orbit_is_a_spanned_flow(span_calls):
+    system = make_neimark()
+    frame = build_section(system.family, system.seed)
+    span_calls.clear()
+    orbit = transversal_orbit(system.family, frame, [1], [0.1, 0.0], 5,
+                              [0.04])
+    assert orbit.runs == 1
+    assert span_calls["integrate_flow"] == 1
 
 
 @pytest.fixture()

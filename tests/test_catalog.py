@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pnk.catalog import (HamiltonianPair, StraightenedSpec,
                          make_hopf, make_neimark, make_pitchfork,
                          make_straightened, make_uncoupled_oscillators,
                          poisson_bracket)
-from pnk.flow import integrate_flow, integrate_orbit, integrate_variational
+from pnk.flow import integrate_flow, integrate_variational
 from pnk.spectra import match, match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +41,17 @@ class TestMakeStraightened:
         a2 = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(NonCommuting):
             make_straightened(StraightenedSpec((a1, a2), np.zeros((2, 1))))
+
+    def test_overflowing_commutator_is_refused(self):
+        # the products overflow and max|[A_0, A_1]| is NaN: the pair is
+        # refused as not evaluable, neither passed nor called non-commuting
+        a1 = np.array([[1e200, 0.0], [0.0, 1.0]])
+        a2 = np.array([[1e200, 1e200], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="could not be evaluated"):
+                make_straightened(StraightenedSpec((a1, a2),
+                                                   np.array([[1.0], [0.0]])))
 
     def test_cubic_requires_diagonal(self):
         a1 = np.array([[0.1, 0.05], [0.05, 0.1]])
@@ -577,7 +589,8 @@ class TestOverflowingStarts:
     # must give numpy's inf, which the state check reports as NonFinite
     PATHS = {
         "plain": lambda f, x0: integrate_flow(f, x0, [0.1], 1.0),
-        "orbit": lambda f, x0: integrate_orbit(f, x0, [0.1], [0.5, 1.0]),
+        "orbit": lambda f, x0: integrate_flow(f, x0, [0.1], 1.0,
+                                              times=[0.5, 1.0]),
         "variational": lambda f, x0: integrate_variational(f, x0, [0.1],
                                                            1.0),
     }

@@ -584,6 +584,74 @@ class TestExitCodes:
         assert "system.params" in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_overflowing_commutator_is_2(self, tmp_path, capsys):
+        doc = _hopf_config(options={"alpha": [1, 1]})
+        doc["system"] = {"name": "straightened", "params": {
+            "A": [[[1e200, 0.0], [0.0, 1.0]], [[1e200, 1e200], [0.0, 1.0]]],
+            "C": [[1.0], [0.0]]}}
+        path = _write(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(path)]) == 2
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "could not be evaluated" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("config, keys, value, named", [
+        ("hopf_monodromy", ["system", "params", "omega"], 10**400,
+         "system.params.omega"),
+        ("hopf_monodromy", ["options", "sample_angles"], [[10**400]],
+         "options.sample_angles[0][0]"),
+        ("hopf_monodromy", ["options", "alpha"], [10**400],
+         "options.alpha[0]"),
+        ("hopf_monodromy", ["options", "alpha"], [2**63],
+         "options.alpha[0]"),
+        ("polynomial_verify", ["system", "params", "fields", 0, 0, 0, 1],
+         [10**20, 0], "system.params.fields[0][0][0][1][0]")],
+        ids=["float-beyond-range", "angle-beyond-range",
+             "winding-beyond-float", "winding-beyond-int64",
+             "exponent-beyond-int64"])
+    def test_number_out_of_range_is_2(self, tmp_path, capsys, config, keys,
+                                      value, named):
+        # a number beyond the float range, or a winding or exponent
+        # beyond int64, the dtype they are stored in
+        doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = _write(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(path)]) == 2
+            assert named in capsys.readouterr().err
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [True, False],
+                             ids=["under-a-file", "a-file"])
+    def test_output_dir_that_cannot_be_made_is_2(self, tmp_path, capsys,
+                                                 under):
+        # refused before the analysis runs, naming the directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "o" if under else blocker
+        path = _write(tmp_path, _hopf_config(output={"dir": str(out)}))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) == 2
+        assert f"output directory {out}" in capsys.readouterr().err
+        assert main(["run", str(_write(tmp_path, _hopf_config(), "o.json")),
+                     "--out", str(out)]) == 2
+        assert f"output directory {out}" in capsys.readouterr().err
+
+    def test_report_that_cannot_be_written_is_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.json").mkdir(parents=True)
+        path = _write(tmp_path, _hopf_config())
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"output directory {out}" in capsys.readouterr().err
+
     @staticmethod
     def _pitchfork_grid(analysis, grid):
         options = {"alpha": [1], "eps_grid": grid}

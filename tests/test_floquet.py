@@ -17,7 +17,6 @@ from pnk import (DegenerateTangent, NonFinite, Resonance, SingularMonodromy,
                  fundamental_matrix, integrate_flow, integrate_variational,
                  loop_field, monodromy_report, numdiff)
 from pnk.floquet import FundamentalMatrix
-from pnk.flow import integrate_orbit
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -291,8 +290,8 @@ class TestOneIntegrator:
         assert not seed.angle_coords  # so the frame transport runs
         runs = {
             "integrate_flow": lambda: integrate_flow(field, x0, eps, 0.5),
-            "integrate_orbit": lambda: integrate_orbit(field, x0, eps,
-                                                       [0.25, 0.5]),
+            "sampled_flow": lambda: integrate_flow(field, x0, eps, 0.5,
+                                                   times=[0.25, 0.5]),
             "integrate_variational": lambda: integrate_variational(
                 field, x0, eps, 0.5),
             "fundamental_matrix": lambda: fundamental_matrix(

@@ -19,7 +19,7 @@ from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
                  build_section, integrate_flow, integrate_variational,
                  loop_field, solve_return_times)
 from pnk.catalog import make_flip, make_hopf
-from pnk.flow import MIN_TOL, integrate_orbit
+from pnk.flow import MIN_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,20 +103,32 @@ A_LIN = np.array([[0.2, -1.1], [0.4, -0.5]])
 LIN2 = _field(2, lambda x, e: A_LIN @ x, lambda x, e: A_LIN)
 
 
+def _orbit(field, x0, eps, times):
+    """The samples of an integrate_flow run to the last of the times."""
+    return integrate_flow(field, x0, eps, times[-1], times=times).samples
+
+
 class TestIntegrateOrbit:
+    """Orbits sampled at many times by one integrate_flow run."""
+
     X0 = np.array([0.3, 0.4])
     TIMES = np.arange(1, 32) / 16.0
 
     def test_samples_match_matrix_exponential(self):
-        got = integrate_orbit(LIN2, self.X0, [], self.TIMES)
+        got = _orbit(LIN2, self.X0, [], self.TIMES)
         assert got.shape == (self.TIMES.size, 2)
         want = np.array([expm(A_LIN * t) @ self.X0 for t in self.TIMES])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_last_sample_is_the_flow_endpoint(self):
-        got = integrate_orbit(LIN2, self.X0, [], self.TIMES)
+        got = _orbit(LIN2, self.X0, [], self.TIMES)
         end = integrate_flow(LIN2, self.X0, [], self.TIMES[-1]).endpoint
         np.testing.assert_allclose(got[-1], end, rtol=0, atol=1e-10)
+
+    def test_time_zero_sample_is_the_start(self):
+        x0 = np.array([0.3, -0.1 / 3.0])
+        got = _orbit(LIN2, x0, [], [0.0, 0.5, 1.0])
+        assert got[0].tobytes() == x0.tobytes()
 
     def test_escape_mid_orbit(self):
         from pnk import Escape
@@ -124,7 +136,7 @@ class TestIntegrateOrbit:
                      lambda x, e: np.zeros((1, 0)), chart_radius=5.0)
         # exp(t) crosses the radius at t = log 5, between the samples
         with pytest.raises(Escape):
-            integrate_orbit(grow, [1.0], [], [0.5, 1.0, 2.0, 3.0])
+            _orbit(grow, [1.0], [], [0.5, 1.0, 2.0, 3.0])
 
     def test_blowup_failure_modes(self):
         with warnings.catch_warnings():
@@ -133,17 +145,18 @@ class TestIntegrateOrbit:
             square = _field(1, lambda x, e: x * x * 1e8,
                             lambda x, e: 2e8 * x.reshape(1, 1))
             with pytest.raises(StepFailure):
-                integrate_orbit(square, [1.0], [], [0.5, 10.0])
+                _orbit(square, [1.0], [], [0.5, 10.0])
             grow = _field(1, lambda x, e: 100.0 * x,
                           lambda x, e: np.full((1, 1), 100.0))
             with pytest.raises(NonFinite):
-                integrate_orbit(grow, [1.0], [], [1.0, 10.0])
+                _orbit(grow, [1.0], [], [1.0, 10.0])
 
-    @pytest.mark.parametrize("times", [[], [0.0, 1.0], [0.5, 0.5],
+    # a time-0 sample is legal (see above); one before the start is not
+    @pytest.mark.parametrize("times", [[], [-0.5, 1.0], [0.5, 0.5],
                                        [1.0, 0.5], [0.5, np.inf]])
     def test_bad_sample_times_rejected(self, times):
         with pytest.raises(ValueError):
-            integrate_orbit(LIN2, self.X0, [], times)
+            integrate_flow(LIN2, self.X0, [], 1.0, times=times)
 
 
 class TestIntegrateVariational:
@@ -336,7 +349,8 @@ class TestChartEscape:
     # variational flow, each run from x0 for time 1
     PATHS = {
         "plain": lambda f, x0: integrate_flow(f, x0, [], 1.0),
-        "orbit": lambda f, x0: integrate_orbit(f, x0, [], [0.5, 1.0]),
+        "orbit": lambda f, x0: integrate_flow(f, x0, [], 1.0,
+                                              times=[0.5, 1.0]),
         "variational": lambda f, x0: integrate_variational(f, x0, [], 1.0),
     }
 
@@ -363,7 +377,7 @@ class TestChartEscape:
                       lambda x, e: np.zeros((2, 2)),
                       lambda x, e: np.zeros((2, 0)), chart_radius=5.0)
         out = self.PATHS[path](still, x0)
-        end = out[-1] if path == "orbit" else out.endpoint
+        end = out.samples[-1] if path == "orbit" else out.endpoint
         assert end.tolist() == x0
 
 
@@ -416,7 +430,8 @@ class TestOwnStepLoop:
     tests run it beside scipy's solver on the same problems and demand
     equal end states, step counts, samples and right-hand-side call
     counts; a scipy release that changes the tableau, the controller or
-    the dense output fails here."""
+    the dense output fails here. pnk runs at tol = RTOL take scipy's
+    (RTOL, ATOL) pair, since atol = tol / 100."""
 
     RTOL, ATOL = 1e-10, 1e-12
 
@@ -428,8 +443,7 @@ class TestOwnStepLoop:
             calls[0] += 1
             written(s, y, out)
 
-        run = pnk.flow.integrate(counted, y0, t, self.RTOL, self.ATOL,
-                                 times=times)
+        run = pnk.flow.integrate(counted, y0, t, self.RTOL, times)
         return run, calls[0]
 
     def _scipy(self, returned, y0, t, **kwargs):
@@ -443,9 +457,9 @@ class TestOwnStepLoop:
         count and right-hand-side calls."""
         ours, calls = self._ours(written, y0, t)
         ref = self._scipy(returned, y0, t)
-        assert np.array_equal(ours.end, ref.y[:, -1])
+        assert np.array_equal(ours.endpoint, ref.y[:, -1])
         # scipy counts a zero-length run as one step that stays put
-        assert ours.steps == (len(ref.t) - 1 if t else 0)
+        assert ours.steps_taken == (len(ref.t) - 1 if t else 0)
         assert ours.samples is None
         assert calls == ref.nfev
         return ours, ref
@@ -480,15 +494,25 @@ class TestOwnStepLoop:
         for times in (grid[1:], grid):
             ours, _ = self._sampled(written, returned, y0, 1.0, times)
             # sampling adds stages but moves no step
-            assert np.array_equal(ours.end, plain.end)
-            assert ours.steps == plain.steps
+            assert np.array_equal(ours.endpoint, plain.endpoint)
+            assert ours.steps_taken == plain.steps_taken
 
     @pytest.mark.parametrize("t", [-1.0, 0.0])
     def test_t_eval_needs_a_positive_time(self, t):
         _, written, y0 = _hopf_variational()
         with pytest.raises(ValueError, match="positive t"):
-            pnk.flow.integrate(written, y0, t, self.RTOL, self.ATOL,
-                               times=[0.5])
+            pnk.flow.integrate(written, y0, t, self.RTOL, [0.5])
+
+    @pytest.mark.parametrize("times", [[0.7, 0.3], [0.3, 0.3],
+                                       [np.nan, 0.5], [0.3, np.nan]],
+                             ids=["unsorted", "repeated", "nan-first",
+                                  "nan-last"])
+    def test_sample_times_must_rise(self, times):
+        # a time behind the step that samples it would be read off the
+        # dense output outside that step
+        _, written, y0 = _hopf_variational()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pnk.flow.integrate(written, y0, 1.0, self.RTOL, times)
 
     def test_dense_output_at_interior_times(self):
         returned, written, y0 = _hopf_variational()
@@ -526,8 +550,7 @@ class TestOwnStepLoop:
             out[:] = returned(s, y)
 
         with pytest.raises(want, match=re.escape(ref.message)):
-            pnk.flow.integrate(counted, y0, 10.0, self.RTOL, self.ATOL,
-                               times=t_eval)
+            pnk.flow.integrate(counted, y0, 10.0, self.RTOL, t_eval)
         assert calls[0] == ref.nfev
 
     def test_budget_counts_every_call(self, monkeypatch):
@@ -537,11 +560,9 @@ class TestOwnStepLoop:
         _, ref = self._sampled(written, returned, y0, 1.0, times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev - 1)
         with pytest.raises(StepFailure, match="field evaluations"):
-            pnk.flow.integrate(written, y0, 1.0, self.RTOL, self.ATOL,
-                               times=times)
+            pnk.flow.integrate(written, y0, 1.0, self.RTOL, times)
         monkeypatch.setattr(pnk.flow, "MAX_EVALS", ref.nfev)
-        pnk.flow.integrate(written, y0, 1.0, self.RTOL, self.ATOL,
-                           times=times)
+        pnk.flow.integrate(written, y0, 1.0, self.RTOL, times)
 
     @pytest.mark.parametrize("budget", ["first-trial", "first-dense",
                                         "last-dense"])
@@ -563,8 +584,7 @@ class TestOwnStepLoop:
             written(s, y, out)
 
         with pytest.raises(StepFailure, match="field evaluations"):
-            pnk.flow.integrate(counted, y0, 1.0, self.RTOL, self.ATOL,
-                               times=times)
+            pnk.flow.integrate(counted, y0, 1.0, self.RTOL, times)
         assert calls[0] == {"first-trial": 2, "first-dense": 14,
                             "last-dense": ref.nfev - 3}[budget]
 
@@ -610,7 +630,7 @@ class TestShapedStates:
     in end state, steps, samples and right-hand-side calls, and the
     right-hand side sees states and stage rows in y0's shape."""
 
-    RTOL, ATOL = TestOwnStepLoop.RTOL, TestOwnStepLoop.ATOL
+    RTOL = TestOwnStepLoop.RTOL
 
     def _run(self, rhs, y0, t, times):
         """flow.integrate, its right-hand-side calls and the shapes of
@@ -622,17 +642,16 @@ class TestShapedStates:
             shapes.update([y.shape, out.shape])
             rhs(s, y, out)
 
-        run = pnk.flow.integrate(counted, y0, t, self.RTOL, self.ATOL,
-                                 times=times)
+        run = pnk.flow.integrate(counted, y0, t, self.RTOL, times)
         return run, calls[0], shapes
 
     def _assert_same_run(self, shaped_rhs, y0, flat_rhs, t, times):
         ours, calls, shapes = self._run(shaped_rhs, y0, t, times)
         flat, flat_calls, _ = self._run(flat_rhs, y0.ravel(), t, times)
         assert shapes == {y0.shape}
-        assert ours.end.shape == y0.shape
-        assert ours.end.tobytes() == flat.end.tobytes()
-        assert (ours.steps, calls) == (flat.steps, flat_calls)
+        assert ours.endpoint.shape == y0.shape
+        assert ours.endpoint.tobytes() == flat.endpoint.tobytes()
+        assert (ours.steps_taken, calls) == (flat.steps_taken, flat_calls)
         if times is None:
             assert ours.samples is None
         else:
@@ -688,11 +707,11 @@ class TestShapedStates:
             np.matmul(field.jacobian(y[:1], None), y[1:].reshape(1, 1),
                       out=out[1:].reshape(1, 1))
 
-        ref = pnk.flow.integrate(flat, [x0, 1.0], 1.0, self.RTOL, self.ATOL)
+        ref = pnk.flow.integrate(flat, [x0, 1.0], 1.0, self.RTOL)
         res = integrate_variational(field, [x0], [], 1.0)
         got = np.concatenate([res.endpoint, res.tangent.ravel()])
-        assert got.tobytes() == ref.end.tobytes()
-        assert res.steps_taken == ref.steps
+        assert got.tobytes() == ref.endpoint.tobytes()
+        assert res.steps_taken == ref.steps_taken
 
 
 class TestErrorNorm:

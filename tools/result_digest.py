@@ -21,10 +21,10 @@ and parameter jacobian of seeded random polynomial families, p = 0
 included, which no shipped config reaches (``polynomial_verify`` has
 k = 1 and evaluates no jacobian). ``multi_member_loops`` takes loop
 fields of two members through the flow right-hand sides, which no
-workload does: ``integrate_variational``, ``integrate_flow`` and
-``integrate_orbit`` of the uncoupled oscillators at windings (1, 1) and
-(2, -1) and of a cubic straightened pair at (1, -1), each from a point
-off its seed torus.
+workload does: ``integrate_variational``, ``integrate_flow`` and the
+samples of ``integrate_flow(..., times=...)`` of the uncoupled
+oscillators at windings (1, 1) and (2, -1) and of a cubic straightened
+pair at (1, -1), each from a point off its seed torus.
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
@@ -54,8 +54,7 @@ from pnk.config import build_run, parse_config  # noqa: E402
 from pnk.core import TWO_PI, loop_field  # noqa: E402
 from pnk.floquet import (extract_linearization, forced_response,  # noqa: E402
                          fundamental_matrix)
-from pnk.flow import (integrate_flow, integrate_orbit,  # noqa: E402
-                      integrate_variational)
+from pnk.flow import integrate_flow, integrate_variational  # noqa: E402
 from pnk.section import (build_section, transversal_map,  # noqa: E402
                          transversal_orbit)
 from pnkbench.workloads import PREPARE  # noqa: E402
@@ -208,7 +207,7 @@ def multi_member_loops():
         eps = system.seed.eps0
         out.append((integrate_variational(field, x0, eps, 1.0),
                     integrate_flow(field, x0, eps, 1.0),
-                    integrate_orbit(field, x0, eps, times)))
+                    integrate_flow(field, x0, eps, 1.0, times=times).samples))
     return out
 
 
