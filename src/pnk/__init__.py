@@ -25,11 +25,11 @@ from .continuation import (ContinuationBranch, ContinuationOptions,
 from .core import (Field, TorusSeed, VectorFieldFamily, lie_bracket,
                    loop_field, verify_commuting_family,
                    verify_torus_invariance, wrap_angles)
-from .errors import (ConfigError, DegenerateTangent, Escape,
-                     MatchingAmbiguityWarning, NoConvergence, NonCommuting,
-                     NonFinite, NothingFound, OpenLoop, OpenTorus, PnkError,
-                     Resonance, SingularGeometry, SingularJacobian,
-                     SingularMonodromy, StepFailure, ZeroClass)
+from .errors import (ConfigError, DegenerateTangent, MatchingAmbiguityWarning,
+                     NoConvergence, NonCommuting, NonFinite, NothingFound,
+                     OpenLoop, OpenTorus, PnkError, Resonance,
+                     SingularGeometry, SingularJacobian, SingularMonodromy,
+                     StepFailure, ZeroClass)
 from .floquet import (FloquetDecomposition, ForcedResponse, FundamentalMatrix,
                       LinearizedCoefficients, block_spectrum_check,
                       extract_linearization, floquet_decompose,

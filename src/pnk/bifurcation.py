@@ -38,8 +38,8 @@ import numpy as np
 
 from . import spectra
 from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
-from .errors import (Escape, MatchingAmbiguityWarning, NonFinite,
-                     NothingFound, PnkError, StepFailure)
+from .errors import (MatchingAmbiguityWarning, NonFinite, NothingFound,
+                     PnkError, StepFailure)
 from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map, transversal_orbit
 from .continuation import (ContinuationBranch, NewtonResult,
@@ -50,13 +50,15 @@ CASE_B = "CaseB"
 CASE_C = "CaseC"
 DEGENERATE = "Degenerate"
 
-# Fixed settings of the multiplier matching, the classification and the
-# probes, as the docstrings of track_multipliers, classify_event and
-# postcritical_probe state them.
+# Fixed settings of the matching, the crossing refiner, the classification
+# and the probes, as track_multipliers, detect_crossings, classify_event,
+# ProbeOptions and postcritical_probe state them.
 TIE_TOL = 1e-9
+MAX_REFINES = 80
 DEGENERATE_TOL = 1e-3
 PROBE_MAX_ITER = 30
 PROBE_EXCLUDE_TOL = 1e-6
+FOURIER_ORDER = 4
 
 # A probe start (a normal-form seed fit or a Newton solve) that raises one
 # of these has failed; the probe goes on with its other starts.
@@ -143,15 +145,15 @@ class CrossingBracket:
 
 
 def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
-                     refine=None, eps_tol: float = 1e-6,
-                     max_bisect: int = 80) -> list[CrossingBracket]:
+                     refine=None, eps_tol: float = 1e-6
+                     ) -> list[CrossingBracket]:
     """Bracket every sign change of |mu| - 1 along the matched paths.
 
     ``refine``, when given, is a callable eps -> spectrum re-solving the
     fixed point; each bracket is then narrowed to width <= eps_tol by the
     Illinois modified regula falsi on phi = |mu| - 1 along the bracket
     segment (Dowell-Jarratt, BIT 11, 1971), with every new point at
-    least eps_tol/2 inside the bracket and at most ``max_bisect`` refines.
+    least eps_tol/2 inside the bracket and at most ``MAX_REFINES`` refines.
     Conjugate-pair crossings in the same grid segment are merged into a
     single bracket carrying the multiplier of nonnegative imaginary part.
     Events are returned in parameter order.
@@ -193,13 +195,12 @@ def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
         merged.append(br)
 
     if refine is not None:
-        merged = [_refine_bracket(br, refine, eps_tol, max_bisect)
-                  for br in merged]
+        merged = [_refine_bracket(br, refine, eps_tol) for br in merged]
     merged.sort(key=lambda b: tuple(b.eps_mid))
     return merged
 
 
-def _refine_bracket(br: CrossingBracket, refine, eps_tol, max_bisect):
+def _refine_bracket(br: CrossingBracket, refine, eps_tol):
     """Illinois iteration on phi = |mu| - 1 along the bracket segment.
 
     The regula falsi point is clamped eps_tol/2 inside the bracket, so a
@@ -216,7 +217,7 @@ def _refine_bracket(br: CrossingBracket, refine, eps_tol, max_bisect):
     moved = 0  # -1 when the last step moved lo, +1 when it moved hi
     mu_mid = None
     spec_mid = None
-    for _ in range(max_bisect):
+    for _ in range(MAX_REFINES):
         width = float(np.max(np.abs(hi - lo)))
         if width <= eps_tol:
             break
@@ -250,7 +251,7 @@ class BifurcationEvent:
     eps_critical: np.ndarray
     critical_multipliers: np.ndarray
     kind: str
-    transversality: float          # d|mu|/d eps across the refined bracket
+    transversality: float          # d|mu|/d eps (p = 1), else along the path
     split_margin: float            # distance of the rest of the spectrum to the circle
     angle: float                   # |arg mu| of the critical multiplier
     resonant_warning: bool
@@ -272,13 +273,13 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
     """Classify a refined crossing by its critical multiplier.
 
     ``transversality`` is the finite-difference slope of |mu| across the
-    bracket, per unit parameter arclength and signed along the path
-    direction; ``split_margin`` is the smallest distance of the remaining
-    multipliers to the unit circle at the crossing. More critical
-    multipliers within ``DEGENERATE_TOL`` of the circle than the kind
-    expects classify as Degenerate. A rotation number within 1e-3 of a
-    rational with denominator <= 6 flags the structurally unstable
-    resonant case but still classifies as CaseC.
+    bracket: d|mu|/d eps for a scalar parameter, and per unit parameter
+    arclength along the path direction otherwise. ``split_margin`` is the
+    smallest distance of the remaining multipliers to the unit circle at
+    the crossing. More critical multipliers within ``DEGENERATE_TOL`` of
+    the circle than the kind expects classify as Degenerate. A rotation
+    number within 1e-3 of a rational with denominator <= 6 flags the
+    structurally unstable resonant case but still classifies as CaseC.
     """
     mu = bracket.mu_mid if bracket.mu_mid is not None else \
         0.5 * (bracket.mu_lo + bracket.mu_hi)
@@ -325,16 +326,15 @@ class ProbeOptions:
 
     The CaseC probe drops ``transient`` iterates and fits the next
     ``n_samples``, all from one loop-flow run, by a radial Fourier series
-    of order ``fourier_order``. :func:`postcritical_probe` requires
-    ``transient >= 0``, ``fourier_order >= 0`` and ``n_samples >=
-    2 * fourier_order + 1`` (the fit's unknowns).
+    of order ``FOURIER_ORDER``. :func:`postcritical_probe` requires
+    ``transient >= 0`` and ``n_samples >= 2 * FOURIER_ORDER + 1`` (the
+    fit's unknowns).
     """
 
     search_radius: float = 0.5
     tol: float = 1e-9
     transient: int = 150
     n_samples: int = 128
-    fourier_order: int = 4
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def _fit_circle(orbit, u_star, v, opts):
     u = u_star + plane[:, 0] * (0.5 * opts.search_radius)
     try:
         pts = orbit(u, opts.transient + opts.n_samples)
-    except (NonFinite, Escape, StepFailure) as exc:
+    except (NonFinite, StepFailure) as exc:
         raise NothingFound(
             f"probe orbit escaped the search region ({exc})") from exc
     if np.any(np.linalg.norm(pts - u_star, axis=1)
@@ -401,7 +401,7 @@ def _fit_circle(orbit, u_star, v, opts):
         raise NothingFound("probe orbit collapsed onto the fixed point")
     angles = np.arctan2(rel @ plane[:, 1], rel @ plane[:, 0])
     cols = [np.ones_like(angles)]
-    for mth in range(1, opts.fourier_order + 1):
+    for mth in range(1, FOURIER_ORDER + 1):
         cols.append(np.cos(mth * angles))
         cols.append(np.sin(mth * angles))
     design = np.column_stack(cols)
@@ -489,10 +489,8 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         raise ValueError("search_radius must be positive")
     if not opts.transient >= 0:
         raise ValueError("transient must be nonnegative")
-    if not opts.fourier_order >= 0:
-        raise ValueError("fourier_order must be nonnegative")
-    if not opts.n_samples >= 2 * opts.fourier_order + 1:
-        raise ValueError("n_samples must be at least 2 * fourier_order + 1, "
+    if not opts.n_samples >= 2 * FOURIER_ORDER + 1:
+        raise ValueError("n_samples must be at least 2 * FOURIER_ORDER + 1, "
                          "the unknowns of the radial fit")
     eps_post = as_params(eps_post, family.p)
     alpha_twice = 2 * as_winding(alpha, family.k)
@@ -625,9 +623,9 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     The crossing refiner re-solves the fixed point at each parameter the
     Illinois iteration of :func:`detect_crossings` asks for, seeded by
     :func:`~pnk.continuation.predict_fixed_point` through the three
-    branch points nearest that parameter. Probes run at eps_critical +
-    offset on the unstable side (sign taken from the transversality
-    estimate) for each entry of ``probe_offsets``.
+    branch points nearest that parameter. For each entry of
+    ``probe_offsets``, a probe runs at that distance from eps_critical
+    toward the bracket end whose critical multiplier has |mu| > 1.
     """
     paths = track_multipliers(branch)
     frame = branch.frame
@@ -648,10 +646,12 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     probes = []
     if probe_offsets:
         for ev_idx, ev in enumerate(events):
-            d_eps = ev.bracket.eps_hi - ev.bracket.eps_lo
+            br = ev.bracket
+            d_eps = br.eps_hi - br.eps_lo
             norm = float(np.linalg.norm(d_eps))
             direction = d_eps / norm if norm > 0 else np.ones_like(d_eps)
-            side = 1.0 if ev.transversality >= 0 else -1.0
+            # a refined |mu| of exactly 1 sits on the side of |mu| > 1
+            side = 1.0 if abs(br.mu_hi) >= 1.0 else -1.0
             for offset in probe_offsets:
                 eps_post = ev.eps_critical + side * float(offset) * direction
                 probes.append((ev_idx, postcritical_probe(

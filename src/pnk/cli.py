@@ -121,8 +121,8 @@ def _run_floquet(setup: RunSetup, options: dict):
     # the report reads Theta only at 0 and T
     theta = fundamental_matrix(coeffs, coeffs.T, tol=options["tol"], n_out=2)
     dec = floquet_decompose(theta)
-    a0, b0, _, _ = coeffs.blocks([0.0])
-    block = block_spectrum_check(a0[0], b0[0])
+    _, a0, b0, _, _ = coeffs.at(0.0, coeffs.frame)
+    block = block_spectrum_check(a0, b0)
     results = {
         "alpha": alpha,
         "period": coeffs.T,

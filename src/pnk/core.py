@@ -87,6 +87,7 @@ class Field:
     derivative in the parameters. The callables are raw (unvalidated) so
     they can sit inside integrator inner loops. Its ``terms`` are the
     (field, scale) pairs that sum to it: loop ``members``, or itself at 1.0.
+    Positional order: n, p, value, jacobian, eps_jacobian, members.
     """
 
     n: int
@@ -94,7 +95,6 @@ class Field:
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eps_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    chart_radius: float | None = None
     members: tuple[tuple[Field, float], ...] = ()
 
     @property
@@ -119,14 +119,11 @@ class VectorFieldFamily:
     eps_jacobians:
         Optional analytic parameter derivatives ``(x, eps) -> (n, p)``;
         finite differences otherwise.
-    chart_radius:
-        Optional bound on |x|_inf beyond which trajectories are considered
-        to have escaped the chart.
     """
 
     def __init__(self, n: int, k: int, p: int, values,
                  jacobians=None, eps_jacobians=None,
-                 name: str = "", chart_radius: float | None = None):
+                 name: str = ""):
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         if p < 0:
@@ -141,12 +138,10 @@ class VectorFieldFamily:
         self.k = int(k)
         self.p = int(p)
         self.name = name
-        self.chart_radius = chart_radius
         self._fields = tuple(
             _field(self.n, self.p, values[i],
                    None if jacobians is None else jacobians[i],
-                   None if eps_jacobians is None else eps_jacobians[i],
-                   chart_radius)
+                   None if eps_jacobians is None else eps_jacobians[i])
             for i in range(self.k))
 
     # -- validated public evaluation ------------------------------------
@@ -179,7 +174,7 @@ class VectorFieldFamily:
         return self._fields[i]
 
 
-def _field(n, p, value, jac, ejac, chart_radius) -> Field:
+def _field(n, p, value, jac, ejac) -> Field:
     """A :class:`Field`, with difference quotients for absent derivatives."""
     if jac is None:
         def jac(x, eps):
@@ -191,7 +186,7 @@ def _field(n, p, value, jac, ejac, chart_radius) -> Field:
         def ejac(x, eps):
             return numdiff.jacobian(lambda e: value(x, e), eps,
                                     step=numdiff.step_for(eps))
-    return Field(n, p, value, jac, ejac, chart_radius)
+    return Field(n, p, value, jac, ejac)
 
 
 def scaled_kernels(terms, part: str):
@@ -267,7 +262,7 @@ def loop_field(family: VectorFieldFamily, alpha) -> Field:
         return total
 
     return Field(family.n, family.p, combined("value"), combined("jacobian"),
-                 combined("eps_jacobian"), family.chart_radius, members)
+                 combined("eps_jacobian"), members)
 
 
 def lie_bracket(family: VectorFieldFamily, i: int, j: int, x, eps) -> np.ndarray:

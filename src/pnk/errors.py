@@ -29,10 +29,6 @@ class NonFinite(PnkError):
     """A trajectory or derivative evaluation produced inf or nan."""
 
 
-class Escape(PnkError):
-    """A trajectory left the declared chart region."""
-
-
 class NoConvergence(PnkError):
     """An iterative solve exhausted its iteration budget.
 

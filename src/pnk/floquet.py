@@ -20,14 +20,16 @@ from the loop field at ``seed.eps0``, as in every seed-based analysis:
 ``LinearizedCoefficients.at(t, S)`` makes one generator evaluation and
 takes one loop jacobian J per stage. The frame S is constant when the
 chart carries angle coordinates, and otherwise transported along the
-loop with Theta, as one state [Theta; S]; by the same push-forward,
-G' = J G, so its transport is exact too.
+loop with Theta, as one state [Theta; S], by :func:`fundamental_matrix`;
+by the same push-forward, G' = J G, so its transport is exact too.
 Every integration runs through :func:`pnk.flow.integrate`, so failures
-are those of a flow; ``n_out`` >= 2 samples hold both ends, 0 and T.
+are those of a flow. A period T must be finite and positive, and its
+``n_out`` >= 2 samples hold both ends, 0 and T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,29 +62,16 @@ class LinearizedCoefficients:
     ``Ahat`` (r x r) drives the transversal deviations, ``Bhat`` (r x p)
     their parameter forcing; ``Phat`` (k x r) and ``Qhat`` (k x p)
     describe the drift of the angle deviations, and drive no analysis
-    here. ``frame`` is S(0). When ``transported`` is False the frame is
-    constant and S' is zero; otherwise S' is the transport of S along the
-    loop, exact from G' = J G.
+    here. ``frame`` is S(0), so ``at(0.0, frame)`` holds the blocks at 0.
+    When ``transported`` is False the frame is constant and S' is zero;
+    otherwise S' is the transport of S along the loop, exact from G' = J G,
+    and S(t) for t > 0 is known only inside :func:`fundamental_matrix`.
     """
 
     T: float
     frame: np.ndarray
     transported: bool
     at: Callable[[float, np.ndarray], tuple]
-
-    def blocks(self, times):
-        """The four blocks at ``times`` (strictly increasing, in [0, T]),
-        each stacked along a first axis. A transported frame is sampled from
-        one run at ``DEFAULT_TOL``; t = 0 alone needs none."""
-        times = np.asarray(times, dtype=float)
-        frames = [self.frame] * times.size
-        if self.transported and times.any():
-            def transport(t, s, out):
-                out[...] = self.at(t, s)[0]
-            frames = flow.integrate(transport, self.frame, self.T,
-                                    DEFAULT_TOL, times).samples
-        per_time = [self.at(t, s)[1:] for t, s in zip(times, frames)]
-        return tuple(np.stack(block) for block in zip(*per_time))
 
 
 def extract_linearization(family: VectorFieldFamily, seed: TorusSeed,
@@ -172,6 +161,24 @@ class FundamentalMatrix:
     T: float
 
 
+def _period_sampler(T, n_out, tol):
+    """Refuse a period T that is not finite and positive, or ``n_out`` < 2
+    (``ValueError``); else ``sample(rhs, y0) -> (times, run)``, one
+    :func:`pnk.flow.integrate` run over [0, T] at ``n_out`` uniform
+    times, whose last sample is the endpoint itself."""
+    if not 0.0 < T < math.inf:
+        raise ValueError("period must be finite and positive")
+    if n_out < 2:
+        raise ValueError("n_out must be at least 2")
+    times = np.linspace(0.0, T, n_out)
+
+    def sample(rhs, y0):
+        run = flow.integrate(rhs, y0, T, tol, times)
+        run.samples[-1] = run.endpoint
+        return times, run
+    return sample
+
+
 def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
                        n_out: int = 129) -> FundamentalMatrix:
     """Integrate Theta' = Ahat(t) Theta, Theta(0) = I over [0, T].
@@ -179,8 +186,10 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     ``Ahat`` is a callable of t, a constant matrix, or the coefficients
     of :func:`extract_linearization`. A transported frame that misses
     S(0) at T by more than ``HOLONOMY_TOL`` raises
-    :class:`DegenerateTangent`.
+    :class:`DegenerateTangent`. A period that is not finite and positive,
+    or ``n_out`` < 2, raises ``ValueError`` before Ahat is evaluated.
     """
+    sample = _period_sampler(T, n_out, tol)
     if isinstance(Ahat, LinearizedCoefficients):
         rhs, y0 = _coefficient_flow(Ahat)
     else:
@@ -189,19 +198,13 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
         def rhs(t, y, out):
             func(t).dot(y, out=out)
         y0 = np.eye(r)
-    if T <= 0:
-        raise ValueError("period must be positive")
-    if n_out < 2:
-        raise ValueError("n_out must be at least 2")
-    times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, y0, T, tol, times)
+    times, run = sample(rhs, y0)
     r = y0.shape[1]  # rows below r carry a transported frame S
     holonomy = float(np.max(np.abs(run.endpoint[r:] - y0[r:]), initial=0.0))
     if holonomy > HOLONOMY_TOL:
         raise DegenerateTangent(
             f"normal frame does not return after one loop (holonomy defect "
             f"{holonomy:.3g}); supply chart angle coordinates instead")
-    run.samples[-1] = run.endpoint
     return FundamentalMatrix(times, run.samples[:, :r], run.endpoint[:r],
                              float(T))
 
@@ -286,10 +289,11 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
     When no multiplier sits within ``RESONANCE_TOL`` of 1, the unique
     periodic solution starts at (I - Q)^{-1} u_p(T) with u_p the
     zero-initial particular solution; otherwise secular terms appear and
-    :class:`Resonance` is raised. Raises ``ValueError`` for ``n_out`` < 2.
+    :class:`Resonance` is raised. A period that is not finite and
+    positive, or ``n_out`` < 2, raises ``ValueError`` before Ahat or bhat
+    is evaluated.
     """
-    if n_out < 2:
-        raise ValueError("n_out must be at least 2")
+    sample = _period_sampler(T, n_out, tol)
     func, r = _as_matrix_func(Ahat)
     fm = fundamental_matrix(Ahat, T, tol=tol, n_out=2)
     multipliers = spectra.sorted_complex(np.linalg.eigvals(fm.Q))
@@ -308,10 +312,8 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
 
     part = flow.integrate(rhs, np.zeros(r), T, tol)
     u0 = np.linalg.solve(np.eye(r) - fm.Q, part.endpoint)
-    times = np.linspace(0.0, T, n_out)
-    run = flow.integrate(rhs, u0, T, tol, times)
+    times, run = sample(rhs, u0)
     samples = run.samples
-    samples[-1] = run.endpoint
     residual = float(np.max(np.abs(run.endpoint - u0)))
     scale = 1.0 + float(np.max(np.abs(samples)))
     if residual > 100.0 * tol * scale:

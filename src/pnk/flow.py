@@ -67,7 +67,7 @@ from . import _dop853 as dop853
 from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
                       dense_rows, select_initial_step)
 from .core import Field, as_params, as_point, scaled_kernels
-from .errors import Escape, NonFinite, StepFailure
+from .errors import NonFinite, StepFailure
 
 # The method of every integration in pnk (flow and floquet), as reported.
 METHOD = "DOP853"
@@ -112,26 +112,21 @@ class VariationalResult:
     steps_taken: int
 
 
-def _check_state(x, chart_radius):
-    """Raise NonFinite for a NaN or inf entry of the 1-D array x, else
-    Escape for an entry beyond chart_radius (None: no chart bound)."""
+def _check_state(x):
+    """Raise NonFinite for a NaN or inf entry of the 1-D array x."""
     # On Python floats: a numpy reduction costs more than the few entries
     # of a chart state.
-    vals = x.tolist()
-    if not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, x.tolist())):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
-    if chart_radius is not None and max(map(abs, vals)) > chart_radius:
-        raise Escape(f"trajectory exceeded chart radius {chart_radius}")
 
 
 def _checked_rhs(field: Field, eps):
     """The field as an :func:`integrate` right-hand side that checks each
     state and writes the scaled sum of its terms into the stage row."""
     value, c0, rest = scaled_kernels(field.terms, "value")
-    radius = field.chart_radius
 
     def rhs(_t, y, out):
-        _check_state(y, radius)
+        _check_state(y)
         np.multiply(value(y, eps), c0, out=out)
         for kernel, c in rest:
             np.add(out, np.multiply(kernel(y, eps), c), out=out)
@@ -344,9 +339,9 @@ def integrate_flow(field: Field, x0, eps, t: float, tol: float = DEFAULT_TOL,
         return FlowResult(x0.copy(), 0)
 
     run = integrate(_checked_rhs(field, eps), x0, t, tol, times)
-    _check_state(run.endpoint, field.chart_radius)
+    _check_state(run.endpoint)
     if times is not None:
-        _check_state(run.samples.ravel(), field.chart_radius)
+        _check_state(run.samples.ravel())
     return run
 
 
@@ -364,12 +359,11 @@ def integrate_variational(field: Field, x0, eps, t: float,
 
     value, c0, values = scaled_kernels(field.terms, "value")
     jac, _, jacs = scaled_kernels(field.terms, "jacobian")
-    radius = field.chart_radius
     jac_sum = np.empty((n, n))
 
     def rhs(_t, y, out):
         x = y[0]
-        _check_state(x, radius)
+        _check_state(x)
         row = out[0]
         np.multiply(value(x, eps), c0, out=row)
         for kernel, c in values:
@@ -381,5 +375,5 @@ def integrate_variational(field: Field, x0, eps, t: float,
 
     run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
     end = run.endpoint[0]
-    _check_state(end, radius)
+    _check_state(end)
     return VariationalResult(end, run.endpoint[1:], run.steps_taken)

@@ -264,10 +264,9 @@ def solve_return_times(family: VectorFieldFamily, y, eps, frame: SectionFrame,
 
     The start y may sit far from the section base, since the loop-flow
     image of a section point lies farther out under expanding
-    multipliers. A wild start is stopped by the iteration budget, by
-    :func:`section_pairing` and by the chart escape check of each leg;
-    :func:`transversal_orbit` keeps an orbit's samples on the near
-    intersection by ``ORBIT_MAX_GROUP_TIME``.
+    multipliers. A wild start is stopped by the iteration budget and by
+    :func:`section_pairing`; :func:`transversal_orbit` keeps an orbit's
+    samples on the near intersection by ``ORBIT_MAX_GROUP_TIME``.
 
     Raises :class:`NoConvergence` when the iteration budget runs out, and
     :class:`SingularGeometry` when the pairing matrix degenerates (fields

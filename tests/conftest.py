@@ -58,8 +58,7 @@ def _counted(family):
         family.n, family.k, family.p,
         [counted(m.value, 0) for m in members],
         [counted(m.jacobian, 1) for m in members],
-        [m.eps_jacobian for m in members],
-        chart_radius=family.chart_radius)
+        [m.eps_jacobian for m in members])
     return fam, calls
 
 

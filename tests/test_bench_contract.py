@@ -68,8 +68,8 @@ def test_family_hook_counts_field_calls(spans, monkeypatch):
 
     # the positional and keyword arguments the hook passes on
     fam = VectorFieldFamily(2, 1, 1, [value], [jacobian], [eps_jacobian],
-                            name="rotation", chart_radius=10.0)
-    assert fam.name == "rotation" and fam.chart_radius == 10.0
+                            name="rotation")
+    assert fam.name == "rotation"
     x, eps = np.array([1.0, 0.0]), np.array([0.0])
     fam.eval(0, x, eps)
     fam.jacobian(0, x, eps)

@@ -131,7 +131,7 @@ class TestIllinoisRefinement:
     """The crossing refiner on synthetic multiplier moduli |mu(eps)|."""
 
     @staticmethod
-    def _refine(modulus, lo=-0.05, hi=0.05, **kwargs):
+    def _refine(modulus, lo=-0.05, hi=0.05):
         calls = []
 
         def refine(eps):
@@ -141,7 +141,7 @@ class TestIllinoisRefinement:
         paths = MultiplierPaths(
             [np.array([lo]), np.array([hi])],
             np.array([[modulus(lo)], [modulus(hi)]], dtype=complex), [])
-        (bracket,) = detect_crossings(paths, refine=refine, **kwargs)
+        (bracket,) = detect_crossings(paths, refine=refine)
         return bracket, calls
 
     def test_point_exactly_on_the_circle(self):
@@ -163,9 +163,9 @@ class TestIllinoisRefinement:
         assert bracket.eps_hi[0] - bracket.eps_lo[0] <= 1e-6
         assert len(calls) <= 80
 
-    def test_budget_bounds_the_refines(self):
-        bracket, calls = self._refine(lambda e: math.exp(200.0 * e),
-                                      max_bisect=5)
+    def test_budget_bounds_the_refines(self, monkeypatch):
+        monkeypatch.setattr(bifurcation, "MAX_REFINES", 5)
+        bracket, calls = self._refine(lambda e: math.exp(200.0 * e))
         assert len(calls) == 5
         assert bracket.eps_lo[0] <= 0.0 <= bracket.eps_hi[0]
 
@@ -307,12 +307,11 @@ class TestPostcriticalProbe:
 
     @pytest.mark.parametrize("option, opts", [
         ("transient", ProbeOptions(transient=-5)),
-        ("fourier_order", ProbeOptions(fourier_order=-1)),
         ("n_samples", ProbeOptions(n_samples=0)),
-        ("n_samples", ProbeOptions(n_samples=3, fourier_order=4)),
-        ("n_samples", ProbeOptions(n_samples=8, fourier_order=4)),
-    ], ids=["transient-negative", "order-negative", "samples-zero",
-            "samples-below-order", "samples-one-short"])
+        ("n_samples", ProbeOptions(n_samples=3)),
+        ("n_samples", ProbeOptions(n_samples=8)),
+    ], ids=["transient-negative", "samples-zero", "samples-below-order",
+            "samples-one-short"])
     def test_orbit_sampling_options_checked(self, neimark_branch, option,
                                             opts):
         sysm, branch = neimark_branch

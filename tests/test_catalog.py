@@ -1,6 +1,5 @@
 """Catalog constructors, their oracles, and the hamiltonian checks."""
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -501,7 +500,7 @@ class _Captured(Exception):
 def _capture_rhs(monkeypatch):
     """Make pnk.flow.integrate refuse to run; the returned function gives
     the right-hand side that an integrator hands to it for a field at
-    eps, with no chart bound, so that every finite state is evaluated."""
+    eps."""
     seen = []
 
     def integrate(rhs, *args, **kwargs):
@@ -512,8 +511,7 @@ def _capture_rhs(monkeypatch):
 
     def rhs_of(integrator, field, eps):
         with pytest.raises(_Captured):
-            integrator(dataclasses.replace(field, chart_radius=None),
-                       np.zeros(field.n), eps, 1.0)
+            integrator(field, np.zeros(field.n), eps, 1.0)
         return seen.pop()
     return rhs_of
 

@@ -1,5 +1,6 @@
 """Config validation, round-trips, CSV tables, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import warnings
@@ -8,11 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnk import ConfigError, continue_branch, parse_config
+from pnk import (ConfigError, ContinuationOptions, ProbeOptions,
+                 analyze_branch, basepoint_spectrum_check, config,
+                 continue_branch, monodromy_report, parse_config,
+                 reconstruct_torus, verify_commuting_family,
+                 verify_torus_invariance)
 from pnk.cli import main, run_config
 from pnk.config import MAX_COUNT, build_run, eps_grid_values, load_config
 from pnk.continuation import checked_path
-from pnk.flow import MIN_TOL
+from pnk.flow import DEFAULT_TOL, MIN_TOL
 from pnk.report import emit_branch_table, strip_volatile
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "run_configs"
@@ -685,6 +690,23 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "options.eps_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", [-0.05, 0.05], ids=["rising", "falling"])
+    def test_bifurcate_probes_the_unstable_side_both_ways(self, tmp_path,
+                                                          start):
+        # the twins u = +-sqrt(eps) live at eps > 0, where |mu| > 1; a
+        # falling grid used to probe eps = -0.04 and exit 3 (NothingFound)
+        grid = {"start": [start], "stop": [-start], "num": 10}
+        doc = self._pitchfork_grid("bifurcate", grid)
+        doc["system"]["params"]["eps0"] = start
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        (probe,) = json.loads((out / "report.json").read_text())[
+            "results"]["probes"]
+        assert probe["eps_post"][0] == pytest.approx(0.04, abs=1e-6)
+        twins = sorted(f["u"][0] for f in probe["fixed_points"])
+        assert twins == pytest.approx([-0.2000006, 0.2000006], abs=1e-6)
+
     def test_torus_eps_wrong_width_is_2(self, tmp_path, capsys):
         doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15, 0.2]})
         path = _write(tmp_path, doc)
@@ -845,3 +867,45 @@ class TestProbeReports:
         assert circle["mean_radius"] == pytest.approx(radius, rel=1e-6)
         assert circle["n_samples"] == 128
         assert not probe["two_cycles"]
+
+
+# Each config option that a pipeline hands to a library call, with that
+# call's parameter: (analysis, key, callable or options class, parameter).
+# pnkbench calls the library with its defaults, so that these agree keeps
+# the benchmark timing the settings a default run uses.
+_BRANCH_DEFAULTS = [(key, ContinuationOptions, key)
+                    for key in ("tol", "max_iter", "delta_min")]
+LIBRARY_DEFAULTS = [
+    ("verify", "commutation_tol", verify_commuting_family, "tol"),
+    ("verify", "invariance_tol", verify_torus_invariance, "tol"),
+    ("verify", "grid", verify_torus_invariance, "grid"),
+    ("monodromy", "unit_tol", monodromy_report, "unit_tol"),
+    ("monodromy", "spectrum_tol", basepoint_spectrum_check, "tol"),
+    *[("continue", *pair) for pair in _BRANCH_DEFAULTS],
+    *[("bifurcate", *pair) for pair in _BRANCH_DEFAULTS],
+    ("bifurcate", "circle_tol", analyze_branch, "circle_tol"),
+    ("bifurcate", "eps_tol", analyze_branch, "eps_tol"),
+    ("bifurcate", "angle_tol", analyze_branch, "angle_tol"),
+    ("bifurcate", "search_radius", ProbeOptions, "search_radius"),
+    ("bifurcate", "probe_tol", ProbeOptions, "tol"),
+    ("torus", "grid_per_angle", reconstruct_torus, "grid_per_angle"),
+    ("torus", "closure_tol", reconstruct_torus, "tol"),
+    ("torus", "tol", reconstruct_torus, "integration_tol"),
+]
+
+
+def test_config_defaults_are_library_defaults():
+    differ = []
+    for analysis, key, target, parameter in LIBRARY_DEFAULTS:
+        config_default = config._OPTIONS[analysis][key][0]
+        library_default = inspect.signature(target).parameters[
+            parameter].default
+        if config_default != library_default:
+            differ.append(f"options.{key} of {analysis} is {config_default}, "
+                          f"{target.__name__}({parameter}=) is "
+                          f"{library_default}")
+    for analysis, options in config._OPTIONS.items():
+        if "tol" in options and options["tol"][0] != DEFAULT_TOL:
+            differ.append(f"options.tol of {analysis} is {options['tol'][0]}, "
+                          f"flow.DEFAULT_TOL is {DEFAULT_TOL}")
+    assert not differ, "; ".join(differ)

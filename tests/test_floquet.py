@@ -4,6 +4,7 @@ routine that every flow and Floquet solve goes through."""
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,19 @@ def _grid(count):
     return np.arange(count) / count
 
 
+def _blocks(co, times, frames=None):
+    """The four blocks of ``co.at`` at each time, in the frame given for
+    it (``co.frame`` by default), each stacked along a first axis."""
+    frames = [co.frame] * len(times) if frames is None else frames
+    per_time = [co.at(t, s)[1:] for t, s in zip(times, frames)]
+    return tuple(np.stack(block) for block in zip(*per_time))
+
+
 class TestExtractLinearization:
     def test_straightened_blocks_constant(self, straight_sys):
         co = extract_linearization(straight_sys.family, straight_sys.seed,
                                    [1, 1])
-        a, b, p, _ = co.blocks(_grid(32))
+        a, b, p, _ = _blocks(co, _grid(32))
         want = TWO_PI * (A1 + A2)
         spread = np.max(np.abs(a - want))
         assert spread <= 1e-10
@@ -56,38 +65,24 @@ class TestExtractLinearization:
         # u = -cos(phi) + const is not invariant; linearize anyway on u = 0:
         # dF/du = 0 identically
         co = extract_linearization(fam, seed, [1])
-        assert np.max(np.abs(co.blocks(_grid(16))[0])) <= 1e-12
+        assert np.max(np.abs(_blocks(co, _grid(16))[0])) <= 1e-12
 
     def test_hopf_radial_coefficient(self, hopf_sys):
+        # in the unit radial normal, signed like the frame at t = 0
         co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
+        times = _grid(32)
+        sign = np.sign(co.frame[0, 0])
+        normals = [sign * np.array([[math.cos(TWO_PI * t)],
+                                    [math.sin(TWO_PI * t)]]) for t in times]
+        np.testing.assert_allclose(co.frame, normals[0], rtol=0, atol=1e-15)
         want = -2.0 * 0.1 * TWO_PI
-        np.testing.assert_allclose(co.blocks(_grid(32))[0].ravel(), want,
-                                   atol=1e-8)
+        np.testing.assert_allclose(_blocks(co, times, normals)[0].ravel(),
+                                   want, atol=1e-8)
 
     def test_zero_winding_is_rejected(self, hopf_sys):
         # the coefficients come from the loop field, which has no zero class
         with pytest.raises(ZeroClass):
             extract_linearization(hopf_sys.family, hopf_sys.seed, [0])
-
-    def test_blocks_periodic(self, hopf_sys):
-        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
-        a = co.blocks([0.0, 0.5, 1.0])[0]
-        np.testing.assert_allclose(a[0], a[2], atol=1e-10)
-
-    def test_blocks_at_zero_need_no_frame_run(self, hopf_sys, monkeypatch):
-        # t = 0 alone reads the frame S(0); a grid samples one frame run
-        co = extract_linearization(hopf_sys.family, hopf_sys.seed, [1])
-        assert co.transported
-        calls = []
-        real = pnk.flow.integrate
-        monkeypatch.setattr(pnk.flow, "integrate",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        at_zero = co.blocks([0.0])
-        assert not calls
-        on_grid = co.blocks(_grid(8))
-        assert len(calls) == 1
-        for zero, grid in zip(at_zero, on_grid):
-            np.testing.assert_array_equal(zero[0], grid[0])
 
 
 class TestExactCoefficients:
@@ -247,6 +242,22 @@ class TestFundamentalMatrix:
         with pytest.raises(ValueError, match="n_out must be at least 2"):
             solve(1)
         np.testing.assert_array_equal(solve(2).times, [0.0, 1.0])
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solve", [
+        lambda ahat, T: fundamental_matrix(ahat, T),
+        lambda ahat, T: forced_response(ahat, ahat, T),
+    ], ids=["fundamental_matrix", "forced_response"])
+    def test_period_must_be_finite_and_positive(self, solve, period):
+        # refused before a coefficient is evaluated, and without a warning
+        def untouched(t):
+            raise AssertionError("coefficient evaluated")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError,
+                               match="period must be finite and positive"):
+                solve(untouched, period)
 
 
 class TestIntegrationFailures:

@@ -2,16 +2,17 @@
 """Print one sha256 per case over every array and number the case returns.
 
     python3 tools/result_digest.py --seed 1
+    python3 tools/result_digest.py --seed 1 --write   # refreeze the gate
 
 The cases are the four benchmark workloads of ``pnkbench.workloads``
 (one ``run()`` each, built at the given seed; run reports pass through
 ``report.strip_volatile``) and the flow and Floquet paths that no
-workload reaches: the coefficient blocks of ``extract_linearization``
-on a 64-point grid in the parallel-transport gauge (the Hopf seed has no
-angle coordinates), ``fundamental_matrix`` on those coefficients and,
-as ``oscillator_transport``, on the k = 2 transported frame of the
-uncoupled oscillators at winding (2, -1), ``forced_response`` on a
-periodic coefficient and forcing, a negative-time
+workload reaches: ``fundamental_matrix`` on the coefficients of
+``extract_linearization`` in the parallel-transport gauge (the Hopf
+seed has no angle coordinates) and, as ``oscillator_transport``, on the
+k = 2 transported frame of the uncoupled oscillators at winding
+(2, -1), ``forced_response`` on a periodic coefficient and forcing
+(scaled by the Hopf block Ahat at t = 0), a negative-time
 ``integrate_variational``, and a section return that iterates:
 ``transversal_map`` with its jacobian and a restarting
 ``transversal_orbit`` on the twisting circle of ``tests/test_section.py``
@@ -31,21 +32,30 @@ exact bits), string, flag and container of the returned objects, with
 dataclass field names and their nesting; functions are skipped. Two
 checkouts that print the same lines at a seed return the same results
 bit for bit.
+
+``--write`` freezes the lines of the given seed into ``DIGEST_GOLDEN``,
+with the fingerprint of the machine that printed them (Python, numpy,
+scipy, BLAS and CPU); ``tests/test_result_digest.py`` reruns the cases
+and names every line that moved.
 """
 
 import argparse
 import dataclasses
 import hashlib
+import json
+import platform
 import random
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGEST_GOLDEN = ROOT / "tests" / "golden" / "result_digest.json"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from pnk import report  # noqa: E402
 from pnk.catalog import (StraightenedSpec, make_hopf,  # noqa: E402
@@ -121,12 +131,11 @@ def floquet_cases(seed):
     system = make_hopf(0.95 + 0.1 * rng.random(), 0.099 + 0.002 * rng.random())
     family, seed_ = system.family, system.seed
     coefficients = extract_linearization(family, seed_, [1])
-    rate = float(coefficients.blocks([0.0])[0][0, 0, 0])
+    rate = float(coefficients.at(0.0, coefficients.frame)[1][0, 0])
     pair = make_uncoupled_oscillators()
     oscillators = extract_linearization(pair.family, pair.seed, [2, -1])
     field = loop_field(family, [1])
     return {
-        "transport_gauge": lambda: coefficients.blocks(np.arange(64) / 64),
         "fundamental_matrix": lambda: fundamental_matrix(
             coefficients, coefficients.T, n_out=33),
         "oscillator_transport": lambda: fundamental_matrix(
@@ -211,18 +220,48 @@ def multi_member_loops():
     return out
 
 
+def digests(seed):
+    """(case name, digest) of every case at the seed, in printing order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PREPARE:
+            yield name, digest(workload_case(name, seed, Path(tmp)))
+    cases = {**floquet_cases(seed), **return_cases(),
+             "polynomial_kernels": lambda: polynomial_case(seed),
+             "multi_member_loops": multi_member_loops}
+    for name, case in cases.items():
+        yield name, digest(case())
+
+
+def machine():
+    """What the bits of a digest may depend on beyond the source."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    cpu = [platform.machine()]
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu += [line.split(":", 1)[1].strip() for line in info
+                    if line.startswith("model name")][:1]
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "cpu": ", ".join(cpu + config["SIMD Extensions"]["found"])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--write", action="store_true",
+                        help=f"also freeze the lines into {DIGEST_GOLDEN}")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in PREPARE:
-            print(name, digest(workload_case(name, args.seed, Path(tmp))))
-    cases = {**floquet_cases(args.seed), **return_cases(),
-             "polynomial_kernels": lambda: polynomial_case(args.seed),
-             "multi_member_loops": multi_member_loops}
-    for name, case in cases.items():
-        print(name, digest(case()))
+    lines = {}
+    for name, value in digests(args.seed):
+        print(name, value, flush=True)
+        lines[name] = value
+    if args.write:
+        doc = {"seed": args.seed, "machine": machine(), "digests": lines}
+        DIGEST_GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
