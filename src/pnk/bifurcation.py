@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .core import TWO_PI, TorusSeed, VectorFieldFamily, as_params, as_winding
+from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_count, as_params,
+                   as_winding)
 from .errors import (MatchingAmbiguityWarning, NonFinite, NothingFound,
                      PnkError, StepFailure)
 from .flow import DEFAULT_TOL
@@ -487,9 +488,9 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     opts = opts or ProbeOptions()
     if not opts.search_radius > 0:
         raise ValueError("search_radius must be positive")
-    if not opts.transient >= 0:
+    if not as_count(opts.transient, "transient") >= 0:
         raise ValueError("transient must be nonnegative")
-    if not opts.n_samples >= 2 * FOURIER_ORDER + 1:
+    if not as_count(opts.n_samples, "n_samples") >= 2 * FOURIER_ORDER + 1:
         raise ValueError("n_samples must be at least 2 * FOURIER_ORDER + 1, "
                          "the unknowns of the radial fit")
     eps_post = as_params(eps_post, family.p)

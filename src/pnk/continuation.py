@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .core import TorusSeed, VectorFieldFamily, as_params, loop_field, wrap_angles
+from .core import (TorusSeed, VectorFieldFamily, as_count, as_params,
+                   loop_field, wrap_angles)
 from .errors import NoConvergence, OpenTorus, PnkError, SingularJacobian
 from .flow import DEFAULT_TOL, integrate_flow
 from .section import SectionFrame, build_section, transversal_map
@@ -242,13 +243,14 @@ def reconstruct_torus(family: VectorFieldFamily, seed: TorusSeed, eps,
     when the defect exceeds tol.
     """
     eps = as_params(eps, family.p)
-    if grid_per_angle < 2:
+    g = as_count(grid_per_angle, "grid_per_angle")
+    if g < 2:
         raise ValueError("need at least 2 grid points per angle")
     if frame is None:
         frame = build_section(family, seed)
     u_fixed = np.asarray(u_fixed, dtype=float).reshape(-1)
     x0 = frame.chart_point(u_fixed)
-    k, n, g = seed.k, family.n, grid_per_angle
+    k, n = seed.k, family.n
     dt = 1.0 / g
     generators = [loop_field(family, np.eye(k, dtype=int)[d]) for d in range(k)]
 

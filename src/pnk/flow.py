@@ -36,7 +36,15 @@ any shape steps as its flat row-major form, seen by the right-hand side
 in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
 numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
 so products are ``ndarray.dot`` calls into buffers, and the state check
-and the step-size controller work on Python floats.
+and the step-size controller work on Python floats. A ufunc takes no
+Python float, though: the step size h, the scales c_i
+(:func:`~pnk.core.scaled_kernels`), the tolerances of the error scale and
+the dense output's 2 are 0-d float64 arrays. Under numpy 2's rules for
+Python scalars (NEP 50), ``np.multiply(dy, h, out=dy)`` on a 2-vector
+took 0.72 us at best with h a Python float, or a numpy float64 scalar,
+and 0.49 us with h a 0-d array (numpy 2.4.6, 2-vCPU Xeon). The multiply
+by the same double is the same, so each bit of a float64 kernel's row is
+too; a float32 kernel's result is scaled in float64, not in float32.
 A run takes one tolerance tol and steps at rtol = tol and atol = tol *
 ``ATOL_FACTOR`` = tol / 100, so the default tol = 1e-10 lands at the
 (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue gaps,
@@ -91,6 +99,10 @@ _STAGES = dop853.N_STAGES
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
+# The dense output's factor 2, as a ufunc operand (see the module
+# docstring on 0-d operands).
+_TWO = np.array(2.0)
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -139,17 +151,17 @@ def _check_tol(tol):
         raise ValueError(f"tol must be at least MIN_TOL = {MIN_TOL:.3g}")
 
 
-def _stages(fun, stages, t, y, h, dy, y_stage, y_shaped):
+def _stages(fun, stages, t, y, h, h_arr, dy, y_stage, y_shaped):
     """Evaluate ``stages`` of a DOP853 step of size h from (t, y).
 
     Each stage (K[:s].T, a, c, K[s] in the state's shape) writes the
     derivative at time t + c h and state y + h (K[:s].T @ a) into K[s];
-    dy and y_stage are the flat buffers of the increment and of the
-    state, y_shaped is y_stage in the state's shape.
+    h_arr is h as a 0-d array, dy and y_stage are the flat buffers of the
+    increment and of the state, y_shaped is y_stage in the state's shape.
     """
     for kt, a, c, out in stages:
         kt.dot(a, out=dy)
-        np.multiply(dy, h, out=dy)
+        np.multiply(dy, h_arr, out=dy)
         np.add(y, dy, out=y_stage)
         fun(t + c * h, y_shaped, out)
 
@@ -193,6 +205,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     """
     _check_tol(tol)
     rtol, atol = tol, tol * ATOL_FACTOR
+    rtol_arr, atol_arr = np.array(rtol), np.array(atol)
     y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError(
@@ -227,6 +240,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     step_stages, extra_stages = stages[:_STAGES - 1], stages[_STAGES:]
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
     dy, y_stage, err5, err3 = np.empty((4, n))
+    h_arr = np.empty(())  # h of the trial step, as a ufunc operand
     f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
 
     def step(t_old, y_old, h_abs):
@@ -246,14 +260,17 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
                 t_new = t_bound
             h = t_new - t_old
             h_abs = abs(h)
+            h_arr[()] = h
             charge(_STAGES - 1)
-            _stages(rhs, step_stages, t_old, y_old, h, dy, y_stage, y_shaped)
+            _stages(rhs, step_stages, t_old, y_old, h, h_arr, dy, y_stage,
+                    y_shaped)
             k_body.dot(dop853.B, out=dy)
-            np.multiply(dy, h, out=dy)
+            np.multiply(dy, h_arr, out=dy)
             y_new = y_old + dy
             charge(1)
             rhs(t_old + h, y_new.reshape(shape), f_shaped)
-            scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
+            scale = (atol_arr
+                     + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol_arr)
             error_norm = _error_norm(k_step, h_abs, scale, err5, err3)
             if error_norm < 1:
                 if error_norm == 0:
@@ -269,16 +286,18 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
         return None
 
     def dense(t_old, y_old, y_new, h, at):
-        """The dense output over the step just accepted, at the times at."""
+        """The dense output over the step just accepted, of size h (still
+        in h_arr), at the times at."""
         charge(len(extra_stages))
-        _stages(rhs, extra_stages, t_old, y_old, h, dy, y_stage, y_shaped)
+        _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
+                y_shaped)
         F = np.empty((dop853.INTERPOLATOR_POWER, n))
         f_old = K[0]
         delta_y = y_new - y_old
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * dop853.D.dot(K)
+        F[1] = h_arr * f_old - delta_y
+        F[2] = _TWO * delta_y - h_arr * (f_new + f_old)
+        F[3:] = h_arr * dop853.D.dot(K)
         return dense_rows(t_old, h, y_old, F, at)
 
     def initial_slope(s, x):  # select_initial_step's one call

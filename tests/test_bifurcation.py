@@ -310,8 +310,10 @@ class TestPostcriticalProbe:
         ("n_samples", ProbeOptions(n_samples=0)),
         ("n_samples", ProbeOptions(n_samples=3)),
         ("n_samples", ProbeOptions(n_samples=8)),
+        ("transient", ProbeOptions(transient=2.5)),
+        ("n_samples", ProbeOptions(n_samples=9.5)),
     ], ids=["transient-negative", "samples-zero", "samples-below-order",
-            "samples-one-short"])
+            "samples-one-short", "transient-fraction", "samples-fraction"])
     def test_orbit_sampling_options_checked(self, neimark_branch, option,
                                             opts):
         sysm, branch = neimark_branch

@@ -281,6 +281,16 @@ class TestReconstructTorus:
             u_samples, np.broadcast_to(ustar, u_samples.shape), atol=1e-9)
         assert rec.closure_defect <= 1e-8
 
+    def test_grid_is_an_integer_count(self, straight_sys):
+        frame = build_section(straight_sys.family, straight_sys.seed)
+        with pytest.raises(ValueError, match="grid_per_angle"):
+            reconstruct_torus(straight_sys.family, straight_sys.seed, [0.0],
+                              np.zeros(2), grid_per_angle=8.0, frame=frame)
+        rec = reconstruct_torus(straight_sys.family, straight_sys.seed,
+                                [0.0], np.zeros(2),
+                                grid_per_angle=np.int64(4), frame=frame)
+        assert rec.samples.shape == (4, 4, straight_sys.family.n)
+
     def test_wrong_point_raises_open_torus(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
         with pytest.raises(OpenTorus) as err:

@@ -1,6 +1,7 @@
 """Domain types, loop fields, Lie brackets and the commutation checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from pnk import (DegenerateTangent, TorusSeed, VectorFieldFamily, ZeroClass,
                  integrate_flow, lie_bracket, loop_field,
                  verify_commuting_family, verify_torus_invariance)
-from pnk.core import as_point, as_winding, wrap_angles
+from pnk.core import as_count, as_point, as_winding, wrap_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,10 +190,41 @@ class TestHelpers:
         with pytest.raises(ValueError):
             as_point([1.0], n=2)
 
+    @pytest.mark.parametrize("count", [8, np.int64(8), np.uint8(8)])
+    def test_as_count_takes_python_and_numpy_integers(self, count):
+        got = as_count(count, "grid")
+        assert got == 8 and type(got) is int
+
+    @pytest.mark.parametrize("count", [8.0, 2.5, np.float64(8.0), True, "8"])
+    def test_as_count_refuses_the_rest(self, count):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            as_count(count, "grid")
+
     def test_as_winding_rejects_non_integers(self):
         with pytest.raises(ValueError):
             as_winding([0.5])
         np.testing.assert_array_equal(as_winding([2.0, -1.0]), [2, -1])
+
+    # each of these cast to int64 wrapped, to the int64 minimum or to -1
+    @pytest.mark.parametrize("alpha", [
+        [np.inf], [1e20], [2.0**63], [2**70],
+        np.array([2**64 - 1], dtype=np.uint64), [np.nan], [-2**63 - 1]],
+        ids=["inf", "1e20", "2.0**63", "2**70", "uint64-max", "nan",
+             "int64-min-minus-1"])
+    def test_as_winding_refuses_what_int64_cannot_hold(self, alpha):
+        fam = _linear_family([np.zeros((2, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="within int64"):
+                as_winding(alpha)
+            with pytest.raises(ValueError, match="within int64"):
+                loop_field(fam, alpha)
+
+    def test_as_winding_keeps_the_int64_ends(self):
+        ends = [-2**63, 2**63 - 1]
+        assert as_winding(ends).tolist() == ends
+        assert as_winding([-2.0**63]).tolist() == [-2**63]
+        assert as_winding(np.array([7], dtype=np.uint64)).tolist() == [7]
 
     def test_wrap_angles_reduces_mod_two_pi(self):
         ref = np.array([0.25, 5.0])

@@ -18,7 +18,8 @@ import pnk.flow
 from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
                  build_section, integrate_flow, integrate_variational,
                  loop_field, solve_return_times)
-from pnk.catalog import make_flip, make_hopf
+from pnk.catalog import (make_flip, make_hopf, make_neimark,
+                         make_uncoupled_oscillators)
 from pnk.flow import MIN_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -251,6 +252,47 @@ class TestLoopFlowWork:
         got = self._transversal(res.tangent, 2)
         np.testing.assert_allclose(got, np.sort_complex(want), rtol=0,
                                    atol=1e-10)
+
+
+class _ScalarOperandSpy:
+    """numpy, except that multiply, add and divide record each operand
+    that is a Python float or int (a numpy float64 scalar is a float)."""
+
+    def __init__(self):
+        self.seen = []
+        for name in ("multiply", "add", "divide"):
+            setattr(self, name, self._recording(getattr(np, name)))
+
+    def _recording(self, ufunc):
+        def call(*args, **kwargs):
+            self.seen += [(ufunc.__name__, type(a).__name__) for a in args
+                          if isinstance(a, (float, int))]
+            return ufunc(*args, **kwargs)
+        return call
+
+    def __getattr__(self, name):  # every name not set in __init__
+        return getattr(np, name)
+
+
+def test_stepping_ufuncs_take_no_python_scalar(monkeypatch):
+    """The step size, the loop scales and the tolerances reach flow's
+    ufuncs as 0-d arrays, which numpy 2 takes faster than Python floats
+    for the same bits."""
+    spy = _ScalarOperandSpy()
+    monkeypatch.setattr(pnk.flow, "np", spy)
+    hopf, neimark = make_hopf(1.0, 0.1), make_neimark()
+    oscillators = make_uncoupled_oscillators()
+    integrate_variational(loop_field(hopf.family, [1]), hopf.seed.base_point,
+                          hopf.seed.eps0, 1.0)
+    orbit = integrate_flow(loop_field(neimark.family, [1]),
+                           neimark.seed.base_point, neimark.seed.eps0, 1.0,
+                           times=[0.25, 0.5, 1.0])
+    integrate_flow(hopf.family.member(0), hopf.seed.base_point,
+                   hopf.seed.eps0, 0.5)
+    integrate_flow(loop_field(oscillators.family, [2, -1]),
+                   oscillators.seed.base_point, oscillators.seed.eps0, 1.0)
+    assert orbit.samples.shape == (3, neimark.family.n)
+    assert spy.seen == []
 
 
 class TestSolveReturnTimes:
