@@ -2,7 +2,10 @@
 detection, classification at the critical parameter, and post-critical
 probes of the section return map.
 
-Classification keys on the critical multiplier value only:
+Crossings are found in one pass over each matched multiplier path, and
+every bracket is refined, with the corrector settings the branch was
+solved with, before it is classified. Classification keys on the
+critical multiplier of the last refine only:
 
 * ``CaseA``: a single real multiplier at -1;
 * ``CaseB``: a single real multiplier at +1;
@@ -41,7 +44,6 @@ from .core import (TWO_PI, TorusSeed, VectorFieldFamily, as_count, as_params,
                    as_winding)
 from .errors import (MatchingAmbiguityWarning, NonFinite, NothingFound,
                      PnkError, StepFailure)
-from .flow import DEFAULT_TOL
 from .section import SectionFrame, transversal_map, transversal_orbit
 from .continuation import (ContinuationBranch, NewtonResult,
                            newton_fixed_point, predict_fixed_point)
@@ -52,10 +54,10 @@ CASE_C = "CaseC"
 DEGENERATE = "Degenerate"
 
 # Fixed settings of the matching, the crossing refiner, the classification
-# and the probes, as track_multipliers, detect_crossings, classify_event,
+# and the probes, as track_multipliers, _refine_bracket, classify_event,
 # ProbeOptions and postcritical_probe state them.
 TIE_TOL = 1e-9
-MAX_REFINES = 80
+MAX_REFINES = 80  # at least 1: every bracket is refined
 DEGENERATE_TOL = 1e-3
 PROBE_MAX_ITER = 30
 PROBE_EXCLUDE_TOL = 1e-6
@@ -128,109 +130,86 @@ def track_multipliers(branch: ContinuationBranch) -> MultiplierPaths:
     return MultiplierPaths([p.eps for p in pts], paths, ambiguous)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossingBracket:
-    """A bracketed |mu| = 1 crossing of one (or a conjugate pair of) path."""
+    """A refined |mu| = 1 crossing of one path (of a conjugate pair, the
+    member with Im mu >= 0): the bracket ends with their multipliers, and
+    the multiplier and whole spectrum of the last refine."""
 
     eps_lo: np.ndarray
     eps_hi: np.ndarray
     mu_lo: complex
     mu_hi: complex
-    mu_mid: complex | None = None
-    spectrum_mid: np.ndarray | None = None
-    refined: bool = False
+    mu_mid: complex
+    spectrum_mid: np.ndarray
 
     @property
     def eps_mid(self) -> np.ndarray:
         return 0.5 * (self.eps_lo + self.eps_hi)
 
 
-def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9,
-                     refine=None, eps_tol: float = 1e-6
-                     ) -> list[CrossingBracket]:
-    """Bracket every sign change of |mu| - 1 along the matched paths.
+def detect_crossings(paths: MultiplierPaths, circle_tol: float = 1e-9, *,
+                     refine, eps_tol: float = 1e-6) -> list[CrossingBracket]:
+    """Bracket and refine every sign change of phi = |mu| - 1 along the
+    matched paths.
 
-    ``refine``, when given, is a callable eps -> spectrum re-solving the
-    fixed point; each bracket is then narrowed to width <= eps_tol by the
-    Illinois modified regula falsi on phi = |mu| - 1 along the bracket
-    segment (Dowell-Jarratt, BIT 11, 1971), with every new point at
-    least eps_tol/2 inside the bracket and at most ``MAX_REFINES`` refines.
-    Conjugate-pair crossings in the same grid segment are merged into a
-    single bracket carrying the multiplier of nonnegative imaginary part.
-    Events are returned in parameter order.
+    A slice with |phi| <= circle_tol lies on the circle and is skipped:
+    each bracket runs from the last slice off the circle to the next one
+    whose phi has the other sign, so a crossing on a grid slice is
+    bracketed and a tangency is not. A conjugate pair crosses together,
+    so a path whose multiplier at the bracket's low end has
+    Im mu < -circle_tol is left to its partner. ``refine`` is a callable
+    eps -> spectrum re-solving the fixed point; each bracket is narrowed
+    by :func:`_refine_bracket`. Events are returned in parameter order.
     """
-    eps_vals = [np.asarray(e, dtype=float) for e in paths.eps_values]
-    m, r = paths.paths.shape
-    raw: list[CrossingBracket] = []
-    for j in range(r):
-        mods = np.abs(paths.paths[:, j]) - 1.0
-        for i in range(m - 1):
-            a, b = mods[i], mods[i + 1]
-            if (a < -circle_tol and b > circle_tol) or \
-               (a > circle_tol and b < -circle_tol):
-                raw.append(CrossingBracket(
-                    eps_vals[i], eps_vals[i + 1],
-                    complex(paths.paths[i, j]), complex(paths.paths[i + 1, j])))
-
-    merged: list[CrossingBracket] = []
-    used = [False] * len(raw)
-    for i, br in enumerate(raw):
-        if used[i]:
-            continue
-        for j in range(i + 1, len(raw)):
-            other = raw[j]
-            if used[j]:
+    eps_vals = [np.array(e, dtype=float) for e in paths.eps_values]
+    found: list[CrossingBracket] = []
+    for path in paths.paths.T:
+        lo = phi_lo = None  # the last slice off the circle
+        for i, mu in enumerate(path):
+            phi = abs(mu) - 1.0
+            if abs(phi) <= circle_tol:
                 continue
-            same_segment = (np.array_equal(br.eps_lo, other.eps_lo)
-                            and np.array_equal(br.eps_hi, other.eps_hi))
-            conj = (abs(br.mu_lo - np.conj(other.mu_lo))
-                    <= 1e-8 * (1.0 + abs(br.mu_lo))
-                    and abs(br.mu_lo.imag) > circle_tol)
-            if same_segment and conj:
-                br = CrossingBracket(br.eps_lo, br.eps_hi,
-                                     br.mu_lo if br.mu_lo.imag >= 0 else other.mu_lo,
-                                     br.mu_hi if br.mu_hi.imag >= 0 else other.mu_hi)
-                used[j] = True
-                break
-        used[i] = True
-        merged.append(br)
-
-    if refine is not None:
-        merged = [_refine_bracket(br, refine, eps_tol) for br in merged]
-    merged.sort(key=lambda b: tuple(b.eps_mid))
-    return merged
+            if lo is not None and (phi > 0) != (phi_lo > 0) \
+                    and path[lo].imag >= -circle_tol:
+                found.append(_refine_bracket(
+                    eps_vals[lo], eps_vals[i], complex(path[lo]),
+                    complex(mu), refine, eps_tol))
+            lo, phi_lo = i, phi
+    found.sort(key=lambda b: tuple(b.eps_mid))
+    return found
 
 
-def _refine_bracket(br: CrossingBracket, refine, eps_tol):
-    """Illinois iteration on phi = |mu| - 1 along the bracket segment.
+def _refine_bracket(lo, hi, mu_lo, mu_hi, refine, eps_tol) -> CrossingBracket:
+    """Illinois iteration on phi = |mu| - 1 along the bracket segment
+    (Dowell-Jarratt, BIT 11, 1971), to width <= eps_tol in at most
+    ``MAX_REFINES`` refines.
 
     The regula falsi point is clamped eps_tol/2 inside the bracket, so a
     point next to the root lands across it and the bracket closes. When
     one end is kept twice in a row, its working phi is halved (the
     Illinois step), so that end moves too. A refined phi of exactly 0
     joins the side of positive phi, and the other side keeps a strictly
-    signed phi, so the secant denominator never vanishes.
+    signed phi, so the secant denominator never vanishes. A bracket
+    already no wider than eps_tol gets one refine, at its midpoint.
     """
-    lo, hi = br.eps_lo.copy(), br.eps_hi.copy()
-    mu_lo, mu_hi = br.mu_lo, br.mu_hi
     phi_lo, phi_hi = abs(mu_lo) - 1.0, abs(mu_hi) - 1.0
     sign_lo = math.copysign(1.0, phi_lo)
     moved = 0  # -1 when the last step moved lo, +1 when it moved hi
-    mu_mid = None
-    spec_mid = None
-    for _ in range(MAX_REFINES):
+    for n in range(MAX_REFINES):
         width = float(np.max(np.abs(hi - lo)))
-        if width <= eps_tol:
+        if width > eps_tol:
+            margin = 0.5 * eps_tol / width
+        elif n == 0:
+            margin = 0.5
+        else:
             break
-        margin = 0.5 * eps_tol / width
         t = min(max(phi_lo / (phi_lo - phi_hi), margin), 1.0 - margin)
         mid = lo + t * (hi - lo)
         spec = np.asarray(refine(mid), dtype=complex)
         target = mu_lo + t * (mu_hi - mu_lo)
-        jj = int(np.argmin(np.abs(spec - target)))
-        mu = complex(spec[jj])
+        mu = complex(spec[int(np.argmin(np.abs(spec - target)))])
         phi = abs(mu) - 1.0
-        mu_mid, spec_mid = mu, spec
         if math.copysign(1.0, phi) == sign_lo:
             lo, mu_lo, phi_lo = mid, mu, phi
             if moved == -1:
@@ -241,8 +220,7 @@ def _refine_bracket(br: CrossingBracket, refine, eps_tol):
             if moved == 1:
                 phi_lo *= 0.5
             moved = 1
-    return CrossingBracket(lo, hi, mu_lo, mu_hi, mu_mid, spec_mid,
-                           refined=True)
+    return CrossingBracket(lo, hi, mu_lo, mu_hi, mu, spec)
 
 
 @dataclass(frozen=True)
@@ -271,19 +249,18 @@ def _resonant_angle(angle: float) -> bool:
 
 def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
                    ) -> BifurcationEvent:
-    """Classify a refined crossing by its critical multiplier.
+    """Classify a crossing by the multiplier of its last refine.
 
     ``transversality`` is the finite-difference slope of |mu| across the
     bracket: d|mu|/d eps for a scalar parameter, and per unit parameter
     arclength along the path direction otherwise. ``split_margin`` is the
-    smallest distance of the remaining multipliers to the unit circle at
-    the crossing. More critical multipliers within ``DEGENERATE_TOL`` of
+    smallest distance of the remaining multipliers of ``spectrum_mid`` to
+    the unit circle. More critical multipliers within ``DEGENERATE_TOL`` of
     the circle than the kind expects classify as Degenerate. A rotation
     number within 1e-3 of a rational with denominator <= 6 flags the
     structurally unstable resonant case but still classifies as CaseC.
     """
-    mu = bracket.mu_mid if bracket.mu_mid is not None else \
-        0.5 * (bracket.mu_lo + bracket.mu_hi)
+    mu = bracket.mu_mid
     angle = abs(np.angle(mu))
     if abs(angle - math.pi) <= angle_tol:
         kind = CASE_A
@@ -295,15 +272,12 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
         kind = CASE_C
         criticals = np.array([mu, np.conj(mu)], dtype=complex)
 
-    split = math.inf
-    if bracket.spectrum_mid is not None:
-        spec = np.asarray(bracket.spectrum_mid, dtype=complex)
-        on_circle = np.abs(np.abs(spec) - 1.0) <= DEGENERATE_TOL
-        n_crit = int(np.sum(on_circle))
-        if n_crit > len(criticals):
-            kind = DEGENERATE
-            criticals = spec[on_circle]
-        split = spectra.margins(spec[~on_circle])[1]
+    spec = np.asarray(bracket.spectrum_mid, dtype=complex)
+    on_circle = np.abs(np.abs(spec) - 1.0) <= DEGENERATE_TOL
+    if int(np.sum(on_circle)) > len(criticals):
+        kind = DEGENERATE
+        criticals = spec[on_circle]
+    split = spectra.margins(spec[~on_circle])[1]
 
     d_eps = bracket.eps_hi - bracket.eps_lo
     arclen = float(np.linalg.norm(d_eps))
@@ -617,12 +591,14 @@ class BifurcationAnalysis:
 def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
                    branch: ContinuationBranch, circle_tol: float = 1e-9,
                    eps_tol: float = 1e-6, angle_tol: float = 1e-3,
-                   tol: float = DEFAULT_TOL, probe_offsets=None,
-                   probe_options: ProbeOptions | None = None) -> BifurcationAnalysis:
+                   probe_offsets=None, probe_options: ProbeOptions | None = None
+                   ) -> BifurcationAnalysis:
     """Track multipliers, bracket and classify crossings, optionally probe.
 
     The crossing refiner re-solves the fixed point at each parameter the
-    Illinois iteration of :func:`detect_crossings` asks for, seeded by
+    Illinois iteration of :func:`detect_crossings` asks for, with the
+    tolerance and iteration budget of the branch's slices
+    (``branch.options``), seeded by
     :func:`~pnk.continuation.predict_fixed_point` through the three
     branch points nearest that parameter. For each entry of
     ``probe_offsets``, a probe runs at that distance from eps_critical
@@ -637,8 +613,9 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
         dists = [float(np.linalg.norm(eps - p.eps)) for p in pts]
         nearest = sorted(np.argsort(dists, kind="stable")[:3])
         guess = predict_fixed_point([pts[i] for i in nearest], eps)
-        nr = newton_fixed_point(family, seed, alpha, frame, eps, guess, tol)
-        return nr.spectrum
+        return newton_fixed_point(family, seed, alpha, frame, eps, guess,
+                                  branch.options.tol,
+                                  branch.options.max_iter).spectrum
 
     brackets = detect_crossings(paths, circle_tol, refine=refine,
                                 eps_tol=eps_tol)

@@ -123,8 +123,7 @@ class StraightenedOracle:
         return np.sort_complex(np.linalg.eigvals(self.transversal_matrix(alpha, eps)))
 
 
-def make_straightened(spec: StraightenedSpec,
-                      name: str = "straightened") -> CatalogSystem:
+def make_straightened(spec: StraightenedSpec) -> CatalogSystem:
     """Build the flow-box family, its flat seed torus and the oracle.
 
     Raises :class:`NonCommuting` when the generator matrices do not
@@ -193,7 +192,7 @@ def make_straightened(spec: StraightenedSpec,
         values=[make_value(i, a) for i, a in enumerate(mats)],
         jacobians=[make_jacobian(a) for a in mats],
         eps_jacobians=[make_epsjac(a) for a in mats],
-        name=name)
+        name="straightened")
 
     def embed(phi):
         return np.concatenate([phi, np.zeros(r)])
@@ -201,7 +200,8 @@ def make_straightened(spec: StraightenedSpec,
     seed = TorusSeed(k, embed, np.zeros(p), angle_coords=tuple(range(k)))
     params = {"A": [a.tolist() for a in mats], "C": cmat.tolist(),
               "cubic": cubic}
-    return CatalogSystem(name, family, seed, StraightenedOracle(spec), params)
+    return CatalogSystem("straightened", family, seed, StraightenedOracle(spec),
+                         params)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,7 @@ class HopfOracle:
         return np.array([math.sqrt(e) - math.sqrt(self.eps0)])
 
 
-def make_hopf(omega: float = 1.0, eps0: float = 0.1,
-              name: str = "hopf") -> CatalogSystem:
+def make_hopf(omega: float = 1.0, eps0: float = 0.1) -> CatalogSystem:
     """Planar Hopf normal form with limit cycle r = sqrt(eps).
 
     The vector field is (eps x - omega y - x r^2, omega x + eps y - y r^2)
@@ -264,14 +263,15 @@ def make_hopf(omega: float = 1.0, eps0: float = 0.1,
     def ejac(x, eps):
         return inv * np.array([[x[0]], [x[1]]])
 
-    family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac], name=name)
+    family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac],
+                               name="hopf")
     root = math.sqrt(eps0)
 
     def embed(phi):
         return np.array([root * math.cos(phi[0]), root * math.sin(phi[0])])
 
     seed = TorusSeed(1, embed, np.array([eps0]))
-    return CatalogSystem(name, family, seed, HopfOracle(omega, eps0),
+    return CatalogSystem("hopf", family, seed, HopfOracle(omega, eps0),
                          {"omega": omega, "eps0": eps0})
 
 
@@ -328,10 +328,10 @@ def poisson_bracket(pair: HamiltonianPair, i: int, j: int, x, eps) -> float:
     return float(gi[:d] @ gj[d:] - gi[d:] @ gj[:d])
 
 
-def hamiltonian_family(pair: HamiltonianPair, p: int | None = None) -> VectorFieldFamily:
-    """Wrap the symplectic gradients of a pair as a vector-field family."""
+def hamiltonian_family(pair: HamiltonianPair) -> VectorFieldFamily:
+    """Wrap the symplectic gradients of a pair as a vector-field family
+    with one parameter per hamiltonian."""
     n = 2 * pair.n_dof
-    p = pair.k if p is None else p
 
     def make_value(i):
         def value(x, eps, _i=i):
@@ -348,7 +348,7 @@ def hamiltonian_family(pair: HamiltonianPair, p: int | None = None) -> VectorFie
             return jac
         jacobians = [make_jac(i) for i in range(pair.k)]
 
-    return VectorFieldFamily(n, pair.k, p,
+    return VectorFieldFamily(n, pair.k, pair.k,
                              [make_value(i) for i in range(pair.k)],
                              jacobians=jacobians, name=pair.name)
 
@@ -363,8 +363,7 @@ class UnitSpectrumOracle:
         return np.ones(self.r, dtype=complex)
 
 
-def make_uncoupled_oscillators(radii=(1.0, 1.0),
-                               name: str = "uncoupled_oscillators") -> CatalogSystem:
+def make_uncoupled_oscillators(radii=(1.0, 1.0)) -> CatalogSystem:
     """Two uncoupled harmonic oscillators, H_i = (q_i^2 + p_i^2) / 2.
 
     The product of circles of the given radii is an invariant 2-torus; the
@@ -393,7 +392,8 @@ def make_uncoupled_oscillators(radii=(1.0, 1.0),
     def hess2(x, eps):
         return np.diag([0.0, 1.0, 0.0, 1.0])
 
-    pair = HamiltonianPair(2, (h1, h2), (g1, g2), (hess1, hess2), name=name)
+    pair = HamiltonianPair(2, (h1, h2), (g1, g2), (hess1, hess2),
+                           name="uncoupled_oscillators")
     family = hamiltonian_family(pair)
 
     def embed(phi):
@@ -401,7 +401,7 @@ def make_uncoupled_oscillators(radii=(1.0, 1.0),
                          -r1 * math.sin(phi[0]), -r2 * math.sin(phi[1])])
 
     seed = TorusSeed(2, embed, np.zeros(2))
-    return CatalogSystem(name, family, seed, UnitSpectrumOracle(2),
+    return CatalogSystem(pair.name, family, seed, UnitSpectrumOracle(2),
                          {"radii": [r1, r2]}, aux=pair)
 
 
@@ -430,7 +430,7 @@ def _power(u: float, k: int) -> float:
         return math.copysign(math.inf, u) ** k
 
 
-def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSystem:
+def make_pitchfork(eps0: float = -0.05) -> CatalogSystem:
     """Cylinder flow phi' = 1, u' = eps u - u^3.
 
     The circle u = 0 is invariant for every eps with multiplier
@@ -448,18 +448,19 @@ def make_pitchfork(eps0: float = -0.05, name: str = "pitchfork") -> CatalogSyste
     def ejac(x, eps):
         return np.array([[0.0], [x[1]]])
 
-    family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac], name=name)
+    family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac],
+                               name="pitchfork")
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0]),
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(lambda e: [math.exp(TWO_PI * e)])
-    return CatalogSystem(name, family, seed, oracle, {"eps0": eps0})
+    return CatalogSystem("pitchfork", family, seed, oracle, {"eps0": eps0})
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def make_flip(stable_exponent: float = -0.35, eps0: float = -0.05,
-              name: str = "flip") -> CatalogSystem:
+def make_flip(stable_exponent: float = -0.35,
+              eps0: float = -0.05) -> CatalogSystem:
     """Cylinder flow whose normal transport makes a half turn per loop.
 
     In a frame rotating by phi/2 the transversal dynamics are diagonal,
@@ -500,17 +501,18 @@ def make_flip(stable_exponent: float = -0.35, eps0: float = -0.05,
         r0, r1 = rot.dot([rot.T.dot(x[1:])[0], 0.0]).tolist()
         return np.array([[0.0], [r0], [r1]])
 
-    family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac], name=name)
+    family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac],
+                               name="flip")
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(
         lambda e: [-math.exp(TWO_PI * e), -math.exp(TWO_PI * d2)])
-    return CatalogSystem(name, family, seed, oracle,
+    return CatalogSystem("flip", family, seed, oracle,
                          {"stable_exponent": d2, "eps0": eps0})
 
 
 def make_neimark(rotation: float = 0.18, damping: float = 1.0,
-                 eps0: float = -0.05, name: str = "neimark") -> CatalogSystem:
+                 eps0: float = -0.05) -> CatalogSystem:
     """Cylinder flow with a rotating transversal plane and cubic damping.
 
     u' = (eps - c |u|^2) u + w J u gives the multiplier pair
@@ -539,12 +541,13 @@ def make_neimark(rotation: float = 0.18, damping: float = 1.0,
     def ejac(x, eps):
         return np.array([[0.0], [x[1]], [x[2]]])
 
-    family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac], name=name)
+    family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac],
+                               name="neimark")
     seed = TorusSeed(1, lambda phi: np.array([phi[0], 0.0, 0.0]),
                      np.array([eps0]), angle_coords=(0,))
     oracle = CylinderOracle(
         lambda e: [np.exp(TWO_PI * (e + 1j * w)), np.exp(TWO_PI * (e - 1j * w))])
-    return CatalogSystem(name, family, seed, oracle,
+    return CatalogSystem("neimark", family, seed, oracle,
                          {"rotation": w, "damping": c, "eps0": eps0})
 
 

@@ -169,7 +169,7 @@ def _run_bifurcate(setup: RunSetup, options: dict):
     analysis = analyze_branch(
         family, seed, alpha, branch,
         circle_tol=options["circle_tol"], eps_tol=options["eps_tol"],
-        angle_tol=options["angle_tol"], tol=options["tol"],
+        angle_tol=options["angle_tol"],
         probe_offsets=options["probe_offsets"] or None,
         probe_options=probe_opts)
     results["events"] = [event_dict(ev) for ev in analysis.events]

@@ -107,19 +107,25 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
 
 
 @dataclass(frozen=True)
+class ContinuationOptions:
+    tol: float = DEFAULT_TOL
+    max_iter: int = 20
+    delta_min: float = 1e-6
+
+
+@dataclass(frozen=True)
 class ContinuationBranch:
+    """The accepted slices of a branch, why it ended, and what it was
+    solved with: ``options`` holds the corrector settings of every slice,
+    which the crossing refines of
+    :func:`~pnk.bifurcation.analyze_branch` reuse."""
+
     points: list  # one NewtonResult per accepted slice
     status: str  # "completed" | "stopped_at_critical" | "diverged"
     message: str
     alpha: np.ndarray
     frame: SectionFrame
-
-
-@dataclass(frozen=True)
-class ContinuationOptions:
-    tol: float = DEFAULT_TOL
-    max_iter: int = 20
-    delta_min: float = 1e-6
+    options: ContinuationOptions
 
 
 def checked_path(eps_path, eps0, p: int) -> list[np.ndarray]:
@@ -209,7 +215,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
             message = (f"margin {nr.dist_from_one:.3g} below delta_min "
                        f"{opts.delta_min:.3g} at eps={eps}")
             break
-    return ContinuationBranch(points, status, message, alpha, frame)
+    return ContinuationBranch(points, status, message, alpha, frame, opts)
 
 
 @dataclass(frozen=True)

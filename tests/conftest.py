@@ -23,8 +23,7 @@ def straight_sys(straight_spec):
 
 @pytest.fixture(scope="session")
 def straight_cubic_sys():
-    return make_straightened(StraightenedSpec((A1, A2), C, cubic=1.0),
-                             name="straightened-cubic")
+    return make_straightened(StraightenedSpec((A1, A2), C, cubic=1.0))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Multiplier tracking, crossing detection, classification and probes."""
 
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from pnk import (CASE_A, CASE_B, CASE_C, DEGENERATE,
 from pnk import bifurcation
 from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
+from pnk.cli import run_config
+from pnk.config import parse_config
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,14 +72,16 @@ class TestTrackMultipliers:
 
     def test_tie_reported_for_crossing_real_pair(self):
         # two real multipliers that meet and swap order triggers a tie
-        from pnk.continuation import ContinuationBranch, NewtonResult
+        from pnk.continuation import (ContinuationBranch,
+                                      ContinuationOptions, NewtonResult)
         eps_vals = [np.array([e]) for e in (0.0, 0.5, 1.0)]
         spectra = [np.array([0.4 + 0j, 0.6 + 0j]),
                    np.array([0.5 + 0j, 0.5 + 1e-14j]),
                    np.array([0.4 + 0j, 0.6 + 0j])]
         pts = [NewtonResult(e, np.zeros(2), None, s, 1.0 - s, 0, 0.0)
                for e, s in zip(eps_vals, spectra)]
-        branch = ContinuationBranch(pts, "completed", "", np.array([1]), None)
+        branch = ContinuationBranch(pts, "completed", "", np.array([1]), None,
+                                    ContinuationOptions())
         with pytest.warns(MatchingAmbiguityWarning):
             paths = track_multipliers(branch)
         assert paths.ambiguous_steps
@@ -95,13 +100,13 @@ class TestDetectCrossings:
         assert len(analysis.events) == 1
         ev = analysis.events[0]
         assert abs(ev.eps_critical[0]) <= 1e-6
-        assert ev.bracket.refined
+        assert ev.bracket.eps_hi[0] - ev.bracket.eps_lo[0] <= 1e-6
 
     def test_no_crossing_empty(self, straight_sys):
         branch = continue_branch(straight_sys.family, straight_sys.seed,
                                  [1, 0], _grid(0.0, 0.05, 5))
         paths = track_multipliers(branch)
-        assert detect_crossings(paths) == []
+        assert detect_crossings(paths, refine=_never) == []
 
     def test_two_crossings_in_order(self):
         # two controlled multipliers exp(2 pi (eps - c_i)) crossing at
@@ -191,6 +196,122 @@ class TestIllinoisRefinement:
         assert abs(analysis.events[0].eps_critical[0]) <= 1e-6
 
 
+def _never(eps):
+    raise AssertionError("refine called without a crossing")
+
+
+class TestBracketingRules:
+    """Which slices detect_crossings brackets, on synthetic paths whose
+    refine is analytic."""
+
+    @staticmethod
+    def _paths(eps, columns):
+        return MultiplierPaths([np.array([e]) for e in eps],
+                               np.array(columns, dtype=complex).T, [])
+
+    def test_slice_on_the_circle_is_bracketed_across(self):
+        # |mu| = 1 + eps at the slices -0.1, 0, 0.2
+        paths = self._paths([-0.1, 0.0, 0.2], [[0.9, 1.0, 1.2]])
+        calls = []
+
+        def refine(eps):
+            calls.append(float(eps[0]))
+            return np.array([1.0 + eps[0]], dtype=complex)
+
+        (bracket,) = detect_crossings(paths, refine=refine)
+        assert bracket.eps_lo[0] <= 0.0 <= bracket.eps_hi[0]
+        assert bracket.eps_hi[0] - bracket.eps_lo[0] <= 1e-6
+        # a bracket no wider than eps_tol gets one refine, at its midpoint:
+        # 0.05 for the bracket over both segments
+        calls.clear()
+        (bracket,) = detect_crossings(paths, refine=refine, eps_tol=1.0)
+        assert calls == [pytest.approx(0.05, abs=1e-15)]
+        assert bracket.mu_mid == pytest.approx(1.05)
+        np.testing.assert_allclose(bracket.spectrum_mid, [1.05])
+
+    def test_tangency_is_not_bracketed(self):
+        paths = self._paths([-0.1, 0.0, 0.1], [[0.9, 1.0, 0.9]])
+        assert detect_crossings(paths, refine=_never) == []
+
+    def test_conjugate_pair_bracketed_once_from_above(self):
+        # the pair r exp(+-0.7i), lower member listed first, r = 1 + eps
+        def pair(eps):
+            mu = (1.0 + eps) * np.exp(0.7j)
+            return np.array([np.conj(mu), mu])
+
+        eps = [-0.1, 0.1]
+        paths = self._paths(eps, np.array([pair(e) for e in eps]).T)
+        (bracket,) = detect_crossings(paths,
+                                      refine=lambda e: pair(float(e[0])))
+        for mu in (bracket.mu_lo, bracket.mu_hi, bracket.mu_mid):
+            assert mu.imag >= 0.0
+        assert abs(bracket.eps_mid[0]) <= 1e-6
+
+    def test_crossings_in_one_segment_in_parameter_order(self):
+        # path 0 crosses at 0.03 and path 1 at 0.01, both in [0, 0.05]
+        def spectrum(eps):
+            return np.array([1.0 + eps - 0.03, 1.0 + eps - 0.01],
+                            dtype=complex)
+
+        paths = self._paths([0.0, 0.05], spectrum(np.array([0.0, 0.05])))
+        first, second = detect_crossings(
+            paths, refine=lambda e: spectrum(float(e[0])))
+        assert first.eps_mid[0] == pytest.approx(0.01, abs=1e-6)
+        assert second.eps_mid[0] == pytest.approx(0.03, abs=1e-6)
+
+
+def _scan(tmp_path, system, num, **options):
+    """The report of a bifurcate run of a catalog system over
+    -0.05..0.05 in ``num`` slices."""
+    doc = {"system": {"name": system}, "analysis": "bifurcate",
+           "options": {"alpha": [1], **options,
+                       "eps_grid": {"start": [-0.05], "stop": [0.05],
+                                    "num": num}}}
+    report, code = run_config(parse_config(doc), tmp_path)
+    assert code == 0
+    return report
+
+
+class TestCrossingScans:
+    """Bifurcate runs whose crossing the grid puts on a slice, or inside
+    a bracket already narrower than eps_tol."""
+
+    @pytest.mark.parametrize("system, kind", [("flip", CASE_A),
+                                              ("neimark", CASE_C)])
+    def test_crossing_on_a_slice(self, tmp_path, system, kind):
+        # 11 slices put eps = 0, where |mu| = 1, on the grid
+        (event,) = _scan(tmp_path, system, 11)["results"]["events"]
+        assert event["kind"] == kind
+        assert abs(event["eps_critical"][0]) <= 1e-6
+
+    def test_bracket_within_eps_tol_is_refined(self, tmp_path):
+        (event,) = _scan(tmp_path, "flip", 12,
+                         eps_tol=0.5)["results"]["events"]
+        want = 1.0 - math.exp(-0.7 * math.pi)  # |mu| = exp(2 pi (-0.35))
+        assert event["split_margin"] == pytest.approx(want, abs=1e-6)
+
+    def test_max_iter_reaches_every_refine(self, tmp_path, monkeypatch):
+        from pnk import continuation
+        solve = continuation.newton_fixed_point
+        signature = inspect.signature(solve)
+        budgets = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            budgets.append(bound.arguments["max_iter"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_fixed_point", spy)
+        monkeypatch.setattr(bifurcation, "newton_fixed_point", spy)
+        (event,) = _scan(tmp_path, "flip", 12,
+                         max_iter=3)["results"]["events"]
+        assert event["kind"] == CASE_A
+        # 12 slices and the refines of the one crossing
+        assert len(budgets) > 12
+        assert set(budgets) == {3}
+
+
 class TestClassifyEvent:
     def test_flip_is_case_a(self, flip_branch):
         sysm, branch = flip_branch
@@ -221,7 +342,8 @@ class TestClassifyEvent:
     def test_resonant_rotation_flagged(self):
         mu = complex(math.cos(TWO_PI / 5), math.sin(TWO_PI / 5))
         br = CrossingBracket(np.array([-1e-7]), np.array([1e-7]),
-                             0.999 * mu, 1.001 * mu, mu_mid=mu)
+                             0.999 * mu, 1.001 * mu, mu_mid=mu,
+                             spectrum_mid=np.array([mu, np.conj(mu)]))
         ev = classify_event(br)
         assert ev.kind == CASE_C
         assert ev.resonant_warning

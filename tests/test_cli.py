@@ -230,9 +230,9 @@ class TestBranchTable:
         assert len(lines) == 5
 
     def test_empty_branch_rejected(self, straight_sys):
-        from pnk.continuation import ContinuationBranch
+        from pnk.continuation import ContinuationBranch, ContinuationOptions
         empty = ContinuationBranch([], "diverged", "nope", np.array([1, 0]),
-                                   None)
+                                   None, ContinuationOptions())
         with pytest.raises(ValueError):
             emit_branch_table(empty, "/tmp/never.csv")
 

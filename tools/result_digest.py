@@ -26,6 +26,11 @@ workload does: ``integrate_variational``, ``integrate_flow`` and the
 samples of ``integrate_flow(..., times=...)`` of the uncoupled
 oscillators at windings (1, 1) and (2, -1) and of a cubic straightened
 pair at (1, -1), each from a point off its seed torus.
+``crossing_scans`` holds the stripped reports of three bifurcate runs
+whose crossing no workload's grid places as they do: the flip and
+Neimark scans over -0.05..0.05 in 11 slices, where the crossing lies on
+a slice, and the 12-slice flip scan at ``eps_tol`` 0.5, where the
+bracket is already narrower than ``eps_tol``.
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
@@ -68,6 +73,7 @@ from pnk.flow import integrate_flow, integrate_variational  # noqa: E402
 from pnk.section import (build_section, transversal_map,  # noqa: E402
                          transversal_orbit)
 from pnkbench.workloads import PREPARE  # noqa: E402
+from tests.test_bifurcation import _scan  # noqa: E402
 from tests.test_section import _twisting_circle  # noqa: E402
 
 
@@ -220,6 +226,17 @@ def multi_member_loops():
     return out
 
 
+def crossing_scans():
+    """The stripped reports of the flip and Neimark scans in 11 slices
+    and of the flip scan in 12 slices at eps_tol 0.5."""
+    scans = [("flip", 11, {}), ("neimark", 11, {}),
+             ("flip", 12, {"eps_tol": 0.5})]
+    with tempfile.TemporaryDirectory() as tmp:
+        return [report.strip_volatile(_scan(Path(tmp) / str(i), system, num,
+                                            **options))
+                for i, (system, num, options) in enumerate(scans)]
+
+
 def digests(seed):
     """(case name, digest) of every case at the seed, in printing order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -227,7 +244,8 @@ def digests(seed):
             yield name, digest(workload_case(name, seed, Path(tmp)))
     cases = {**floquet_cases(seed), **return_cases(),
              "polynomial_kernels": lambda: polynomial_case(seed),
-             "multi_member_loops": multi_member_loops}
+             "multi_member_loops": multi_member_loops,
+             "crossing_scans": crossing_scans}
     for name, case in cases.items():
         yield name, digest(case())
 
