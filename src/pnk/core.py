@@ -38,12 +38,19 @@ _INT64 = np.iinfo(np.int64)
 _WINDING_RULE = "winding numbers must be integers within int64"
 
 
+def _finite(arr) -> bool:
+    """Whether every entry of the 1-D float array arr is finite, on
+    Python floats: a numpy reduction costs more than a chart's few
+    entries (as ``flow._check_state``)."""
+    return all(map(math.isfinite, arr.tolist()))
+
+
 def as_point(x, n: int | None = None) -> np.ndarray:
     """Validate and copy a chart point."""
     arr = np.array(x, dtype=float).reshape(-1)
     if n is not None and arr.size != n:
         raise ValueError(f"point has length {arr.size}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise ValueError("point has non-finite entries")
     return arr
 
@@ -53,7 +60,7 @@ def as_params(eps, p: int | None = None) -> np.ndarray:
     arr = np.array(eps, dtype=float).reshape(-1)
     if p is not None and arr.size != p:
         raise ValueError(f"parameter vector has length {arr.size}, expected {p}")
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise ValueError("parameter vector has non-finite entries")
     return arr
 

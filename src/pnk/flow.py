@@ -28,12 +28,14 @@ scipy module is imported; its end state, step count and samples are
 those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
 saves is the per-call wrapping: a stage calls the right-hand side,
 which writes c_0 X_0(x) into the stage's row and adds each further term
-c_i X_i(x) there (a plain field is one term at scale 1.0, exact); a
-variational stage sums the jacobians so into one n x n buffer and writes
-its product with M. A one-term stage thus costs the state check, a
-kernel call and a ufunc (variational: two of each and a dot). A state of
-any shape steps as its flat row-major form, seen by the right-hand side
-in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
+c_i X_i(x) there; a variational stage sums the jacobians so into one
+n x n buffer and writes its product with M. A plain field, one term at
+scale 1.0, is copied into the row (and the buffer), which gives the bits
+of the multiply by 1.0 for a float64 or float32 kernel. A one-term stage
+thus costs the state check, a kernel call and a ufunc or a copy
+(variational: two of each and a dot). A state of any shape steps as its
+flat row-major form, seen by the right-hand side in y0's shape
+([x; M] is one (n + 1, n) array). At pnk's chart sizes a
 numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
 so products are ``ndarray.dot`` calls into buffers, and the state check
 and the step-size controller work on Python floats. A ufunc takes no
@@ -54,8 +56,19 @@ epsilons, about 2.2e-14).
 
 An orbit sampled at many times is one :func:`integrate_flow` run with
 ``times``: the samples come from DOP853's dense output (its continuous
-extension, 7th order), which costs three extra field evaluations on each
-step that holds a sample, and the state check still sees every field
+extension, 7th order). A step that holds no sample time costs one float
+compare against the next pending time. A step that holds some costs
+three extra field evaluations, the interpolant's seven coefficient rows
+F and its Horner loop (``_dop853.dense_rows``). When a step holds
+exactly one time, as each step of a return-map orbit sampled at integer
+times does, F and the Horner loop run entry by entry on Python floats: a
+dot, a multiply and five ``tolist`` calls in place of some thirty numpy
+calls. Each entry takes the operations of the array form in its order,
+so its bits are those of ``dense_rows``; h D K stays one ``ndarray.dot``
+scaled by h, because a sum of products rewritten on floats would not
+keep BLAS's rounding. A step that holds several times, as a torus row's
+steps do, keeps the array form, which shares its calls among its times
+(lists were slower there). The state check still sees every field
 evaluation and every sample.
 
 Variational matrices are integrated jointly with the state (dimension
@@ -103,6 +116,11 @@ _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 # docstring on 0-d operands).
 _TWO = np.array(2.0)
 
+# Stage s's coefficients (s, A[s, :s], C[s]) of every stage after the
+# first, the step's and the dense output's.
+_TABLEAU = [(s, dop853.A[s, :s], float(dop853.C[s]))
+            for s in range(1, dop853.N_STAGES_EXTENDED)]
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -135,6 +153,15 @@ def _check_state(x):
 def _checked_rhs(field: Field, eps):
     """The field as an :func:`integrate` right-hand side that checks each
     state and writes the scaled sum of its terms into the stage row."""
+    if not field.members:  # one term at scale 1.0: a copy is exact
+        value = field.value
+
+        def rhs(_t, y, out):
+            _check_state(y)
+            out[...] = value(y, eps)
+
+        return rhs
+
     value, c0, rest = scaled_kernels(field.terms, "value")
 
     def rhs(_t, y, out):
@@ -235,12 +262,12 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     # the increment, state and error buffers serve every step of the run.
     K = np.empty((dop853.N_STAGES_EXTENDED, n))
     rows = K.reshape(K.shape[:1] + shape)
-    stages = [(K[:s].T, dop853.A[s, :s], float(dop853.C[s]), rows[s, ...])
-              for s in range(1, dop853.N_STAGES_EXTENDED)]
+    stages = [(K[:s].T, a, c, rows[s, ...]) for s, a, c in _TABLEAU]
     step_stages, extra_stages = stages[:_STAGES - 1], stages[_STAGES:]
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
     dy, y_stage, err5, err3 = np.empty((4, n))
     h_arr = np.empty(())  # h of the trial step, as a ufunc operand
+    hdk = np.empty((dop853.INTERPOLATOR_POWER - 3, n))  # h D K, one sample
     f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
 
     def step(t_old, y_old, h_abs):
@@ -287,7 +314,8 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
 
     def dense(t_old, y_old, y_new, h, at):
         """The dense output over the step just accepted, of size h (still
-        in h_arr), at the times at."""
+        in h_arr), at the several times at: the coefficient rows F and
+        the Horner loop of ``dense_rows``, on arrays."""
         charge(len(extra_stages))
         _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
                 y_shaped)
@@ -300,11 +328,43 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
         F[3:] = h_arr * dop853.D.dot(K)
         return dense_rows(t_old, h, y_old, F, at)
 
+    def dense_one(t_old, y_old, y_new, h, at):
+        """:func:`dense` at the one time at (a Python float), as a list:
+        each entry of F and of the Horner loop is computed on Python
+        floats with the operations of :func:`dense` and ``dense_rows`` in
+        their order, so its bits are theirs; h D K stays one dot."""
+        charge(len(extra_stages))
+        _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
+                y_shaped)
+        dop853.D.dot(K, out=hdk)
+        np.multiply(hdk, h_arr, out=hdk)
+        x = (at - t_old) / h
+        x1 = 1 - x
+        row = []
+        for y0, y1, k0, k1, f3, f4, f5, f6 in zip(
+                y_old.tolist(), y_new.tolist(), K[0].tolist(),
+                f_new.tolist(), *hdk.tolist()):
+            f0 = y1 - y0
+            f1 = h * k0 - f0
+            f2 = 2.0 * f0 - h * (k1 + k0)
+            y = (0.0 + f6) * x
+            y = (y + f5) * x1
+            y = (y + f4) * x
+            y = (y + f3) * x1
+            y = (y + f2) * x
+            y = (y + f1) * x1
+            y = (y + f0) * x
+            row.append(y + y0)
+        return row
+
     def initial_slope(s, x):  # select_initial_step's one call
         rhs(s, x, rows[1, ...])
         return rows[1, ...]
 
     steps, sampled, t_now = 0, 0, t0
+    # the times as Python floats, and the first not yet sampled
+    pending = [] if times is None else times.tolist()
+    next_time = pending[0] if pending else math.inf
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,14 +383,19 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
                 raise StepFailure(f"integration failed: {TOO_SMALL_STEP}")
             t_now, y, h, h_abs = accepted
             steps += 1
-            if times is None:
-                continue
             # a time equal to t_now is sampled on this step
-            sampled_new = np.searchsorted(times, t_now, side="right")
-            if sampled_new > sampled:
+            if t_now < next_time:
+                continue
+            if sampled + 1 == len(pending) or pending[sampled + 1] > t_now:
+                samples[sampled] = dense_one(t_old, y_old, y, h, next_time)
+                sampled += 1
+            else:
+                sampled_new = np.searchsorted(times, t_now, side="right")
                 samples[sampled:sampled_new] = dense(
                     t_old, y_old, y, h, times[sampled:sampled_new])
                 sampled = sampled_new
+            next_time = pending[sampled] if sampled < len(pending) \
+                else math.inf
     return FlowResult(y.reshape(shape), steps, None if times is None
                       else samples.reshape(times.shape + shape))
 
@@ -380,6 +445,13 @@ def integrate_variational(field: Field, x0, eps, t: float,
     jac, _, jacs = scaled_kernels(field.terms, "jacobian")
     jac_sum = np.empty((n, n))
 
+    def plain_rhs(_t, y, out):  # one term at scale 1.0: copies are exact
+        x = y[0]
+        _check_state(x)
+        out[0] = value(x, eps)
+        jac_sum[...] = jac(x, eps)
+        jac_sum.dot(y[1:], out=out[1:])
+
     def rhs(_t, y, out):
         x = y[0]
         _check_state(x)
@@ -392,7 +464,8 @@ def integrate_variational(field: Field, x0, eps, t: float,
             np.add(jac_sum, np.multiply(kernel(x, eps), c), out=jac_sum)
         jac_sum.dot(y[1:], out=out[1:])
 
-    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
+    run = integrate(rhs if field.members else plain_rhs,
+                    np.vstack([x0, np.eye(n)]), t, tol)
     end = run.endpoint[0]
     _check_state(end)
     return VariationalResult(end, run.endpoint[1:], run.steps_taken)

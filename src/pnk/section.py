@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_params, as_point,
-                   loop_field, wrap_angles)
+from .core import (RANK_TOL, TorusSeed, VectorFieldFamily, as_count,
+                   as_params, as_point, loop_field, wrap_angles)
 from .errors import (DegenerateTangent, NoConvergence, NonFinite, OpenLoop,
                      PnkError, SingularGeometry)
 from .flow import DEFAULT_TOL, TINY_TIME, integrate_flow, integrate_variational
@@ -280,7 +280,7 @@ def solve_return_times(family: VectorFieldFamily, y, eps, frame: SectionFrame,
     z = y
     for it in range(RETURN_MAX_ITER + 1):
         g = constraints @ (z - frame.base)
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm <= tol and (it == 0 or last_step <= tol):
             break
         if it == RETURN_MAX_ITER:
@@ -289,7 +289,7 @@ def solve_return_times(family: VectorFieldFamily, y, eps, frame: SectionFrame,
                 f"iterations (constraint residual {gnorm:.3g})")
         _, pairing = section_pairing(family, frame, z, eps)
         ds = -np.linalg.solve(pairing, g)
-        last_step = float(np.max(np.abs(ds)))
+        last_step = float(np.abs(ds).max())
         z, _ = _compose_legs(family, z, eps, ds, tol, False)
         s = s + ds
     var = None
@@ -372,7 +372,12 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
     :func:`transversal_map` does, so its failures propagate. A restarted
     run covers at most twice the iterates its predecessor kept, so a
     twisting system does not integrate the whole remainder per restart.
+    A count that is not an integer (see :func:`~pnk.core.as_count`) or
+    is negative raises ValueError; a count of 0 gives no iterates.
     """
+    count = as_count(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     eps = frame.eps if eps is None else as_params(eps, family.p)
     field = loop_field(family, alpha)
     x = frame.chart_point(u)
@@ -392,7 +397,7 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
                 if not kept:
                     raise
                 break
-            if kept and np.max(np.abs(ret.times)) > ORBIT_MAX_GROUP_TIME:
+            if kept and np.abs(ret.times).max() > ORBIT_MAX_GROUP_TIME:
                 break
             x = ret.endpoint
             iterates.append(frame.coords(x))

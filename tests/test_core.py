@@ -9,7 +9,7 @@ import pytest
 from pnk import (DegenerateTangent, TorusSeed, VectorFieldFamily, ZeroClass,
                  integrate_flow, lie_bracket, loop_field,
                  verify_commuting_family, verify_torus_invariance)
-from pnk.core import as_count, as_point, as_winding, wrap_angles
+from pnk.core import as_count, as_params, as_point, as_winding, wrap_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,6 +189,19 @@ class TestHelpers:
             as_point([1.0, np.inf])
         with pytest.raises(ValueError):
             as_point([1.0], n=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_and_params_refused(self, bad):
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            as_point([0.5, bad])
+        with pytest.raises(ValueError, match="^parameter vector has "
+                                             "non-finite entries$"):
+            as_params([bad], p=1)
+
+    def test_signed_zero_and_largest_values_kept(self):
+        x = np.array([-0.0, 1e308, -1e308])
+        assert as_point(x, 3).tobytes() == x.tobytes()
+        assert as_params(x).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("count", [8, np.int64(8), np.uint8(8)])
     def test_as_count_takes_python_and_numpy_integers(self, count):

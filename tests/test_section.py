@@ -196,6 +196,23 @@ class TestTransversalOrbit:
         assert orbit.runs == 1
         np.testing.assert_allclose(orbit.u, want, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("count, message", [
+        (5.5, "count must be an integer"), (2.0, "count must be an integer"),
+        (-3, "count must be nonnegative")])
+    def test_count_is_a_nonnegative_integer(self, count, message):
+        sysm = make_neimark()
+        frame = build_section(sysm.family, sysm.seed)
+        with pytest.raises(ValueError, match=message):
+            transversal_orbit(sysm.family, frame, [1], [0.1, 0.0], count,
+                              [0.04])
+
+    def test_zero_count_is_no_iterates(self):
+        sysm = make_neimark()
+        frame = build_section(sysm.family, sysm.seed)
+        orbit = transversal_orbit(sysm.family, frame, [1], [0.1, 0.0], 0,
+                                  [0.04])
+        assert orbit.u.shape == (0, 2) and orbit.runs == 0
+
     def test_twisting_orbit_restarts_and_matches(self):
         # the drift passes a quarter turn within a few loops; without the
         # restart the projection lands on the far side of the cycle
