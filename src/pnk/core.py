@@ -38,10 +38,10 @@ _INT64 = np.iinfo(np.int64)
 _WINDING_RULE = "winding numbers must be integers within int64"
 
 
-def _finite(arr) -> bool:
+def all_finite(arr) -> bool:
     """Whether every entry of the 1-D float array arr is finite, on
     Python floats: a numpy reduction costs more than a chart's few
-    entries (as ``flow._check_state``)."""
+    entries. The input checks here and flow's state check use it."""
     return all(map(math.isfinite, arr.tolist()))
 
 
@@ -50,7 +50,7 @@ def as_point(x, n: int | None = None) -> np.ndarray:
     arr = np.array(x, dtype=float).reshape(-1)
     if n is not None and arr.size != n:
         raise ValueError(f"point has length {arr.size}, expected {n}")
-    if not _finite(arr):
+    if not all_finite(arr):
         raise ValueError("point has non-finite entries")
     return arr
 
@@ -60,7 +60,7 @@ def as_params(eps, p: int | None = None) -> np.ndarray:
     arr = np.array(eps, dtype=float).reshape(-1)
     if p is not None and arr.size != p:
         raise ValueError(f"parameter vector has length {arr.size}, expected {p}")
-    if not _finite(arr):
+    if not all_finite(arr):
         raise ValueError("parameter vector has non-finite entries")
     return arr
 

@@ -28,14 +28,12 @@ scipy module is imported; its end state, step count and samples are
 those of ``solve_ivp(method="DOP853")``, bit for bit. What the loop
 saves is the per-call wrapping: a stage calls the right-hand side,
 which writes c_0 X_0(x) into the stage's row and adds each further term
-c_i X_i(x) there; a variational stage sums the jacobians so into one
-n x n buffer and writes its product with M. A plain field, one term at
-scale 1.0, is copied into the row (and the buffer), which gives the bits
-of the multiply by 1.0 for a float64 or float32 kernel. A one-term stage
-thus costs the state check, a kernel call and a ufunc or a copy
-(variational: two of each and a dot). A state of any shape steps as its
-flat row-major form, seen by the right-hand side in y0's shape
-([x; M] is one (n + 1, n) array). At pnk's chart sizes a
+c_i X_i(x) there (a plain field is one term at scale 1.0, exact); a
+variational stage sums the jacobians so into one n x n buffer and writes
+its product with M. A one-term stage thus costs the state check, a
+kernel call and a ufunc (variational: two of each and a dot). A state of
+any shape steps as its flat row-major form, seen by the right-hand side
+in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
 numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
 so products are ``ndarray.dot`` calls into buffers, and the state check
 and the step-size controller work on Python floats. A ufunc takes no
@@ -87,7 +85,7 @@ import numpy as np
 from . import _dop853 as dop853
 from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
                       dense_rows, select_initial_step)
-from .core import Field, as_params, as_point, scaled_kernels
+from .core import Field, all_finite, as_params, as_point, scaled_kernels
 from .errors import NonFinite, StepFailure
 
 # The method of every integration in pnk (flow and floquet), as reported.
@@ -144,24 +142,13 @@ class VariationalResult:
 
 def _check_state(x):
     """Raise NonFinite for a NaN or inf entry of the 1-D array x."""
-    # On Python floats: a numpy reduction costs more than the few entries
-    # of a chart state.
-    if not all(map(math.isfinite, x.tolist())):
+    if not all_finite(x):
         raise NonFinite("trajectory left the finite chart (inf/nan state)")
 
 
 def _checked_rhs(field: Field, eps):
     """The field as an :func:`integrate` right-hand side that checks each
     state and writes the scaled sum of its terms into the stage row."""
-    if not field.members:  # one term at scale 1.0: a copy is exact
-        value = field.value
-
-        def rhs(_t, y, out):
-            _check_state(y)
-            out[...] = value(y, eps)
-
-        return rhs
-
     value, c0, rest = scaled_kernels(field.terms, "value")
 
     def rhs(_t, y, out):
@@ -267,7 +254,9 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
     dy, y_stage, err5, err3 = np.empty((4, n))
     h_arr = np.empty(())  # h of the trial step, as a ufunc operand
-    hdk = np.empty((dop853.INTERPOLATOR_POWER - 3, n))  # h D K, one sample
+    # the dense output's coefficient rows; rows 3 on are h D K
+    F = np.empty((dop853.INTERPOLATOR_POWER, n))
+    hdk = F[3:]
     f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
 
     def step(t_old, y_old, h_abs):
@@ -312,32 +301,31 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
             rejected = True
         return None
 
-    def dense(t_old, y_old, y_new, h, at):
-        """The dense output over the step just accepted, of size h (still
-        in h_arr), at the several times at: the coefficient rows F and
-        the Horner loop of ``dense_rows``, on arrays."""
-        charge(len(extra_stages))
-        _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
-                y_shaped)
-        F = np.empty((dop853.INTERPOLATOR_POWER, n))
-        f_old = K[0]
-        delta_y = y_new - y_old
-        F[0] = delta_y
-        F[1] = h_arr * f_old - delta_y
-        F[2] = _TWO * delta_y - h_arr * (f_new + f_old)
-        F[3:] = h_arr * dop853.D.dot(K)
-        return dense_rows(t_old, h, y_old, F, at)
-
-    def dense_one(t_old, y_old, y_new, h, at):
-        """:func:`dense` at the one time at (a Python float), as a list:
-        each entry of F and of the Horner loop is computed on Python
-        floats with the operations of :func:`dense` and ``dense_rows`` in
-        their order, so its bits are theirs; h D K stays one dot."""
+    def extend(t_old, y_old, h):
+        """The dense output's 3 extra stages over the step just accepted,
+        of size h (still in h_arr), and h D K into hdk."""
         charge(len(extra_stages))
         _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
                 y_shaped)
         dop853.D.dot(K, out=hdk)
         np.multiply(hdk, h_arr, out=hdk)
+
+    def dense(t_old, y_old, y_new, h, at):
+        """The dense output over the step just accepted, after
+        :func:`extend`, at the several times at: F's first three rows and
+        the Horner loop of ``dense_rows``, on arrays."""
+        f_old = K[0]
+        delta_y = y_new - y_old
+        F[0] = delta_y
+        F[1] = h_arr * f_old - delta_y
+        F[2] = _TWO * delta_y - h_arr * (f_new + f_old)
+        return dense_rows(t_old, h, y_old, F, at)
+
+    def dense_one(t_old, y_old, y_new, h, at):
+        """:func:`dense` at the one time at (a Python float), as a list:
+        each entry of F's first three rows and of the Horner loop is
+        computed on Python floats with the operations of :func:`dense`
+        and ``dense_rows`` in their order, so its bits are theirs."""
         x = (at - t_old) / h
         x1 = 1 - x
         row = []
@@ -386,6 +374,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
             # a time equal to t_now is sampled on this step
             if t_now < next_time:
                 continue
+            extend(t_old, y_old, h)
             if sampled + 1 == len(pending) or pending[sampled + 1] > t_now:
                 samples[sampled] = dense_one(t_old, y_old, y, h, next_time)
                 sampled += 1
@@ -445,13 +434,6 @@ def integrate_variational(field: Field, x0, eps, t: float,
     jac, _, jacs = scaled_kernels(field.terms, "jacobian")
     jac_sum = np.empty((n, n))
 
-    def plain_rhs(_t, y, out):  # one term at scale 1.0: copies are exact
-        x = y[0]
-        _check_state(x)
-        out[0] = value(x, eps)
-        jac_sum[...] = jac(x, eps)
-        jac_sum.dot(y[1:], out=out[1:])
-
     def rhs(_t, y, out):
         x = y[0]
         _check_state(x)
@@ -464,8 +446,7 @@ def integrate_variational(field: Field, x0, eps, t: float,
             np.add(jac_sum, np.multiply(kernel(x, eps), c), out=jac_sum)
         jac_sum.dot(y[1:], out=out[1:])
 
-    run = integrate(rhs if field.members else plain_rhs,
-                    np.vstack([x0, np.eye(n)]), t, tol)
+    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
     end = run.endpoint[0]
     _check_state(end)
     return VariationalResult(end, run.endpoint[1:], run.steps_taken)

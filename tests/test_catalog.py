@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pnk.flow
-from pnk import (Field, NonCommuting, NonFinite, loop_field, monodromy_report,
+from pnk import (NonCommuting, NonFinite, loop_field, monodromy_report,
                  verify_commuting_family, verify_torus_invariance)
 from pnk.catalog import (HamiltonianPair, StraightenedSpec,
                          build_catalog_system, hamiltonian_field, make_flip,
@@ -578,41 +578,6 @@ class TestLoopFieldsKeepTheirBits:
                 want_row = value(x, eps)
                 want_rows[0] = want_row
                 jacobian(x, eps).dot(tangent, out=want_rows[1:])
-            assert _same_bits(row, want_row), (x, eps)
-            assert _same_bits(rows, want_rows), (x, eps)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_plain_field_copy_is_the_unit_scale(self, dtype, monkeypatch):
-        # a plain field's value and jacobian are copied into the stage
-        # row and the jacobian buffer: the bits of the earlier scaling by
-        # 1.0, for float64 and float32 kernels alike
-        rng = np.random.default_rng(5)
-        one = np.array(1.0)
-
-        def value(x, eps):
-            return (x * eps[0]).astype(dtype)
-
-        def jacobian(x, eps):
-            return np.outer(x, x).astype(dtype)
-
-        field = Field(3, 1, value, jacobian, lambda x, eps: np.zeros((3, 1)))
-        rhs_of = _capture_rhs(monkeypatch)
-        tangent = rng.standard_normal((3, 3))
-        points = _kernel_points(3) + [(np.array([1e-3, -0.0, 3e38]),
-                                       np.array([1.5]))]
-        for x, eps in points:
-            plain = rhs_of(integrate_flow, field, eps)
-            variational = rhs_of(integrate_variational, field, eps)
-            row, rows = np.empty(3), np.empty((4, 3))
-            want_row, want_rows, jac_sum = (np.empty(3), np.empty((4, 3)),
-                                            np.empty((3, 3)))
-            with np.errstate(over="ignore", invalid="ignore"):
-                plain(0.0, x, row)
-                variational(0.0, np.vstack([x, tangent]), rows)
-                np.multiply(value(x, eps), one, out=want_row)
-                np.multiply(value(x, eps), one, out=want_rows[0])
-                np.multiply(jacobian(x, eps), one, out=jac_sum)
-                jac_sum.dot(tangent, out=want_rows[1:])
             assert _same_bits(row, want_row), (x, eps)
             assert _same_bits(rows, want_rows), (x, eps)
 

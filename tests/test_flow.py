@@ -587,6 +587,7 @@ class TestOwnStepLoop:
         _, rows, held = self._dense_paths(
             monkeypatch, np.union1d(ends, np.linspace(0.0, 1.0, 2001)))
         assert held.min() >= 2
+        assert rows == held.tolist()
 
     def test_rejected_steps(self):
         y0 = np.array([2.0, 0.0])
