@@ -38,13 +38,13 @@ numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
 so products are ``ndarray.dot`` calls into buffers, and the state check
 and the step-size controller work on Python floats. A ufunc takes no
 Python float, though: the step size h, the scales c_i
-(:func:`~pnk.core.scaled_kernels`), the tolerances of the error scale and
-the dense output's 2 are 0-d float64 arrays. Under numpy 2's rules for
-Python scalars (NEP 50), ``np.multiply(dy, h, out=dy)`` on a 2-vector
-took 0.72 us at best with h a Python float, or a numpy float64 scalar,
-and 0.49 us with h a 0-d array (numpy 2.4.6, 2-vCPU Xeon). The multiply
-by the same double is the same, so each bit of a float64 kernel's row is
-too; a float32 kernel's result is scaled in float64, not in float32.
+(:func:`~pnk.core.scaled_kernels`) and the tolerances of the error scale
+are 0-d float64 arrays. Under numpy 2's rules for Python scalars (NEP
+50), ``np.multiply(dy, h, out=dy)`` on a 2-vector took 0.72 us at best
+with h a Python float, or a numpy float64 scalar, and 0.49 us with h a
+0-d array (numpy 2.4.6, 2-vCPU Xeon). The multiply by the same double
+is the same, so each bit of a float64 kernel's row is too; a float32
+kernel's result is scaled in float64, not in float32.
 A run takes one tolerance tol and steps at rtol = tol and atol = tol *
 ``ATOL_FACTOR`` = tol / 100, so the default tol = 1e-10 lands at the
 (1e-10, 1e-12) pair. Monodromy spectra downstream feed eigenvalue gaps,
@@ -56,18 +56,16 @@ An orbit sampled at many times is one :func:`integrate_flow` run with
 ``times``: the samples come from DOP853's dense output (its continuous
 extension, 7th order). A step that holds no sample time costs one float
 compare against the next pending time. A step that holds some costs
-three extra field evaluations, the interpolant's seven coefficient rows
-F and its Horner loop (``_dop853.dense_rows``). When a step holds
-exactly one time, as each step of a return-map orbit sampled at integer
-times does, F and the Horner loop run entry by entry on Python floats: a
-dot, a multiply and five ``tolist`` calls in place of some thirty numpy
-calls. Each entry takes the operations of the array form in its order,
-so its bits are those of ``dense_rows``; h D K stays one ``ndarray.dot``
-scaled by h, because a sum of products rewritten on floats would not
-keep BLAS's rounding. A step that holds several times, as a torus row's
-steps do, keeps the array form, which shares its calls among its times
-(lists were slower there). The state check still sees every field
-evaluation and every sample.
+three extra field evaluations and h D K, one ``ndarray.dot`` scaled by
+h (a sum of products rewritten on floats would not keep BLAS's
+rounding); then, on Python floats, each entry's other three
+coefficients once and scipy's Horner loop once per held time, each
+with scipy's operations in scipy's order, so every sample's bits are
+those of ``solve_ivp``'s ``sol``. At pnk's chart sizes this costs a few
+microseconds for a step that holds one or two times, as each step of a
+return-map orbit sampled at integer times does, and grows with the
+times a step holds (a torus row's steps hold dozens). The state check
+still sees every field evaluation and every sample.
 
 Variational matrices are integrated jointly with the state (dimension
 n + n^2) rather than by differencing repeated flows: differencing a
@@ -78,13 +76,14 @@ inherits the step control.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _dop853 as dop853
 from ._dop853 import (MAX_FACTOR, MIN_FACTOR, SAFETY, TOO_SMALL_STEP,
-                      dense_rows, select_initial_step)
+                      select_initial_step)
 from .core import Field, all_finite, as_params, as_point, scaled_kernels
 from .errors import NonFinite, StepFailure
 
@@ -109,10 +108,6 @@ TINY_TIME = 1e-14
 _STAGES = dop853.N_STAGES
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
-
-# The dense output's factor 2, as a ufunc operand (see the module
-# docstring on 0-d operands).
-_TWO = np.array(2.0)
 
 # Stage s's coefficients (s, A[s, :s], C[s]) of every stage after the
 # first, the step's and the dense output's.
@@ -234,7 +229,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
                 and times[-1] <= t_bound and (np.diff(times) > 0).all()):
             raise ValueError("sample times need a positive t and must be "
                              "finite, strictly increasing and in [0, t]")
-        samples = np.empty((times.size, n))
+        samples = np.empty(times.size * n)  # flat, time by time
     calls = 0
 
     def charge(count):  # before a batch of count rhs calls runs
@@ -254,9 +249,8 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
     dy, y_stage, err5, err3 = np.empty((4, n))
     h_arr = np.empty(())  # h of the trial step, as a ufunc operand
-    # the dense output's coefficient rows; rows 3 on are h D K
-    F = np.empty((dop853.INTERPOLATOR_POWER, n))
-    hdk = F[3:]
+    # the dense output's coefficient rows 3 on, h D K
+    hdk = np.empty((dop853.INTERPOLATOR_POWER - 3, n))
     f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
 
     def step(t_old, y_old, h_abs):
@@ -312,38 +306,26 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
 
     def dense(t_old, y_old, y_new, h, at):
         """The dense output over the step just accepted, after
-        :func:`extend`, at the several times at: F's first three rows and
-        the Horner loop of ``dense_rows``, on arrays."""
-        f_old = K[0]
-        delta_y = y_new - y_old
-        F[0] = delta_y
-        F[1] = h_arr * f_old - delta_y
-        F[2] = _TWO * delta_y - h_arr * (f_new + f_old)
-        return dense_rows(t_old, h, y_old, F, at)
-
-    def dense_one(t_old, y_old, y_new, h, at):
-        """:func:`dense` at the one time at (a Python float), as a list:
-        each entry of F's first three rows and of the Horner loop is
-        computed on Python floats with the operations of :func:`dense`
-        and ``dense_rows`` in their order, so its bits are theirs."""
-        x = (at - t_old) / h
-        x1 = 1 - x
-        row = []
+        :func:`extend`, at the times at (Python floats), as one flat list
+        of their states in turn: each entry's coefficients once, then the
+        Horner loop of scipy's ``Dop853DenseOutput._call_impl`` per time,
+        all on Python floats with scipy's operations in scipy's order."""
+        coefficients = []
         for y0, y1, k0, k1, f3, f4, f5, f6 in zip(
                 y_old.tolist(), y_new.tolist(), K[0].tolist(),
                 f_new.tolist(), *hdk.tolist()):
             f0 = y1 - y0
-            f1 = h * k0 - f0
-            f2 = 2.0 * f0 - h * (k1 + k0)
-            y = (0.0 + f6) * x
-            y = (y + f5) * x1
-            y = (y + f4) * x
-            y = (y + f3) * x1
-            y = (y + f2) * x
-            y = (y + f1) * x1
-            y = (y + f0) * x
-            row.append(y + y0)
-        return row
+            coefficients.append((y0, f0, h * k0 - f0,
+                                 2.0 * f0 - h * (k1 + k0), f3, f4, f5, f6))
+        xs = []
+        for s in at:
+            x = (s - t_old) / h
+            xs.append((x, 1 - x))
+        # from 0, y = (y + f) * x, then * x1, and so on, f6 down to f0
+        return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2)
+                  * x + f1) * x1 + f0) * x + y0
+                for x, x1 in xs
+                for y0, f0, f1, f2, f3, f4, f5, f6 in coefficients]
 
     def initial_slope(s, x):  # select_initial_step's one call
         rhs(s, x, rows[1, ...])
@@ -375,14 +357,10 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
             if t_now < next_time:
                 continue
             extend(t_old, y_old, h)
-            if sampled + 1 == len(pending) or pending[sampled + 1] > t_now:
-                samples[sampled] = dense_one(t_old, y_old, y, h, next_time)
-                sampled += 1
-            else:
-                sampled_new = np.searchsorted(times, t_now, side="right")
-                samples[sampled:sampled_new] = dense(
-                    t_old, y_old, y, h, times[sampled:sampled_new])
-                sampled = sampled_new
+            held = bisect_right(pending, t_now, sampled)
+            samples[sampled * n:held * n] = dense(t_old, y_old, y, h,
+                                                  pending[sampled:held])
+            sampled = held
             next_time = pending[sampled] if sampled < len(pending) \
                 else math.inf
     return FlowResult(y.reshape(shape), steps, None if times is None

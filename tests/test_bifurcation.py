@@ -542,6 +542,17 @@ class TestPostcriticalProbe:
             assert not probe.two_cycles
             assert probe.circle.mean_radius == pytest.approx(0.2, rel=0.05)
 
+    def test_seed_amplitudes_closed_form(self):
+        # g(s) = (lam - 1) s + q s^2 + c s^3 through g(+-h): the nonzero
+        # roots of 0.02 + 0.1 s - s^2 are s = 0.2 and s = -0.1
+        lam, q, c, h = 1.02, 0.1, -1.0, 0.5
+
+        def g(s):
+            return (lam - 1.0) * s + q * s ** 2 + c * s ** 3
+
+        got = bifurcation._seed_amplitudes(lam, g(h), g(-h), h)
+        np.testing.assert_allclose(got, [0.2, -0.1], rtol=0, atol=1e-12)
+
     @staticmethod
     def _patch_seeds(monkeypatch, change):
         """Let the seed fit return change(amplitudes) for the amplitudes

@@ -364,6 +364,55 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"]["type"] == "NothingFound"
 
+    def test_failed_invariance_is_3(self, tmp_path):
+        # the Hopf cycle has radius sqrt(0.1): a circle of radius 0.5 is
+        # not invariant, while the family still commutes
+        doc = _hopf_config("verify", {})
+        doc["torus"] = {"kind": "circle", "center": [0.0, 0.0],
+                        "radius": 0.5, "plane": [0, 1], "eps0": [0.1]}
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"] is None
+        assert rep["results"]["commutation"]["passed"]
+        assert not rep["results"]["invariance"]["passed"]
+
+    def test_bifurcate_on_one_slice_is_3(self, tmp_path):
+        # a margin of 0.27 is below delta_min on the first slice, so the
+        # branch stops there and leaves no multiplier path to scan
+        grid = {"start": [-0.05], "stop": [0.05], "num": 11}
+        doc = self._pitchfork_grid("bifurcate", grid)
+        doc["options"]["delta_min"] = 10
+        path = _write(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"] is None
+        assert rep["results"]["branch"]["n_points"] == 1
+        assert rep["results"]["events"] == []
+        assert "probes" not in rep["results"]
+        rows = (out / "branch.csv").read_text().strip().splitlines()
+        assert len(rows) == 2
+
+    def test_open_torus_reports_its_defect(self, tmp_path):
+        # no reconstruction closes to 1e-300; the error block carries the
+        # defect that the same run reports when it passes
+        doc = _hopf_config("torus", {"alpha": [1], "eps": [0.15],
+                                     "grid_per_angle": 8})
+        out = tmp_path / "o0"
+        assert main(["run", str(_write(tmp_path, doc)), "--out",
+                     str(out)]) == 0
+        defect = json.loads((out / "report.json").read_text())[
+            "results"]["closure_defect"]
+        doc["options"]["closure_tol"] = 1e-300
+        out = tmp_path / "o3"
+        assert main(["run", str(_write(tmp_path, doc)), "--out",
+                     str(out)]) == 3
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["type"] == "OpenTorus"
+        assert error["closure_defect"] == defect > 0
+
     @staticmethod
     def _verify_out_of_range(case):
         if case == "commutation":

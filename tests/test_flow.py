@@ -277,18 +277,11 @@ class _ScalarOperandSpy:
 def test_stepping_ufuncs_take_no_python_scalar(monkeypatch):
     """The step size, the loop scales and the tolerances reach flow's
     ufuncs as 0-d arrays, which numpy 2 takes faster than Python floats
-    for the same bits. The spy sees both dense-output paths: the first
-    Neimark orbit has one step that holds two times (dense_rows), the
-    second holds one time per step (the one-sample path)."""
+    for the same bits. The spy sees the dense output on a step that holds
+    two times (the first Neimark orbit) and on steps that hold one time
+    each (the second)."""
     spy = _ScalarOperandSpy()
     monkeypatch.setattr(pnk.flow, "np", spy)
-    several = []
-
-    def recorded(t_old, h, y_old, F, at):
-        several.append(len(at))
-        return pnk._dop853.dense_rows(t_old, h, y_old, F, at)
-
-    monkeypatch.setattr(pnk.flow, "dense_rows", recorded)
     hopf, neimark = make_hopf(1.0, 0.1), make_neimark()
     oscillators = make_uncoupled_oscillators()
     integrate_variational(loop_field(hopf.family, [1]), hopf.seed.base_point,
@@ -305,7 +298,6 @@ def test_stepping_ufuncs_take_no_python_scalar(monkeypatch):
     integrate_flow(loop_field(oscillators.family, [2, -1]),
                    oscillators.seed.base_point, oscillators.seed.eps0, 1.0)
     assert orbit.samples.shape == single.samples.shape == (3, neimark.family.n)
-    assert several == [2]
     assert spy.seen == []
 
 
@@ -542,52 +534,39 @@ class TestOwnStepLoop:
         ref = self._scipy(returned, y0, 1.0, dense_output=True)
         assert np.array_equal(ours.samples, ref.sol(inner).T)
 
-    def _dense_paths(self, monkeypatch, times):
-        """A sampled Hopf run, the scipy runs it must equal and the number
-        of times in each dense_rows call: a step that holds one time
-        takes the Python-float path, which calls no dense_rows."""
+    def _dense_run(self, times):
+        """A sampled Hopf run checked against scipy's t_eval run and its
+        dense output, and the number of times each of its steps holds."""
         returned, written, y0 = _hopf_variational()
-        rows = []
-
-        def recorded(t_old, h, y_old, F, at):
-            rows.append(len(at))
-            return pnk._dop853.dense_rows(t_old, h, y_old, F, at)
-
-        monkeypatch.setattr(pnk.flow, "dense_rows", recorded)
         ours, ref = self._sampled(written, returned, y0, 1.0, times)
         dense = self._scipy(returned, y0, 1.0, dense_output=True)
         assert np.array_equal(ours.samples, dense.sol(times).T)
         assert ours.steps_taken == len(dense.t) - 1
         # the step that holds each time: the first step ending at or after it
         holder = np.searchsorted(dense.t[1:], times, side="left")
-        return ours, rows, np.bincount(holder, minlength=ours.steps_taken)
+        return ours, np.bincount(holder, minlength=ours.steps_taken)
 
-    def test_one_time_per_step(self, monkeypatch):
+    def test_one_time_per_step(self):
         # 0.1 apart, where no step is longer than 0.05: t = 0 and ten
         # more, each alone on its step
-        ours, rows, held = self._dense_paths(monkeypatch,
-                                             np.linspace(0.0, 1.0, 11))
+        ours, held = self._dense_run(np.linspace(0.0, 1.0, 11))
         assert held.max() == 1 and held.sum() == 11
-        assert rows == []
         assert ours.samples[0].tobytes() == _hopf_variational()[2].tobytes()
 
-    def test_several_times_on_every_step(self, monkeypatch):
-        times = np.linspace(0.0, 1.0, 2001)
-        _, rows, held = self._dense_paths(monkeypatch, times)
+    def test_several_times_on_every_step(self):
+        _, held = self._dense_run(np.linspace(0.0, 1.0, 2001))
         assert held.min() >= 2
-        assert rows == held.tolist()
 
-    def test_times_at_step_ends(self, monkeypatch):
+    def test_times_at_step_ends(self):
         # each step alone holds its end time (x = 1), then each holds its
         # end among others
         returned, _, y0 = _hopf_variational()
         ends = self._scipy(returned, y0, 1.0).t[1:]
-        _, rows, held = self._dense_paths(monkeypatch, ends)
-        assert held.max() == 1 and rows == []
-        _, rows, held = self._dense_paths(
-            monkeypatch, np.union1d(ends, np.linspace(0.0, 1.0, 2001)))
+        _, held = self._dense_run(ends)
+        assert held.max() == 1
+        _, held = self._dense_run(
+            np.union1d(ends, np.linspace(0.0, 1.0, 2001)))
         assert held.min() >= 2
-        assert rows == held.tolist()
 
     def test_rejected_steps(self):
         y0 = np.array([2.0, 0.0])

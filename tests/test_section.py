@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pnk import (DegenerateTangent, OpenLoop, TorusSeed, VectorFieldFamily,
-                 basepoint_spectrum_check, build_section, monodromy_report,
-                 total_monodromy, transversal_linearization, transversal_map)
+import pnk.section
+from pnk import (DegenerateTangent, NoConvergence, OpenLoop, TorusSeed,
+                 VectorFieldFamily, basepoint_spectrum_check, build_section,
+                 monodromy_report, total_monodromy, transversal_linearization,
+                 transversal_map)
 from pnk.catalog import make_flip, make_neimark
 from pnk.section import transversal_orbit
 from pnk.spectra import match_distance, sorted_complex
@@ -223,6 +225,46 @@ class TestTransversalOrbit:
         want = _iterated_maps(fam, frame, u, 12)
         assert orbit.runs > 1
         np.testing.assert_allclose(orbit.u, want, rtol=0, atol=1e-8)
+
+    @staticmethod
+    def _failing_projections(monkeypatch, failing):
+        """Make the return-time solves numbered in ``failing`` (from 1)
+        raise NoConvergence; the others run as before."""
+        solve, calls = pnk.section.solve_return_times, [0]
+
+        def flaky(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] in failing:
+                raise NoConvergence("return-time solve failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pnk.section, "solve_return_times", flaky)
+
+    def test_failed_projection_restarts_the_run(self, monkeypatch):
+        # the 3rd sample's projection fails, so the run keeps 2 iterates
+        # and a second run from the 2nd takes the other 3
+        sysm = make_neimark()
+        frame = build_section(sysm.family, sysm.seed)
+        u = np.array([0.05, 0.0])
+        want = transversal_orbit(sysm.family, frame, [1], u, 5, [0.04])
+        assert want.runs == 1
+        self._failing_projections(monkeypatch, {3})
+        orbit = transversal_orbit(sysm.family, frame, [1], u, 5, [0.04])
+        assert orbit.runs == 2 and orbit.u.shape == (5, 2)
+        assert orbit.u[:2].tobytes() == want.u[:2].tobytes()
+        np.testing.assert_allclose(orbit.u, want.u, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("failing", [{1}, {3, 4}],
+                             ids=["first-run", "restarted-run"])
+    def test_failed_first_sample_raises(self, monkeypatch, failing):
+        # a run's first sample is projected as transversal_map projects
+        # its image, so its failure is the orbit's
+        sysm = make_neimark()
+        frame = build_section(sysm.family, sysm.seed)
+        self._failing_projections(monkeypatch, failing)
+        with pytest.raises(NoConvergence, match="return-time solve failed"):
+            transversal_orbit(sysm.family, frame, [1], [0.05, 0.0], 5,
+                              [0.04])
 
     def test_double_winding_map_is_map_twice(self):
         sysm = make_flip()
