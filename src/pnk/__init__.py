@@ -34,8 +34,7 @@ from .floquet import (FloquetDecomposition, ForcedResponse, FundamentalMatrix,
                       LinearizedCoefficients, block_spectrum_check,
                       extract_linearization, floquet_decompose,
                       forced_response, fundamental_matrix)
-from .flow import (FlowResult, VariationalResult, integrate_flow,
-                   integrate_variational)
+from .flow import FlowResult, integrate_flow, integrate_variational
 from .section import (BasePointCheck, MonodromyReport, ReturnSolve,
                       SectionFrame, TransversalMapResult,
                       basepoint_spectrum_check, build_section,

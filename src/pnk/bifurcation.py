@@ -603,7 +603,12 @@ def analyze_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     branch points nearest that parameter. For each entry of
     ``probe_offsets``, a probe runs at that distance from eps_critical
     toward the bracket end whose critical multiplier has |mu| > 1.
+    An ``alpha`` other than ``branch.alpha`` raises ValueError.
     """
+    alpha = as_winding(alpha, family.k)
+    if not np.array_equal(alpha, branch.alpha):
+        raise ValueError(f"winding {alpha.tolist()} is not the branch's "
+                         f"winding {branch.alpha.tolist()}")
     paths = track_multipliers(branch)
     frame = branch.frame
     pts = branch.points

@@ -214,6 +214,21 @@ _PIPELINES = {
 }
 
 
+def _failure_line(report: dict) -> str:
+    """Why a run exited 3 with no error named, read from its report."""
+    results = report["results"]
+    if "branch" in results:
+        branch = results["branch"]
+        line = f"branch {branch['status']}: {branch['message']}"
+        if report["analysis"] == "bifurcate" and branch["n_points"] < 2:
+            line += f"; bifurcate needs 2 slices to scan, got {branch['n_points']}"
+        return line
+    invariance = results["invariance"]
+    return (f"torus not invariant: normal residual "
+            f"{invariance['max_normal_residual']:.3g} exceeds tol "
+            f"{invariance['tol']:.3g}")
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -322,6 +337,8 @@ def main(argv=None) -> int:
     if report.get("error"):
         print(f"{report['error']['type']}: {report['error']['message']}",
               file=sys.stderr)
+    elif code == EXIT_NUMERICAL:
+        print(_failure_line(report), file=sys.stderr)
     log.info("run finished with exit code %d, report in %s", code,
              out_dir / "report.json")
     return code

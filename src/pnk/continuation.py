@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .core import (TorusSeed, VectorFieldFamily, as_count, as_params,
-                   loop_field, wrap_angles)
+                   as_winding, loop_field, wrap_angles)
 from .errors import NoConvergence, OpenTorus, PnkError, SingularJacobian
 from .flow import DEFAULT_TOL, integrate_flow
 from .section import SectionFrame, build_section, transversal_map
@@ -194,7 +194,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     path = checked_path(eps_path, seed.eps0, family.p)
     if frame is None:
         frame = build_section(family, seed)
-    alpha = np.asarray(alpha).reshape(-1)
+    alpha = as_winding(alpha, family.k)
 
     points: list[NewtonResult] = []
     status, message = "completed", ""

@@ -33,10 +33,6 @@ RANK_TOL = 1e-10
 # Angle step of the difference stencil for torus embedding tangents.
 EMBED_STEP = 1e-4
 
-# The integer type windings are stored in.
-_INT64 = np.iinfo(np.int64)
-_WINDING_RULE = "winding numbers must be integers within int64"
-
 
 def all_finite(arr) -> bool:
     """Whether every entry of the 1-D float array arr is finite, on
@@ -75,25 +71,15 @@ def as_count(value, name: str) -> int:
 
 def as_winding(alpha, k: int | None = None) -> np.ndarray:
     """Validate an integer winding vector (homotopy class), stored as
-    int64. NaN, inf, a fraction or a value outside int64 raises
-    ValueError before the cast, which would wrap it."""
+    int64. Its entries must be Python or numpy integers within int64, as
+    :func:`as_count` takes counts: anything else, a float such as 2.0 or
+    a bool too, raises ValueError."""
     arr = np.asarray(alpha)
-    if np.issubdtype(arr.dtype, np.unsignedinteger):
-        if not np.all(arr <= _INT64.max):
-            raise ValueError(_WINDING_RULE)
-    elif not np.issubdtype(arr.dtype, np.integer):
-        try:
-            rounded = np.rint(np.asarray(arr, dtype=float))
-        except OverflowError:  # a Python int beyond every float
-            raise ValueError(_WINDING_RULE) from None
-        if not np.all((rounded >= _INT64.min) & (rounded < -_INT64.min)):
-            raise ValueError(_WINDING_RULE)  # also NaN and inf
-        cast = rounded.astype(int)
-        # exact, also for a Python int beyond int64 that rounded into it
-        if not np.all(arr == cast):
-            raise ValueError(_WINDING_RULE)
-        arr = cast
-    arr = arr.reshape(-1).astype(int)
+    kind = arr.dtype.kind
+    if arr.size and not (kind == "i" or kind == "u"
+                         and np.all(arr <= np.iinfo(np.int64).max)):
+        raise ValueError("winding numbers must be integers within int64")
+    arr = arr.reshape(-1).astype(np.int64)
     if k is not None and arr.size != k:
         raise ValueError(f"winding vector has length {arr.size}, expected {k}")
     return arr

@@ -327,7 +327,6 @@ class BlockSpectrumReport:
     spectrum: np.ndarray
     expected: np.ndarray
     max_distance: float
-    tol: float
     passed: bool
 
 
@@ -351,4 +350,4 @@ def block_spectrum_check(Ahat0, Bhat0, tol: float = 1e-10) -> BlockSpectrumRepor
     expected = spectra.sorted_complex(
         np.concatenate([np.linalg.eigvals(a), np.zeros(p, dtype=complex)]))
     dist = spectra.match_distance(spectrum, expected)
-    return BlockSpectrumReport(spectrum, expected, dist, tol, dist <= tol)
+    return BlockSpectrumReport(spectrum, expected, dist, dist <= tol)

@@ -5,17 +5,14 @@ tolerances, and nothing of tori.
 
 :func:`integrate` is the one integration routine of pnk: it serves
 flows and their orbit samples, variational flows, the Floquet frame
-transport, fundamental matrices and forced responses. A run may make at
-most ``MAX_EVALS`` = 100,000 right-hand-side calls, charged per batch of
-stages before it runs, so a stiff or non-finite field raises
-:class:`~pnk.errors.StepFailure` instead of stepping on. A run whose step
-size collapses raises :class:`~pnk.errors.NonFinite` when the last state
-it accepted is not finite, :class:`~pnk.errors.StepFailure` otherwise.
-
-A run returns one record, :class:`FlowResult`: the state at its end time
-t, the number of accepted steps and, for times named before the run, one
-sample per time. Sample times are finite, strictly increasing and within
-[0, t], with t > 0; :func:`integrate` refuses any others.
+transport, fundamental matrices and forced responses, and returns one
+record, :class:`FlowResult` (with the ``tangent`` of a variational run).
+A run may make at most ``MAX_EVALS`` = 100,000 right-hand-side calls,
+charged per batch of stages before it runs, so a stiff or non-finite
+field raises :class:`~pnk.errors.StepFailure` instead of stepping on.
+The right-hand sides of :func:`integrate_flow` and
+:func:`integrate_variational` refuse a state that is not finite; each
+step evaluates its end state, so that check covers a run's end too.
 
 The stepper is DOP853, the explicit Dormand-Prince Runge-Kutta 8(5,3)
 pair (Hairer, Norsett and Wanner, *Solving Ordinary Differential
@@ -118,21 +115,14 @@ _TABLEAU = [(s, dop853.A[s, :s], float(dop853.C[s]))
 @dataclass(frozen=True)
 class FlowResult:
     """What a run returns: the state ``endpoint`` at time t, the number of
-    accepted steps and ``samples``, one state per requested time (None
-    when no times were requested), all in the start state's shape."""
+    accepted steps, ``samples``, one state per requested time (None when
+    no times were requested), all in the start state's shape, and the
+    ``tangent`` M(t) of a variational run (None for any other run)."""
 
     endpoint: np.ndarray
     steps_taken: int
     samples: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class VariationalResult:
-    """Flow endpoint together with the derivative of the time-t map."""
-
-    endpoint: np.ndarray
-    tangent: np.ndarray
-    steps_taken: int
+    tangent: np.ndarray | None = None
 
 
 def _check_state(x):
@@ -390,14 +380,13 @@ def integrate_flow(field: Field, x0, eps, t: float, tol: float = DEFAULT_TOL,
         return FlowResult(x0.copy(), 0)
 
     run = integrate(_checked_rhs(field, eps), x0, t, tol, times)
-    _check_state(run.endpoint)
     if times is not None:
         _check_state(run.samples.ravel())
     return run
 
 
 def integrate_variational(field: Field, x0, eps, t: float,
-                          tol: float = DEFAULT_TOL) -> VariationalResult:
+                          tol: float = DEFAULT_TOL) -> FlowResult:
     """Flow the state jointly with M' = DX(x(t)) M, M(0) = I.
 
     The returned ``tangent`` is the derivative of the time-t flow map at
@@ -406,7 +395,7 @@ def integrate_variational(field: Field, x0, eps, t: float,
     x0, eps = _checked_start(field, x0, eps, t, tol)
     n = field.n
     if abs(t) < TINY_TIME:
-        return VariationalResult(x0.copy(), np.eye(n), 0)
+        return FlowResult(x0.copy(), 0, tangent=np.eye(n))
 
     value, c0, values = scaled_kernels(field.terms, "value")
     jac, _, jacs = scaled_kernels(field.terms, "jacobian")
@@ -425,6 +414,5 @@ def integrate_variational(field: Field, x0, eps, t: float,
         jac_sum.dot(y[1:], out=out[1:])
 
     run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
-    end = run.endpoint[0]
-    _check_state(end)
-    return VariationalResult(end, run.endpoint[1:], run.steps_taken)
+    return FlowResult(run.endpoint[0], run.steps_taken,
+                      tangent=run.endpoint[1:])

@@ -127,10 +127,7 @@ def build_section(family: VectorFieldFamily, seed: TorusSeed,
 
 
 def _loop_variational(family, seed, alpha, m, tol):
-    """Time-one variational flow of the loop field; returns (A, defect).
-
-    Raises :class:`OpenLoop` when the closure defect exceeds 10 * tol.
-    """
+    """(A, closure defect) of :func:`total_monodromy`."""
     m = seed.base_point if m is None else as_point(m, family.n)
     closure_tol = 10.0 * tol
     field = loop_field(family, alpha)
@@ -225,14 +222,13 @@ def _compose_legs(family, y, eps, times, tol, with_variational):
     """Flow y under the generators for the given times, composing in order."""
     z = y
     var = np.eye(family.n) if with_variational else None
+    leg = integrate_variational if with_variational else integrate_flow
     for i, s in enumerate(times):
         if abs(s) < TINY_TIME:
             continue
+        res = leg(family.member(i), z, eps, float(s), tol)
         if with_variational:
-            res = integrate_variational(family.member(i), z, eps, float(s), tol)
             var = res.tangent @ var
-        else:
-            res = integrate_flow(family.member(i), z, eps, float(s), tol)
         z = res.endpoint
     return z, var
 
@@ -304,8 +300,6 @@ class TransversalMapResult:
 
     u: np.ndarray
     endpoint: np.ndarray
-    return_times: np.ndarray
-    iterations: int
     jacobian: np.ndarray | None = None
 
 
@@ -328,24 +322,19 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     eps = frame.eps if eps is None else as_params(eps, family.p)
     u = np.asarray(u, dtype=float).reshape(-1)
     x = frame.chart_point(u)
-    field = loop_field(family, alpha)
-    if with_jacobian:
-        flow_res = integrate_variational(field, x, eps, 1.0, tol)
-        y = flow_res.endpoint
-    else:
-        flow_res = None
-        y = integrate_flow(field, x, eps, 1.0, tol).endpoint
-    ret = solve_return_times(family, y, eps, frame, tol, with_jacobian)
+    flow = integrate_variational if with_jacobian else integrate_flow
+    run = flow(loop_field(family, alpha), x, eps, 1.0, tol)
+    ret = solve_return_times(family, run.endpoint, eps, frame, tol,
+                             with_jacobian)
     z = ret.endpoint
-    u_out = frame.coords(z)
     jac = None
     if with_jacobian:
         xmat, pairing = section_pairing(family, frame, z, eps)
         proj = np.eye(family.n) - xmat @ np.linalg.solve(
             pairing, frame.constraints)
-        d_chart = proj @ ret.variational @ flow_res.tangent
+        d_chart = proj @ ret.variational @ run.tangent
         jac = frame.transversal_basis.T @ d_chart @ frame.transversal_basis
-    return TransversalMapResult(u_out, z, ret.times, ret.iterations, jac)
+    return TransversalMapResult(frame.coords(z), z, jac)
 
 
 @dataclass(frozen=True)
@@ -410,10 +399,8 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
 class BasePointCheck:
     """Transversal spectra at several base points on the torus."""
 
-    angles: list
     spectra: list
     max_spectral_distance: float
-    tol: float
     passed: bool
 
 
@@ -428,10 +415,9 @@ def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
     sample passes vacuously. ``base``, the report at the seed's base point
     for integration_tol, serves the samples at that point.
     """
-    angles = [np.asarray(phi, dtype=float).reshape(-1) for phi in sample_angles]
     known = {} if base is None else {seed.base_point.tobytes(): base}
     specs = []
-    for phi in angles:
+    for phi in sample_angles:
         m = seed.point(phi)
         rep = known.get(m.tobytes()) or monodromy_report(
             family, seed, alpha, m, tol=integration_tol)
@@ -440,4 +426,4 @@ def basepoint_spectrum_check(family: VectorFieldFamily, seed: TorusSeed,
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
             worst = max(worst, spectra.match_distance(specs[i], specs[j]))
-    return BasePointCheck(angles, specs, worst, tol, worst <= tol)
+    return BasePointCheck(specs, worst, worst <= tol)

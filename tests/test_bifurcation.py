@@ -131,6 +131,14 @@ class TestDetectCrossings:
         assert analysis.events[1].eps_critical[0] == pytest.approx(0.03,
                                                                    abs=1e-6)
 
+    def test_other_winding_refused(self, flip_branch):
+        # the branch's points, frame and options hold for its winding
+        # only; at [2] the refiner used to report a spurious CaseB event
+        sysm, branch = flip_branch
+        with pytest.raises(ValueError, match=r"winding \[2\] is not the "
+                                             r"branch's winding \[1\]"):
+            analyze_branch(sysm.family, sysm.seed, [2], branch)
+
 
 class TestIllinoisRefinement:
     """The crossing refiner on synthetic multiplier moduli |mu(eps)|."""

@@ -14,6 +14,7 @@ from pnk import (ConfigError, ContinuationOptions, ProbeOptions,
                  continue_branch, monodromy_report, parse_config,
                  reconstruct_torus, verify_commuting_family,
                  verify_torus_invariance)
+from pnk.catalog import CATALOG, StraightenedSpec
 from pnk.cli import main, run_config
 from pnk.config import MAX_COUNT, build_run, eps_grid_values, load_config
 from pnk.continuation import checked_path
@@ -394,6 +395,27 @@ class TestExitCodes:
         assert "probes" not in rep["results"]
         rows = (out / "branch.csv").read_text().strip().splitlines()
         assert len(rows) == 2
+
+    # an exit 3 with no error named prints one stderr line saying why
+
+    def test_failed_invariance_says_why(self, tmp_path, capsys):
+        doc = _hopf_config("verify", {})
+        doc["torus"] = {"kind": "circle", "center": [0.0, 0.0],
+                        "radius": 0.5, "plane": [0, 1], "eps0": [0.1]}
+        path = _write(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "o3")]) == 3
+        assert capsys.readouterr().err == (
+            "torus not invariant: normal residual 0.075 exceeds tol 1e-08\n")
+
+    def test_bifurcate_on_one_slice_says_why(self, tmp_path, capsys):
+        grid = {"start": [-0.05], "stop": [0.05], "num": 11}
+        doc = self._pitchfork_grid("bifurcate", grid)
+        doc["options"]["delta_min"] = 10
+        path = _write(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "o3")]) == 3
+        assert capsys.readouterr().err == (
+            "branch stopped_at_critical: margin 0.27 below delta_min 10 at "
+            "eps=[-0.05]; bifurcate needs 2 slices to scan, got 1\n")
 
     def test_open_torus_reports_its_defect(self, tmp_path):
         # no reconstruction closes to 1e-300; the error block carries the
@@ -941,6 +963,27 @@ LIBRARY_DEFAULTS = [
     ("torus", "closure_tol", reconstruct_torus, "tol"),
     ("torus", "tol", reconstruct_torus, "integration_tol"),
 ]
+
+
+def test_catalog_defaults_are_constructor_defaults():
+    # the CLI builds catalog systems from config._CATALOG_PARAMS, while
+    # pnkbench calls the constructors with their own defaults
+    differ = []
+    for name, params in config._CATALOG_PARAMS.items():
+        # straightened's optional keys are StraightenedSpec's fields
+        target = StraightenedSpec if name == "straightened" else CATALOG[name]
+        signature = inspect.signature(target).parameters
+        for key, (config_default, _) in params.items():
+            if config_default is config.REQUIRED:
+                continue
+            library_default = signature[key].default
+            if isinstance(library_default, tuple):  # radii, as a list
+                library_default = list(library_default)
+            if config_default != library_default:
+                differ.append(f"system.params.{key} of {name} is "
+                              f"{config_default}, {target.__name__}({key}=) "
+                              f"is {library_default}")
+    assert not differ, "; ".join(differ)
 
 
 def test_config_defaults_are_library_defaults():

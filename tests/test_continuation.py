@@ -178,6 +178,17 @@ class TestContinueBranch:
         assert branch.status == "completed"
         assert len(branch.points) == 1
 
+    def test_branch_keeps_the_checked_winding(self, straight_sys):
+        fam, seed = straight_sys.family, straight_sys.seed
+        branch = continue_branch(fam, seed, np.array([1, 0], dtype=np.uint8),
+                                 [np.zeros(1)])
+        assert branch.alpha.dtype == np.int64
+        assert branch.alpha.tolist() == [1, 0]
+        # a float winding and one of the wrong length are refused
+        for alpha in ([1.0, 0.0], [1]):
+            with pytest.raises(ValueError, match="winding"):
+                continue_branch(fam, seed, alpha, [np.zeros(1)])
+
     def test_path_must_start_at_seed(self, straight_sys):
         with pytest.raises(ValueError):
             continue_branch(straight_sys.family, straight_sys.seed, [1, 0],

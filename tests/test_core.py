@@ -216,7 +216,8 @@ class TestHelpers:
     def test_as_winding_rejects_non_integers(self):
         with pytest.raises(ValueError):
             as_winding([0.5])
-        np.testing.assert_array_equal(as_winding([2.0, -1.0]), [2, -1])
+        with pytest.raises(ValueError, match="integers within int64"):
+            as_winding([2.0, -1.0])
 
     # each of these cast to int64 wrapped, to the int64 minimum or to -1
     @pytest.mark.parametrize("alpha", [
@@ -236,8 +237,15 @@ class TestHelpers:
     def test_as_winding_keeps_the_int64_ends(self):
         ends = [-2**63, 2**63 - 1]
         assert as_winding(ends).tolist() == ends
-        assert as_winding([-2.0**63]).tolist() == [-2**63]
+        with pytest.raises(ValueError, match="integers within int64"):
+            as_winding([-2.0**63])
         assert as_winding(np.array([7], dtype=np.uint64)).tolist() == [7]
+
+    def test_empty_winding_is_a_length_error(self):
+        # np.asarray([]) is float64; the refusal names the length
+        assert as_winding([]).dtype == np.int64
+        with pytest.raises(ValueError, match="length 0, expected 2"):
+            as_winding([], 2)
 
     def test_wrap_angles_reduces_mod_two_pi(self):
         ref = np.array([0.25, 5.0])
