@@ -215,7 +215,7 @@ _PIPELINES = {
 
 
 def _failure_line(report: dict) -> str:
-    """Why a run exited 3 with no error named, read from its report."""
+    """Why a run exited 3 or 4 with no error named, read from its report."""
     results = report["results"]
     if "branch" in results:
         branch = results["branch"]
@@ -223,6 +223,12 @@ def _failure_line(report: dict) -> str:
         if report["analysis"] == "bifurcate" and branch["n_points"] < 2:
             line += f"; bifurcate needs 2 slices to scan, got {branch['n_points']}"
         return line
+    commutation = results["commutation"]
+    if not commutation["passed"]:
+        return (f"fields do not commute: bracket residual "
+                f"{commutation['max_residual']:.3g} at pair "
+                f"{commutation['worst_pair']} exceeds tol "
+                f"{commutation['tol']:.3g}")
     invariance = results["invariance"]
     return (f"torus not invariant: normal residual "
             f"{invariance['max_normal_residual']:.3g} exceeds tol "
@@ -337,7 +343,7 @@ def main(argv=None) -> int:
     if report.get("error"):
         print(f"{report['error']['type']}: {report['error']['message']}",
               file=sys.stderr)
-    elif code == EXIT_NUMERICAL:
+    elif code != EXIT_OK:
         print(_failure_line(report), file=sys.stderr)
     log.info("run finished with exit code %d, report in %s", code,
              out_dir / "report.json")

@@ -6,23 +6,23 @@ run. ``parse_config`` fills every default and returns the normalized
 document; parsing the normalized echo again reproduces it bit for bit,
 which is what makes reports replayable.
 
-The tables ``_OPTIONS`` (one per analysis) and ``_CATALOG_PARAMS`` (one
-per catalog system) are the single source of every option and catalog
-parameter: each maps a key to ``(default or REQUIRED, check)``, and
-``_normalize`` checks one section against its table. So ``alpha`` is
-required by every analysis but ``verify``, ``eps_grid`` by ``continue``
-and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
+Every section is checked against a table that maps each key to
+``(default or REQUIRED, check)``: ``_normalize`` checks one section
+against its table. ``_OPTIONS`` (one per analysis), ``_CATALOG_PARAMS``
+(one per catalog system) and ``_TORI`` (one per torus kind) are the
+single source of every option, catalog parameter and torus key. So
+``alpha`` is required by every analysis but ``verify``, ``eps_grid`` by
+``continue`` and ``bifurcate``, ``eps`` by ``torus``, ``A`` and ``C`` by
 ``straightened``; every tolerance (``*_tol``, ``delta_min``) and
 ``search_radius`` must be positive, and the integration tolerances
 ``tol`` and ``probe_tol`` at least ``flow.MIN_TOL`` (scipy's rtol floor,
 about 2.2e-14); the integers ``samples`` and ``eps_grid.num`` are >= 1
 and <= ``MAX_COUNT``, ``grid`` >= 4, ``grid_per_angle`` >= 2, ``seed``
-and ``max_iter`` >= 0. ``build_run``
-adds the checks that need the built family: vector lengths, the grid
-start, two or more slices in a ``bifurcate`` grid, the ``grid**k`` and ``grid_per_angle**k`` points of a k-torus
-grid, at most ``MAX_COUNT``, and a transversal section (k < n) for
-every analysis but ``verify``. The torus, output and polynomial sections
-are checked by hand.
+and ``max_iter`` >= 0. ``build_run`` adds the checks that need the
+built family: the torus axes, vector lengths, the grid start, two or
+more slices in a ``bifurcate`` grid, the ``grid**k`` and
+``grid_per_angle**k`` points of a k-torus grid, at most ``MAX_COUNT``,
+and a transversal section (k < n) for every analysis but ``verify``.
 
 Systems come either from the named catalog or as polynomial fields
 (per-component term lists over chart monomials and parameter monomials).
@@ -35,12 +35,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .catalog import CATALOG, CatalogSystem, build_catalog_system
 from .continuation import checked_path
-from .core import TorusSeed, VectorFieldFamily, as_params
+from .core import TorusSeed, VectorFieldFamily, as_params, as_winding
 from .errors import ConfigError, NonCommuting
 from .flow import MIN_TOL
 
@@ -57,14 +58,24 @@ def _require_mapping(value, path):
     return value
 
 
-def _check_keys(doc: dict, path: str, allowed, required=()):
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; "
-                          f"allowed: {sorted(allowed)}")
-    missing = sorted(set(required) - set(doc))
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s) {missing}")
+def _given(value, path):
+    """A value checked later, by its own table or rules."""
+    return value
+
+
+def _as_string(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+def _one_of(choices, what):
+    def check(value, path):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path}: unknown {what} {value!r}; "
+                              f"known: {list(choices)}")
+        return value
+    return check
 
 
 def _as_number(value, path, positive=False):
@@ -100,10 +111,11 @@ def _as_vector(value, path, length=None, item=_as_number):
     return out
 
 
-def _as_int_vector(value, path, length=None):
+def _as_int_vector(value, path, length=None, minimum=_INT64_RANGE[0]):
     """Integers that fit int64, the dtype windings and exponents are
     stored in."""
-    return _as_vector(value, path, length, item=_int_range(*_INT64_RANGE))
+    return _as_vector(value, path, length,
+                      item=_int_range(minimum, _INT64_RANGE[1]))
 
 
 def _as_vectors(value, path):
@@ -151,19 +163,38 @@ def _winding(value, path):
 
 
 def _as_grid(value, path):
+    """Listed ``values``, or ``num`` slices from ``start`` to ``stop``."""
     value = _require_mapping(value, path)
-    if "values" in value:
-        _check_keys(value, path, ("values",))
-        return {"values": _as_matrix(value["values"], f"{path}.values")}
-    _check_keys(value, path, ("start", "stop", "num"),
-                required=("start", "stop", "num"))
-    start = _as_vector(value["start"], f"{path}.start")
-    stop = _as_vector(value["stop"], f"{path}.stop", length=len(start))
-    num = _as_int(value["num"], f"{path}.num", minimum=1, maximum=MAX_COUNT)
-    return {"start": start, "stop": stop, "num": num}
+    spec = _GRID_VALUES if "values" in value else _GRID_RANGE
+    grid = _normalize(value, path, spec)
+    if "stop" in grid and len(grid["stop"]) != len(grid["start"]):
+        raise ConfigError(f"{path}.stop: expected {len(grid['start'])} "
+                          f"entries, got {len(grid['stop'])}")
+    return grid
+
+
+def _formats(value, path):
+    return sorted(set(_as_vector(value, path,
+                                 item=_one_of(("json", "csv"), "format"))))
 
 
 REQUIRED = object()  # the table default of a key the config must give
+
+
+def _normalize(doc, path: str, spec: dict) -> dict:
+    """Check one config section against its table and fill the defaults."""
+    doc = _require_mapping(doc, path)
+    unknown = sorted(set(doc) - set(spec))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; "
+                          f"allowed: {sorted(spec)}")
+    missing = sorted(key for key, (default, _) in spec.items()
+                     if default is REQUIRED and key not in doc)
+    if missing:
+        raise ConfigError(f"{path}: missing required key(s) {missing}")
+    return {key: check(doc.get(key, default), f"{path}.{key}")
+            for key, (default, check) in spec.items()}
+
 
 # Groups shared by several analyses: the loop class with its integration
 # tolerance, the Newton budget, a sample count, and the branch settings.
@@ -172,6 +203,9 @@ _NEWTON = {"max_iter": (20, _int_range(0))}
 _COUNT = _int_range(1, MAX_COUNT)  # a number of samples
 _BRANCH = {**_LOOP, **_NEWTON, "delta_min": (1e-6, _positive),
            "eps_grid": (REQUIRED, _as_grid)}
+_GRID_VALUES = {"values": (REQUIRED, _as_matrix)}
+_GRID_RANGE = {"start": (REQUIRED, _as_vector),
+               "stop": (REQUIRED, _as_vector), "num": (REQUIRED, _COUNT)}
 
 _OPTIONS = {
     "verify": {
@@ -215,15 +249,31 @@ _CATALOG_PARAMS = {
     "neimark": {"rotation": (0.18, _as_number), "damping": (1.0, _as_number),
                 **_CYLINDER_EPS0},
 }
+# The term lists need n, k and p: _normalize_polynomial checks them.
+_POLYNOMIAL = {"n": (REQUIRED, _int_range(1)), "k": (REQUIRED, _int_range(1)),
+               "p": (REQUIRED, _int_range(0)), "fields": (REQUIRED, _given)}
 
+# One table per torus kind. Its kind is checked against the tables first,
+# and its axis rules, which need the built family, are _build_seed's.
+_KIND = {"kind": ("catalog", _as_string)}
+_TORI = {
+    "catalog": _KIND,
+    "circle": {**_KIND, "center": (REQUIRED, _as_vector),
+               "radius": (REQUIRED, _positive),
+               "plane": ([0, 1], partial(_as_int_vector, length=2)),
+               "eps0": (REQUIRED, _as_vector)},
+    "flat": {**_KIND, "angle_coords": (REQUIRED, _as_int_vector),
+             "values": (REQUIRED, _as_vector), "eps0": (REQUIRED, _as_vector)},
+}
 
-def _normalize(doc, path: str, spec: dict) -> dict:
-    """Check one config section against its table and fill the defaults."""
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, path, spec, required=[
-        key for key, (default, _) in spec.items() if default is REQUIRED])
-    return {key: check(doc.get(key, default), f"{path}.{key}")
-            for key, (default, check) in spec.items()}
+_SYSTEM = {"name": (REQUIRED, _one_of((*sorted(CATALOG), "polynomial"),
+                                      "system")),
+           "params": ({}, _given)}
+_OUTPUT = {"dir": (".", _as_string), "formats": (["json", "csv"], _formats)}
+_CONFIG = {"system": (REQUIRED, _given),
+           "torus": ({"kind": "catalog"}, _given),
+           "analysis": (REQUIRED, _given), "options": ({}, _given),
+           "output": ({}, _given)}
 
 
 @dataclass(frozen=True)
@@ -249,37 +299,18 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc) -> RunConfig:
-    doc = _require_mapping(doc, "config")
-    _check_keys(doc, "config", ("system", "torus", "analysis", "options",
-                                "output"),
-                required=("system", "analysis"))
-
-    system = _require_mapping(doc["system"], "system")
-    _check_keys(system, "system", ("name", "params"), required=("name",))
+    doc = _normalize(doc, "config", _CONFIG)
+    system = _normalize(doc["system"], "system", _SYSTEM)
     name = system["name"]
-    if not isinstance(name, str):
-        raise ConfigError("system.name: expected a string")
-    params = system.get("params", {})
     if name == "polynomial":
-        params = _normalize_polynomial(_require_mapping(params,
-                                                        "system.params"))
-    elif name in CATALOG:
-        params = _normalize(params, "system.params", _CATALOG_PARAMS[name])
+        params = _normalize_polynomial(system["params"], "system.params")
     else:
-        raise ConfigError(
-            f"system.name: unknown system {name!r}; known: "
-            f"{sorted(CATALOG) + ['polynomial']}")
-
-    torus = _normalize_torus(doc.get("torus", {"kind": "catalog"}), name)
-
-    analysis = doc["analysis"]
-    if analysis not in ANALYSES:
-        raise ConfigError(f"analysis: unknown analysis {analysis!r}; "
-                          f"known: {list(ANALYSES)}")
-
-    options = _normalize(doc.get("options", {}), "options",
-                         _OPTIONS[analysis])
-    output = _normalize_output(doc.get("output", {}))
+        params = _normalize(system["params"], "system.params",
+                            _CATALOG_PARAMS[name])
+    torus = _normalize_torus(doc["torus"], name)
+    analysis = _one_of(ANALYSES, "analysis")(doc["analysis"], "analysis")
+    options = _normalize(doc["options"], "options", _OPTIONS[analysis])
+    output = _normalize(doc["output"], "output", _OUTPUT)
 
     normalized = {
         "system": {"name": name, "params": params},
@@ -292,92 +323,37 @@ def parse_config(doc) -> RunConfig:
                      normalized)
 
 
-def _normalize_polynomial(params: dict) -> dict:
-    _check_keys(params, "system.params", ("n", "k", "p", "fields"),
-                required=("n", "k", "p", "fields"))
-    n = _as_int(params["n"], "system.params.n", minimum=1)
-    k = _as_int(params["k"], "system.params.k", minimum=1)
-    p = _as_int(params["p"], "system.params.p", minimum=0)
+def _normalize_polynomial(params, path: str) -> dict:
+    params = _normalize(params, path, _POLYNOMIAL)
+    n, k, p = params["n"], params["k"], params["p"]
     if k > n:
-        raise ConfigError("system.params: need k <= n")
-    fields = params["fields"]
-    if not isinstance(fields, list) or len(fields) != k:
-        raise ConfigError(f"system.params.fields: expected {k} fields")
-    norm_fields = []
-    for i, comps in enumerate(fields):
-        path = f"system.params.fields[{i}]"
-        if not isinstance(comps, list) or len(comps) != n:
-            raise ConfigError(f"{path}: expected {n} component term lists")
-        norm_comps = []
-        for j, terms in enumerate(comps):
-            cpath = f"{path}[{j}]"
-            if not isinstance(terms, list):
-                raise ConfigError(f"{cpath}: expected a list of terms")
-            norm_terms = []
-            for t, term in enumerate(terms):
-                tpath = f"{cpath}[{t}]"
-                if not isinstance(term, list) or len(term) not in (2, 3):
-                    raise ConfigError(
-                        f"{tpath}: expected [coeff, powers] or "
-                        "[coeff, powers, eps_powers]")
-                coeff = _as_number(term[0], f"{tpath}[0]")
-                powers = _as_int_vector(term[1], f"{tpath}[1]", length=n)
-                epow = (_as_int_vector(term[2], f"{tpath}[2]", length=p)
-                        if len(term) == 3 else [0] * p)
-                if any(v < 0 for v in powers + epow):
-                    raise ConfigError(f"{tpath}: exponents must be >= 0")
-                norm_terms.append([coeff, powers, epow])
-            norm_comps.append(norm_terms)
-        norm_fields.append(norm_comps)
-    return {"n": n, "k": k, "p": p, "fields": norm_fields}
+        raise ConfigError(f"{path}: need k <= n")
+
+    def term(value, tpath):
+        if not isinstance(value, list) or len(value) not in (2, 3):
+            raise ConfigError(f"{tpath}: expected [coeff, powers] or "
+                              "[coeff, powers, eps_powers]")
+        return [_as_number(value[0], f"{tpath}[0]"),
+                _as_int_vector(value[1], f"{tpath}[1]", n, minimum=0),
+                _as_int_vector(value[2], f"{tpath}[2]", p, minimum=0)
+                if len(value) == 3 else [0] * p]
+
+    # a field has one term list per chart component
+    field = partial(_as_vector, length=n, item=partial(_as_vector, item=term))
+    params["fields"] = _as_vector(params["fields"], f"{path}.fields", k,
+                                  item=field)
+    return params
 
 
 def _normalize_torus(torus, system_name: str) -> dict:
     torus = _require_mapping(torus, "torus")
-    kind = torus.get("kind", "catalog")
-    if kind == "catalog":
-        _check_keys(torus, "torus", ("kind",))
-        if system_name == "polynomial":
-            raise ConfigError(
-                "torus.kind 'catalog' needs a catalog system; give an "
-                "explicit 'circle' or 'flat' torus for polynomial fields")
-        return {"kind": "catalog"}
-    if kind == "circle":
-        _check_keys(torus, "torus", ("kind", "center", "radius", "plane",
-                                     "eps0"),
-                    required=("center", "radius", "eps0"))
-        center = _as_vector(torus["center"], "torus.center")
-        radius = _as_number(torus["radius"], "torus.radius", positive=True)
-        plane = _as_int_vector(torus.get("plane", [0, 1]), "torus.plane",
-                               length=2)
-        if plane[0] == plane[1]:
-            raise ConfigError("torus.plane: the two axes must differ")
-        return {"kind": "circle", "center": center, "radius": radius,
-                "plane": plane, "eps0": _as_vector(torus["eps0"], "torus.eps0")}
-    if kind == "flat":
-        _check_keys(torus, "torus", ("kind", "angle_coords", "values", "eps0"),
-                    required=("angle_coords", "values", "eps0"))
-        coords = _as_int_vector(torus["angle_coords"], "torus.angle_coords")
-        if len(set(coords)) != len(coords) or not coords:
-            raise ConfigError("torus.angle_coords: nonempty, distinct indices")
-        return {"kind": "flat", "angle_coords": coords,
-                "values": _as_vector(torus["values"], "torus.values"),
-                "eps0": _as_vector(torus["eps0"], "torus.eps0")}
-    raise ConfigError(f"torus.kind: unknown kind {kind!r}; "
-                      "known: catalog, circle, flat")
-
-
-def _normalize_output(output) -> dict:
-    output = _require_mapping(output, "output")
-    _check_keys(output, "output", ("dir", "formats"))
-    formats = output.get("formats", ["json", "csv"])
-    if not isinstance(formats, list) or \
-            any(f not in ("json", "csv") for f in formats):
-        raise ConfigError("output.formats: entries must be 'json' or 'csv'")
-    out_dir = output.get("dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir: expected a string")
-    return {"dir": out_dir, "formats": sorted(set(formats))}
+    kind = _one_of(_TORI, "kind")(torus.get("kind", "catalog"), "torus.kind")
+    torus = _normalize(torus, "torus", _TORI[kind])
+    if kind == "catalog" and system_name == "polynomial":
+        raise ConfigError(
+            "torus.kind 'catalog' needs a catalog system; give an "
+            "explicit 'circle' or 'flat' torus for polynomial fields")
+    return torus
 
 
 def eps_grid_values(options: dict) -> list[np.ndarray]:
@@ -477,6 +453,9 @@ def _polynomial_family(params: dict) -> VectorFieldFamily:
 
 
 def _build_seed(torus: dict, family: VectorFieldFamily) -> TorusSeed:
+    """The circle or flat seed of ``torus`` on ``family``'s chart, with
+    every axis rule: the axes must differ and lie in the chart, a circle
+    needs a single field, and a flat torus one angle per field."""
     if torus["kind"] == "circle":
         center = np.asarray(torus["center"], dtype=float)
         if center.size != family.n:
@@ -484,6 +463,8 @@ def _build_seed(torus: dict, family: VectorFieldFamily) -> TorusSeed:
                               "dimension")
         radius = torus["radius"]
         i, j = torus["plane"]
+        if i == j:
+            raise ConfigError("torus.plane: the two axes must differ")
         if not (0 <= i < family.n and 0 <= j < family.n):
             raise ConfigError("torus.plane: axis out of range")
         if family.k != 1:
@@ -496,27 +477,27 @@ def _build_seed(torus: dict, family: VectorFieldFamily) -> TorusSeed:
             return out
 
         return TorusSeed(1, embed, np.asarray(torus["eps0"], dtype=float))
-    if torus["kind"] == "flat":
-        coords = tuple(torus["angle_coords"])
-        values = np.asarray(torus["values"], dtype=float)
-        if values.size != family.n:
-            raise ConfigError("torus.values: length must equal the chart "
-                              "dimension")
-        if any(not (0 <= c < family.n) for c in coords):
-            raise ConfigError("torus.angle_coords: index out of range")
-        if len(coords) != family.k:
-            raise ConfigError("torus.angle_coords: need one angle per field")
+    coords = tuple(torus["angle_coords"])
+    values = np.asarray(torus["values"], dtype=float)
+    if values.size != family.n:
+        raise ConfigError("torus.values: length must equal the chart "
+                          "dimension")
+    if len(set(coords)) != len(coords):
+        raise ConfigError("torus.angle_coords: the indices must differ")
+    if any(not (0 <= c < family.n) for c in coords):
+        raise ConfigError("torus.angle_coords: index out of range")
+    if len(coords) != family.k:
+        raise ConfigError("torus.angle_coords: need one angle per field")
 
-        def embed(phi, _v=values, _c=coords):
-            out = _v.copy()
-            for slot, idx in enumerate(_c):
-                out[idx] = phi[slot]
-            return out
+    def embed(phi, _v=values, _c=coords):
+        out = _v.copy()
+        for slot, idx in enumerate(_c):
+            out[idx] = phi[slot]
+        return out
 
-        return TorusSeed(len(coords), embed,
-                         np.asarray(torus["eps0"], dtype=float),
-                         angle_coords=coords)
-    raise ConfigError(f"unsupported torus kind {torus['kind']!r}")
+    return TorusSeed(len(coords), embed,
+                     np.asarray(torus["eps0"], dtype=float),
+                     angle_coords=coords)
 
 
 def build_run(config: RunConfig) -> RunSetup:
@@ -524,31 +505,30 @@ def build_run(config: RunConfig) -> RunSetup:
 
     A catalog constructor that rejects its parameters, and a torus of the
     chart's own dimension (k = n, no section) for any analysis but
-    ``verify``, raise :class:`ConfigError` naming ``system.params``. A
-    parameter vector of the wrong length in ``options.eps`` (``torus``) or
-    ``options.eps_grid`` (``continue``, ``bifurcate``), an
-    ``options.sample_angles`` entry whose length is not the torus
-    dimension, a grid that does not start at the seed parameter, a
-    ``bifurcate`` grid of one slice, and an
-    angle grid of more than ``MAX_COUNT`` points raise
-    :class:`ConfigError` naming the option.
+    ``verify``, raise :class:`ConfigError` naming ``system.params``; a
+    circle or flat torus that breaks an axis rule (see ``_build_seed``)
+    names its key. So does every rule the run applies to an option:
+    ``alpha`` must have one winding per field, each ``sample_angles``
+    entry one angle per torus dimension, and ``eps`` (``torus``) and each
+    ``eps_grid`` slice (``continue``, ``bifurcate``) one entry per
+    parameter; the grid must start at the seed parameter, whose own
+    length must be the family's, a ``bifurcate`` grid needs two slices,
+    and an angle grid may have at most ``MAX_COUNT`` points.
     """
+    system = None
     if config.system_name == "polynomial":
         family = _polynomial_family(config.system_params)
-        seed = _build_seed(config.torus, family)
-        _validate_dimensions(config, family, seed)
-        return RunSetup(family, seed, None)
-    try:
-        system = build_catalog_system(config.system_name,
-                                      config.system_params)
-    except (ValueError, NonCommuting) as exc:
-        raise ConfigError(f"system.params: {exc}") from exc
-    if config.torus["kind"] == "catalog":
-        seed = system.seed
     else:
-        seed = _build_seed(config.torus, system.family)
-    _validate_dimensions(config, system.family, seed)
-    return RunSetup(system.family, seed, system)
+        try:
+            system = build_catalog_system(config.system_name,
+                                          config.system_params)
+        except (ValueError, NonCommuting) as exc:
+            raise ConfigError(f"system.params: {exc}") from exc
+        family = system.family
+    seed = (system.seed if config.torus["kind"] == "catalog"
+            else _build_seed(config.torus, family))
+    _validate_dimensions(config, family, seed)
+    return RunSetup(family, seed, system)
 
 
 def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
@@ -558,36 +538,32 @@ def _validate_dimensions(config: RunConfig, family: VectorFieldFamily,
             f"system.params: k = n = {family.n}: the torus fills the chart "
             f"and leaves the {config.analysis} analysis no transversal "
             "section (r = n - k = 0); only 'verify' runs at k = n")
-    alpha = config.options.get("alpha")
-    if alpha is not None and len(alpha) != family.k:
-        raise ConfigError(
-            f"options.alpha: expected {family.k} winding numbers, got "
-            f"{len(alpha)}")
-    for i, angles in enumerate(config.options.get("sample_angles", ())):
-        if len(angles) != family.k:
-            raise ConfigError(
-                f"options.sample_angles[{i}]: expected {family.k} angles, "
-                f"got {len(angles)}")
+    options = config.options
     for key in ("grid", "grid_per_angle"):
-        per_angle = config.options.get(key)
+        per_angle = options.get(key)
         if per_angle is not None and per_angle ** seed.k > MAX_COUNT:
             raise ConfigError(
                 f"options.{key}: {per_angle}**{seed.k} grid points exceed "
                 f"{MAX_COUNT}")
-    if seed.eps0.size != family.p:
-        raise ConfigError(
-            f"torus: seed parameter has length {seed.eps0.size}, the family "
-            f"declares p={family.p}")
+    # the rules the run applies, each under the key it checks
+    key = "torus.eps0"
     try:
+        as_params(seed.eps0, family.p)
+        if "alpha" in options:
+            key = "options.alpha"
+            as_winding(options["alpha"], family.k)
+        for i, angles in enumerate(options.get("sample_angles", ())):
+            key = f"options.sample_angles[{i}]"
+            seed.point(angles)
         if config.analysis == "torus":
-            key = "eps"
-            as_params(config.options["eps"], family.p)
+            key = "options.eps"
+            as_params(options["eps"], family.p)
         elif config.analysis in ("continue", "bifurcate"):
-            key = "eps_grid"
-            slices = _bounding_slices(config.options)
+            key = "options.eps_grid"
+            slices = _bounding_slices(options)
             if config.analysis == "bifurcate" and len(slices) < 2:
                 raise ValueError("a bifurcation scan needs at least two "
                                  "slices to track multipliers across")
             checked_path(slices, seed.eps0, family.p)
     except ValueError as exc:
-        raise ConfigError(f"options.{key}: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc

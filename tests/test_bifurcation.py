@@ -412,6 +412,23 @@ class TestPostcriticalProbe:
                                CASE_C,
                                ProbeOptions(transient=120, n_samples=64))
 
+    @pytest.mark.parametrize("make, eps, radius, match", [
+        # the pitchfork's critical multiplier is real
+        (make_pitchfork, 0.04, 0.1, "no complex multiplier pair"),
+        # before the crossing the orbit spirals into the fixed point
+        (make_neimark, -0.05, 0.1, "collapsed onto the fixed point"),
+        # the circle of radius 0.2 lies beyond 5 search radii
+        (make_neimark, 0.04, 0.01, "escaped the search region"),
+    ])
+    def test_circle_probe_refusals(self, make, eps, radius, match):
+        sysm = make()
+        frame = build_section(sysm.family, sysm.seed)
+        with pytest.raises(NothingFound, match=match):
+            postcritical_probe(sysm.family, sysm.seed, [1], frame, [eps],
+                               CASE_C, ProbeOptions(search_radius=radius,
+                                                    transient=120,
+                                                    n_samples=64))
+
     @pytest.mark.xfail(strict=True, raises=NothingFound, reason=(
         "ROADMAP item 3: the cubic fit through +-search_radius puts its "
         "one seed at s = 0.0174, Newton carries it back onto u0, and the "

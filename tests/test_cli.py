@@ -488,6 +488,22 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert not rep["results"]["commutation"]["passed"]
 
+    def test_noncommuting_says_why(self, tmp_path, capsys):
+        # [d/dx0, x0 d/dx0] = d/dx0: an exit 4 with no error named
+        doc = {
+            "system": {"name": "polynomial", "params": {
+                "n": 2, "k": 2, "p": 0,
+                "fields": [[[[1.0, [0, 0]]], []], [[[1.0, [1, 0]]], []]]}},
+            "torus": {"kind": "flat", "angle_coords": [0, 1],
+                      "values": [0.0, 0.0], "eps0": []},
+            "analysis": "verify",
+        }
+        path = _write(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "o4")]) == 4
+        assert capsys.readouterr().err == (
+            "fields do not commute: bracket residual 1 at pair [0, 1] "
+            "exceeds tol 1e-08\n")
+
     @staticmethod
     def _torus_filling_the_chart(analysis):
         # k = n: the fields x' = e1 and x' = e2 span the whole chart, so
@@ -1001,3 +1017,89 @@ def test_config_defaults_are_library_defaults():
             differ.append(f"options.tol of {analysis} is {options['tol'][0]}, "
                           f"flow.DEFAULT_TOL is {DEFAULT_TOL}")
     assert not differ, "; ".join(differ)
+
+
+# A polynomial verify config that validates: the rotation x0' = x1,
+# x1' = -x0 on its unit circle. _TRANSLATIONS has two fields, x' = e1 and
+# x' = e2, on the same chart; only verify runs at k = n.
+_ROTATION = {
+    "system": {"name": "polynomial", "params": {
+        "n": 2, "k": 1, "p": 1,
+        "fields": [[[[1.0, [0, 1], [0]]], [[-1.0, [1, 0], [0]]]]]}},
+    "torus": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0,
+              "plane": [0, 1], "eps0": [0.0]},
+    "analysis": "verify",
+}
+_TRANSLATIONS = {"n": 2, "k": 2, "p": 1,
+                 "fields": [[[[1.0, [0, 0], [0]]], []],
+                            [[], [[1.0, [0, 0], [0]]]]]}
+_FLAT = {"kind": "flat", "angle_coords": [0, 1], "values": [0.0, 0.0],
+         "eps0": [0.0]}
+_PARAMS = ("system", "params")
+_TERMS = _PARAMS + ("fields", 0, 0)
+
+
+def _edited(*edits):
+    """_ROTATION as JSON text with each (key path, value) set."""
+    doc = json.loads(json.dumps(_ROTATION))
+    for path, value in edits:
+        target = doc
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _write_text(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _flat(**torus):
+    return _edited((_PARAMS, _TRANSLATIONS), (("torus",), {**_FLAT, **torus}))
+
+
+REFUSALS = [
+    ("not-json", "{", "config"),
+    ("name-not-a-string", _edited((("system", "name"), 3)), "system.name"),
+    ("unknown-analysis", _edited((("analysis",), "wat")), "analysis"),
+    ("k-above-n", _edited((_PARAMS + ("k",), 3)), "system.params"),
+    ("component-count", _edited((_TERMS[:-1], [[]])),
+     "system.params.fields[0]"),
+    ("terms-not-a-list", _edited((_TERMS, 5)), "system.params.fields[0][0]"),
+    ("malformed-term", _edited((_TERMS + (0,), [1.0])),
+     "system.params.fields[0][0][0]"),
+    ("negative-exponent", _edited((_TERMS + (0, 1), [0, -1])),
+     "system.params.fields[0][0][0]"),
+    ("plane-axes-equal", _edited((("torus", "plane"), [1, 1])), "torus.plane"),
+    ("plane-axis-out-of-range", _edited((("torus", "plane"), [0, 2])),
+     "torus.plane"),
+    ("circle-on-two-fields", _edited((_PARAMS, _TRANSLATIONS)), "torus.kind"),
+    ("flat-values-length", _flat(values=[0.0]), "torus.values"),
+    ("angle-coords-repeated", _flat(angle_coords=[0, 0]),
+     "torus.angle_coords"),
+    ("angle-coords-out-of-range", _flat(angle_coords=[0, 2]),
+     "torus.angle_coords"),
+    ("angle-coords-not-one-per-field", _flat(angle_coords=[0]),
+     "torus.angle_coords"),
+    ("output-format", _edited((("output",), {"formats": ["xml"]})),
+     "output.formats"),
+    ("output-dir-not-a-string", _edited((("output",), {"dir": 3})),
+     "output.dir"),
+    ("seed-parameter-length", _edited((("torus", "eps0"), [0.0, 0.0])),
+     "torus"),
+]
+
+
+def test_refusal_bases_validate(tmp_path):
+    # each refusal above is one edit away from a config that validates
+    for text in (_edited(), _flat()):
+        assert main(["validate", str(_write_text(tmp_path, text))]) == 0
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param(text, key, id=name) for name, text, key in REFUSALS])
+def test_refusal_names_its_key(tmp_path, capsys, text, key):
+    assert main(["validate", str(_write_text(tmp_path, text))]) == 2
+    assert f"configuration error: {key}" in capsys.readouterr().err

@@ -138,7 +138,7 @@ MUTANTS = (
            ("tests/test_cli.py::TestExitCodes::"
             "test_bifurcate_on_one_slice_is_3",)),
     Mutant("exit-3-silent", "src/pnk/cli.py",
-           "    elif code == EXIT_NUMERICAL:\n"
+           "    elif code != EXIT_OK:\n"
            "        print(_failure_line(report), file=sys.stderr)\n",
            "",
            "an exit 3 with no error named says why on stderr",
@@ -168,6 +168,31 @@ MUTANTS = (
            "analyze_branch refines and probes at the branch's own winding",
            ("tests/test_bifurcation.py::TestDetectCrossings::"
             "test_other_winding_refused",)),
+    Mutant("exit-4-silent", "src/pnk/cli.py",
+           "    elif code != EXIT_OK:\n",
+           "    elif code == EXIT_NUMERICAL:\n",
+           "an exit 4 with no error named says why on stderr",
+           ("tests/test_cli.py::TestExitCodes::test_noncommuting_says_why",)),
+    Mutant("plane-axes-equal", "src/pnk/config.py",
+           "        if i == j:\n"
+           "            raise ConfigError(\"torus.plane: the two axes must "
+           "differ\")\n",
+           "",
+           "a circle torus whose plane axes are equal is refused at build",
+           ("tests/test_cli.py::test_refusal_names_its_key",)),
+    Mutant("angle-coords-repeated", "src/pnk/config.py",
+           "    if len(set(coords)) != len(coords):\n",
+           "    if False:\n",
+           "a flat torus whose angle_coords repeat an index is refused at "
+           "build",
+           ("tests/test_cli.py::test_refusal_names_its_key",)),
+    Mutant("probe-collapse-accepted", "src/pnk/bifurcation.py",
+           "    if float(np.max(radii)) <= 100.0 * opts.tol:\n",
+           "    if False:\n",
+           "a circle probe whose orbit collapsed onto the fixed point "
+           "finds nothing",
+           ("tests/test_bifurcation.py::TestPostcriticalProbe::"
+            "test_circle_probe_refusals",)),
 )
 
 
