@@ -19,6 +19,11 @@ carries the twin fixed-point branches and which the period-two points.
 Probes at a real crossing therefore let the sign of the critical
 multiplier choose: Newton starts from normal-form seeds on the critical
 eigenvector, on P for a positive and on P o P for a negative multiplier.
+Every start on P runs, since twin fixed points are distinct objects. A
+flip makes a single 2-cycle {u, P(u)}, whose two points are the two
+nonzero roots of the fitted P o P cubic, so the starts on P o P run in
+order only until one files a 2-cycle; one that fails or lands on a
+fixed point of P (u0 included) hands over to the next.
 A Degenerate probe runs the searches of the cases it mixes: the seeds on
 the real multiplier nearest the unit circle, and the circle fit when the
 linearization has a complex pair. The report states what was found.
@@ -341,11 +346,6 @@ class ProbeReport:
     notes: str
 
 
-def _cycle_key(a, b) -> np.ndarray:
-    """Order-independent representative of a 2-cycle for deduplication."""
-    return np.asarray(min((tuple(a), tuple(b))))
-
-
 def _complex_direction(ell):
     """Eigenvector of the complex multiplier of ``ell`` of largest modulus,
     or None when every multiplier is real."""
@@ -436,11 +436,15 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     ``PROBE_MAX_ITER`` iterations of
     :func:`~pnk.continuation.newton_fixed_point`; a fixed point within
     ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
-    close, is not new, and finds closer than max(``PROBE_EXCLUDE_TOL``,
-    100*tol) to an earlier one are merged. A fit or a Newton solve that
-    raises ``FAILED_START`` (any :class:`~pnk.errors.PnkError`, say a
-    map whose flow fails from a far seed) is a failed start: the fit
-    yields no seeds, the solve no find.
+    close, is not new, and fixed points closer than
+    max(``PROBE_EXCLUDE_TOL``, 100*tol) to an earlier one are merged. A
+    fit or a Newton solve that raises ``FAILED_START`` (any
+    :class:`~pnk.errors.PnkError`, say a map whose flow fails from a far
+    seed) is a failed start: the fit yields no seeds, the solve no find.
+    Every seed on P is solved. The seeds on P o P are solved in order
+    until one files a 2-cycle, and the rest are not: past a flip the map
+    has a single 2-cycle {u, P(u)}, and the two nonzero roots of the
+    cubic are its two points, so a later start could only find it again.
     CaseC samples an orbit from one loop-flow run
     (:func:`~pnk.section.transversal_orbit`), started in the plane of
     the complex eigenvector of L, and fits an invariant circle by a
@@ -510,10 +514,6 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         partner = image(u)
         if float(np.linalg.norm(partner - u)) <= PROBE_EXCLUDE_TOL:
             return  # a fixed point of P, not a genuine 2-cycle
-        key = _cycle_key(u, partner)
-        if any(float(np.linalg.norm(key - _cycle_key(*c.points)))
-               <= dedupe for c in cycles):
-            return
         cycles.append(TwoCycleFinding((u.copy(), partner.copy()),
                                       got.spectrum, got.residual))
 
@@ -542,6 +542,8 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         starts = seeds()
         for twice, guess in starts:
             classify(twice, guess)
+            if twice and cycles:
+                break  # the other root is a point of the same 2-cycle
         notes.append(f"{len(fixed)} non-trivial fixed point(s), "
                      f"{len(cycles)} two-cycle(s) found from {len(starts)} "
                      "normal-form seed(s) on the critical eigenvector")

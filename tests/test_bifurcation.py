@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pnk import (CASE_A, CASE_B, CASE_C, DEGENERATE,
-                 MatchingAmbiguityWarning, NothingFound, ProbeOptions,
-                 TorusSeed, VectorFieldFamily, analyze_branch, build_section,
-                 classify_event, continue_branch, detect_crossings,
-                 postcritical_probe, track_multipliers, transversal_map)
+                 MatchingAmbiguityWarning, NoConvergence, NothingFound,
+                 ProbeOptions, TorusSeed, VectorFieldFamily, analyze_branch,
+                 build_section, classify_event, continue_branch,
+                 detect_crossings, postcritical_probe, track_multipliers,
+                 transversal_map)
 from pnk import bifurcation
 from pnk.bifurcation import CrossingBracket, MultiplierPaths
 from pnk.catalog import make_flip, make_neimark, make_pitchfork
@@ -367,14 +368,15 @@ class TestClassifyEvent:
 
 
 class TestPostcriticalProbe:
-    # Field evaluations of one probe at eps 0.04: the normal-form seeds
-    # take 3,651 (flip) and 949 (pitchfork).
+    # Field evaluations of one probe at eps 0.04: 1,920 values and 1,284
+    # jacobians (flip; 3,209 and 2,446 when both P o P seeds were
+    # solved), and 949 values (pitchfork).
     def test_flip_probe_work(self, flip_branch, counted_family):
         sysm, branch = flip_branch
         fam, calls = counted_family(sysm.family)
         probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
                                    [0.04], CASE_A)
-        assert calls[0] <= 7500
+        assert calls[0] <= 2400
         assert len(probe.two_cycles) == 1
         amp = sorted(abs(pt[0]) for pt in probe.two_cycles[0].points)
         np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
@@ -387,7 +389,7 @@ class TestPostcriticalProbe:
         fam, calls = counted_family(sysm.family)
         probe = postcritical_probe(fam, sysm.seed, [1], branch.frame,
                                    [0.04], CASE_A)
-        assert calls[1] <= 2600
+        assert calls[1] <= 1600
         assert len(probe.two_cycles) == 1
 
     def test_neimark_circle_probe_work(self, neimark_branch, counted_family):
@@ -629,6 +631,64 @@ class TestPostcriticalProbe:
         np.testing.assert_allclose(amp, [0.2, 0.2], rtol=0.05)
         assert not probe.fixed_points
         assert f"from {fitted[0] + 1} normal-form seed(s)" in probe.notes
+
+    @staticmethod
+    def _spy_solves(monkeypatch, fail_first_cycle_start=False):
+        """Record the winding of every Newton solve of the probe; returns
+        the list of windings. With ``fail_first_cycle_start``, the first
+        solve at winding 2 raises NoConvergence instead."""
+        from pnk import continuation
+        solve = continuation.newton_fixed_point
+        windings = []
+
+        def spy(family, seed, alpha, *args, **kwargs):
+            winding = int(np.asarray(alpha)[0])
+            windings.append(winding)
+            if fail_first_cycle_start and winding == 2 \
+                    and windings.count(2) == 1:
+                raise NoConvergence("first 2-cycle start made to fail")
+            return solve(family, seed, alpha, *args, **kwargs)
+        monkeypatch.setattr(bifurcation, "newton_fixed_point", spy)
+        return windings
+
+    def test_flip_probe_solves_one_cycle_start(self, flip_branch,
+                                               pitchfork_branch,
+                                               monkeypatch):
+        # past a flip the map has one 2-cycle, and both nonzero roots of
+        # the fitted P o P cubic are its points: once the first start has
+        # filed it, the second is not solved
+        sysm, branch = flip_branch
+        for eps, radius in [(0.001, 0.3), (0.01, 0.3), (0.04, 0.5),
+                            (0.1, 0.5)]:
+            windings = self._spy_solves(monkeypatch)
+            probe = postcritical_probe(sysm.family, sysm.seed, [1],
+                                       branch.frame, [eps], CASE_A,
+                                       ProbeOptions(search_radius=radius))
+            assert windings.count(2) == 1, (eps, windings)
+            assert "from 2 normal-form seed(s)" in probe.notes
+            assert len(probe.two_cycles) == 1
+            points = sorted(tuple(pt) for pt in probe.two_cycles[0].points)
+            root = math.sqrt(eps)
+            np.testing.assert_allclose(points, [[-root, 0.0], [root, 0.0]],
+                                       rtol=0, atol=1e-8)
+        # twin fixed points are two objects: a pitchfork solves both seeds
+        sysm, branch = pitchfork_branch
+        windings = self._spy_solves(monkeypatch)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_B)
+        assert windings == [1, 1, 1]  # u0, then one solve per seed
+        assert len(probe.fixed_points) == 2
+
+    def test_failed_cycle_start_hands_over(self, flip_branch, monkeypatch):
+        sysm, branch = flip_branch
+        windings = self._spy_solves(monkeypatch, fail_first_cycle_start=True)
+        probe = postcritical_probe(sysm.family, sysm.seed, [1], branch.frame,
+                                   [0.04], CASE_A)
+        assert windings.count(2) == 2
+        assert len(probe.two_cycles) == 1
+        points = sorted(pt[0] for pt in probe.two_cycles[0].points)
+        np.testing.assert_allclose(points, [-0.2, 0.2], rtol=1e-6)
+        assert not probe.fixed_points
 
     def test_tiny_search_radius_finds_nothing(self, pitchfork_branch):
         # the seed fit divides by powers of the radius: none may underflow

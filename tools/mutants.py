@@ -193,6 +193,19 @@ MUTANTS = (
            "finds nothing",
            ("tests/test_bifurcation.py::TestPostcriticalProbe::"
             "test_circle_probe_refusals",)),
+    Mutant("every-cycle-start-solved", "src/pnk/bifurcation.py",
+           "            if twice and cycles:\n",
+           "            if False:\n",
+           "a flip has one 2-cycle, so the P o P starts stop at the first "
+           "that files it",
+           ("tests/test_bifurcation.py::TestPostcriticalProbe::"
+            "test_flip_probe_solves_one_cycle_start",)),
+    Mutant("failed-cycle-start-ends-search", "src/pnk/bifurcation.py",
+           "            if twice and cycles:\n",
+           "            if twice:\n",
+           "a P o P start that files no 2-cycle hands over to the next",
+           ("tests/test_bifurcation.py::TestPostcriticalProbe::"
+            "test_failed_cycle_start_hands_over",)),
 )
 
 
