@@ -19,7 +19,8 @@ import pnk.cli  # noqa: F401  (imports every pnk module the bench binds)
 import pnk.flow
 from pnk import (VectorFieldFamily, build_section, loop_field,
                  reconstruct_torus)
-from pnk.catalog import make_hopf, make_neimark, make_uncoupled_oscillators
+from pnk.catalog import (make_flip, make_hopf, make_neimark,
+                         make_uncoupled_oscillators)
 from pnk.flow import integrate_flow, integrate_variational
 from pnk.section import transversal_orbit
 
@@ -159,6 +160,24 @@ def test_hopf_loop_counts_one_call_per_stage(counter, monkeypatch,
                system.seed.eps0, 1.0)
     assert rhs_calls[0] == values
     assert counter.counts == {"value": values, "jacobian": jacobians}
+
+
+# The flip's kernels share each point's frame, so a variational stage's
+# jacobian reuses what its value computed; both are still called.
+@pytest.mark.parametrize("integrator", [integrate_variational,
+                                        integrate_flow],
+                         ids=["variational", "plain"])
+def test_flip_loop_counts_one_call_per_stage(counter, monkeypatch,
+                                             integrator):
+    system = make_flip()
+    rhs_calls = _counted_runs(monkeypatch)
+    integrator(loop_field(system.family, [1]), [0.0, 0.1, -0.05], [0.04],
+               1.0)
+    stages = rhs_calls[0]
+    assert stages > 0
+    assert counter.counts == {
+        "value": stages,
+        "jacobian": stages if integrator is integrate_variational else 0}
 
 
 @pytest.mark.parametrize("integrator", [integrate_variational,

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -470,6 +472,98 @@ class TestKernelsKeepTheirBits:
             want = first.copy()
             first += 7.0
             assert kernel(x, eps).tobytes() == want.tobytes()
+
+
+class TestFlipFrame:
+    """The flip's value, jacobian and eps_jacobian share the frame of the
+    last point framed (make_flip). Called in any order, at any mix of
+    points, each still returns its reference's bits."""
+
+    D2 = -0.35
+    X = np.array([0.7, 0.3, -0.2])
+    POINTS = {
+        "x": (X, np.array([0.04])),
+        "x at another eps": (X, np.array([-0.3])),
+        "other": (np.array([-1.1, 0.5, 0.25]), np.array([0.04])),
+        "zero": (np.array([math.pi, 0.0, 0.6]), np.array([0.1])),
+        "minus zero": (np.array([math.pi, -0.0, 0.6]), np.array([0.1])),
+    }
+
+    def kernels(self):
+        field = make_flip(stable_exponent=self.D2).family.member(0)
+        value, jacobian = _flip_reference(self.D2)
+        return {"value": (field.value, value),
+                "jacobian": (field.jacobian, jacobian),
+                "eps_jacobian": (field.eps_jacobian, _flip_eps_jacobian)}
+
+    def test_kernels_called_out_of_order(self):
+        kernels = self.kernels()
+        calls = [
+            # before any value
+            ("jacobian", "x"), ("eps_jacobian", "other"),
+            # away from the last value's point
+            ("value", "x"), ("jacobian", "other"), ("eps_jacobian", "x"),
+            # points that differ only in eps
+            ("value", "x"), ("jacobian", "x at another eps"),
+            ("value", "x"), ("eps_jacobian", "x at another eps"),
+            ("value", "x at another eps"), ("jacobian", "x"),
+            # points that differ only in one zero's sign
+            ("value", "zero"), ("jacobian", "minus zero"),
+            ("value", "minus zero"), ("jacobian", "zero"),
+            ("eps_jacobian", "minus zero"),
+            # the same point again, after its results were changed
+            ("value", "x"), ("value", "x"), ("jacobian", "x"),
+            ("jacobian", "x"), ("eps_jacobian", "x"), ("eps_jacobian", "x"),
+        ]
+        for kernel, point in calls:
+            got_fn, want_fn = kernels[kernel]
+            x, eps = self.POINTS[point]
+            got = got_fn(x, eps)
+            assert _same_bits(got, want_fn(x, eps)), (kernel, point)
+            # a caller's change to a result must not reach the next call
+            got += 7.0
+
+    def test_point_changed_in_place(self):
+        # as the integrator's stage buffer is: the frame is keyed by the
+        # point's bytes, not by the array
+        kernels = self.kernels()
+        x, eps = self.X.copy(), np.array([0.04])
+        kernels["value"][0](x, eps)
+        for i, array in ((1, x), (0, eps)):
+            array[i] = 0.2
+            for got_fn, want_fn in kernels.values():
+                assert _same_bits(got_fn(x, eps), want_fn(x, eps)), got_fn
+
+    def test_threads_get_their_own_frames(self):
+        # more threads than cores, switching often: a thread that read
+        # another thread's frame would return that point's bits
+        kernels = self.kernels()
+        points = list(self.POINTS.values())
+        wants = [[want_fn(x, eps) for _, want_fn in kernels.values()]
+                 for x, eps in points]
+        wrong = []
+
+        def work(start):
+            for i in range(300):
+                k = (start + i) % len(points)
+                x, eps = points[k]
+                for (got_fn, _), want in zip(kernels.values(), wants[k]):
+                    if not _same_bits(got_fn(x, eps), want):
+                        wrong.append((got_fn, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, wrong[:5]
 
 
 def _parent_loop_kernels(family, alpha):

@@ -206,6 +206,23 @@ MUTANTS = (
            "a P o P start that files no 2-cycle hands over to the next",
            ("tests/test_bifurcation.py::TestPostcriticalProbe::"
             "test_failed_cycle_start_hands_over",)),
+    Mutant("flip-jacobian-stale-frame", "src/pnk/catalog.py",
+           "        _, _, rot, v, v0, e, r0, r1 = frame(x, eps)\n",
+           "        _, _, rot, v, v0, e, r0, r1 = last[1] or frame(x, eps)\n",
+           "the flip's jacobian reuses the last frame only at its own point; "
+           "a stage calls the value first, so only out-of-order calls see it",
+           ("tests/test_catalog.py::TestFlipFrame::"
+            "test_kernels_called_out_of_order",)),
+    Mutant("flip-frame-key-without-eps", "src/pnk/catalog.py",
+           "        key = x.tobytes() + eps.tobytes()\n",
+           "        key = x.tobytes()\n",
+           "the flip's frame holds eps[0], so its key holds eps",
+           ("tests/test_catalog.py::TestFlipFrame::"
+            "test_kernels_called_out_of_order",
+            "tests/test_catalog.py::TestFlipFrame::"
+            "test_point_changed_in_place",
+            "tests/test_catalog.py::TestKernelsKeepTheirBits::"
+            "test_value_and_jacobian_equal_the_numpy_forms")),
 )
 
 
