@@ -36,8 +36,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCOMMUTING = 4
 
-# A torus is isolated (no nearby torus meets the section in a second fixed
-# point) when no transversal multiplier is this close to the unit circle.
+# "isolated" is dist_from_unit_circle > ISOLATION_TOL: every transversal
+# multiplier lies farther than this from the unit circle, so the section
+# map's fixed point is hyperbolic. It measures no isolation radius.
 ISOLATION_TOL = 1e-9
 
 

@@ -126,19 +126,24 @@ def extract_linearization(family: VectorFieldFamily, seed: TorusSeed,
 
 
 def _coefficient_flow(coeffs: LinearizedCoefficients):
-    """Right-hand side and start of Theta' = Ahat(t) Theta with exact
-    blocks; a transported frame S joins Theta as one state [Theta; S]."""
+    """Right-hand side, start and :func:`pnk.flow.integrate` split of
+    Theta' = Ahat(t) Theta with exact blocks; a transported frame S joins
+    Theta as one state [Theta; S], which the split hands over as the
+    blocks Theta and S."""
     r = coeffs.frame.shape[1]
     if not coeffs.transported:
         def rhs(t, y, out):
             coeffs.at(t, coeffs.frame)[1].dot(y, out=out)
-        return rhs, np.eye(r)
+        return rhs, np.eye(r), None
 
     def joint_rhs(t, y, out):
-        s_dot, ahat = coeffs.at(t, y[r:])[:2]
-        out[r:] = s_dot
-        ahat.dot(y[:r], out=out[:r])
-    return joint_rhs, np.vstack([np.eye(r), coeffs.frame])
+        theta, s_basis = y
+        theta_dot, s_out = out
+        s_dot, ahat = coeffs.at(t, s_basis)[:2]
+        s_out[...] = s_dot
+        ahat.dot(theta, out=theta_dot)
+    return (joint_rhs, np.vstack([np.eye(r), coeffs.frame]),
+            (slice(None, r), slice(r, None)))
 
 
 def _as_matrix_func(Ahat):
@@ -163,17 +168,17 @@ class FundamentalMatrix:
 
 def _period_sampler(T, n_out, tol):
     """Refuse a period T that is not finite and positive, or ``n_out`` < 2
-    (``ValueError``); else ``sample(rhs, y0) -> (times, run)``, one
-    :func:`pnk.flow.integrate` run over [0, T] at ``n_out`` uniform
-    times, whose last sample is the endpoint itself."""
+    (``ValueError``); else ``sample(rhs, y0, split=None) -> (times,
+    run)``, one :func:`pnk.flow.integrate` run over [0, T] at ``n_out``
+    uniform times, whose last sample is the endpoint itself."""
     if not 0.0 < T < math.inf:
         raise ValueError("period must be finite and positive")
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
     times = np.linspace(0.0, T, n_out)
 
-    def sample(rhs, y0):
-        run = flow.integrate(rhs, y0, T, tol, times)
+    def sample(rhs, y0, split=None):
+        run = flow.integrate(rhs, y0, T, tol, times, split)
         run.samples[-1] = run.endpoint
         return times, run
     return sample
@@ -191,14 +196,14 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
     """
     sample = _period_sampler(T, n_out, tol)
     if isinstance(Ahat, LinearizedCoefficients):
-        rhs, y0 = _coefficient_flow(Ahat)
+        rhs, y0, split = _coefficient_flow(Ahat)
     else:
         func, r = _as_matrix_func(Ahat)
 
         def rhs(t, y, out):
             func(t).dot(y, out=out)
-        y0 = np.eye(r)
-    times, run = sample(rhs, y0)
+        y0, split = np.eye(r), None
+    times, run = sample(rhs, y0, split)
     r = y0.shape[1]  # rows below r carry a transported frame S
     holonomy = float(np.max(np.abs(run.endpoint[r:] - y0[r:]), initial=0.0))
     if holonomy > HOLONOMY_TOL:

@@ -28,12 +28,20 @@ which writes c_0 X_0(x) into the stage's row and adds each further term
 c_i X_i(x) there (a plain field is one term at scale 1.0, exact); a
 variational stage sums the jacobians so into one n x n buffer and writes
 its product with M. A one-term stage thus costs the state check, a
-kernel call and a ufunc (variational: two of each and a dot). A state of
-any shape steps as its flat row-major form, seen by the right-hand side
-in y0's shape ([x; M] is one (n + 1, n) array). At pnk's chart sizes a
-numpy call's fixed cost, about a microsecond, outweighs its arithmetic,
-so products are ``ndarray.dot`` calls into buffers, and the state check
-and the step-size controller work on Python floats. A ufunc takes no
+kernel call and a ufunc (variational: two of each and a dot), and skips
+the loop over further terms. A state of any shape steps as its flat
+row-major form, seen by the right-hand side in y0's shape ([x; M] is one
+(n + 1, n) array). At pnk's chart sizes a numpy call's fixed cost, about
+a microsecond, outweighs its arithmetic, so products are ``ndarray.dot``
+calls into buffers, and the state check and the step-size controller
+work on Python floats. A view costs about 0.1 us, so every view a
+right-hand side receives is built once per run, at its start: the
+stage rows, the stage state and the two buffers that hold the accepted
+state in turn. A state that splits into blocks ([x; M] of a variational
+run, [Theta; S] of a transported Floquet frame) reaches its right-hand
+side as the tuple of its block views, built there too, so no stage
+makes a view. A trial step writes its new state and its error scale
+into buffers of the run, so no step allocates an array either. A ufunc takes no
 Python float, though: the step size h, the scales c_i
 (:func:`~pnk.core.scaled_kernels`) and the tolerances of the error scale
 are 0-d float64 arrays. Under numpy 2's rules for Python scalars (NEP
@@ -139,8 +147,9 @@ def _checked_rhs(field: Field, eps):
     def rhs(_t, y, out):
         _check_state(y)
         np.multiply(value(y, eps), c0, out=out)
-        for kernel, c in rest:
-            np.add(out, np.multiply(kernel(y, eps), c), out=out)
+        if rest:  # a one-term field skips the loop's set-up
+            for kernel, c in rest:
+                np.add(out, np.multiply(kernel(y, eps), c), out=out)
 
     return rhs
 
@@ -183,16 +192,21 @@ def _error_norm(k_step, h_abs, scale, err5, err3):
     return h_abs * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
+def integrate(rhs, y0, t, tol, times=None, split=None) -> FlowResult:
     """The one integration routine, over [0, t] at rtol = tol and atol =
     tol * ``ATOL_FACTOR`` (see the module docstring).
 
     ``rhs(s, y, out)`` writes the derivative at time s and state y into
     ``out``, the stage row it fills; both have y0's shape, and it must
     keep neither after it returns, since both are buffers of the next
-    stage. A state of any shape takes the steps of its flat row-major
-    form; ``endpoint`` has y0's shape, ``samples`` ``(len(times),) +
-    y0.shape``. ``times``, when given, is a nonempty 1-D array of finite,
+    stage. Each y and out it receives is one of a few views that the run
+    builds once, at its start. With ``split``, a tuple of indices into
+    y0's shape, y and out are instead the tuples of those blocks of the
+    state and of the row (``(0, slice(1, None))`` gives the x row and the
+    M block of [x; M]), also built at the start, so a right-hand side
+    that reads blocks makes no view of its own. A state of any shape
+    takes the steps of its flat row-major form; ``endpoint`` has y0's
+    shape, ``samples`` ``(len(times),) + y0.shape``. ``times``, when given, is a nonempty 1-D array of finite,
     strictly increasing times in [0, t], so t is positive; each time is
     sampled by the dense output of the step that ends at or after it.
 
@@ -205,11 +219,11 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
     _check_tol(tol)
     rtol, atol = tol, tol * ATOL_FACTOR
     rtol_arr, atol_arr = np.array(rtol), np.array(atol)
-    y = np.array(y0, dtype=float)
-    if not np.isfinite(y).all():
+    y0 = np.array(y0, dtype=float)
+    if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
-    shape, n = y.shape, y.size
+    shape, n = y0.shape, y0.size
     t0, t_bound = 0.0, float(t)
     direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
     if times is not None:
@@ -229,24 +243,33 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
             raise StepFailure(
                 f"integration exceeded {MAX_EVALS} field evaluations")
 
+    def handed(flat):
+        """What the right-hand side receives for the flat buffer flat."""
+        shaped = flat.reshape(shape)
+        return shaped if split is None else tuple(shaped[i] for i in split)
+
     # Row s of K is stage s; row _STAGES is the derivative at the step's
-    # end, which the next step copies to its stage 0. The stage views and
-    # the increment, state and error buffers serve every step of the run.
+    # end, which the next step copies to its stage 0. The stage views,
+    # the two accepted-state buffers, which the steps take in turn, and
+    # the increment, state, error and error-scale buffers serve every
+    # step of the run.
     K = np.empty((dop853.N_STAGES_EXTENDED, n))
-    rows = K.reshape(K.shape[:1] + shape)
-    stages = [(K[:s].T, a, c, rows[s, ...]) for s, a, c in _TABLEAU]
+    stages = [(K[:s].T, a, c, handed(K[s])) for s, a, c in _TABLEAU]
     step_stages, extra_stages = stages[:_STAGES - 1], stages[_STAGES:]
     k_body, k_step, f_new = K[:_STAGES].T, K[:_STAGES + 1].T, K[_STAGES]
-    dy, y_stage, err5, err3 = np.empty((4, n))
+    states = np.empty((2, n))
+    state_views = [handed(y) for y in states]
+    dy, y_stage, err5, err3, scale, scale_new = np.empty((6, n))
     h_arr = np.empty(())  # h of the trial step, as a ufunc operand
     # the dense output's coefficient rows 3 on, h D K
     hdk = np.empty((dop853.INTERPOLATOR_POWER - 3, n))
-    f_shaped, y_shaped = rows[_STAGES, ...], y_stage.reshape(shape)
+    f_view, stage_view = handed(f_new), handed(y_stage)
 
-    def step(t_old, y_old, h_abs):
+    def step(t_old, y_old, y_new, y_new_view, h_abs):
         """Trial steps from (t_old, y_old), from size h_abs on, until one
-        passes the error test: (t_new, y_new, h, next h_abs), or None
-        once the size falls below 10 spacings of t_old."""
+        passes the error test: (t_new, h, next h_abs), with the new state
+        in y_new, or None once the size falls below 10 spacings of
+        t_old."""
         K[0] = f_new
         min_step = 10 * abs(math.nextafter(t_old, direction * math.inf)
                             - t_old)
@@ -263,14 +286,18 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
             h_arr[()] = h
             charge(_STAGES - 1)
             _stages(rhs, step_stages, t_old, y_old, h, h_arr, dy, y_stage,
-                    y_shaped)
+                    stage_view)
             k_body.dot(dop853.B, out=dy)
             np.multiply(dy, h_arr, out=dy)
-            y_new = y_old + dy
+            np.add(y_old, dy, out=y_new)
             charge(1)
-            rhs(t_old + h, y_new.reshape(shape), f_shaped)
-            scale = (atol_arr
-                     + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol_arr)
+            rhs(t_old + h, y_new_view, f_view)
+            # atol + max(|y_old|, |y_new|) * rtol
+            np.abs(y_old, out=scale)
+            np.abs(y_new, out=scale_new)
+            np.maximum(scale, scale_new, out=scale)
+            np.multiply(scale, rtol_arr, out=scale)
+            np.add(atol_arr, scale, out=scale)
             error_norm = _error_norm(k_step, h_abs, scale, err5, err3)
             if error_norm < 1:
                 if error_norm == 0:
@@ -280,7 +307,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
                                  SAFETY * error_norm ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
-                return t_new, y_new, h, h_abs * factor
+                return t_new, h, h_abs * factor
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         return None
@@ -290,7 +317,7 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
         of size h (still in h_arr), and h D K into hdk."""
         charge(len(extra_stages))
         _stages(rhs, extra_stages, t_old, y_old, h, h_arr, dy, y_stage,
-                y_shaped)
+                stage_view)
         dop853.D.dot(K, out=hdk)
         np.multiply(hdk, h_arr, out=hdk)
 
@@ -317,31 +344,35 @@ def integrate(rhs, y0, t, tol, times=None) -> FlowResult:
                 for x, x1 in xs
                 for y0, f0, f1, f2, f3, f4, f5, f6 in coefficients]
 
-    def initial_slope(s, x):  # select_initial_step's one call
-        rhs(s, x, rows[1, ...])
-        return rows[1, ...]
+    def initial_slope(s, x):  # select_initial_step's one call, into row 1
+        rhs(s, handed(x), stages[0][-1])
+        return K[1].reshape(shape)
 
     steps, sampled, t_now = 0, 0, t0
     # the times as Python floats, and the first not yet sampled
     pending = [] if times is None else times.tolist()
     next_time = pending[0] if pending else math.inf
+    # y is the state the stepper last accepted, y_new the other buffer
+    (y, y_new), (y_view, y_new_view) = states, state_views
+    y[:] = y0.reshape(n)
     # A blow-up overflows inside the stepper before the state check sees
     # it; NonFinite below reports it, so numpy's warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         charge(2)  # the start-up batch: at t0 and initial_slope
-        rhs(t0, y, f_shaped)
+        rhs(t0, y_view, f_view)
         h_abs = float(select_initial_step(
-            initial_slope, t0, y, t_bound, np.inf, f_shaped, direction,
-            _ERROR_ORDER, rtol, atol))
-        y = y.reshape(n)
+            initial_slope, t0, y0, t_bound, np.inf, f_new.reshape(shape),
+            direction, _ERROR_ORDER, rtol, atol))
         while t_now != t_bound:
-            t_old, y_old = t_now, y
-            accepted = step(t_old, y_old, h_abs)
+            t_old = t_now
+            accepted = step(t_old, y, y_new, y_new_view, h_abs)
             if accepted is None:
                 if not np.all(np.isfinite(y)):
                     raise NonFinite(f"integration blew up: {TOO_SMALL_STEP}")
                 raise StepFailure(f"integration failed: {TOO_SMALL_STEP}")
-            t_now, y, h, h_abs = accepted
+            t_now, h, h_abs = accepted
+            y_old, y, y_new = y, y_new, y
+            y_view, y_new_view = y_new_view, y_view
             steps += 1
             # a time equal to t_now is sampled on this step
             if t_now < next_time:
@@ -399,20 +430,23 @@ def integrate_variational(field: Field, x0, eps, t: float,
 
     value, c0, values = scaled_kernels(field.terms, "value")
     jac, _, jacs = scaled_kernels(field.terms, "jacobian")
+    rest = [(value_i, jac_i, c)
+            for (value_i, c), (jac_i, _) in zip(values, jacs)]
     jac_sum = np.empty((n, n))
 
     def rhs(_t, y, out):
-        x = y[0]
+        x, m = y
         _check_state(x)
-        row = out[0]
+        row, m_dot = out
         np.multiply(value(x, eps), c0, out=row)
-        for kernel, c in values:
-            np.add(row, np.multiply(kernel(x, eps), c), out=row)
         np.multiply(jac(x, eps), c0, out=jac_sum)
-        for kernel, c in jacs:
-            np.add(jac_sum, np.multiply(kernel(x, eps), c), out=jac_sum)
-        jac_sum.dot(y[1:], out=out[1:])
+        if rest:  # a one-term field skips the loop's set-up
+            for value_i, jac_i, c in rest:
+                np.add(row, np.multiply(value_i(x, eps), c), out=row)
+                np.add(jac_sum, np.multiply(jac_i(x, eps), c), out=jac_sum)
+        jac_sum.dot(m, out=m_dot)
 
-    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol)
+    run = integrate(rhs, np.vstack([x0, np.eye(n)]), t, tol,
+                    split=(0, slice(1, None)))
     return FlowResult(run.endpoint[0], run.steps_taken,
                       tangent=run.endpoint[1:])

@@ -594,11 +594,12 @@ class _Captured(Exception):
 def _capture_rhs(monkeypatch):
     """Make pnk.flow.integrate refuse to run; the returned function gives
     the right-hand side that an integrator hands to it for a field at
-    eps."""
+    eps, as a function of whole states and rows: for a split state it
+    hands the right-hand side the blocks of both, as a run does."""
     seen = []
 
-    def integrate(rhs, *args, **kwargs):
-        seen.append(rhs)
+    def integrate(rhs, *args, split=None, **kwargs):
+        seen.append((rhs, split))
         raise _Captured
 
     monkeypatch.setattr(pnk.flow, "integrate", integrate)
@@ -606,7 +607,14 @@ def _capture_rhs(monkeypatch):
     def rhs_of(integrator, field, eps):
         with pytest.raises(_Captured):
             integrator(field, np.zeros(field.n), eps, 1.0)
-        return seen.pop()
+        rhs, split = seen.pop()
+        if split is None:
+            return rhs
+
+        def whole(t, y, out):
+            rhs(t, tuple(y[i] for i in split),
+                tuple(out[i] for i in split))
+        return whole
     return rhs_of
 
 

@@ -16,8 +16,9 @@ from scipy.linalg import expm
 import pnk._dop853
 import pnk.flow
 from pnk import (Field, NonFinite, SingularGeometry, StepFailure,
-                 build_section, integrate_flow, integrate_variational,
-                 loop_field, solve_return_times)
+                 build_section, extract_linearization, fundamental_matrix,
+                 integrate_flow, integrate_variational, loop_field,
+                 solve_return_times)
 from pnk.catalog import (make_flip, make_hopf, make_neimark,
                          make_uncoupled_oscillators)
 from pnk.flow import MIN_TOL
@@ -301,6 +302,45 @@ def test_stepping_ufuncs_take_no_python_scalar(monkeypatch):
     assert spy.seen == []
 
 
+def test_right_hand_sides_get_views_built_once(monkeypatch):
+    """Every stage hands the right-hand side one of a few objects that
+    the run built at its start: the stage state, the two accepted states
+    and the initial slope's state, and the stage rows. A variational run
+    and a transported Floquet run hand over their blocks, so neither
+    right-hand side slices a whole state. A view made per stage, by the
+    integrator or for a right-hand side, fails here."""
+    handed = []
+    integrate = pnk.flow.integrate
+
+    def spying(rhs, *args, **kwargs):
+        def spy(t, y, out):
+            handed.append((y, out))
+            rhs(t, y, out)
+        return integrate(spy, *args, **kwargs)
+
+    monkeypatch.setattr(pnk.flow, "integrate", spying)
+    hopf = make_hopf(1.0, 0.1)
+    loop = loop_field(hopf.family, [1])
+    x0, eps = hopf.seed.base_point, hopf.seed.eps0
+    runs = {
+        "plain": (lambda: integrate_flow(loop, x0, eps, 1.0,
+                                         times=[0.5, 1.0]), np.ndarray),
+        "variational": (lambda: integrate_variational(loop, x0, eps, 1.0),
+                        tuple),
+        "floquet": (lambda: fundamental_matrix(
+            extract_linearization(hopf.family, hopf.seed, [1]), 1.0),
+            tuple),
+    }
+    for name, (run, kind) in runs.items():
+        handed.clear()
+        run()
+        assert len(handed) > 200, name
+        assert all(type(y) is type(out) is kind for y, out in handed), name
+        # handed keeps every object alive, so no two share an id
+        assert len({id(y) for y, _ in handed}) <= 4, name
+        assert len({id(out) for _, out in handed}) <= 15, name
+
+
 class TestSolveReturnTimes:
     def test_point_on_section_returns_zero_times(self, straight_sys):
         frame = build_section(straight_sys.family, straight_sys.seed)
@@ -574,6 +614,14 @@ class TestOwnStepLoop:
         # 12 calls per trial step and 2 to start: some trials failed
         rejected = (ref.nfev - 2) // 12 - (len(ref.t) - 1)
         assert rejected > 0
+
+    def test_step_raised_to_the_smallest(self):
+        # over t = 1e-323 the initial step, 1e-323, is below 10 spacings
+        # of t = 0 (4.9e-323): the trial starts there, is cut back to the
+        # span and passes, as scipy's does
+        returned, written, y0 = _hopf_variational()
+        ours, _ = self._plain(written, returned, y0, 1e-323)
+        assert ours.steps_taken == 1
 
     @pytest.mark.parametrize("returned, y0, t_eval, want", [
         (_square, 1.0, None, StepFailure),

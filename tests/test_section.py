@@ -12,7 +12,7 @@ from pnk import (DegenerateTangent, NoConvergence, OpenLoop, TorusSeed,
                  monodromy_report, total_monodromy, transversal_linearization,
                  transversal_map)
 from pnk.catalog import make_flip, make_neimark
-from pnk.section import transversal_orbit
+from pnk.section import solve_return_times, transversal_orbit
 from pnk.spectra import match_distance, sorted_complex
 
 TWO_PI = 2.0 * math.pi
@@ -183,6 +183,28 @@ def _iterated_maps(family, frame, u, count, eps=None):
         u = transversal_map(family, frame, [1], u, eps).u
         out.append(u)
     return np.array(out)
+
+
+class TestReturnBudget:
+    """The return-time Newton solve stops at RETURN_MAX_ITER steps."""
+
+    @staticmethod
+    def _solve():
+        # 0.03 off the twisting circle's base, the return takes 4 steps
+        fam, seed = _twisting_circle(twist=10.0, eps0=0.01)
+        frame = build_section(fam, seed)
+        y = frame.base + np.array([0.0, 0.03])
+        return solve_return_times(fam, y, seed.eps0, frame)
+
+    def test_budget_of_the_steps_needed_converges(self, monkeypatch):
+        assert self._solve().iterations == 4
+        monkeypatch.setattr(pnk.section, "RETURN_MAX_ITER", 4)
+        assert self._solve().iterations == 4
+
+    def test_budget_below_the_steps_needed_raises(self, monkeypatch):
+        monkeypatch.setattr(pnk.section, "RETURN_MAX_ITER", 3)
+        with pytest.raises(NoConvergence, match="in 3 iterations"):
+            self._solve()
 
 
 class TestTransversalOrbit:

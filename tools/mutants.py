@@ -62,6 +62,36 @@ MUTANTS = (
            "        dop853.D.dot(K, out=hdk)\n",
            "the dense output's rows 3 on are h D K, not D K",
            ("tests/test_flow.py::TestOwnStepLoop",)),
+    Mutant("accepted-state-overwritten", "src/pnk/flow.py",
+           "    (y, y_new), (y_view, y_new_view) = states, state_views\n",
+           "    y = y_new = states[0]\n"
+           "    y_view = y_new_view = state_views[0]\n",
+           "a trial step writes its state into the buffer that the last "
+           "accepted state does not hold, which a rejected trial and the "
+           "dense output still read",
+           ("tests/test_flow.py::TestOwnStepLoop::test_t_eval_samples",
+            "tests/test_flow.py::TestOwnStepLoop::test_rejected_steps")),
+    Mutant("error-scale-new-state-only", "src/pnk/flow.py",
+           "            np.abs(y_old, out=scale)\n",
+           "            np.abs(y_new, out=scale)\n",
+           "the error scale is atol + max(|y_old|, |y_new|) rtol, as "
+           "scipy's",
+           ("tests/test_flow.py::TestOwnStepLoop::test_hopf_variational",
+            "tests/test_flow.py::TestOwnStepLoop::test_rejected_steps")),
+    Mutant("step-not-raised-to-the-smallest", "src/pnk/flow.py",
+           "        if h_abs < min_step:\n"
+           "            h_abs = min_step\n",
+           "",
+           "a proposed step below 10 spacings of t starts at that floor, "
+           "so a span shorter than the floor still takes its one step",
+           ("tests/test_flow.py::TestOwnStepLoop::"
+            "test_step_raised_to_the_smallest",)),
+    Mutant("view-per-step", "src/pnk/flow.py",
+           "            rhs(t_old + h, y_new_view, f_view)\n",
+           "            rhs(t_old + h, handed(y_new), f_view)\n",
+           "every view a right-hand side receives is built once per run",
+           ("tests/test_flow.py::"
+            "test_right_hand_sides_get_views_built_once",)),
     Mutant("seed-quadratic-sign", "src/pnk/bifurcation.py",
            "q_step = 0.5 * (g_plus + g_minus) / step",
            "q_step = -0.5 * (g_plus + g_minus) / step",
@@ -155,13 +185,19 @@ MUTANTS = (
            ("tests/test_flow.py::TestIntegrateFlow::"
             "test_blowup_failure_modes",)),
     Mutant("variational-state-unchecked", "src/pnk/flow.py",
-           "        x = y[0]\n"
+           "        x, m = y\n"
            "        _check_state(x)\n",
-           "        x = y[0]\n",
+           "        x, m = y\n",
            "the variational right-hand side's state check is the only "
            "check of a variational flow's end state",
            ("tests/test_flow.py::TestChartEscape::"
             "test_non_finite_second_entry_is_not_an_escape",)),
+    Mutant("return-budget-short", "src/pnk/section.py",
+           "    for it in range(RETURN_MAX_ITER + 1):\n",
+           "    for it in range(RETURN_MAX_ITER - 1):\n",
+           "the return-time solve takes up to RETURN_MAX_ITER Newton steps "
+           "and raises NoConvergence when they do not converge",
+           ("tests/test_section.py::TestReturnBudget",)),
     Mutant("foreign-winding-analyzed", "src/pnk/bifurcation.py",
            "    if not np.array_equal(alpha, branch.alpha):\n",
            "    if False:\n",
