@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ KIND_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class MultiplierPaths:
+class MultiplierPaths(NamedTuple):
     """Multipliers matched into continuous paths along a branch."""
 
     eps_values: list
@@ -135,8 +134,7 @@ def track_multipliers(branch: ContinuationBranch) -> MultiplierPaths:
     return MultiplierPaths([p.eps for p in pts], paths, ambiguous)
 
 
-@dataclass(frozen=True)
-class CrossingBracket:
+class CrossingBracket(NamedTuple):
     """A refined |mu| = 1 crossing of one path (of a conjugate pair, the
     member with Im mu >= 0): the bracket ends with their multipliers, and
     the multiplier and whole spectrum of the last refine."""
@@ -228,8 +226,7 @@ def _refine_bracket(lo, hi, mu_lo, mu_hi, refine, eps_tol) -> CrossingBracket:
     return CrossingBracket(lo, hi, mu_lo, mu_hi, mu, spec)
 
 
-@dataclass(frozen=True)
-class BifurcationEvent:
+class BifurcationEvent(NamedTuple):
     """A classified loss of transversal hyperbolicity."""
 
     eps_critical: np.ndarray
@@ -299,8 +296,7 @@ def classify_event(bracket: CrossingBracket, angle_tol: float = 1e-3
 # post-critical probes
 
 
-@dataclass(frozen=True)
-class ProbeOptions:
+class ProbeOptions(NamedTuple):
     """Search radius (also the step of the normal-form seed fit),
     Newton tolerance, and orbit-sampling controls.
 
@@ -317,15 +313,13 @@ class ProbeOptions:
     n_samples: int = 128
 
 
-@dataclass(frozen=True)
-class TwoCycleFinding:
+class TwoCycleFinding(NamedTuple):
     points: tuple
     multipliers: np.ndarray  # eigenvalues of the cycle derivative
     residual: float
 
 
-@dataclass(frozen=True)
-class CircleFinding:
+class CircleFinding(NamedTuple):
     center: np.ndarray
     mean_radius: float
     fit_residual: float
@@ -334,8 +328,7 @@ class CircleFinding:
     samples: np.ndarray
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     kind: str
     eps_post: np.ndarray
     base_u: np.ndarray
@@ -434,8 +427,12 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     (Kuznetsov, Elements of Applied Bifurcation Theory, ch. 4); P o P is
     one map at winding 2 alpha, jacobian included. Each seed gets
     ``PROBE_MAX_ITER`` iterations of
-    :func:`~pnk.continuation.newton_fixed_point`; a fixed point within
-    ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
+    :func:`~pnk.continuation.newton_fixed_point`; a solve that lands
+    within ``PROBE_EXCLUDE_TOL`` of u0 is solved once more from its seed
+    with u0 and the fixed points found so far deflated, so a seed in u0's
+    basin can still reach a new object; a seed that lands on an earlier
+    find has been served and is not retried. A fixed point
+    within ``PROBE_EXCLUDE_TOL`` of u0, or a 2-cycle whose points are that
     close, is not new, and fixed points closer than
     max(``PROBE_EXCLUDE_TOL``, 100*tol) to an earlier one are merged. A
     fit or a Newton solve that raises ``FAILED_START`` (any
@@ -478,12 +475,13 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
         return transversal_map(family, frame, winding, u, eps_post,
                                opts.tol).u
 
-    def solve(winding, guess):
+    def solve(winding, guess, deflate=()):
         """The fixed point of the map at winding from guess, or None for a
         failed start."""
         try:
             return newton_fixed_point(family, seed, winding, frame, eps_post,
-                                      guess, opts.tol, PROBE_MAX_ITER)
+                                      guess, opts.tol, PROBE_MAX_ITER,
+                                      deflate=deflate)
         except FAILED_START:
             return None
 
@@ -499,8 +497,14 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
     notes = []
 
     def classify(twice, guess):
-        """Solve P (or P o P when ``twice``) from guess and file a new find."""
-        got = solve(alpha_twice if twice else alpha, guess)
+        """Solve P (or P o P when ``twice``) from guess and file a new find.
+        A solve that lands on u0 is retried from the same guess with u0
+        and the fixed points found so far deflated."""
+        winding = alpha_twice if twice else alpha
+        got = solve(winding, guess)
+        if got is not None and \
+                float(np.linalg.norm(got.u - u0)) <= PROBE_EXCLUDE_TOL:
+            got = solve(winding, guess, [u0] + [f.u for f in fixed])
         if got is None:
             return
         u = got.u
@@ -583,8 +587,7 @@ def postcritical_probe(family: VectorFieldFamily, seed: TorusSeed, alpha,
 # pipeline
 
 
-@dataclass(frozen=True)
-class BifurcationAnalysis:
+class BifurcationAnalysis(NamedTuple):
     paths: MultiplierPaths
     events: list
     probes: list  # (event_index, ProbeReport)

@@ -30,7 +30,7 @@ which a plain flow, calling the value alone, would pay at every stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatalogSystem:
+class CatalogSystem(NamedTuple):
     name: str
     family: VectorFieldFamily
     seed: TorusSeed
@@ -59,28 +58,37 @@ class CatalogSystem:
 # straightened (flow-box) systems
 
 
-@dataclass(frozen=True)
-class StraightenedSpec:
+class _StraightenedSpecFields(NamedTuple):
+    A: tuple
+    C: np.ndarray
+    cubic: float = 0.0
+
+
+class StraightenedSpec(_StraightenedSpecFields):
     """k commuting generators in flow-box form on T^k x R^r.
 
     Fields are X_i = d/dphi_i + A_i (u + C eps + cubic * u^3) d/du with
     the cubic acting componentwise. The shared inner factor keeps the
     family exactly commuting; with cubic != 0 this requires diagonal A_i.
     The exact invariant torus solves u + C eps + cubic u^3 = 0
-    componentwise (u = -C eps when cubic = 0).
+    componentwise (u = -C eps when cubic = 0). ``A`` is kept as a tuple
+    of float arrays and ``C`` as a float matrix, a vector as one column.
     """
 
-    A: tuple
-    C: np.ndarray
-    cubic: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        mats = tuple(np.asarray(a, dtype=float) for a in self.A)
-        object.__setattr__(self, "A", mats)
-        c = np.asarray(self.C, dtype=float)
+    def __new__(cls, A, C, cubic=0.0):
+        c = np.asarray(C, dtype=float)
         if c.ndim == 1:
             c = c.reshape(-1, 1)
-        object.__setattr__(self, "C", c)
+        return super().__new__(
+            cls, tuple(np.asarray(a, dtype=float) for a in A), c, cubic)
+
+    @classmethod
+    def _make(cls, iterable):
+        """The spec of the fields in iterable, normalized as by the
+        constructor: ``_replace`` builds through here."""
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -289,8 +297,7 @@ def make_hopf(omega: float = 1.0, eps0: float = 0.1) -> CatalogSystem:
 # hamiltonian pairs
 
 
-@dataclass(frozen=True)
-class HamiltonianPair:
+class HamiltonianPair(NamedTuple):
     """k commuting scalar hamiltonians on R^{2 n_dof}, chart x = (q, p).
 
     ``gradients`` (optional) supply analytic (dH/dq, dH/dp) stacked into a

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,8 +276,7 @@ _CONFIG = {"system": (REQUIRED, _given),
            "output": ({}, _given)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     system_name: str
     system_params: dict
     torus: dict
@@ -390,8 +389,7 @@ def _bounding_slices(options: dict) -> list[np.ndarray]:
 # system construction
 
 
-@dataclass(frozen=True)
-class RunSetup:
+class RunSetup(NamedTuple):
     family: VectorFieldFamily
     seed: TorusSeed
     catalog: CatalogSystem | None

@@ -21,7 +21,7 @@ reparametrization is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +34,13 @@ from .section import SectionFrame, build_section, transversal_map
 
 SINGULAR_TOL = 1e-13  # relative smallest singular value of I - L
 
+# Deflation m(u) = prod_j (|u - r_j|^-p + sigma) of known fixed points r_j
+# (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015): p and sigma.
+DEFLATION_POWER = 2
+DEFLATION_SHIFT = 1.0
 
-@dataclass(frozen=True)
-class NewtonResult:
+
+class NewtonResult(NamedTuple):
     """Converged fixed point of the section return map at parameter eps;
     ``spectrum`` holds the eigenvalues of L = ``transversal``, whose
     margins from 1 and from the unit circle are :func:`spectra.margins`."""
@@ -58,10 +62,26 @@ class NewtonResult:
         return spectra.margins(self.spectrum)[1]
 
 
+def _deflation(u, step, roots) -> float:
+    """1 + sum_j (grad m_j / m_j) . step, with m_j = |u - r_j|^-p + sigma
+    (and scaled_m = |u - r_j|^p m_j): by Sherman-Morrison, the Newton step
+    on m(u) (u - P(u)) is the plain step over this number. An iterate on
+    a deflated point gives 0."""
+    scale = 1.0
+    for root in roots:
+        d = u - root
+        q = float(d @ d)
+        if q == 0.0:
+            return 0.0
+        scaled_m = 1.0 + DEFLATION_SHIFT * q ** (0.5 * DEFLATION_POWER)
+        scale -= DEFLATION_POWER * float(d @ step) / (q * scaled_m)
+    return scale
+
+
 def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
                        frame: SectionFrame, eps, u_guess,
                        tol: float = DEFAULT_TOL,
-                       max_iter: int = 20) -> NewtonResult:
+                       max_iter: int = 20, *, deflate=()) -> NewtonResult:
     """Solve u - P(u) = 0 by full Newton from u_guess.
 
     P is the return map at winding alpha, so a fixed point at winding
@@ -72,6 +92,14 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
     :class:`SingularJacobian` when I - L degenerates (a transversal
     multiplier sits at 1) and :class:`NoConvergence`, carrying the
     iteration count and the last residual, on budget exhaustion.
+
+    ``deflate`` lists known fixed points r_j to steer away from: each
+    step is then Newton's on m(u) (u - P(u)), m(u) = prod_j
+    (|u - r_j|^-p + sigma) with p = ``DEFLATION_POWER`` and sigma =
+    ``DEFLATION_SHIFT``, which is the plain step divided by
+    :func:`_deflation` and costs no extra map. Convergence is still
+    tested on u - P(u). A deflated step that is not finite (an iterate
+    on a deflated point) raises :class:`SingularJacobian`.
     """
     eps = as_params(eps, family.p)
     u = np.asarray(u_guess, dtype=float).reshape(-1)
@@ -103,18 +131,23 @@ def newton_fixed_point(family: VectorFieldFamily, seed: TorusSeed, alpha,
             raise SingularJacobian(
                 "corrector jacobian I - L is singular; a transversal "
                 "multiplier sits at 1")
-        u = u - np.linalg.solve(jac, f)
+        step = np.linalg.solve(jac, f)
+        if deflate:
+            scale = _deflation(u, step, deflate)
+            if not abs(scale) > 0.0:
+                raise SingularJacobian(
+                    "deflated corrector jacobian is singular at this iterate")
+            step = step / scale
+        u = u - step
 
 
-@dataclass(frozen=True)
-class ContinuationOptions:
+class ContinuationOptions(NamedTuple):
     tol: float = DEFAULT_TOL
     max_iter: int = 20
     delta_min: float = 1e-6
 
 
-@dataclass(frozen=True)
-class ContinuationBranch:
+class ContinuationBranch(NamedTuple):
     """The accepted slices of a branch, why it ended, and what it was
     solved with: ``options`` holds the corrector settings of every slice,
     which the crossing refines of
@@ -218,8 +251,7 @@ def continue_branch(family: VectorFieldFamily, seed: TorusSeed, alpha,
     return ContinuationBranch(points, status, message, alpha, frame, opts)
 
 
-@dataclass(frozen=True)
-class TorusReconstruction:
+class TorusReconstruction(NamedTuple):
     """A fixed point transported over the full angle grid."""
 
     fractions: np.ndarray          # grid fractions in [0, 1) per angle

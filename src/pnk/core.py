@@ -17,8 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,8 +94,7 @@ def wrap_angles(x, ref, angle_coords: Sequence[int]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A single vector field with spatial and parameter derivatives.
 
     ``value(x, eps)`` returns the field vector, ``jacobian(x, eps)`` its
@@ -221,8 +219,14 @@ def scaled_kernels(terms, part: str):
     return first, c0, rest
 
 
-@dataclass(frozen=True)
-class TorusSeed:
+class _TorusSeedFields(NamedTuple):
+    k: int
+    embed: Callable[[np.ndarray], np.ndarray]
+    eps0: np.ndarray
+    angle_coords: tuple[int, ...] = ()
+
+
+class TorusSeed(_TorusSeedFields):
     """A parametrized invariant k-torus of a family at parameter ``eps0``.
 
     ``embed(phi)`` maps k angles to a chart point and must be 2*pi periodic
@@ -231,17 +235,22 @@ class TorusSeed:
     so that time-one loop flows of the 2*pi-scaled combinations close up.
     ``angle_coords`` lists chart coordinates that are themselves periodic
     (flow endpoints get reduced mod 2*pi toward a reference before
-    comparisons).
+    comparisons). ``eps0`` is kept as a flat float copy and
+    ``angle_coords`` as a tuple of ints.
     """
 
-    k: int
-    embed: Callable[[np.ndarray], np.ndarray]
-    eps0: np.ndarray
-    angle_coords: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps0", np.array(self.eps0, dtype=float).reshape(-1))
-        object.__setattr__(self, "angle_coords", tuple(int(i) for i in self.angle_coords))
+    def __new__(cls, k, embed, eps0, angle_coords=()):
+        return super().__new__(cls, k, embed,
+                               np.array(eps0, dtype=float).reshape(-1),
+                               tuple(int(i) for i in angle_coords))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The seed of the fields in iterable, normalized as by the
+        constructor: ``_replace`` builds through here."""
+        return cls(*iterable)
 
     @property
     def base_point(self) -> np.ndarray:
@@ -297,8 +306,7 @@ def lie_bracket(family: VectorFieldFamily, i: int, j: int, x, eps) -> np.ndarray
     return family.jacobian(j, x, eps) @ vi - family.jacobian(i, x, eps) @ vj
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     max_residual: float
     worst_pair: tuple[int, int] | None
     worst_sample: int | None
@@ -336,8 +344,7 @@ def verify_commuting_family(family: VectorFieldFamily, sample_points,
     return CommutationReport(worst, worst_pair, worst_sample, tol, worst <= tol)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     max_normal_residual: float
     worst_angles: np.ndarray | None
     tol: float

@@ -30,8 +30,7 @@ are those of a flow. A period T must be finite and positive, and its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +52,7 @@ RESONANCE_TOL = 1e-8
 SINGULAR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LinearizedCoefficients:
+class LinearizedCoefficients(NamedTuple):
     """Periodic coefficient blocks along the loop orbit, exact at any time.
 
     ``at(t, S)`` returns ``(S', Ahat, Bhat, Phat, Qhat)`` at time t in the
@@ -130,19 +128,20 @@ def _coefficient_flow(coeffs: LinearizedCoefficients):
     Theta' = Ahat(t) Theta with exact blocks; a transported frame S joins
     Theta as one state [Theta; S], which the split hands over as the
     blocks Theta and S."""
-    r = coeffs.frame.shape[1]
+    at, frame = coeffs.at, coeffs.frame
+    r = frame.shape[1]
     if not coeffs.transported:
         def rhs(t, y, out):
-            coeffs.at(t, coeffs.frame)[1].dot(y, out=out)
+            at(t, frame)[1].dot(y, out=out)
         return rhs, np.eye(r), None
 
     def joint_rhs(t, y, out):
         theta, s_basis = y
         theta_dot, s_out = out
-        s_dot, ahat = coeffs.at(t, s_basis)[:2]
+        s_dot, ahat = at(t, s_basis)[:2]
         s_out[...] = s_dot
         ahat.dot(theta, out=theta_dot)
-    return (joint_rhs, np.vstack([np.eye(r), coeffs.frame]),
+    return (joint_rhs, np.vstack([np.eye(r), frame]),
             (slice(None, r), slice(r, None)))
 
 
@@ -156,8 +155,7 @@ def _as_matrix_func(Ahat):
     return (lambda t: const), const.shape[0]
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
+class FundamentalMatrix(NamedTuple):
     """Sampled fundamental matrix Theta(t) with Theta(0) = I, and Q = Theta(T)."""
 
     times: np.ndarray
@@ -214,8 +212,7 @@ def fundamental_matrix(Ahat, T: float, tol: float = DEFAULT_TOL,
                              float(T))
 
 
-@dataclass(frozen=True)
-class FloquetDecomposition:
+class FloquetDecomposition(NamedTuple):
     """Factorization Theta(t) = M(t) exp(B t) of a fundamental matrix.
 
     ``real_form`` is False when Q has eigenvalues on the negative real
@@ -276,8 +273,7 @@ def floquet_decompose(theta: FundamentalMatrix) -> FloquetDecomposition:
                                 periodicity_defect)
 
 
-@dataclass(frozen=True)
-class ForcedResponse:
+class ForcedResponse(NamedTuple):
     """The unique T-periodic solution of u' = Ahat(t) u + b(t)."""
 
     times: np.ndarray
@@ -327,8 +323,7 @@ def forced_response(Ahat, bhat, T: float, tol: float = DEFAULT_TOL,
     return ForcedResponse(times, samples, u0, residual, multipliers)
 
 
-@dataclass(frozen=True)
-class BlockSpectrumReport:
+class BlockSpectrumReport(NamedTuple):
     spectrum: np.ndarray
     expected: np.ndarray
     max_distance: float

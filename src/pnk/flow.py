@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ _TABLEAU = [(s, dop853.A[s, :s], float(dop853.C[s]))
             for s in range(1, dop853.N_STAGES_EXTENDED)]
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """What a run returns: the state ``endpoint`` at time t, the number of
     accepted steps, ``samples``, one state per requested time (None when
     no times were requested), all in the start state's shape, and the

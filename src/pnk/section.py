@@ -34,7 +34,7 @@ map and its orbit take a parameter of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ RETURN_MAX_ITER = 25
 ORBIT_MAX_GROUP_TIME = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class SectionFrame:
+class SectionFrame(NamedTuple):
     """Local transversal section data at a base point.
 
     ``constraints`` holds the k covectors dual to the generator directions
@@ -163,8 +162,7 @@ def transversal_linearization(A, frame: SectionFrame) -> np.ndarray:
     return frame.dual_transversal @ A @ frame.transversal_basis
 
 
-@dataclass(frozen=True)
-class MonodromyReport:
+class MonodromyReport(NamedTuple):
     """Total and transversal monodromy data at one base point."""
 
     total: np.ndarray
@@ -201,8 +199,7 @@ def monodromy_report(family: VectorFieldFamily, seed: TorusSeed, alpha,
                            defect)
 
 
-@dataclass(frozen=True)
-class ReturnSolve:
+class ReturnSolve(NamedTuple):
     """Result of the section-return Newton solve.
 
     ``times`` are the k flow times (one per generator, composed in index
@@ -294,8 +291,7 @@ def solve_return_times(family: VectorFieldFamily, y, eps, frame: SectionFrame,
     return ReturnSolve(s, z, it, var)
 
 
-@dataclass(frozen=True)
-class TransversalMapResult:
+class TransversalMapResult(NamedTuple):
     """One evaluation of the section return map in transversal coordinates."""
 
     u: np.ndarray
@@ -337,8 +333,7 @@ def transversal_map(family: VectorFieldFamily, frame: SectionFrame, alpha,
     return TransversalMapResult(frame.coords(z), z, jac)
 
 
-@dataclass(frozen=True)
-class TransversalOrbitResult:
+class TransversalOrbitResult(NamedTuple):
     """Iterates of the section return map from chained loop-flow runs."""
 
     u: np.ndarray  # count x r: P(u), ..., P^count(u)
@@ -395,8 +390,7 @@ def transversal_orbit(family: VectorFieldFamily, frame: SectionFrame, alpha,
     return TransversalOrbitResult(np.reshape(iterates, (-1, frame.r)), runs)
 
 
-@dataclass(frozen=True)
-class BasePointCheck:
+class BasePointCheck(NamedTuple):
     """Transversal spectra at several base points on the torus."""
 
     spectra: list

@@ -431,13 +431,11 @@ class TestPostcriticalProbe:
                                                     transient=120,
                                                     n_samples=64))
 
-    @pytest.mark.xfail(strict=True, raises=NothingFound, reason=(
-        "ROADMAP item 3: the cubic fit through +-search_radius puts its "
-        "one seed at s = 0.0174, Newton carries it back onto u0, and the "
-        "probe excludes that find as not new"))
     def test_transcritical_torus_found(self):
         # phi' = 1, u' = eps u - u^2: the flat torus u = 0 meets the torus
-        # u = eps at eps = 0, so at 0.04 there is a fixed point P(0.04) = 0.04
+        # u = eps at eps = 0, so at 0.04 there is a fixed point P(0.04) = 0.04.
+        # The cubic fit's one seed, s = 0.0174, lies in u0's basin: plain
+        # Newton lands on u0, and the retry with u0 deflated finds 0.04
         def value(x, eps):
             return np.array([1.0, eps[0] * x[1] - x[1] ** 2])
 

@@ -60,6 +60,17 @@ class TestMakeStraightened:
             make_straightened(StraightenedSpec((a1,), np.zeros((2, 1)),
                                                cubic=1.0))
 
+    def test_spec_normalized_when_built_and_replaced(self):
+        spec = StraightenedSpec([[[-1]]], [1])
+        assert isinstance(spec.A, tuple)
+        assert spec.A[0].dtype == float and spec.C.shape == (1, 1)
+        moved = spec._replace(C=[2, 3])
+        assert type(moved) is StraightenedSpec
+        assert moved.C.dtype == float and moved.C.shape == (2, 1)
+        assert moved.A[0] is spec.A[0] and moved.cubic == 0.0
+        with pytest.raises(AttributeError):
+            spec.cubic = 1.0
+
     def test_cubic_oracle_root(self):
         spec = StraightenedSpec((np.diag([-0.5]),), np.array([[1.0]]),
                                 cubic=2.0)

@@ -2,6 +2,7 @@
 reconstruction and the isolation criterion."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,71 @@ class TestNewtonFixedPoint:
                                 [1, 1], frame, [0.05], np.zeros(2))
         from pnk.spectra import match_distance
         assert match_distance(nr.jacobian_spectrum, 1.0 - nr.spectrum) <= 1e-8
+
+
+class TestDeflation:
+    """The deflated Newton step on a closed-form map in place of the
+    section return: P(u) = (u0/2 + u1^2, 3 u1/10 - u0 u1)."""
+
+    @staticmethod
+    def _image(u):
+        a, b = u
+        return np.array([0.5 * a + b * b, 0.3 * b - a * b])
+
+    def _iterates(self, monkeypatch, guess, deflate, max_iter=1):
+        """The points newton_fixed_point maps, from guess; the solve must
+        not converge within max_iter."""
+        from pnk import continuation
+        from pnk.section import TransversalMapResult
+        seen = []
+
+        def closed_form(family, frame, alpha, u, eps, tol, with_jacobian):
+            seen.append(u.copy())
+            a, b = u
+            jac = np.array([[0.5, 2.0 * b], [-b, 0.3 - a]])
+            return TransversalMapResult(self._image(u), None, jac)
+
+        monkeypatch.setattr(continuation, "transversal_map", closed_form)
+        with pytest.raises(NoConvergence):
+            newton_fixed_point(SimpleNamespace(p=0), None, [1],
+                               SimpleNamespace(r=2), [], guess,
+                               max_iter=max_iter, deflate=deflate)
+        return seen
+
+    def test_step_is_newtons_on_the_deflated_residual(self, monkeypatch):
+        from pnk.continuation import DEFLATION_POWER, DEFLATION_SHIFT
+        roots = [np.array([0.1, -0.2]), np.array([-0.3, 0.05])]
+        guess = np.array([0.4, 0.3])
+
+        def deflated(u):  # m(u) (u - P(u))
+            m = math.prod(float(np.linalg.norm(u - r)) ** -DEFLATION_POWER
+                          + DEFLATION_SHIFT for r in roots)
+            return m * (u - self._image(u))
+
+        h = 1e-6
+        jac = np.column_stack([(deflated(guess + h * e)
+                                - deflated(guess - h * e)) / (2.0 * h)
+                               for e in np.eye(2)])
+        want = -np.linalg.solve(jac, deflated(guess))
+        start, first = self._iterates(monkeypatch, guess, roots)
+        np.testing.assert_array_equal(start, guess)
+        np.testing.assert_allclose(first - guess, want, rtol=1e-7)
+        # the plain step differs: deflation changes the step's length
+        plain = self._iterates(monkeypatch, guess, ())[1] - guess
+        assert not np.allclose(plain, want, rtol=1e-3)
+
+    def test_no_roots_is_the_plain_step(self, monkeypatch):
+        guess = np.array([0.4, 0.3])
+        _, first = self._iterates(monkeypatch, guess, ())
+        a, b = guess
+        jac = np.eye(2) - np.array([[0.5, 2.0 * b], [-b, 0.3 - a]])
+        want = guess - np.linalg.solve(jac, guess - self._image(guess))
+        np.testing.assert_array_equal(first, want)
+
+    def test_iterate_on_a_deflated_point_raises(self, monkeypatch):
+        guess = np.array([0.4, 0.3])
+        with pytest.raises(SingularJacobian, match="deflated"):
+            self._iterates(monkeypatch, guess, [guess.copy()])
 
 
 class TestContinueBranch:

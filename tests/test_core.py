@@ -183,6 +183,30 @@ class TestVerifyTorusInvariance:
                                     grid=3)
 
 
+class TestTorusSeedRecord:
+    def test_seed_normalized_when_built_and_replaced(self):
+        eps0 = [[1, 2]]
+        seed = TorusSeed(1, math.sin, eps0, [np.int64(0)])
+        assert seed.eps0.dtype == float and seed.eps0.shape == (2,)
+        assert type(seed.angle_coords[0]) is int
+        moved = seed._replace(eps0=[3], angle_coords=[np.int64(1)])
+        assert type(moved) is TorusSeed
+        assert moved.eps0.dtype == float and moved.eps0.shape == (1,)
+        assert moved.angle_coords == (1,)
+        assert type(moved.angle_coords[0]) is int
+        assert moved.embed is math.sin and moved.k == 1
+
+    def test_seed_is_an_immutable_tuple(self):
+        seed = TorusSeed(1, math.sin, [0.5])
+        k, embed, eps0, angle_coords = seed
+        assert (k, embed, angle_coords) == (1, math.sin, ())
+        np.testing.assert_array_equal(eps0, [0.5])
+        assert seed._fields == ("k", "embed", "eps0", "angle_coords")
+        with pytest.raises(AttributeError):
+            seed.k = 2
+        assert not hasattr(seed, "__dict__")
+
+
 class TestHelpers:
     def test_as_point_validates(self):
         with pytest.raises(ValueError):

@@ -381,8 +381,7 @@ class TestSolveReturnTimes:
     def test_fields_tangent_to_section_degenerate(self, straight_sys):
         # constraints replaced so that they annihilate the generators
         frame = build_section(straight_sys.family, straight_sys.seed)
-        from dataclasses import replace
-        bad = replace(frame, constraints=frame.dual_transversal[:2])
+        bad = frame._replace(constraints=frame.dual_transversal[:2])
         y = frame.base + 0.01 * np.array([1.0, 0.0, 1.0, 0.0])
         with pytest.raises(SingularGeometry):
             solve_return_times(straight_sys.family, y,

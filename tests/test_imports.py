@@ -2,7 +2,8 @@
 package module imports or reads a private name of another, importing
 pnk or running it imports no scipy module, and a Floquet run imports
 scipy.linalg only: its coefficients are exact, not interpolated, and
-floquet.py imports no difference stencil.
+floquet.py imports no difference stencil. No package module imports
+dataclasses: pnk's records are NamedTuples.
 
 The unused-import guard walks the syntax tree of ``src/pnk/*.py`` (but
 ``__init__.py``, which imports to re-export) and ``tests/*.py``. Names
@@ -125,6 +126,19 @@ def test_no_module_level_scipy_import(path):
     assert [m for m in names if m.split(".")[0] == "scipy"] == []
 
 
+# Defining a frozen dataclass execs its generated methods: for pnk's 33
+# records that was most of ``import pnk``. Records are NamedTuples, and no
+# module imports dataclasses, so a record added later cannot bring it back.
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_dataclasses_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert "dataclasses" not in names
+
+
 # Runs in a fresh interpreter, so no test that imported scipy before it
 # hides an import.
 SCIPY_FREE_RUNS = """
@@ -137,7 +151,8 @@ from pnk.config import load_config
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 for path in sorted(configs.glob("*.json")):
     assert main(["validate", str(path)]) == 0, path
-for name in ("hopf_torus", "straightened_continue", "polynomial_verify"):
+for name in ("hopf_torus", "straightened_continue", "polynomial_verify",
+             "hopf_monodromy", "pitchfork_bifurcate"):
     report, code = run_config(load_config(configs / f"{name}.json"),
                               out / name)
     assert code == 0, (name, report["error"])

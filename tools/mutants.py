@@ -259,6 +259,16 @@ MUTANTS = (
             "test_point_changed_in_place",
             "tests/test_catalog.py::TestKernelsKeepTheirBits::"
             "test_value_and_jacobian_equal_the_numpy_forms")),
+    Mutant("deflation-factor-dropped", "src/pnk/continuation.py",
+           "            step = step / scale\n",
+           "",
+           "a deflated Newton step is the plain step over the "
+           "Sherman-Morrison factor; without it the retry of a start in "
+           "u0's basin lands on u0 again",
+           ("tests/test_continuation.py::TestDeflation::"
+            "test_step_is_newtons_on_the_deflated_residual",
+            "tests/test_bifurcation.py::TestPostcriticalProbe::"
+            "test_transcritical_torus_found")),
 )
 
 

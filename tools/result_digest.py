@@ -34,7 +34,7 @@ bracket is already narrower than ``eps_tol``.
 
 The hash covers every array (dtype, shape and bytes), number (by its
 exact bits), string, flag and container of the returned objects, with
-dataclass field names and their nesting; functions are skipped. Two
+record field names and their nesting; functions are skipped. Two
 checkouts that print the same lines at a seed return the same results
 bit for bit.
 
@@ -45,7 +45,6 @@ and names every line that moved.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import platform
@@ -96,6 +95,12 @@ def feed(h, value) -> None:
     elif isinstance(value, np.ndarray) and value.dtype != object:
         h.update(b"A" + value.dtype.str.encode() + repr(value.shape).encode())
         h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        # a record (a NamedTuple): its type and named fields, not a list
+        feed(h, type(value).__name__)
+        for name, item in zip(value._fields, value):
+            feed(h, name)
+            feed(h, item)
     elif isinstance(value, (list, tuple)):
         h.update(b"L%d;" % len(value))
         for item in value:
@@ -105,11 +110,6 @@ def feed(h, value) -> None:
         for key in sorted(value, key=str):
             feed(h, str(key))
             feed(h, value[key])
-    elif dataclasses.is_dataclass(value):
-        feed(h, type(value).__name__)
-        for field in dataclasses.fields(value):
-            feed(h, field.name)
-            feed(h, getattr(value, field.name))
     elif callable(value):
         h.update(b"fn")
     else:
