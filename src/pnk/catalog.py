@@ -13,8 +13,19 @@ each entry's operations in the order of the numpy forms they replace. A
 product summing two or more rounded terms stays one numpy call, as BLAS
 may fuse its multiply-adds; a product by 0 or +-1 moves to floats:
 ``_J2 @ u`` is ``(-u1 or 0.0, u0 or 0.0)``, with BLAS's signs of zero.
-Powers use :func:`_power`, which gives numpy's +-inf where ``**`` raises
-OverflowError. ``tests/test_catalog.py`` checks the bits.
+A product by a diagonal matrix moves to floats too, one product per
+entry (the flip's ``rot @ diag(g, d2)``). BLAS adds each product onto
++0.0, so such an entry may be a zero of the other sign; that is allowed
+only where every result entry it reaches is a sum with a nonzero term or
+with 0.0, which maps both zeros to +0.0. Powers use :func:`_power`,
+which gives numpy's +-inf where ``**`` raises OverflowError.
+``tests/test_catalog.py`` checks the bits.
+
+These kernels build each result from one flat tuple, as
+``np.array((...)).reshape(shape)``, and hand ``ndarray.dot`` an array
+operand, never a list: numpy converts a nested list or a list operand
+entry by entry, which costs about as much as the product itself. A p = 1
+kernel reads its parameter as ``eps.item()``.
 
 A kernel whose value and jacobian share a costly part computes it once
 per point: the flip's rotating frame. Its kernels keep the last point's
@@ -261,25 +272,22 @@ def make_hopf(omega: float = 1.0, eps0: float = 0.1) -> CatalogSystem:
 
     def value(x, eps):
         xx, yy = x.tolist()
-        e = float(eps[0])
+        e = eps.item()
         r2 = xx * xx + yy * yy
-        return np.array([
-            inv * (e * xx - omega * yy - xx * r2),
-            inv * (omega * xx + e * yy - yy * r2),
-        ])
+        return np.array((inv * (e * xx - omega * yy - xx * r2),
+                         inv * (omega * xx + e * yy - yy * r2)))
 
     def jacobian(x, eps):
         xx, yy = x.tolist()
-        e = float(eps[0])
-        return np.array([
-            [inv * (e - 3.0 * xx * xx - yy * yy),
-             inv * (-omega - 2.0 * xx * yy)],
-            [inv * (omega - 2.0 * xx * yy),
-             inv * (e - xx * xx - 3.0 * yy * yy)],
-        ])
+        e = eps.item()
+        return np.array((inv * (e - 3.0 * xx * xx - yy * yy),
+                         inv * (-omega - 2.0 * xx * yy),
+                         inv * (omega - 2.0 * xx * yy),
+                         inv * (e - xx * xx - 3.0 * yy * yy))).reshape(2, 2)
 
     def ejac(x, eps):
-        return inv * np.array([[x[0]], [x[1]]])
+        xx, yy = x.tolist()
+        return np.array((inv * xx, inv * yy)).reshape(2, 1)
 
     family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac],
                                name="hopf")
@@ -455,15 +463,16 @@ def make_pitchfork(eps0: float = -0.05) -> CatalogSystem:
     the twin fixed points u = +-sqrt(eps) (flow equilibria).
     """
     def value(x, eps):
-        u = x.tolist()[1]
-        return np.array([1.0, float(eps[0]) * u - _power(u, 3)])
+        u = x.item(1)
+        return np.array((1.0, eps.item() * u - _power(u, 3)))
 
     def jacobian(x, eps):
-        u = x.tolist()[1]
-        return np.array([[0.0, 0.0], [0.0, float(eps[0]) - 3.0 * u * u]])
+        u = x.item(1)
+        return np.array((0.0, 0.0,
+                         0.0, eps.item() - 3.0 * u * u)).reshape(2, 2)
 
     def ejac(x, eps):
-        return np.array([[0.0], [x[1]]])
+        return np.array((0.0, x.item(1))).reshape(2, 1)
 
     family = VectorFieldFamily(2, 1, 1, [value], [jacobian], [ejac],
                                name="pitchfork")
@@ -496,9 +505,9 @@ def make_flip(stable_exponent: float = -0.35,
     last = (None, None)  # the key and frame of the last point framed
 
     def frame(x, eps):
-        """(u0, u1, rot, v, v0, e, r0, r1) at (x, eps): the rotation by
-        phi/2, v = rot^T u, e = eps[0] and r = rot g(v), g the diagonal
-        part."""
+        """(u0, u1, c, s, rot, v, v0, v1, e, r0, r1) at (x, eps): the
+        rotation rot by phi/2 with c, s its cosine and sine, v = rot^T u,
+        e = eps[0] and r = rot g(v), g the diagonal part."""
         nonlocal last
         key = x.tobytes() + eps.tobytes()
         seen, known = last
@@ -506,32 +515,38 @@ def make_flip(stable_exponent: float = -0.35,
             return known
         phi, u0, u1 = x.tolist()
         c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
-        rot = np.array([[c, -s], [s, c]])
+        rot = np.array((c, -s, s, c)).reshape(2, 2)
         v = rot.T.dot(x[1:])
         v0, v1 = v.tolist()
-        e = float(eps[0])
-        r0, r1 = rot.dot([e * v0 - _power(v0, 3), d2 * v1]).tolist()
-        known = (u0, u1, rot, v, v0, e, r0, r1)
+        e = eps.item()
+        r0, r1 = rot.dot(np.array((e * v0 - _power(v0, 3), d2 * v1))).tolist()
+        known = (u0, u1, c, s, rot, v, v0, v1, e, r0, r1)
         last = (key, known)
         return known
 
     def value(x, eps):
-        u0, u1, _, _, _, _, r0, r1 = frame(x, eps)
-        return np.array([1.0, 0.5 * (-u1 or 0.0) + r0, 0.5 * (u0 or 0.0) + r1])
+        u0, u1, _, _, _, _, _, _, _, r0, r1 = frame(x, eps)
+        return np.array((1.0, 0.5 * (-u1 or 0.0) + r0, 0.5 * (u0 or 0.0) + r1))
 
     def jacobian(x, eps):
-        _, _, rot, v, v0, e, r0, r1 = frame(x, eps)
-        rot_dg = rot.dot([[e - 3.0 * _power(v0, 2), 0.0], [0.0, d2]])
+        _, _, c, s, rot, v, v0, _, e, r0, r1 = frame(x, eps)
+        g = e - 3.0 * _power(v0, 2)
+        # rot @ diag(g, d2), one product per entry. BLAS adds each product
+        # onto +0.0, so a zero entry here may have the other sign; no such
+        # zero reaches the result, whose entries it feeds are all 0.0 + m,
+        # +-0.5 + m or (0.0 -+ r) - q.
+        rot_dg = np.array((c * g, -s * d2, s * g, c * d2)).reshape(2, 2)
         (m00, m01), (m10, m11) = rot_dg.dot(rot.T).tolist()
         q0, q1 = rot_dg.dot(_J2).dot(v).tolist()
-        return np.array([[0.0, 0.0, 0.0],
-                         [0.5 * ((0.0 - r1) - q0), 0.0 + m00, -0.5 + m01],
-                         [0.5 * ((0.0 + r0) - q1), 0.5 + m10, 0.0 + m11]])
+        return np.array((0.0, 0.0, 0.0,
+                         0.5 * ((0.0 - r1) - q0), 0.0 + m00, -0.5 + m01,
+                         0.5 * ((0.0 + r0) - q1), 0.5 + m10, 0.0 + m11)
+                        ).reshape(3, 3)
 
     def ejac(x, eps):
-        _, _, rot, _, v0, _, _, _ = frame(x, eps)
-        r0, r1 = rot.dot([v0, 0.0]).tolist()
-        return np.array([[0.0], [r0], [r1]])
+        _, _, _, _, rot, _, v0, _, _, _, _ = frame(x, eps)
+        r0, r1 = rot.dot(np.array((v0, 0.0))).tolist()
+        return np.array((0.0, r0, r1)).reshape(3, 1)
 
     family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac],
                                name="flip")
@@ -557,21 +572,24 @@ def make_neimark(rotation: float = 0.18, damping: float = 1.0,
 
     def value(x, eps):
         u = x[1:]
-        a = float(eps[0]) - c * float(u.dot(u))
+        a = eps.item() - c * float(u.dot(u))
         _, u0, u1 = x.tolist()
-        return np.array([1.0, a * u0 + w * (-u1 or 0.0), a * u1 + w * (u0 or 0.0)])
+        return np.array((1.0, a * u0 + w * (-u1 or 0.0),
+                         a * u1 + w * (u0 or 0.0)))
 
     def jacobian(x, eps):
         u = x[1:]
-        a = float(eps[0]) - c * float(u.dot(u))
+        a = eps.item() - c * float(u.dot(u))
         _, u0, u1 = x.tolist()
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [0.0, a + w0 - c2 * (u0 * u0), a * 0.0 - w - c2 * (u0 * u1)],
-            [0.0, a * 0.0 + w - c2 * (u1 * u0), a + w0 - c2 * (u1 * u1)]])
+        return np.array((
+            0.0, 0.0, 0.0,
+            0.0, a + w0 - c2 * (u0 * u0), a * 0.0 - w - c2 * (u0 * u1),
+            0.0, a * 0.0 + w - c2 * (u1 * u0), a + w0 - c2 * (u1 * u1))
+        ).reshape(3, 3)
 
     def ejac(x, eps):
-        return np.array([[0.0], [x[1]], [x[2]]])
+        _, u0, u1 = x.tolist()
+        return np.array((0.0, u0, u1)).reshape(3, 1)
 
     family = VectorFieldFamily(3, 1, 1, [value], [jacobian], [ejac],
                                name="neimark")

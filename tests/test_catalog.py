@@ -251,6 +251,18 @@ def _hopf_reference(omega):
     return value, jacobian
 
 
+def _hopf_eps_jacobian(omega):
+    inv = 1.0 / omega
+
+    def eps_jacobian(x, eps):
+        return inv * np.array([[x[0]], [x[1]]])
+    return eps_jacobian
+
+
+def _pitchfork_eps_jacobian(x, eps):
+    return np.array([[0.0], [x[1]]])
+
+
 def _pitchfork_reference():
     def value(x, eps):
         u = x[1]
@@ -452,8 +464,12 @@ class TestKernelsKeepTheirBits:
                           system.family.n)
 
     @pytest.mark.parametrize("system, reference", [
+        (make_hopf(), _hopf_eps_jacobian(1.0)),
+        (make_hopf(omega=-0.7, eps0=0.2), _hopf_eps_jacobian(-0.7)),
+        (make_pitchfork(), _pitchfork_eps_jacobian),
         (make_flip(), _flip_eps_jacobian),
-        (make_neimark(), _neimark_eps_jacobian)], ids=["flip", "neimark"])
+        (make_neimark(), _neimark_eps_jacobian)],
+        ids=["hopf", "hopf-negative-omega", "pitchfork", "flip", "neimark"])
     def test_eps_jacobian_equals_the_numpy_form(self, system, reference):
         _assert_same_bits((system.family.member(0).eps_jacobian,),
                           (reference,), system.family.n)

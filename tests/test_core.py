@@ -9,7 +9,8 @@ import pytest
 from pnk import (DegenerateTangent, TorusSeed, VectorFieldFamily, ZeroClass,
                  integrate_flow, lie_bracket, loop_field,
                  verify_commuting_family, verify_torus_invariance)
-from pnk.core import as_count, as_params, as_point, as_winding, wrap_angles
+from pnk.core import (all_finite, as_count, as_params, as_point, as_winding,
+                      wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,6 +227,25 @@ class TestHelpers:
         x = np.array([-0.0, 1e308, -1e308])
         assert as_point(x, 3).tobytes() == x.tobytes()
         assert as_params(x).tobytes() == x.tobytes()
+
+    def test_overflowing_sum_of_finite_entries_kept(self):
+        # the sum is inf, yet every entry is finite
+        x = np.array([1e308, 1e308])
+        assert as_point(x, 2).tobytes() == x.tobytes()
+        assert as_params(x).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("bad", [[np.inf, -np.inf], [np.nan, 1.0]],
+                             ids=["inf-minus-inf", "nan"])
+    def test_non_finite_entries_refused_whatever_their_sum(self, bad):
+        assert not all_finite(np.array(bad))
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            as_point(bad)
+        with pytest.raises(ValueError, match="^parameter vector has "
+                                             "non-finite entries$"):
+            as_params(bad)
+
+    def test_empty_array_is_finite(self):
+        assert all_finite(np.array([]))
 
     @pytest.mark.parametrize("count", [8, np.int64(8), np.uint8(8)])
     def test_as_count_takes_python_and_numpy_integers(self, count):

@@ -243,8 +243,9 @@ MUTANTS = (
            ("tests/test_bifurcation.py::TestPostcriticalProbe::"
             "test_failed_cycle_start_hands_over",)),
     Mutant("flip-jacobian-stale-frame", "src/pnk/catalog.py",
-           "        _, _, rot, v, v0, e, r0, r1 = frame(x, eps)\n",
-           "        _, _, rot, v, v0, e, r0, r1 = last[1] or frame(x, eps)\n",
+           "        _, _, c, s, rot, v, v0, _, e, r0, r1 = frame(x, eps)\n",
+           "        _, _, c, s, rot, v, v0, _, e, r0, r1 = "
+           "last[1] or frame(x, eps)\n",
            "the flip's jacobian reuses the last frame only at its own point; "
            "a stage calls the value first, so only out-of-order calls see it",
            ("tests/test_catalog.py::TestFlipFrame::"
@@ -259,6 +260,29 @@ MUTANTS = (
             "test_point_changed_in_place",
             "tests/test_catalog.py::TestKernelsKeepTheirBits::"
             "test_value_and_jacobian_equal_the_numpy_forms")),
+    Mutant("flip-rot-dg-order", "src/pnk/catalog.py",
+           "rot_dg = np.array((c * g, -s * d2, s * g, c * d2))",
+           "rot_dg = np.array((c * g, s * g, -s * d2, c * d2))",
+           "the flip jacobian's flat rot @ diag(g, d2) lists its entries "
+           "row by row",
+           ("tests/test_catalog.py::TestKernelsKeepTheirBits::"
+            "test_value_and_jacobian_equal_the_numpy_forms",)),
+    Mutant("hopf-jacobian-flat-order", "src/pnk/catalog.py",
+           "                         inv * (-omega - 2.0 * xx * yy),\n"
+           "                         inv * (omega - 2.0 * xx * yy),\n",
+           "                         inv * (omega - 2.0 * xx * yy),\n"
+           "                         inv * (-omega - 2.0 * xx * yy),\n",
+           "the Hopf jacobian's flat tuple lists its entries row by row",
+           ("tests/test_catalog.py::TestKernelsKeepTheirBits::"
+            "test_value_and_jacobian_equal_the_numpy_forms",)),
+    Mutant("all-finite-sum-only", "src/pnk/core.py",
+           "    return math.isfinite(sum(values)) or "
+           "all(map(math.isfinite, values))\n",
+           "    return math.isfinite(sum(values))\n",
+           "finite entries whose sum overflows are finite; the sum only "
+           "proves finiteness, it cannot refuse",
+           ("tests/test_core.py::TestHelpers::"
+            "test_overflowing_sum_of_finite_entries_kept",)),
     Mutant("deflation-factor-dropped", "src/pnk/continuation.py",
            "            step = step / scale\n",
            "",
